@@ -504,13 +504,20 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 			pool.completed(url, w, time.Since(start))
 		}
 	}
+	// Place the shards before any worker loop starts: take reports the
+	// campaign finished while runsRemaining is zero, so a loop that ran
+	// ahead of placement would exit at once and leave its queue unserved.
+	var started []string
 	for _, p := range live {
 		if pool.addWorker(p.url, float64(p.rtt)/float64(time.Millisecond)) {
-			wg.Add(1)
-			go runWorker(p.url)
+			started = append(started, p.url)
 		}
 	}
 	pool.placeShards(shards)
+	for _, url := range started {
+		wg.Add(1)
+		go runWorker(url)
+	}
 
 	// Registry mode: re-resolve membership on a cadence, probing joiners
 	// (and restarted workers, which re-register under their old URL) and

@@ -38,7 +38,6 @@ func (r Row) MarshalJSON() ([]byte, error) {
 	rj := rowJSON{Label: r.Label, Values: make([]*float64, len(r.Values))}
 	for i, v := range r.Values {
 		if !math.IsNaN(v) && !math.IsInf(v, 0) {
-			v := v
 			rj.Values[i] = &v
 		}
 	}

@@ -17,7 +17,6 @@ import (
 // full happens-before.
 func TestNoFalsePositives(t *testing.T) {
 	for _, app := range workload.All() {
-		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				for _, inj := range []uint64{2, 9, 23, 57} {

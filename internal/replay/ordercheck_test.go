@@ -97,7 +97,6 @@ func (oc *orderChecker) Finish() { oc.det.Finish() }
 // the property deterministic replay rests on.
 func TestConflictOrderingInvariant(t *testing.T) {
 	for _, app := range workload.All() {
-		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 2; seed++ {
 				prog := app.Build(1, 4)

@@ -13,7 +13,6 @@ import (
 // §3.3 verification).
 func TestReplayAllWorkloads(t *testing.T) {
 	for _, app := range workload.All() {
-		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				prog := app.Build(1, 4)
@@ -63,7 +62,6 @@ func TestReplayInjectedRuns(t *testing.T) {
 // zero data races in every application (they are properly labeled programs).
 func TestWorkloadsAreRaceFree(t *testing.T) {
 	for _, app := range workload.All() {
-		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			ideal := baseline.NewIdeal(4)
 			prog := app.Build(1, 4)

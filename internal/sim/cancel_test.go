@@ -56,7 +56,7 @@ func TestCancelBeforeRun(t *testing.T) {
 	}
 }
 
-// TestCancelLeaksNoGoroutines: after a canceled run every workload goroutine
+// TestCancelLeaksNoGoroutines: after a canceled run every thread coroutine
 // must have exited — abortAll unwinds parked threads even on the cancel path.
 func TestCancelLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()

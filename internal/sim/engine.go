@@ -7,6 +7,17 @@
 // sync-removal fault injection (§3.4), thread migration (§2.7.4), and
 // log-driven deterministic replay (§2.7.1).
 //
+// Each thread's Body runs in an iter.Pull coroutine, so a whole run executes
+// on the goroutine that called Run. An Env call stores its request and
+// yields; the scheduler picks a thread, services its request, and resumes
+// that coroutine alone, which runs until its next Env call or its return.
+// Only one thread ever runs at a time and the hand-off is a direct coroutine
+// switch, with no channel and no trip through the Go scheduler. When a run
+// ends early (cancellation, an error, a deadlock, a panic elsewhere), Run
+// stops every coroutine still parked in an Env call: its yield returns false,
+// the call panics errAborted, and the Body unwinds through its deferred calls
+// before Run returns.
+//
 // An execution is a pure function of its Config: the Seed drives all
 // scheduling jitter, workloads communicate only through the simulated
 // memory, and nothing reads the wall clock or global randomness, so the
@@ -181,26 +192,28 @@ type request struct {
 type response struct {
 	value uint64
 	skip  bool
-	abort bool
 }
 
+// threadCtx is one simulated thread: its scheduler state plus the pull
+// coroutine its Body runs in. next resumes the Body until it parks on its
+// next Env request (in req) or returns; yield is the Body's side of that
+// switch; stop unwinds a parked Body (see spawn).
 type threadCtx struct {
-	id     int
-	proc   int
-	vtime  uint64
-	instr  uint64 // committed instructions
-	state  threadState
-	block  memsys.Addr
-	req    request
-	resume chan response
-	hash   uint64 // FNV-1a over read values
-	eng    *Engine
-}
-
-type threadEvent struct {
-	t   *threadCtx
-	don bool
-	err error
+	id    int
+	proc  int
+	vtime uint64
+	instr uint64 // committed instructions
+	syncN uint64 // own countable sync instances (InjectThreadNth)
+	state threadState
+	block memsys.Addr
+	req   request
+	resp  response // the engine's answer to req, read by Env.do on resume
+	hash  uint64   // FNV-1a over read values
+	env   Env      // the handle passed to Body; env.t points back here
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	err   error // a Body panic, recovered inside the coroutine
 }
 
 type lockKey struct {
@@ -210,20 +223,19 @@ type lockKey struct {
 
 // Engine executes one Program under one Config. An Engine is single-use.
 type Engine struct {
-	cfg         Config
-	prog        Program
-	mem         *memsys.Memory
-	threads     []*threadCtx
-	events      chan threadEvent
-	rng         *rand.Rand
-	seq         uint64
-	ops         uint64
-	syncN       uint64
-	threadSyncN []uint64
-	injThread   int
-	injNth      uint64
-	skipped     map[lockKey]int // lock pairs removed by injection (count, to nest)
-	primIdx     int
+	cfg       Config
+	prog      Program
+	mem       *memsys.Memory
+	threads   []*threadCtx
+	pcg       rand.PCG // rng's state, held inline
+	rng       *rand.Rand
+	seq       uint64
+	ops       uint64
+	syncN     uint64
+	injThread int
+	injNth    uint64
+	skipped   map[lockKey]int // lock pairs removed by injection (count, to nest)
+	primIdx   int
 
 	// replay state
 	replay       bool
@@ -253,33 +265,31 @@ func New(cfg Config, prog Program) *Engine {
 		cfg.Cost = SimpleCost{}
 	}
 	e := &Engine{
-		cfg:         cfg,
-		prog:        prog,
-		mem:         memsys.NewMemory(),
-		events:      make(chan threadEvent),
-		rng:         rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
-		skipped:     make(map[lockKey]int),
-		primIdx:     -1,
-		threadSyncN: make([]uint64, prog.Threads),
-		injThread:   -1,
-		replay:      cfg.ReplayEpochs != nil || cfg.ReplayFeed != nil,
-		epochs:      cfg.ReplayEpochs,
-		feed:        cfg.ReplayFeed,
-		epochFresh:  true,
+		cfg:        cfg,
+		prog:       prog,
+		mem:        memsys.NewMemory(),
+		threads:    make([]*threadCtx, prog.Threads),
+		skipped:    make(map[lockKey]int),
+		primIdx:    -1,
+		injThread:  -1,
+		replay:     cfg.ReplayEpochs != nil || cfg.ReplayFeed != nil,
+		epochs:     cfg.ReplayEpochs,
+		feed:       cfg.ReplayFeed,
+		epochFresh: true,
 	}
+	e.pcg.Seed(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)
+	e.rng = rand.New(&e.pcg)
 	for i, o := range cfg.Observers {
 		if o == cfg.Primary {
 			e.primIdx = i
 		}
 	}
-	for t := 0; t < prog.Threads; t++ {
-		e.threads = append(e.threads, &threadCtx{
-			id:     t,
-			proc:   t % cfg.Procs,
-			resume: make(chan response),
-			hash:   fnvOffset,
-			eng:    e,
-		})
+	ts := make([]threadCtx, prog.Threads)
+	for i := range ts {
+		t := &ts[i]
+		t.id, t.proc, t.hash = i, i%cfg.Procs, fnvOffset
+		t.env.t = t
+		e.threads[i] = t
 	}
 	return e
 }
@@ -291,43 +301,17 @@ func (e *Engine) Run() (Result, error) {
 		e.prog.Init(e.mem)
 	}
 	for _, t := range e.threads {
-		t := t
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if r == errAborted {
-						e.events <- threadEvent{t: t, don: true}
-						return
-					}
-					e.events <- threadEvent{t: t, don: true, err: fmt.Errorf("sim: thread %d panicked: %v", t.id, r)}
-					return
-				}
-				e.events <- threadEvent{t: t, don: true}
-			}()
-			env := &Env{t: t}
-			e.prog.Body(t.id, env)
-		}()
+		e.spawn(t)
 	}
-	// Threads run concurrently only until their first Env call; collect one
-	// event (a parked request, or completion) from every thread before
+	// Unwind whatever is still parked on every exit path, including a panic
+	// out of an observer or callback.
+	defer e.abortAll()
+	// Run every thread up to its first Env call (or completion) before
 	// entering the deterministic loop.
-	parked := 0
-	var firstErr error
-	for parked < len(e.threads) {
-		ev := <-e.events
-		if ev.don {
-			ev.t.state = stDone
-			if ev.err != nil && firstErr == nil {
-				firstErr = ev.err
-			}
-		} else {
-			e.absorbBlock(ev.t)
+	for _, t := range e.threads {
+		if e.step(t) && t.err != nil {
+			return Result{}, t.err
 		}
-		parked++
-	}
-	if firstErr != nil {
-		e.abortAll()
-		return Result{}, firstErr
 	}
 
 	if e.replay && e.cfg.OnEpoch != nil {
@@ -379,27 +363,21 @@ func (e *Engine) Run() (Result, error) {
 				break
 			}
 			if t.state == stBlocked {
-				// The thread went to sleep; leave it parked on its
-				// resume channel until wake() readies it again.
+				// The thread went to sleep; leave it parked in its
+				// coroutine until wake() readies it again.
 				continue
 			}
 		}
 		t.req.kind = reqNone
-		// Resume the thread and wait for its next request or completion.
-		t.resume <- resp
-		ev := <-e.events
-		if ev.don {
-			ev.t.state = stDone
-			e.finishThread(ev.t)
-			if ev.err != nil {
-				runErr = ev.err
+		t.resp = resp
+		if e.step(t) {
+			e.finishThread(t)
+			if t.err != nil {
+				runErr = t.err
 				break
 			}
-		} else {
-			e.absorbBlock(ev.t)
 		}
 	}
-	e.abortAll()
 	if runErr != nil {
 		return Result{}, runErr
 	}
@@ -436,14 +414,24 @@ func (e *Engine) allDone() bool {
 	return true
 }
 
-// abortAll unblocks any parked thread goroutines so they exit.
+// step resumes t's coroutine until the Body parks on its next Env request
+// (a block request is absorbed at once) or returns. It reports whether the
+// thread finished; t.err then holds a panic, if the Body raised one.
+func (e *Engine) step(t *threadCtx) bool {
+	if _, ok := t.next(); ok {
+		e.absorbBlock(t)
+		return false
+	}
+	t.state = stDone
+	return true
+}
+
+// abortAll unwinds every thread that has not finished. Stopping a coroutine
+// that already returned, or never started, is a no-op.
 func (e *Engine) abortAll() {
 	for _, t := range e.threads {
-		if t.state != stDone {
-			t.state = stDone
-			t.resume <- response{abort: true}
-			<-e.events // the goroutine acknowledges via its done event
-		}
+		t.state = stDone
+		t.stop()
 	}
 }
 
@@ -714,15 +702,15 @@ func (e *Engine) process(t *threadCtx) (response, error) {
 // or flag-wait and decides whether this is the injected (removed) instance.
 func (e *Engine) countSyncInstance(t *threadCtx) bool {
 	e.syncN++
-	e.threadSyncN[t.id]++
+	t.syncN++
 	var skip bool
 	if e.cfg.InjectThreadNth != 0 {
-		skip = t.id == e.cfg.InjectThread && e.threadSyncN[t.id] == e.cfg.InjectThreadNth
+		skip = t.id == e.cfg.InjectThread && t.syncN == e.cfg.InjectThreadNth
 	} else {
 		skip = e.syncN == e.cfg.InjectSkip
 	}
 	if skip {
-		e.injThread, e.injNth = t.id, e.threadSyncN[t.id]
+		e.injThread, e.injNth = t.id, t.syncN
 	}
 	return skip
 }
@@ -781,9 +769,9 @@ func (e *Engine) deliver(t *threadCtx, addr memsys.Addr, kind trace.Kind, class 
 	return primary
 }
 
-// absorbBlock processes a just-received block request immediately: the
+// absorbBlock processes a just-parked block request immediately: the
 // thread's sleep decision is based on a read that no other thread could have
-// invalidated (the engine ran nothing between that read and this event), so
+// invalidated (the engine ran nothing between that read and this request), so
 // marking it blocked here closes the check-then-block window — a write
 // arriving later always finds the thread already in stBlocked and wakes it.
 func (e *Engine) absorbBlock(t *threadCtx) {

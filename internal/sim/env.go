@@ -7,14 +7,17 @@ import (
 	"cord/internal/trace"
 )
 
-// errAborted is panicked inside a workload goroutine when the engine tears
-// the run down early; the goroutine's recover turns it into a clean exit.
+// errAborted is panicked by an Env call whose coroutine the engine stopped
+// while it was parked (the run ended early). It unwinds the Body, running its
+// deferred calls; the recover in spawn turns it into a clean exit. An Env
+// call made while unwinding panics errAborted again.
 var errAborted = errors.New("sim: run aborted")
 
 // Env is a thread's handle to the simulated machine. All methods may only be
-// called from within the Program.Body invocation that received the Env, and
-// each call is one scheduling point: the engine serializes every call into
-// the global execution order.
+// called from within the Program.Body invocation that received the Env. Each
+// call is one scheduling point: it parks the thread's coroutine with a
+// request, and the engine resumes it with the answer once the scheduler has
+// placed the call in the global execution order.
 //
 // Instruction accounting (which drives the order log and replay): Read,
 // Write and each Lock/Unlock/FlagWait/FlagSet call commit one instruction;
@@ -33,12 +36,10 @@ func (e *Env) Proc() int { return e.t.proc }
 func (e *Env) do(r request) response {
 	t := e.t
 	t.req = r
-	t.eng.events <- threadEvent{t: t}
-	resp := <-t.resume
-	if resp.abort {
+	if !t.yield(struct{}{}) {
 		panic(errAborted)
 	}
-	return resp
+	return t.resp
 }
 
 // Read performs a data read of the word at a and returns its value.

@@ -1,0 +1,152 @@
+package sim
+
+import (
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"cord/internal/memsys"
+	"cord/internal/record"
+)
+
+// TestRunExitPaths: every way a run can end returns its verdict and leaves no
+// thread coroutine behind, whether the threads still parked at that point are
+// blocked, runnable, or never reached their first Env call.
+func TestRunExitPaths(t *testing.T) {
+	al := memsys.NewAllocator()
+	never := NewFlag(al) // no thread ever sets it
+	barrier := NewBarrier(al, 2)
+	w := al.Alloc(1).Word(0)
+
+	prog := func(name string, threads int, body func(th int, env *Env)) Program {
+		return Program{Name: name, Threads: threads, Body: body}
+	}
+	cancel := make(chan struct{})
+
+	cases := []struct {
+		name     string
+		prog     Program
+		cfg      Config
+		wantErr  error  // matched with errors.Is
+		wantMsg  string // substring of the error
+		wantHung bool
+		wantOps  uint64
+	}{
+		{
+			name: "panic before first Env call",
+			prog: prog("early-panic", 3, func(th int, env *Env) {
+				if th == 1 {
+					panic("boom")
+				}
+				env.Read(w)
+			}),
+			wantMsg: "sim: thread 1 panicked: boom",
+		},
+		{
+			name: "panic mid-run while others parked",
+			prog: prog("late-panic", 3, func(th int, env *Env) {
+				if th != 0 {
+					never.WaitAtLeast(env, 1)
+					return
+				}
+				env.Compute(50)
+				env.Write(w, 1)
+				panic("late")
+			}),
+			wantMsg: "sim: thread 0 panicked: late",
+		},
+		{
+			name: "Body returns without any Env call",
+			prog: prog("no-env", 3, func(th int, env *Env) {
+				if th == 2 {
+					env.Compute(3)
+				}
+			}),
+			wantOps: 3,
+		},
+		{
+			name: "op budget exceeded",
+			prog: prog("runaway", 2, func(th int, env *Env) {
+				for {
+					env.Write(w, env.Read(w)+1)
+				}
+			}),
+			cfg:     Config{MaxOps: 1000},
+			wantMsg: "exceeded op budget 1000",
+		},
+		{
+			// Removing thread 0's first barrier flag wait lets its second
+			// arrival count toward the round thread 1 is still in: the
+			// rounds fall out of step and a waiter is left with no one to
+			// release it.
+			name: "injected deadlock",
+			prog: prog("deadlock", 2, func(th int, env *Env) {
+				barrier.Wait(env)
+				barrier.Wait(env)
+			}),
+			cfg:      Config{InjectThread: 0, InjectThreadNth: 2},
+			wantHung: true,
+			wantOps:  22,
+		},
+		{
+			name: "replay log overruns an epoch",
+			prog: prog("overrun", 2, func(th int, env *Env) {
+				env.Compute(10)
+				env.Compute(10)
+			}),
+			cfg: Config{ReplayEpochs: []record.Epoch{
+				{Time: 1, Thread: 0, Instr: 5, Index: 0},
+				{Time: 2, Thread: 1, Instr: 20, Index: 1},
+				{Time: 3, Thread: 0, Instr: 15, Index: 2},
+			}},
+			wantErr: ErrReplayDivergence,
+		},
+		{
+			name: "open feed canceled while the engine waits",
+			prog: prog("feed-wait", 2, func(th int, env *Env) { env.Read(w) }),
+			cfg: Config{
+				ReplayFeed: NewReplayFeed(), // never appended to, never closed
+				Cancel:     cancel,
+				OnEpoch: func(idx int) {
+					if idx == 0 {
+						go close(cancel)
+					}
+				},
+			},
+			wantErr: ErrCanceled,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			tc.cfg.Seed = 1
+			res, err := New(tc.cfg, tc.prog).Run()
+			switch {
+			case tc.wantErr != nil:
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("Run returned %v, want %v", err, tc.wantErr)
+				}
+			case tc.wantMsg != "":
+				if err == nil || !strings.Contains(err.Error(), tc.wantMsg) {
+					t.Fatalf("Run returned %v, want an error containing %q", err, tc.wantMsg)
+				}
+			default:
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if res.Hung != tc.wantHung || res.Ops != tc.wantOps {
+					t.Fatalf("hung=%v ops=%d, want hung=%v ops=%d", res.Hung, res.Ops, tc.wantHung, tc.wantOps)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}

@@ -28,7 +28,6 @@ func TestCatalogueComplete(t *testing.T) {
 
 func TestAllAppsRunToCompletion(t *testing.T) {
 	for _, app := range All() {
-		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
 			for seed := uint64(1); seed <= 4; seed++ {

@@ -15,7 +15,6 @@ func TestSoakAllAppsScaledWithReplay(t *testing.T) {
 		t.Skip("soak test")
 	}
 	for _, app := range cord.Apps() {
-		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
 			for seed := uint64(100); seed < 103; seed++ {
@@ -43,7 +42,6 @@ func TestSoakInjectionSweepNoFalsePositives(t *testing.T) {
 		t.Skip("soak test")
 	}
 	for _, name := range []string{"cholesky", "barnes", "water-n2", "ocean"} {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			app := cord.AppByName(name)
