@@ -137,10 +137,12 @@ fleet-chaos-smoke:
 	sh scripts/fleet-chaos-smoke.sh
 
 # Short fuzzing pass over every hardened input surface: the binary order-log
-# decoder and both service request parsers. CI runs this; crashes land in
+# decoder, the epoch stream (differential against the sort-based schedule
+# oracle), and both service request parsers. CI runs this; crashes land in
 # testdata/fuzz/ for triage.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecodeFrom' -fuzztime 10s -run '^$$' ./internal/record/
+	$(GO) test -fuzz 'FuzzEpochStream' -fuzztime 10s -run '^$$' ./internal/record/
 	$(GO) test -fuzz 'FuzzDetectRequest' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzReplayParams' -fuzztime 10s -run '^$$' ./internal/server/
 

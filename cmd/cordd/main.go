@@ -8,14 +8,13 @@
 //
 // Endpoints: POST /v1/detect, POST /v1/replay, POST /v1/stream (streaming
 // order-record ingestion with optional online race detection and duty
-// cycling, PROTOCOL.md §4; -stream-duty sets the default duty percentage,
-// -stream-workers the per-session ingest fan-out), POST /v1/campaign/plan
-// and POST /v1/campaign/shard (distributed-campaign worker protocol,
-// PROTOCOL.md §6 — a cordbench coordinator with -workers fans run shards
-// across a fleet of these processes), POST /v1/fleet/register and
-// GET /v1/fleet/workers (fleet membership, PROTOCOL.md §7), GET /healthz,
-// GET /metrics. SIGINT/SIGTERM drain in-flight sessions — streams included —
-// before the process exits.
+// cycling, PROTOCOL.md §4; -stream-duty sets the default duty percentage),
+// POST /v1/campaign/plan and POST /v1/campaign/shard (distributed-campaign
+// worker protocol, PROTOCOL.md §6 — a cordbench coordinator with -workers
+// fans run shards across a fleet of these processes), POST
+// /v1/fleet/register and GET /v1/fleet/workers (fleet membership, PROTOCOL.md
+// §7), GET /healthz, GET /metrics. SIGINT/SIGTERM drain in-flight sessions —
+// streams included — before the process exits.
 //
 // Fleet roles (PROTOCOL.md §7): `cordd -registry` marks an instance as the
 // fleet registry other workers announce themselves to; `cordd -register
@@ -51,7 +50,7 @@ import (
 // usage instead of failing at the first request.
 func validateFlags(workers, queue int, timeout, drain time.Duration, maxBody int64,
 	streams int, streamIdle time.Duration, streamMaxBytes int64, streamMaxFrames uint64,
-	streamDuty, streamWorkers int) error {
+	streamDuty int) error {
 	if workers < 0 {
 		return fmt.Errorf("-workers must be at least 1 (or 0 for NumCPU)")
 	}
@@ -83,15 +82,6 @@ func validateFlags(workers, queue int, timeout, drain time.Duration, maxBody int
 	// at 1; per-session duty=0 remains available via the query parameter.
 	if streamDuty < 1 || streamDuty > 100 {
 		return fmt.Errorf("-stream-duty must be in [1, 100]")
-	}
-	if streamWorkers < 0 {
-		return fmt.Errorf("-stream-workers must be at least 1 (or 0 for the default)")
-	}
-	// The ingest fan-out partitions work by simulated thread, so workers
-	// beyond the server's thread ceiling can never be scheduled — reject the
-	// misconfiguration up front instead of silently idling the extras.
-	if streamWorkers > server.MaxThreads {
-		return fmt.Errorf("-stream-workers must be at most %d (the session thread ceiling)", server.MaxThreads)
 	}
 	return nil
 }
@@ -194,7 +184,6 @@ func run() int {
 		streamMaxBytes  = flag.Int64("stream-max-bytes", 256<<20, "per-stream byte quota")
 		streamMaxFrames = flag.Uint64("stream-max-frames", 16<<20, "per-stream frame quota")
 		streamDuty      = flag.Int("stream-duty", 100, "default duty %% for detect=online sessions (1-100)")
-		streamWorkers   = flag.Int("stream-workers", 0, "per-session online ingest workers (0 = min(4, NumCPU))")
 
 		registry    = flag.Bool("registry", false, "serve as the fleet registry workers announce to (PROTOCOL.md §7)")
 		register    = flag.String("register", "", "fleet registry base URL to announce this worker to (e.g. http://reg:8080)")
@@ -204,7 +193,7 @@ func run() int {
 	flag.Parse()
 
 	if err := validateFlags(*workers, *queue, *timeout, *drain, *maxBody,
-		*streams, *streamIdle, *streamMaxBytes, *streamMaxFrames, *streamDuty, *streamWorkers); err != nil {
+		*streams, *streamIdle, *streamMaxBytes, *streamMaxFrames, *streamDuty); err != nil {
 		fmt.Fprintf(os.Stderr, "cordd: %v\n", err)
 		flag.Usage()
 		return 2
@@ -230,7 +219,6 @@ func run() int {
 		MaxStreamBytes:    *streamMaxBytes,
 		MaxStreamFrames:   *streamMaxFrames,
 		StreamDuty:        *streamDuty,
-		StreamWorkers:     *streamWorkers,
 		Chaos:             chaosSpec,
 	})
 	httpSrv := &http.Server{

@@ -16,6 +16,7 @@ package perf
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -64,6 +65,8 @@ func Kernels() []Kernel {
 		{Name: "baseline/fasttrack", Setup: setupFastTrack},
 		{Name: "baseline/fasttrack-sharded", Setup: setupFastTrackSharded},
 		{Name: "record/stream-decode", Setup: setupStreamDecode},
+		{Name: "record/epoch-stream", Setup: setupEpochStream},
+		{Name: "record/schedule", Setup: setupSchedule},
 		{Name: "engine/lock-ping", Setup: setupEngine},
 	}
 }
@@ -289,6 +292,58 @@ func setupStreamDecode() func(i int) {
 				panic(err)
 			}
 			off = 0
+		}
+	}
+}
+
+// driftLog builds an order log of n entries over four threads the way the
+// service benchmark's synthetic logs are built: a random thread speaks next
+// and advances its clock by 1..8, starting just below the 16-bit wrap, so
+// the threads drift apart and the epoch stream holds a real pending window.
+func driftLog(n int) *record.Log {
+	rng := rand.New(rand.NewPCG(5, 8))
+	var l record.Log
+	clocks := make([]clock.Scalar, 4)
+	for t := range clocks {
+		clocks[t] = clock.Scalar(65000 + rng.IntN(16))
+	}
+	for k := 0; k < n; k++ {
+		t := rng.IntN(len(clocks))
+		l.Append(record.Entry{Clock: clocks[t], Thread: uint16(t), Instr: uint32(1 + rng.IntN(4096))})
+		clocks[t] += clock.Scalar(1 + rng.IntN(8))
+	}
+	return &l
+}
+
+// setupEpochStream prices the online path's ordering step: one iteration
+// pushes one entry of a drifting log through record.EpochStream, which
+// releases whatever epochs became final. At the end of the log the stream
+// flushes and a fresh one starts, so ns/op is the per-entry cost including
+// the amortised Flush and set-up.
+func setupEpochStream() func(i int) {
+	entries := driftLog(1 << 16).Entries()
+	s := record.NewEpochStream(4)
+	return func(i int) {
+		k := i % len(entries)
+		if k == 0 && i > 0 {
+			s.Flush()
+			s = record.NewEpochStream(4)
+		}
+		if _, err := s.Push(entries[k]); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// setupSchedule prices the one-shot replay schedule: one iteration is
+// record.Log.Schedule over a whole 16Ki-entry drifting log, as /v1/replay
+// and every replay check of the figure campaign run it.
+func setupSchedule() func(i int) {
+	l := driftLog(1 << 14)
+	return func(i int) {
+		eps, err := l.Schedule(4)
+		if err != nil || len(eps) != l.Len() {
+			panic(fmt.Sprintf("perf: schedule returned %d epochs, err %v", len(eps), err))
 		}
 	}
 }

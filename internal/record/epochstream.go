@@ -2,39 +2,58 @@ package record
 
 import (
 	"fmt"
+	"math"
 
 	"cord/internal/clock"
 )
 
-// EpochStream incrementally converts a streamed entry sequence into the same
-// globally ordered epoch schedule Log.Schedule produces, without ever holding
-// the whole log. It is the ordering half of the service's online-detection
-// path (PROTOCOL.md §4.7): as entries arrive, Push unwraps each thread's
-// 16-bit clock into monotone 64-bit logical time and releases every epoch
-// that can no longer be reordered by future input.
+// EpochStream incrementally converts a streamed entry sequence into the
+// globally ordered epoch schedule, without ever holding the whole log. It is
+// the one implementation of the order rule: Log.Schedule wraps it, and the
+// service's online-detection path (PROTOCOL.md §4.7) feeds it chunk by chunk.
+// As entries arrive, Push unwraps each thread's 16-bit clock into monotone
+// 64-bit logical time and releases every epoch that can no longer be
+// reordered by future input.
 //
 // The release rule is a watermark: per-thread unwrapped times are
 // nondecreasing, so once every one of the session's threads has appeared, any
 // buffered epoch with Time at or below the minimum of the threads' last
 // unwrapped times is final — a future entry either has a strictly larger Time
-// or, on an equal Time, a larger stream Index, and Schedule breaks equal-Time
-// ties by Index. Until all threads have started the watermark is zero (an
-// unseen thread's first clock value may be anything), so nothing past logical
-// time zero is released; epochs of a thread that never speaks drain in Flush.
+// or, on an equal Time, a larger stream Index, and the schedule breaks
+// equal-Time ties by Index. Until all threads have started the watermark is
+// zero (an unseen thread's first clock value may be anything), so nothing past
+// logical time zero is released; epochs of a thread that never speaks drain
+// in Flush.
+//
+// Pending epochs wait in one FIFO per thread. Each FIFO is already in (Time,
+// Index) order — a thread's unwrapped times are monotone and Index grows — so
+// a release is a merge of the FIFO heads rather than a sort: repeatedly take
+// the head that sorts first while it is at or below the watermark. That costs
+// O(threads) per released run of one thread's epochs, and O(1) for a Push
+// that neither moves the watermark nor lands on it. Each FIFO compacts in
+// place once half of it is consumed, so memory tracks the pending window,
+// not the stream length, and a warmed-up Push does not allocate.
 //
 // The concatenation of every slice Push returns, followed by Flush's
-// remainder, is exactly Schedule's output for the same entries: same epochs,
-// same order, same Index values.
+// remainder, is the entries' epochs sorted by (Time, Index).
 type EpochStream struct {
 	last      []clock.Scalar
 	unwrapped []uint64
 	started   []bool
 	unstarted int
+	watermark uint64 // min of unwrapped once every thread has started, else 0
 
-	heap []Epoch // min-heap on (Time, Index): the not-yet-releasable epochs
-	next int     // stream index of the next entry
-	out  []Epoch // reused release buffer handed out by Push
-	err  error   // sticky: a violated stream stays violated
+	queues  []epochFIFO // per thread: the not-yet-releasable epochs
+	pending int
+	next    int     // stream index of the next entry
+	out     []Epoch // reused release buffer handed out by Push
+	err     error   // sticky: a violated stream stays violated
+}
+
+// epochFIFO is one thread's pending epochs: buf[head:] in (Time, Index) order.
+type epochFIFO struct {
+	buf  []Epoch
+	head int
 }
 
 // NewEpochStream builds a stream for a session of numThreads threads.
@@ -44,29 +63,47 @@ func NewEpochStream(numThreads int) *EpochStream {
 		unwrapped: make([]uint64, numThreads),
 		started:   make([]bool, numThreads),
 		unstarted: numThreads,
+		queues:    make([]epochFIFO, numThreads),
 	}
 }
 
 // Pending returns the number of buffered epochs not yet released — what Flush
 // would currently return.
-func (s *EpochStream) Pending() int { return len(s.heap) }
+func (s *EpochStream) Pending() int { return s.pending }
 
 // Push ingests the next entry and returns the epochs that became final, in
 // global schedule order. The returned slice is valid only until the next Push
 // or Flush call; callers that retain epochs must copy them. Errors (an entry
 // naming a thread the session does not have, or a clock delta outside the
-// comparison window) are sticky and match Log.Schedule's verdicts for the
-// same entries.
+// comparison window) are sticky and name the offending entry's stream index.
 func (s *EpochStream) Push(e Entry) ([]Epoch, error) {
+	out, err := s.push(s.out[:0], e)
+	if err != nil {
+		return nil, err
+	}
+	s.out = out
+	return out, nil
+}
+
+// Flush releases every still-buffered epoch in schedule order; call it at end
+// of stream. The returned slice is valid until the next Push or Flush.
+func (s *EpochStream) Flush() []Epoch {
+	s.out = s.release(s.out[:0], math.MaxUint64)
+	return s.out
+}
+
+// push ingests e and appends the epochs it makes final to dst.
+func (s *EpochStream) push(dst []Epoch, e Entry) ([]Epoch, error) {
 	if s.err != nil {
-		return nil, s.err
+		return dst, s.err
 	}
 	t := int(e.Thread)
 	if t >= len(s.last) {
 		s.err = fmt.Errorf("%w: entry %d names thread %d, have %d threads", ErrOrderViolation, s.next, t, len(s.last))
-		return nil, s.err
+		return dst, s.err
 	}
-	if !s.started[t] {
+	prev, wasStarted := s.unwrapped[t], s.started[t]
+	if !wasStarted {
 		s.started[t] = true
 		s.unstarted--
 		s.unwrapped[t] = uint64(e.Clock)
@@ -74,83 +111,96 @@ func (s *EpochStream) Push(e Entry) ([]Epoch, error) {
 		delta := uint16(e.Clock - s.last[t])
 		if int(delta) > clock.Window {
 			s.err = fmt.Errorf("%w: entry %d clock regressed for thread %d", ErrOrderViolation, s.next, t)
-			return nil, s.err
+			return dst, s.err
 		}
 		s.unwrapped[t] += uint64(delta)
 	}
 	s.last[t] = e.Clock
-	s.push(Epoch{Time: s.unwrapped[t], Thread: t, Instr: e.Instr, Index: s.next})
+	at := s.unwrapped[t]
+	s.queues[t].push(Epoch{Time: at, Thread: t, Instr: e.Instr, Index: s.next})
+	s.pending++
 	s.next++
 
-	watermark := uint64(0)
-	if s.unstarted == 0 {
-		watermark = s.unwrapped[0]
+	// Only the thread that held the minimum (or the last thread to start) can
+	// move the watermark; any other Push leaves it where it was.
+	moved := false
+	if s.unstarted == 0 && (!wasStarted || prev == s.watermark) {
+		wm := s.unwrapped[0]
 		for _, u := range s.unwrapped[1:] {
-			if u < watermark {
-				watermark = u
+			wm = min(wm, u)
+		}
+		moved = wm != s.watermark
+		s.watermark = wm
+	}
+	// Everything buffered earlier lies above an unmoved watermark, so only
+	// the new epoch can be releasable — and only if it sits on the watermark.
+	if !moved && at > s.watermark {
+		return dst, nil
+	}
+	return s.release(dst, s.watermark), nil
+}
+
+// release appends every pending epoch with Time <= watermark to dst in (Time,
+// Index) order. Each round finds the releasable FIFO head that sorts first
+// and the runner-up, then drains the first FIFO while it stays ahead of the
+// runner-up and at or below the watermark.
+func (s *EpochStream) release(dst []Epoch, watermark uint64) []Epoch {
+	for {
+		var first, second *Epoch
+		var q *epochFIFO
+		for t := range s.queues {
+			c := &s.queues[t]
+			if c.head == len(c.buf) {
+				continue
+			}
+			h := &c.buf[c.head]
+			switch {
+			case h.Time > watermark:
+				// Not releasable, and it bounds nothing: the drain stops at
+				// the watermark anyway.
+			case first == nil || epochLess(h, first):
+				first, second, q = h, first, c
+			case second == nil || epochLess(h, second):
+				second = h
 			}
 		}
+		if first == nil {
+			return dst
+		}
+		start := q.head
+		for q.head < len(q.buf) {
+			e := &q.buf[q.head]
+			if e.Time > watermark || (second != nil && epochLess(second, e)) {
+				break
+			}
+			dst = append(dst, *e)
+			q.head++
+		}
+		s.pending -= q.head - start
+		if q.head == len(q.buf) {
+			q.buf, q.head = q.buf[:0], 0
+		}
 	}
-	s.out = s.out[:0]
-	for len(s.heap) > 0 && s.heap[0].Time <= watermark {
-		s.out = append(s.out, s.pop())
-	}
-	return s.out, nil
 }
 
-// Flush releases every still-buffered epoch in schedule order; call it at end
-// of stream. The returned slice is valid until the next Push or Flush.
-func (s *EpochStream) Flush() []Epoch {
-	s.out = s.out[:0]
-	for len(s.heap) > 0 {
-		s.out = append(s.out, s.pop())
-	}
-	return s.out
-}
-
-// epochLess orders the heap by (Time, Index) — Schedule's sort key. Index is
-// unique per entry, so the order is total and the heap pop sequence is the
-// exact sorted sequence.
-func epochLess(a, b Epoch) bool {
+// epochLess is the schedule's sort key, (Time, Index). Index is unique per
+// entry, so the order is total and the merge output is the exact sorted
+// sequence.
+func epochLess(a, b *Epoch) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time
 	}
 	return a.Index < b.Index
 }
 
-func (s *EpochStream) push(e Epoch) {
-	s.heap = append(s.heap, e)
-	i := len(s.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !epochLess(s.heap[i], s.heap[p]) {
-			break
-		}
-		s.heap[i], s.heap[p] = s.heap[p], s.heap[i]
-		i = p
+// push appends e, first sliding the live epochs down to the front when the
+// buffer is full and at least half of it is consumed. Each compaction copies
+// at most as many epochs as it frees, so the cost stays O(1) amortised, and
+// the buffer never grows while half of it is dead.
+func (q *epochFIFO) push(e Epoch) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf, q.head = q.buf[:n], 0
 	}
-}
-
-func (s *EpochStream) pop() Epoch {
-	top := s.heap[0]
-	n := len(s.heap) - 1
-	s.heap[0] = s.heap[n]
-	s.heap = s.heap[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && epochLess(s.heap[l], s.heap[m]) {
-			m = l
-		}
-		if r < n && epochLess(s.heap[r], s.heap[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s.heap[i], s.heap[m] = s.heap[m], s.heap[i]
-		i = m
-	}
-	return top
+	q.buf = append(q.buf, e)
 }

@@ -38,7 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 
 	"cord/internal/clock"
 )
@@ -174,39 +174,21 @@ type Epoch struct {
 	Index int
 }
 
-// Schedule unwraps the 16-bit clock values into monotone 64-bit logical
-// times (entries from one thread are appended in nondecreasing clock order
-// and consecutive entries always lie within the sliding window, so the
-// per-thread deltas are unambiguous) and returns the epochs sorted by
-// logical time, breaking ties by per-thread appearance order.
+// Schedule returns the log's epochs in replay order: each thread's 16-bit
+// clock values unwrapped into monotone 64-bit logical times (entries from one
+// thread are appended in nondecreasing clock order and consecutive entries
+// always lie within the sliding window, so the per-thread deltas are
+// unambiguous), sorted by logical time with ties broken by log position. It
+// wraps EpochStream the way DecodeFrom wraps StreamDecoder: every entry is
+// pushed, each release appended, and Flush's remainder appended last.
 func (l *Log) Schedule(numThreads int) ([]Epoch, error) {
-	last := make([]clock.Scalar, numThreads)
-	unwrapped := make([]uint64, numThreads)
-	started := make([]bool, numThreads)
+	s := NewEpochStream(numThreads)
 	epochs := make([]Epoch, 0, len(l.entries))
-	for i, e := range l.entries {
-		t := int(e.Thread)
-		if t >= numThreads {
-			return nil, fmt.Errorf("%w: entry %d names thread %d, have %d threads", ErrOrderViolation, i, t, numThreads)
+	for _, e := range l.entries {
+		var err error
+		if epochs, err = s.push(epochs, e); err != nil {
+			return nil, err
 		}
-		if !started[t] {
-			started[t] = true
-			unwrapped[t] = uint64(e.Clock)
-		} else {
-			delta := uint16(e.Clock - last[t])
-			if int(delta) > clock.Window {
-				return nil, fmt.Errorf("%w: entry %d clock regressed for thread %d", ErrOrderViolation, i, t)
-			}
-			unwrapped[t] += uint64(delta)
-		}
-		last[t] = e.Clock
-		epochs = append(epochs, Epoch{Time: unwrapped[t], Thread: t, Instr: e.Instr, Index: i})
 	}
-	sort.SliceStable(epochs, func(a, b int) bool {
-		if epochs[a].Time != epochs[b].Time {
-			return epochs[a].Time < epochs[b].Time
-		}
-		return epochs[a].Index < epochs[b].Index
-	})
-	return epochs, nil
+	return s.release(epochs, math.MaxUint64), nil
 }

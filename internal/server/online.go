@@ -207,11 +207,10 @@ type onlineOutcome struct {
 // engine runs at all — the session only counts epochs — so a duty sweep's
 // zero point measures pure ingest.
 type onlineSession struct {
-	duty      int
-	detector  string
-	workers   int
-	maxFrames uint64
+	duty     int
+	detector string
 
+	ing      *streamIngest
 	es       *record.EpochStream
 	released uint64 // epochs released from the stream (duty=0 accounting)
 
@@ -220,8 +219,6 @@ type onlineSession struct {
 	cancel chan struct{}
 	done   chan onlineOutcome
 
-	batch   []record.Entry
-	base    uint64 // absolute frame index of batch[0]
 	stopped bool
 	outcome *onlineOutcome
 }
@@ -230,11 +227,11 @@ type onlineSession struct {
 // engine against the incremental feed. The engine configuration mirrors
 // RunReplay: same seed, no jitter (replay follows the log, not the
 // scheduler), the recorded run's injection identity re-applied.
-func startOnline(opts streamOptions, workers int) *onlineSession {
+func startOnline(opts streamOptions, ing *streamIngest) *onlineSession {
 	o := &onlineSession{
 		duty:     opts.duty,
 		detector: opts.detector,
-		workers:  workers,
+		ing:      ing,
 		es:       record.NewEpochStream(opts.req.Threads),
 	}
 	if o.detector == "" {
@@ -267,110 +264,27 @@ func startOnline(opts streamOptions, workers int) *onlineSession {
 	return o
 }
 
-// collect is the decoder's emit target in online mode: a quota check
-// matching sequential ingest byte for byte, then buffering into the chunk
-// batch the worker group folds. o.base tracks the session's absolute frame
-// index so batched errors name the same entry sequential ingest would.
-func (o *onlineSession) collect(e record.Entry) error {
-	if o.base+uint64(len(o.batch)) >= o.maxFrames {
-		return fmt.Errorf("%w: frame quota (%d frames) exhausted", errStreamQuota, o.maxFrames)
-	}
-	o.batch = append(o.batch, e)
-	return nil
-}
-
-// ingestBatch folds the chunk batch into the session state: the per-thread
-// shard folds fan out across the bounded worker group (shards are
-// write-independent by construction, PROTOCOL.md §3), then the main
-// goroutine merges at the chunk barrier — content hash, frame counter, and
-// the epoch release into the replay feed, all in stream order so the merged
-// state is deterministic. Returns the error the sequential path would have
-// produced for the same stream, with ing.frames left at the same count.
-func (o *onlineSession) ingestBatch(ing *streamIngest) error {
-	batch := o.batch
-	if len(batch) == 0 {
-		return nil
-	}
-	idx, err := o.foldShards(ing, batch)
-	if err != nil {
-		ing.frames = idx // metrics parity: entries before the failure folded
+// ingest is the decoder's emit target in online mode: the same sequential
+// fold offline ingest runs (quota, shard unwrap, content hash), then the
+// entry's release through the epoch stream into the replay feed.
+//
+// The fold stays on the handler goroutine: it is a few adds per entry, less
+// than handing entries to other goroutines would cost.
+func (o *onlineSession) ingest(e record.Entry) error {
+	if err := o.ing.ingest(e); err != nil {
 		return err
 	}
-	for _, e := range batch {
-		ing.hashEntry(e)
+	rel, err := o.es.Push(e)
+	if err != nil {
+		// Unreachable: the shard fold enforces the same invariants the
+		// epoch stream checks.
+		return fmt.Errorf("epoch stream disagrees with shard fold: %w", err)
 	}
-	ing.frames += uint64(len(batch))
-	for _, e := range batch {
-		rel, perr := o.es.Push(e)
-		if perr != nil {
-			// Unreachable: the shard fold enforces the same invariants the
-			// epoch stream checks. Surface it as internal damage, not 422.
-			return fmt.Errorf("epoch stream disagrees with shard fold: %w", perr)
-		}
-		o.released += uint64(len(rel))
-		if o.feed != nil {
-			o.feed.Append(rel...)
-		}
+	o.released += uint64(len(rel))
+	if o.feed != nil {
+		o.feed.Append(rel...)
 	}
-	o.batch = batch[:0]
-	o.base = ing.frames
 	return nil
-}
-
-// foldShards runs the per-thread shard folds for one batch, in parallel when
-// the batch is big enough to pay for the fan-out. Worker w owns every thread
-// t with t%workers == w, so no two workers touch one shard; each worker
-// reports the batch index of its first violation and the merge takes the
-// smallest — exactly the entry sequential ingest would have rejected.
-func (o *onlineSession) foldShards(ing *streamIngest, batch []record.Entry) (uint64, error) {
-	w := o.workers
-	if w > len(ing.shards) {
-		w = len(ing.shards)
-	}
-	if w <= 1 || len(batch) < 512 {
-		for i, e := range batch {
-			if err := ing.foldShard(e, o.base+uint64(i)); err != nil {
-				return o.base + uint64(i), err
-			}
-		}
-		return 0, nil
-	}
-	type verdict struct {
-		idx int
-		err error
-	}
-	verdicts := make([]verdict, w)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			verdicts[k] = verdict{idx: -1}
-			for i, e := range batch {
-				if int(e.Thread)%w != k && int(e.Thread) < len(ing.shards) {
-					continue
-				}
-				if int(e.Thread) >= len(ing.shards) && i%w != k {
-					continue // out-of-range threads: dealt by one worker each
-				}
-				if err := ing.foldShard(e, o.base+uint64(i)); err != nil {
-					verdicts[k] = verdict{idx: i, err: err}
-					return
-				}
-			}
-		}(k)
-	}
-	wg.Wait()
-	best := verdict{idx: -1}
-	for _, v := range verdicts {
-		if v.err != nil && (best.idx < 0 || v.idx < best.idx) {
-			best = v
-		}
-	}
-	if best.err != nil {
-		return o.base + uint64(best.idx), best.err
-	}
-	return 0, nil
 }
 
 // finish closes the feed after a complete stream and waits for the replay

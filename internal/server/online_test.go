@@ -384,13 +384,13 @@ func TestStreamOnlineParamTaxonomy(t *testing.T) {
 	}
 }
 
-// TestStreamOnlineWrapFixture is the clock-wrap satellite through the online
+// TestStreamOnlineWrapFixture is the clock-wrap case through the online
 // path: a synthetic log whose per-thread clocks cross the 16-bit boundary
-// must produce identical shard summaries (the unwrap arithmetic) whether it
-// is ingested offline, online serially (small chunks), or online through the
-// parallel worker fold (one big chunk, batch >= the fan-out threshold). The
-// synthetic log does not correspond to any real run, so the online replay
-// reports divergence — a 200 verdict, never an error.
+// must produce identical shard summaries (the unwrap arithmetic) and
+// log_hash whether it is ingested offline or online, in 16-byte chunks or as
+// one whole-log chunk. The synthetic log does not correspond to any real
+// run, so the online replay reports divergence — a 200 verdict, never an
+// error.
 func TestStreamOnlineWrapFixture(t *testing.T) {
 	const threads = 4
 	l := &record.Log{}
@@ -409,7 +409,7 @@ func TestStreamOnlineWrapFixture(t *testing.T) {
 	}
 	logBytes := buf.Bytes()
 
-	srv := New(Config{Workers: 1, QueueDepth: 4, StreamWorkers: 4})
+	srv := New(Config{Workers: 1, QueueDepth: 4})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer shutdownOrFail(t, srv)
@@ -429,13 +429,13 @@ func TestStreamOnlineWrapFixture(t *testing.T) {
 	}
 
 	offline, offHash, _ := shards("app=fft&seed=1&threads=4&verify=0", 4096)
-	onSerial, serialHash, sum1 := shards("app=fft&seed=1&threads=4&verify=0&detect=online&duty=100", 16)
-	onPar, parHash, sum2 := shards("app=fft&seed=1&threads=4&verify=0&detect=online&duty=100", len(logBytes))
+	onSmall, smallHash, sum1 := shards("app=fft&seed=1&threads=4&verify=0&detect=online&duty=100", 16)
+	onWhole, wholeHash, sum2 := shards("app=fft&seed=1&threads=4&verify=0&detect=online&duty=100", len(logBytes))
 
-	if offHash != serialHash || offHash != parHash {
-		t.Fatalf("log hashes differ: offline %s serial %s parallel %s", offHash, serialHash, parHash)
+	if offHash != smallHash || offHash != wholeHash {
+		t.Fatalf("log hashes differ: offline %s online 16-byte %s online whole-log %s", offHash, smallHash, wholeHash)
 	}
-	for _, on := range [][]ShardSummary{onSerial, onPar} {
+	for _, on := range [][]ShardSummary{onSmall, onWhole} {
 		if len(on) != len(offline) {
 			t.Fatalf("shard count differs: %d vs %d", len(on), len(offline))
 		}

@@ -51,10 +51,6 @@ type Config struct {
 	// zero value selects the default; per-session duty=0 is still available
 	// via the query parameter.
 	StreamDuty int
-	// StreamWorkers bounds the per-session ingest worker group that fans the
-	// online shard folds across cores (default min(4, runtime.NumCPU())).
-	// 1 disables the fan-out.
-	StreamWorkers int
 
 	// Chaos is the optional fault injector (nil in production): when its
 	// worker-kill knob is armed, completing a campaign shard may terminate
@@ -90,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StreamDuty <= 0 || c.StreamDuty > 100 {
 		c.StreamDuty = 100
-	}
-	if c.StreamWorkers <= 0 {
-		c.StreamWorkers = min(4, runtime.NumCPU())
 	}
 	return c
 }

@@ -39,8 +39,8 @@ var errOrderViolation = record.ErrOrderViolation
 
 // streamShard is one thread's slice of a session's detector state. Shards
 // are independent by construction — entry ordering constraints are
-// per-thread (PROTOCOL.md §3) — which is what lets concurrent sessions and
-// future parallel ingest scale without shared write state.
+// per-thread (PROTOCOL.md §3) — which is what lets concurrent sessions
+// scale without shared write state.
 type streamShard struct {
 	started   bool
 	lastClock clock.Scalar
@@ -91,7 +91,7 @@ func (g *streamIngest) ingest(e record.Entry) error {
 	if g.frames >= g.maxFrames {
 		return fmt.Errorf("%w: frame quota (%d frames) exhausted", errStreamQuota, g.maxFrames)
 	}
-	if err := g.foldShard(e, g.frames); err != nil {
+	if err := g.foldShard(e); err != nil {
 		return err
 	}
 	g.hashEntry(e)
@@ -99,17 +99,13 @@ func (g *streamIngest) ingest(e record.Entry) error {
 	return nil
 }
 
-// foldShard is the shard half of ingest — validation and clock unwrap for
-// entry e, the idx-th of the stream. The index is a parameter (rather than
-// g.frames) so the online worker group, which folds a whole chunk batch
-// before advancing the frame counter, reports errors naming the same entry
-// sequential ingest would. Distinct threads touch distinct shards, so
-// concurrent foldShard calls are safe as long as no two run for one thread.
-func (g *streamIngest) foldShard(e record.Entry, idx uint64) error {
+// foldShard is the shard half of ingest: validation and clock unwrap for
+// entry e, the g.frames-th of the stream.
+func (g *streamIngest) foldShard(e record.Entry) error {
 	t := int(e.Thread)
 	if t >= len(g.shards) {
 		return fmt.Errorf("%w: entry %d names thread %d, session has %d threads",
-			errOrderViolation, idx, t, len(g.shards))
+			errOrderViolation, g.frames, t, len(g.shards))
 	}
 	sh := &g.shards[t]
 	if !sh.started {
@@ -119,7 +115,7 @@ func (g *streamIngest) foldShard(e record.Entry, idx uint64) error {
 	} else {
 		delta := uint16(e.Clock - sh.lastClock)
 		if int(delta) > clock.Window {
-			return fmt.Errorf("%w: entry %d clock regressed for thread %d", errOrderViolation, idx, t)
+			return fmt.Errorf("%w: entry %d clock regressed for thread %d", errOrderViolation, g.frames, t)
 		}
 		sh.unwrapped += uint64(delta)
 	}
@@ -429,11 +425,10 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 	}
 	sink := ing.ingest
 	if opts.online {
-		online = startOnline(opts, s.cfg.StreamWorkers)
-		online.maxFrames = s.cfg.MaxStreamFrames
+		online = startOnline(opts, ing)
 		defer online.stop()
 		fw = newFrameWriter(w, rc)
-		sink = online.collect
+		sink = online.ingest
 	}
 
 	defer func() {
@@ -456,17 +451,8 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 				return fail(http.StatusRequestEntityTooLarge, codeQuotaExceeded,
 					fmt.Errorf("%w: byte quota (%d bytes) exhausted", errStreamQuota, s.cfg.MaxStreamBytes))
 			}
-			ferr := dec.Feed(buf[:n], sink)
-			if online != nil {
-				// Fold the batch even when the decoder failed mid-chunk: every
-				// buffered entry precedes the failure point, and a fold error
-				// (earlier byte offset) outranks the decoder's.
-				if berr := online.ingestBatch(ing); berr != nil {
-					return fail(streamIngestFailure(berr))
-				}
-			}
-			if ferr != nil {
-				return fail(streamIngestFailure(ferr))
+			if err := dec.Feed(buf[:n], sink); err != nil {
+				return fail(streamIngestFailure(err))
 			}
 			if online != nil {
 				fw.progress(online, ing, bytesIn, n)
