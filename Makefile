@@ -24,10 +24,11 @@ test:
 
 # The concurrent subsystems — the campaign runner's goroutine fan-out, the
 # service's worker pool and stream sessions, the incremental decoder they
-# share, and the fleet coordinator's registry/work-stealing scheduler —
+# share, the engine whose observers and callbacks run on its threads'
+# coroutines, and the fleet coordinator's registry/work-stealing scheduler —
 # must stay race-clean. Requires cgo (CGO_ENABLED=1) on most platforms.
 race:
-	$(GO) test -race ./internal/experiment/... ./internal/server/... ./internal/record/... ./cmd/cordbench/
+	$(GO) test -race ./internal/experiment/... ./internal/server/... ./internal/record/... ./internal/sim/... ./cmd/cordbench/
 
 # Campaign scaling benchmark: compare procs=1 vs procs=4 lines.
 bench:

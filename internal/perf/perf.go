@@ -29,6 +29,7 @@ import (
 	"cord/internal/record"
 	"cord/internal/sim"
 	"cord/internal/trace"
+	"cord/internal/workload"
 )
 
 // Kernel is one hot-path micro-benchmark. Setup builds the state under test
@@ -68,6 +69,7 @@ func Kernels() []Kernel {
 		{Name: "record/epoch-stream", Setup: setupEpochStream},
 		{Name: "record/schedule", Setup: setupSchedule},
 		{Name: "engine/lock-ping", Setup: setupEngine},
+		{Name: "engine/replay", Setup: setupEngineReplay},
 	}
 }
 
@@ -381,6 +383,48 @@ func setupEngine() func(i int) {
 		}
 		if res.Mem.Load(ctr) != 128 {
 			panic("perf: lock-ping lost updates")
+		}
+	}
+}
+
+// setupEngineReplay records one fft run under a recording CORD detector once;
+// each iteration then replays that order log through Config.ReplayEpochs with
+// a fresh CORD detector attached, as the replay check and online detection
+// do. Replay lets each epoch's thread commit its whole quota, so the
+// scheduler mostly re-picks the thread that just ran: this prices the
+// engine's run-ahead path, where engine/lock-ping prices thread hand-off.
+func setupEngineReplay() func(i int) {
+	const threads, procs = 4, 4
+	app, err := workload.ByName("fft")
+	if err != nil {
+		panic(err)
+	}
+	newDet := func(record bool) *core.Detector {
+		return core.New(core.Config{Threads: threads, Procs: procs, D: 16, Record: record})
+	}
+	rec := newDet(true)
+	want, err := sim.New(sim.Config{Seed: 1, Jitter: 8, Procs: procs, Observers: []trace.Observer{rec}},
+		app.Build(1, threads)).Run()
+	if err != nil {
+		panic(err)
+	}
+	epochs, err := rec.Log().Schedule(threads)
+	if err != nil {
+		panic(err)
+	}
+	// The engine may reorder equal-time epochs in place, so every
+	// iteration replays its own copy of the schedule.
+	buf := make([]record.Epoch, len(epochs))
+	return func(i int) {
+		copy(buf, epochs)
+		det := newDet(false)
+		res, err := sim.New(sim.Config{Seed: 1, Procs: procs, ReplayEpochs: buf,
+			Observers: []trace.Observer{det}}, app.Build(1, threads)).Run()
+		if err != nil {
+			panic(err)
+		}
+		if res.Ops != want.Ops || res.ReadHash[0] != want.ReadHash[0] {
+			panic("perf: replay diverged from the recorded run")
 		}
 	}
 }

@@ -107,7 +107,8 @@ type onlineDetector interface {
 // across observation gaps.
 //
 // Everything except the mu-guarded snapshot fields is touched only by the
-// engine goroutine; the stream handler reads progress through snapshots.
+// engine's run, one coroutine at a time (see sim.Config.OnEpoch); the stream
+// handler reads progress through snapshots.
 type dutyGate struct {
 	det  onlineDetector
 	duty int

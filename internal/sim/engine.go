@@ -7,16 +7,19 @@
 // sync-removal fault injection (§3.4), thread migration (§2.7.4), and
 // log-driven deterministic replay (§2.7.1).
 //
-// Each thread's Body runs in an iter.Pull coroutine, so a whole run executes
-// on the goroutine that called Run. An Env call stores its request and
-// yields; the scheduler picks a thread, services its request, and resumes
-// that coroutine alone, which runs until its next Env call or its return.
-// Only one thread ever runs at a time and the hand-off is a direct coroutine
-// switch, with no channel and no trip through the Go scheduler. When a run
-// ends early (cancellation, an error, a deadlock, a panic elsewhere), Run
-// stops every coroutine still parked in an Env call: its yield returns false,
-// the call panics errAborted, and the Body unwinds through its deferred calls
-// before Run returns.
+// Each thread's Body runs in an iter.Pull coroutine, and only one of them
+// runs at a time. An Env call serves its own request on the calling
+// coroutine: it asks the scheduler for the next thread and, when that is the
+// caller again (the common case, and nearly every call in replay, where an
+// epoch grants one thread its whole quota), executes the request and returns
+// with no coroutine switch. Only when another thread is next, or the caller
+// blocks, does it hand that pick to Run and yield; Run resumes the picked
+// coroutine, which executes its own pending request and runs ahead in turn.
+// Every hand-off is a direct coroutine switch, with no channel and no trip
+// through the Go scheduler. When a run ends early (cancellation, an error, a
+// deadlock, a panic elsewhere), Run stops every coroutine still parked in an
+// Env call: its yield returns false, the call panics errAborted, and the Body
+// unwinds through its deferred calls before Run returns.
 //
 // An execution is a pure function of its Config: the Seed drives all
 // scheduling jitter, workloads communicate only through the simulated
@@ -97,13 +100,15 @@ type Config struct {
 	// appends them and blocks — still honoring Cancel — when it runs ahead
 	// of the feed. Exactly one of ReplayEpochs and ReplayFeed should be set.
 	ReplayFeed *ReplayFeed
-	// OnEpoch, when non-nil in replay mode, is called on the engine
-	// goroutine each time the scheduler advances into epoch idx (0-based;
-	// the first call is OnEpoch(0) before any operation runs, and a final
-	// call with idx == total epochs marks the end of the schedule). It is
-	// the synchronization point online detection uses for duty-cycling and
-	// race snapshots: it runs on the same goroutine that delivers accesses
-	// to the Observers, so callbacks may toggle observer state without
+	// OnEpoch, when non-nil in replay mode, is called each time the
+	// scheduler advances into epoch idx (0-based; the first call is
+	// OnEpoch(0) before any operation runs, and a final call with idx ==
+	// total epochs marks the end of the schedule). It is the
+	// synchronization point online detection uses for duty-cycling and race
+	// snapshots. Like the Observers, it runs either on the goroutine that
+	// called Run or on whichever thread coroutine is serving a request; the
+	// engine runs strictly one of these at a time, each switch ordered
+	// before the next, so callbacks may toggle observer state without
 	// locking.
 	OnEpoch func(idx int)
 	// Cancel, when non-nil, aborts the run once the channel is closed: the
@@ -195,8 +200,8 @@ type response struct {
 }
 
 // threadCtx is one simulated thread: its scheduler state plus the pull
-// coroutine its Body runs in. next resumes the Body until it parks on its
-// next Env request (in req) or returns; yield is the Body's side of that
+// coroutine its Body runs in. next resumes the Body until it parks in an Env
+// call (its request in req) or returns; yield is the Body's side of that
 // switch; stop unwinds a parked Body (see spawn).
 type threadCtx struct {
 	id    int
@@ -207,9 +212,8 @@ type threadCtx struct {
 	state threadState
 	block memsys.Addr
 	req   request
-	resp  response // the engine's answer to req, read by Env.do on resume
-	hash  uint64   // FNV-1a over read values
-	env   Env      // the handle passed to Body; env.t points back here
+	hash  uint64 // FNV-1a over read values
+	env   Env    // the handle passed to Body; env.t points back here
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	stop  func()
@@ -249,6 +253,13 @@ type Engine struct {
 	feedCanceled bool // Cancel fired while waiting on the feed
 
 	lastAccess trace.Access
+
+	// run state, shared by Run and the coroutines that serve requests
+	inline   bool       // start-up is over: Env calls are served in place
+	handoff  *threadCtx // the thread Run resumes next; nil ends the run
+	hung     bool
+	runErr   error
+	panicVal any // raised while a coroutine served a request; Run re-raises it
 }
 
 const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
@@ -288,7 +299,7 @@ func New(cfg Config, prog Program) *Engine {
 	for i := range ts {
 		t := &ts[i]
 		t.id, t.proc, t.hash = i, i%cfg.Procs, fnvOffset
-		t.env.t = t
+		t.env.t, t.env.eng = t, e
 		e.threads[i] = t
 	}
 	return e
@@ -296,6 +307,11 @@ func New(cfg Config, prog Program) *Engine {
 
 // Run executes the program to completion (or deadlock) and returns the
 // result. It is not safe to call twice.
+//
+// After the start-up phase Run only resumes coroutines: the thread the
+// scheduler picked serves its own request and keeps running ahead until
+// another thread is next, so Run regains control just to resume the next
+// pick (e.handoff), to close out a finished thread, or to end the run.
 func (e *Engine) Run() (Result, error) {
 	if e.prog.Init != nil {
 		e.prog.Init(e.mem)
@@ -317,69 +333,24 @@ func (e *Engine) Run() (Result, error) {
 	if e.replay && e.cfg.OnEpoch != nil {
 		e.cfg.OnEpoch(0)
 	}
-	hung := false
-	var runErr error
-	for {
-		if e.cfg.Cancel != nil {
-			select {
-			case <-e.cfg.Cancel:
-				runErr = fmt.Errorf("%w: %s", ErrCanceled, e.prog.Name)
-			default:
-			}
-			if runErr != nil {
-				break
-			}
+	e.inline = true
+	for t := e.next(); t != nil; {
+		if !e.step(t) {
+			t = e.handoff
+			continue
 		}
-		t := e.pick()
-		if t == nil {
-			if e.allDone() {
-				break
-			}
-			if e.replay && e.replayRecoverable() {
-				continue
-			}
-			if e.feedCanceled {
-				continue // Cancel fired during a feed wait: surface it at the loop top
-			}
-			hung = true
+		e.finishThread(t)
+		if t.err != nil {
+			e.runErr = t.err
 			break
 		}
-		if e.ops > e.cfg.MaxOps || e.seq > 8*e.cfg.MaxOps {
-			runErr = fmt.Errorf("sim: %s exceeded op budget %d", e.prog.Name, e.cfg.MaxOps)
-			break
-		}
-		var resp response
-		if t.req.kind == reqNone {
-			// Thread was woken from a block; resume it with no payload.
-			resp = response{}
-		} else {
-			var err error
-			resp, err = e.process(t)
-			if err == nil && e.replayErr != nil {
-				err = e.replayErr
-			}
-			if err != nil {
-				runErr = err
-				break
-			}
-			if t.state == stBlocked {
-				// The thread went to sleep; leave it parked in its
-				// coroutine until wake() readies it again.
-				continue
-			}
-		}
-		t.req.kind = reqNone
-		t.resp = resp
-		if e.step(t) {
-			e.finishThread(t)
-			if t.err != nil {
-				runErr = t.err
-				break
-			}
-		}
+		t = e.next()
 	}
-	if runErr != nil {
-		return Result{}, runErr
+	if e.panicVal != nil {
+		panic(e.panicVal)
+	}
+	if e.runErr != nil {
+		return Result{}, e.runErr
 	}
 	for _, o := range e.cfg.Observers {
 		o.Finish()
@@ -389,7 +360,7 @@ func (e *Engine) Run() (Result, error) {
 		Accesses:          e.seq,
 		SyncInstances:     e.syncN,
 		Mem:               e.mem,
-		Hung:              hung,
+		Hung:              e.hung,
 		InjectedThread:    e.injThread,
 		InjectedThreadNth: e.injNth,
 		ReadHash:          make([]uint64, 0, len(e.threads)),
@@ -405,6 +376,95 @@ func (e *Engine) Run() (Result, error) {
 	return res, nil
 }
 
+// next is the scheduling half of the service sequence: it checks Cancel,
+// picks the thread whose request goes next in the global order, and checks
+// the op budget. It returns nil when the run is over — every thread done, a
+// deadlock (e.hung), or an error in e.runErr.
+func (e *Engine) next() *threadCtx {
+	for {
+		if e.cfg.Cancel != nil {
+			select {
+			case <-e.cfg.Cancel:
+				e.runErr = fmt.Errorf("%w: %s", ErrCanceled, e.prog.Name)
+				return nil
+			default:
+			}
+		}
+		t := e.pick()
+		if t == nil {
+			if e.allDone() {
+				return nil
+			}
+			if e.replay && e.replayRecoverable() {
+				continue
+			}
+			if e.feedCanceled {
+				continue // Cancel fired during a feed wait: surface it at the top
+			}
+			e.hung = true
+			return nil
+		}
+		if e.ops > e.cfg.MaxOps || e.seq > 8*e.cfg.MaxOps {
+			e.runErr = fmt.Errorf("sim: %s exceeded op budget %d", e.prog.Name, e.cfg.MaxOps)
+			return nil
+		}
+		return t
+	}
+}
+
+// serve answers the request thread t just posted, on t's own coroutine. Once
+// the start-up phase is over t schedules the request itself and, when the
+// scheduler picks t again, executes it and returns without a coroutine
+// switch. Otherwise t hands the pick to Run and parks until Run resumes it
+// as a later pick, and executes the request then.
+func (e *Engine) serve(t *threadCtx) response {
+	e.absorbBlock(t)
+	if e.inline {
+		if resp, ok := e.service(t, true); ok {
+			return resp
+		}
+	}
+	for {
+		if !t.yield(struct{}{}) {
+			panic(errAborted)
+		}
+		if resp, ok := e.service(t, false); ok {
+			return resp
+		}
+	}
+}
+
+// service runs the service sequence for t's pending request: schedule it
+// (when decide is set), execute it, and surface a sticky replay divergence.
+// It reports false when t must park instead: another thread is next, or the
+// run is over (e.handoff is then nil). A panic raised here — by an observer,
+// the cost model or OnEpoch — is caught and re-raised by Run, so it leaves
+// Run with its own value and never unwinds the Body.
+func (e *Engine) service(t *threadCtx, decide bool) (resp response, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicVal, e.handoff, ok = r, nil, false
+		}
+	}()
+	if decide {
+		if e.handoff = e.next(); e.handoff != t {
+			return response{}, false
+		}
+	}
+	if t.req.kind == reqNone {
+		return response{}, true // woken from a block: resume with no payload
+	}
+	resp, err := e.process(t)
+	if err == nil {
+		err = e.replayErr
+	}
+	if err != nil {
+		e.runErr, e.handoff = err, nil
+		return response{}, false
+	}
+	return resp, true
+}
+
 func (e *Engine) allDone() bool {
 	for _, t := range e.threads {
 		if t.state != stDone {
@@ -414,12 +474,11 @@ func (e *Engine) allDone() bool {
 	return true
 }
 
-// step resumes t's coroutine until the Body parks on its next Env request
-// (a block request is absorbed at once) or returns. It reports whether the
-// thread finished; t.err then holds a panic, if the Body raised one.
+// step resumes t's coroutine until it parks in an Env call or its Body
+// returns. It reports whether the thread finished; t.err then holds a panic,
+// if the Body raised one.
 func (e *Engine) step(t *threadCtx) bool {
 	if _, ok := t.next(); ok {
-		e.absorbBlock(t)
 		return false
 	}
 	t.state = stDone
@@ -666,8 +725,8 @@ func (e *Engine) process(t *threadCtx) (response, error) {
 		return response{value: old}, nil
 
 	case reqBlock:
-		// Block requests are absorbed at event receipt (absorbBlock), so
-		// a parked one reaching process() is a scheduler bug.
+		// Block requests are absorbed at the Env call (absorbBlock), so
+		// one reaching process() is a scheduler bug.
 		return response{}, fmt.Errorf("sim: thread %d block request reached process", t.id)
 
 	case reqLockEnter:
@@ -769,7 +828,7 @@ func (e *Engine) deliver(t *threadCtx, addr memsys.Addr, kind trace.Kind, class 
 	return primary
 }
 
-// absorbBlock processes a just-parked block request immediately: the
+// absorbBlock processes a just-posted block request immediately: the
 // thread's sleep decision is based on a read that no other thread could have
 // invalidated (the engine ran nothing between that read and this request), so
 // marking it blocked here closes the check-then-block window — a write

@@ -15,16 +15,18 @@ var errAborted = errors.New("sim: run aborted")
 
 // Env is a thread's handle to the simulated machine. All methods may only be
 // called from within the Program.Body invocation that received the Env. Each
-// call is one scheduling point: it parks the thread's coroutine with a
-// request, and the engine resumes it with the answer once the scheduler has
-// placed the call in the global execution order.
+// call is one scheduling point: it posts a request, which the engine places
+// in the global execution order and answers. When the scheduler picks the
+// calling thread next, the answer comes back at once on the same coroutine;
+// otherwise the thread's coroutine parks until the scheduler reaches it.
 //
 // Instruction accounting (which drives the order log and replay): Read,
 // Write and each Lock/Unlock/FlagWait/FlagSet call commit one instruction;
 // Compute(n) commits n; TAS and the internal spin reads commit none (they
 // are sub-instruction micro-operations of the blocking primitives).
 type Env struct {
-	t *threadCtx
+	t   *threadCtx
+	eng *Engine
 }
 
 // ThreadID returns the identity of the calling thread.
@@ -34,12 +36,8 @@ func (e *Env) ThreadID() int { return e.t.id }
 func (e *Env) Proc() int { return e.t.proc }
 
 func (e *Env) do(r request) response {
-	t := e.t
-	t.req = r
-	if !t.yield(struct{}{}) {
-		panic(errAborted)
-	}
-	return t.resp
+	e.t.req = r
+	return e.eng.serve(e.t)
 }
 
 // Read performs a data read of the word at a and returns its value.

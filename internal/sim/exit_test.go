@@ -9,11 +9,14 @@ import (
 
 	"cord/internal/memsys"
 	"cord/internal/record"
+	"cord/internal/trace"
 )
 
 // TestRunExitPaths: every way a run can end returns its verdict and leaves no
 // thread coroutine behind, whether the threads still parked at that point are
-// blocked, runnable, or never reached their first Env call.
+// blocked, runnable, or never reached their first Env call. The one-thread
+// cases end while their thread runs ahead, its requests served on its own
+// coroutine with no trip through Run.
 func TestRunExitPaths(t *testing.T) {
 	al := memsys.NewAllocator()
 	never := NewFlag(al) // no thread ever sets it
@@ -24,15 +27,32 @@ func TestRunExitPaths(t *testing.T) {
 		return Program{Name: name, Threads: threads, Body: body}
 	}
 	cancel := make(chan struct{})
+	cancelAhead := make(chan struct{})
+	const cancelAt = 100
+	var delivered int
+	errObserver := errors.New("observer boom")
+	errEpoch := errors.New("epoch boom")
+	observe := func(fn func(trace.Access)) []trace.Observer {
+		return []trace.Observer{&trace.FuncObserver{Label: "tap", Fn: fn}}
+	}
+	solo := func(name string) Program {
+		return prog(name, 1, func(th int, env *Env) {
+			for {
+				env.Write(w, env.Read(w)+1)
+			}
+		})
+	}
 
 	cases := []struct {
-		name     string
-		prog     Program
-		cfg      Config
-		wantErr  error  // matched with errors.Is
-		wantMsg  string // substring of the error
-		wantHung bool
-		wantOps  uint64
+		name      string
+		prog      Program
+		cfg       Config
+		wantErr   error  // matched with errors.Is
+		wantMsg   string // substring of the error
+		wantHung  bool
+		wantOps   uint64
+		wantPanic error // the exact value Run must panic with
+		check     func(t *testing.T)
 	}{
 		{
 			name: "panic before first Env call",
@@ -117,13 +137,75 @@ func TestRunExitPaths(t *testing.T) {
 			},
 			wantErr: ErrCanceled,
 		},
+		{
+			name:    "op budget exceeded while running ahead",
+			prog:    solo("solo"),
+			cfg:     Config{MaxOps: 1000},
+			wantMsg: "sim: solo exceeded op budget 1000",
+		},
+		{
+			name: "observer cancels while running ahead",
+			prog: solo("solo-cancel"),
+			cfg: Config{
+				Cancel: cancelAhead,
+				Observers: observe(func(a trace.Access) {
+					if delivered++; delivered == cancelAt {
+						close(cancelAhead)
+					}
+				}),
+			},
+			wantErr: ErrCanceled,
+			check: func(t *testing.T) {
+				if delivered > cancelAt+1 {
+					t.Fatalf("%d accesses delivered after Cancel closed at access %d", delivered-cancelAt, cancelAt)
+				}
+			},
+		},
+		{
+			name: "observer panics while running ahead",
+			prog: solo("solo-panic"),
+			cfg: Config{Observers: observe(func(a trace.Access) {
+				if a.Seq == 50 {
+					panic(errObserver)
+				}
+			})},
+			wantPanic: errObserver,
+		},
+		{
+			name: "OnEpoch panics while replay runs ahead",
+			prog: prog("epoch-panic", 1, func(th int, env *Env) {
+				for i := 0; i < 10; i++ {
+					env.Compute(1)
+				}
+			}),
+			cfg: Config{
+				ReplayEpochs: []record.Epoch{
+					{Time: 1, Thread: 0, Instr: 5, Index: 0},
+					{Time: 2, Thread: 0, Instr: 5, Index: 1},
+				},
+				OnEpoch: func(idx int) {
+					if idx == 1 {
+						panic(errEpoch)
+					}
+				},
+			},
+			wantPanic: errEpoch,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			tc.cfg.Seed = 1
-			res, err := New(tc.cfg, tc.prog).Run()
+			var panicked any
+			res, err := func() (Result, error) {
+				defer func() { panicked = recover() }()
+				return New(tc.cfg, tc.prog).Run()
+			}()
+			if panicked != any(tc.wantPanic) {
+				t.Fatalf("Run panicked with %v, want %v", panicked, tc.wantPanic)
+			}
 			switch {
+			case tc.wantPanic != nil:
 			case tc.wantErr != nil:
 				if !errors.Is(err, tc.wantErr) {
 					t.Fatalf("Run returned %v, want %v", err, tc.wantErr)
@@ -139,6 +221,9 @@ func TestRunExitPaths(t *testing.T) {
 				if res.Hung != tc.wantHung || res.Ops != tc.wantOps {
 					t.Fatalf("hung=%v ops=%d, want hung=%v ops=%d", res.Hung, res.Ops, tc.wantHung, tc.wantOps)
 				}
+			}
+			if tc.check != nil {
+				tc.check(t)
 			}
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > before {
