@@ -6,6 +6,8 @@
 package baseline
 
 import (
+	"slices"
+
 	"cord/internal/clock"
 	"cord/internal/memsys"
 	"cord/internal/trace"
@@ -22,12 +24,28 @@ type pairKey struct {
 	kind   trace.Kind
 }
 
-// idealAccess is one remembered data access with its vector-clock snapshot.
-type idealAccess struct {
-	thread int
-	kind   trace.Kind
+// idealEntry is one remembered data access. It carries no vector clock:
+// every race check against an entry of thread u compares the checking
+// thread's component u with u's own component at the entry's access (its
+// epoch), so the epoch is the only part of u's vector ever read. Entries
+// hold no pointers, so the history slab is invisible to the garbage
+// collector's mark phase.
+type idealEntry struct {
 	seq    uint64
-	vc     clock.Vector
+	epoch  uint64 // the accessing thread's own vector component at the access
+	word   int32  // the entry's word, an index into Ideal.heads
+	prev   int32  // the same thread's next older entry on the word; -1 ends the chain
+	thread int32
+	kind   trace.Kind
+}
+
+// idealWord is the bookkeeping of one word index: the address it stands for
+// and how many retained entries it has. Prune releases the index when the
+// count drops to zero, so storage follows the live history, not the
+// footprint.
+type idealWord struct {
+	addr    memsys.Addr
+	entries int32
 }
 
 // syncWord is the synchronization state of one sync variable: the vector
@@ -45,11 +63,26 @@ type syncWord struct {
 // Ideal is the ground-truth detector (§4.2's Ideal configuration): full
 // vector clocks, one history entry per data access, entries recycled only
 // once they can no longer participate in a race.
+//
+// The history is one slab of entries in global access order. Each word
+// keeps one chain per thread through the slab, linking that thread's
+// entries on the word from newest to oldest. A thread's epochs never
+// decrease, so a race check walks each other thread's chain only until the
+// first entry ordered before the checking thread: O(threads) per access
+// plus one step per racing (or read-read skipped) entry, instead of a walk
+// over the word's whole history.
 type Ideal struct {
 	threads int
 	vcs     []clock.Vector
 	syncs   map[memsys.Addr]*syncWord
-	hist    map[memsys.Addr][]idealAccess
+
+	hist      []idealEntry          // retained data accesses, in global access order
+	words     map[memsys.Addr]int32 // the word index of each address with retained entries
+	slots     []idealWord           // indexed by word
+	heads     []int32               // heads[w*threads+t]: thread t's newest entry on word w, or -1
+	freeWords []int32               // word indices prune released, for reuse
+	hits      []int32               // scratch: slab indices of the current access's races
+	min       clock.Vector          // scratch: prune's component-wise minimum clock
 
 	races     []trace.Race
 	raceCount int // racy accesses (>=1 conflicting unordered predecessor)
@@ -60,12 +93,6 @@ type Ideal struct {
 	accesses      uint64
 	pruneInterval uint64
 	peakEntries   int
-
-	// freeVCs recycles the vector-clock storage of pruned history entries.
-	// Every data access clones the thread's vector into its history entry;
-	// without recycling that is the campaign's single largest allocation
-	// site (half of all objects in a detection run).
-	freeVCs []clock.Vector
 }
 
 // NewIdeal builds the oracle for the given thread count.
@@ -74,7 +101,8 @@ func NewIdeal(threads int) *Ideal {
 		threads:       threads,
 		vcs:           makeVCs(threads),
 		syncs:         make(map[memsys.Addr]*syncWord),
-		hist:          make(map[memsys.Addr][]idealAccess),
+		words:         make(map[memsys.Addr]int32),
+		min:           clock.NewVector(threads),
 		pairs:         make(map[pairKey]bool),
 		maxPairs:      1 << 20,
 		pruneInterval: 8192,
@@ -124,65 +152,88 @@ func (d *Ideal) onSync(a trace.Access, my clock.Vector) {
 	copy(s.lastWrite, my) // release: publish the writer's history
 }
 
-// onData checks the access against the full per-word history: every
-// conflicting earlier access not ordered before the current thread's vector
-// clock is a data race.
+// onData checks the access against the word's history: every conflicting
+// earlier access not ordered before the current thread's vector clock is a
+// data race. Races are reported in global access order.
 func (d *Ideal) onData(a trace.Access, my clock.Vector, rep *trace.Report) {
-	entries := d.hist[a.Addr]
-	racy := false
-	for i := range entries {
-		e := &entries[i]
-		if e.thread == a.Thread {
+	w, ok := d.words[a.Addr]
+	if !ok {
+		w = d.newWord(a.Addr)
+	}
+	heads := d.heads[int(w)*d.threads : int(w+1)*d.threads]
+	hits := d.hits[:0]
+	for u, i := range heads {
+		if u == a.Thread {
 			continue
 		}
-		if a.Kind == trace.Read && e.kind == trace.Read {
-			continue
+		for i >= 0 {
+			e := &d.hist[i]
+			// e happened before the current access iff the current thread
+			// has seen e's epoch; u's older entries have smaller epochs.
+			if my[u] >= e.epoch {
+				break
+			}
+			if a.Kind == trace.Write || e.kind == trace.Write {
+				hits = append(hits, i)
+			}
+			i = e.prev
 		}
-		// e happened before the current access iff the current thread has
-		// seen e's local time (epoch comparison).
-		if my[e.thread] >= e.vc[e.thread] {
-			continue
-		}
+	}
+	if len(hits) > 0 {
+		d.raceCount++
+		slices.Sort(hits) // slab order is global access order
+	}
+	for _, i := range hits {
+		e := &d.hist[i]
 		r := trace.Race{
 			Addr:   a.Addr,
-			First:  trace.Ref{Thread: e.thread, Kind: e.kind, Seq: e.seq},
+			First:  trace.Ref{Thread: int(e.thread), Kind: e.kind, Seq: e.seq},
 			Second: trace.Ref{Thread: a.Thread, Kind: a.Kind, Seq: a.Seq},
 		}
-		racy = true
 		d.pairCount++
 		if len(d.races) < 1<<16 {
 			d.races = append(d.races, r)
 			rep.Races = append(rep.Races, r)
 		}
 		if len(d.pairs) < d.maxPairs {
-			d.pairs[pairKey{a.Addr, a.Seq, e.thread, e.kind}] = true
+			d.pairs[pairKey{a.Addr, a.Seq, int(e.thread), e.kind}] = true
 		}
 	}
-	if racy {
-		d.raceCount++
-	}
-	d.hist[a.Addr] = append(entries, idealAccess{
-		thread: a.Thread, kind: a.Kind, seq: a.Seq, vc: d.cloneVC(my),
+	d.hits = hits
+	d.hist = append(d.hist, idealEntry{
+		seq: a.Seq, epoch: my[a.Thread], word: w, prev: heads[a.Thread],
+		thread: int32(a.Thread), kind: a.Kind,
 	})
+	heads[a.Thread] = int32(len(d.hist) - 1)
+	d.slots[w].entries++
 }
 
-// cloneVC copies v into a recycled vector when one is available, and
-// allocates otherwise. History entries own their vectors exclusively, so a
-// vector freed by prune can be reused verbatim.
-func (d *Ideal) cloneVC(v clock.Vector) clock.Vector {
-	if n := len(d.freeVCs); n > 0 {
-		c := d.freeVCs[n-1]
-		d.freeVCs = d.freeVCs[:n-1]
-		copy(c, v)
-		return c
+// newWord gives addr a word index with every thread's chain empty, reusing
+// one prune released when it can (a released word's chains are all empty).
+func (d *Ideal) newWord(addr memsys.Addr) int32 {
+	var w int32
+	if n := len(d.freeWords); n > 0 {
+		w = d.freeWords[n-1]
+		d.freeWords = d.freeWords[:n-1]
+		d.slots[w].addr = addr
+	} else {
+		w = int32(len(d.slots))
+		d.slots = append(d.slots, idealWord{addr: addr})
+		for t := 0; t < d.threads; t++ {
+			d.heads = append(d.heads, -1)
+		}
 	}
-	return v.Clone()
+	d.words[addr] = w
+	return w
 }
 
-// prune recycles history entries that are ordered before every thread's
-// current clock — they can never race again (§3.2's Ideal bookkeeping).
+// prune drops history entries that are ordered before every thread's
+// current clock — they can never race again (§3.2's Ideal bookkeeping). It
+// compacts the slab in place, which keeps global access order, relinks the
+// chains, and releases the words left without entries.
 func (d *Ideal) prune() {
-	min := d.vcs[0].Clone()
+	min := d.min
+	copy(min, d.vcs[0])
 	for _, vc := range d.vcs[1:] {
 		for i, v := range vc {
 			if v < min[i] {
@@ -190,25 +241,27 @@ func (d *Ideal) prune() {
 			}
 		}
 	}
-	total := 0
-	for addr, entries := range d.hist {
-		out := entries[:0]
-		for _, e := range entries {
-			if e.vc[e.thread] > min[e.thread] {
-				out = append(out, e)
-			} else {
-				d.freeVCs = append(d.freeVCs, e.vc)
+	for _, e := range d.hist {
+		d.heads[int(e.word)*d.threads+int(e.thread)] = -1
+	}
+	out := d.hist[:0]
+	for _, e := range d.hist {
+		if e.epoch <= min[e.thread] {
+			s := &d.slots[e.word]
+			if s.entries--; s.entries == 0 {
+				delete(d.words, s.addr)
+				d.freeWords = append(d.freeWords, e.word)
 			}
-		}
-		if len(out) == 0 {
-			delete(d.hist, addr)
 			continue
 		}
-		d.hist[addr] = out
-		total += len(out)
+		h := &d.heads[int(e.word)*d.threads+int(e.thread)]
+		e.prev = *h
+		*h = int32(len(out))
+		out = append(out, e)
 	}
-	if total > d.peakEntries {
-		d.peakEntries = total
+	d.hist = out
+	if len(out) > d.peakEntries {
+		d.peakEntries = len(out)
 	}
 }
 
