@@ -224,7 +224,8 @@ func setupIdeal() func(i int) {
 // setupFastTrack prices the epoch detector's serial OnAccess path on the
 // shared stream the other baseline kernels use. With the default single
 // shard the lock is uncontended, so ns/op is the pure epoch-compare cost —
-// the number to hold against baseline/ideal's full vector-clock walk.
+// the number to hold against baseline/ideal, which appends a history record
+// per data access and walks per-thread chains of them.
 func setupFastTrack() func(i int) {
 	return observerKernel(baseline.NewFastTrack(baseline.FastTrackConfig{Threads: 4, Shards: 1}))
 }
