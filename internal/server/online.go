@@ -265,22 +265,19 @@ func startOnline(opts streamOptions, ing *streamIngest) *onlineSession {
 	return o
 }
 
-// ingest is the decoder's emit target in online mode: the same sequential
-// fold offline ingest runs (quota, shard unwrap, content hash), then the
-// entry's release through the epoch stream into the replay feed.
-//
-// The fold stays on the handler goroutine: it is a few adds per entry, less
-// than handing entries to other goroutines would cost.
+// ingest is the decoder's emit target in online mode: the quota check, the
+// entry's release through the epoch stream into the replay feed, and the
+// shard fold at the time the epoch stream unwrapped — each entry is
+// unwrapped once.
 func (o *onlineSession) ingest(e record.Entry) error {
-	if err := o.ing.ingest(e); err != nil {
+	if err := o.ing.admit(); err != nil {
 		return err
 	}
 	rel, err := o.es.Push(e)
 	if err != nil {
-		// Unreachable: the shard fold enforces the same invariants the
-		// epoch stream checks.
-		return fmt.Errorf("epoch stream disagrees with shard fold: %w", err)
+		return err
 	}
+	o.ing.fold(e, o.es.Time(int(e.Thread)))
 	o.released += uint64(len(rel))
 	if o.feed != nil {
 		o.feed.Append(rel...)

@@ -529,7 +529,7 @@ func errorCode(status int, err error) string {
 		return codeBadFormat
 	case errors.As(err, &tooLarge):
 		return codeTooLarge
-	case errors.Is(err, errOrderViolation):
+	case errors.Is(err, record.ErrOrderViolation):
 		return codeOrderViolation
 	case errors.Is(err, ErrBadRequest):
 		return codeBadRequest

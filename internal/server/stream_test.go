@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -522,21 +523,96 @@ func TestStreamDrainingRejects(t *testing.T) {
 	}
 }
 
-// TestHashLogMatchesIngest: the streaming FNV accumulation and the one-shot
-// hashLog agree on every prefix length, so LogMatch cannot drift between
-// the two implementations.
+// deadlineRecorder is a ResponseRecorder that accepts read deadlines, so the
+// stream handler can run in-process, without a socket.
+type deadlineRecorder struct{ *httptest.ResponseRecorder }
+
+func (deadlineRecorder) SetReadDeadline(time.Time) error { return nil }
+
+// sizedReader returns its bytes in Reads of exactly sizes[0], sizes[1], ...
+// (cycling; the last Read may be short), so the handler's chunk boundaries
+// are the ones the test chose. Over a socket the transport may merge them.
+type sizedReader struct {
+	b     []byte
+	sizes []int
+	k     int
+}
+
+func (r *sizedReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), len(r.b), r.sizes[r.k%len(r.sizes)])
+	r.k++
+	n = copy(p, r.b[:n])
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// serveStreamInProcess runs one POST /v1/stream session through srv's
+// handler on the calling goroutine, delivering body in Reads of the given
+// sizes, and returns the status and response body.
+func serveStreamInProcess(srv *Server, query string, body []byte, sizes ...int) (int, []byte) {
+	r := httptest.NewRequest(http.MethodPost, "/v1/stream?"+query,
+		io.NopCloser(&sizedReader{b: body, sizes: sizes}))
+	w := deadlineRecorder{httptest.NewRecorder()}
+	srv.ServeHTTP(w, r)
+	return w.Code, w.Body.Bytes()
+}
+
+// TestHashLogMatchesIngest: the served log_hash, hashed per chunk over the
+// wire bytes, equals the one-shot hashLog on every prefix length and at
+// chunk sizes that split the header and entries every way, so LogMatch
+// cannot drift between the two sides. The full log's hash is pinned, so the
+// §4.4 value itself cannot drift either. A body that continues past its
+// declared count, or stops short of it, never reaches a summary.
 func TestHashLogMatchesIngest(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer shutdownOrFail(t, srv)
+	chunks := []int{1, 7, 8, 9, 15, 16, 17, 4096}
+
 	var l record.Log
+	var body []byte
 	for i := 0; i < 100; i++ {
 		l.Append(record.Entry{Clock: clock.Scalar(i * 5), Thread: uint16(i % 4), Instr: uint32(i)})
-		g := newStreamIngest(4, 1<<20)
-		for _, e := range l.Entries() {
-			if err := g.ingest(e); err != nil {
-				t.Fatal(err)
+		var buf bytes.Buffer
+		if err := l.EncodeTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		body = buf.Bytes()
+		want := fmt.Sprintf("%016x", hashLog(&l))
+		for _, chunk := range chunks {
+			status, b := serveStreamInProcess(srv, "app=fft&threads=4&verify=0", body, chunk)
+			var sr StreamResponse
+			if status != http.StatusOK || json.Unmarshal(b, &sr) != nil {
+				t.Fatalf("prefix %d, chunk %d: status %d, body %s", i+1, chunk, status, b)
+			}
+			if sr.LogHash != want || sr.Frames != uint64(i+1) {
+				t.Fatalf("prefix %d, chunk %d: served hash %s over %d frames, hashLog %s",
+					i+1, chunk, sr.LogHash, sr.Frames, want)
 			}
 		}
-		if g.hash != hashLog(&l) {
-			t.Fatalf("prefix %d: ingest hash %016x != hashLog %016x", i+1, g.hash, hashLog(&l))
+	}
+
+	if got := fmt.Sprintf("%016x", hashLog(&l)); got != "f9a4ee1f8ac079e5" {
+		t.Fatalf("hashLog of the 100-entry log = %s, want f9a4ee1f8ac079e5", got)
+	}
+
+	over := append(append([]byte{}, body...), body[record.HeaderBytes:record.HeaderBytes+record.EntryBytes]...)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		code string
+	}{
+		{"past the declared count", over, codeBadFormat},
+		{"truncated", body[:len(body)-3], codeTruncated},
+	} {
+		for _, chunk := range chunks {
+			status, b := serveStreamInProcess(srv, "app=fft&threads=4&verify=0", tc.body, chunk)
+			var eb errorBody
+			if status != http.StatusBadRequest || json.Unmarshal(b, &eb) != nil || eb.Code != tc.code {
+				t.Fatalf("%s, chunk %d: status %d, body %s; want 400 %s", tc.name, chunk, status, b, tc.code)
+			}
 		}
 	}
 }
