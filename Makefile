@@ -141,14 +141,17 @@ fleet-chaos-smoke:
 # Short fuzzing pass over every hardened input surface: the binary order-log
 # decoder, the epoch stream (differential against the sort-based schedule
 # oracle), the Ideal detector (differential against the per-word-slice
-# history oracle), and both service request parsers. CI runs this; crashes land in
-# testdata/fuzz/ for triage.
+# history oracle), both service request parsers, and /v1/stream ingest
+# (generated logs at random chunkings, differential against a one-shot
+# decode-and-schedule oracle). CI runs this; crashes land in testdata/fuzz/
+# for triage.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecodeFrom' -fuzztime 10s -run '^$$' ./internal/record/
 	$(GO) test -fuzz 'FuzzEpochStream' -fuzztime 10s -run '^$$' ./internal/record/
 	$(GO) test -fuzz 'FuzzIdeal' -fuzztime 10s -run '^$$' ./internal/baseline/
 	$(GO) test -fuzz 'FuzzDetectRequest' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzReplayParams' -fuzztime 10s -run '^$$' ./internal/server/
+	$(GO) test -fuzz 'FuzzStreamIngest' -fuzztime 10s -run '^$$' ./internal/server/
 
 clean:
 	$(GO) clean ./...

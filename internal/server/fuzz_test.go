@@ -2,12 +2,17 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
+	"cord/internal/clock"
 	"cord/internal/record"
 )
 
@@ -95,4 +100,187 @@ func FuzzReplayParams(f *testing.F) {
 			return
 		}
 	})
+}
+
+// FuzzStreamIngest is differential over POST /v1/stream ingest: a generated
+// order log, cut at fuzzer-chosen chunk boundaries, must get the same answer
+// at every chunking, offline (verify=0) and online at duty 0, and that answer
+// must match a one-shot oracle built from record.DecodeFrom, Log.Schedule,
+// hashLog and shard sums over the decoded log. On success it compares
+// frames, log_bytes, log_hash, the shards and online.epochs_total, and the
+// whole body across chunkings; on failure the status, code and message.
+//
+// The generator draws 1–8 threads and per-thread clock deltas of 0, small,
+// clock.Window and (when shape bit 1 is set) Window+1, starting near the
+// 16-bit wrap when shape bit 0 is set; runs of Window deltas wrap too. bad <
+// entries puts an out-of-range thread at that index, and quota > 0 lowers
+// MaxStreamFrames to it. The seeds cover each outcome, including a 413 and a
+// 422 on the same entry, where the quota wins.
+func FuzzStreamIngest(f *testing.F) {
+	const none = 1<<16 - 1
+	f.Add(uint64(1), uint8(3), uint16(64), uint8(0), uint16(none), uint8(0), []byte{7})
+	f.Add(uint64(2), uint8(0), uint16(40), uint8(1), uint16(none), uint8(0), []byte{1, 8, 9, 15, 16, 17})
+	f.Add(uint64(3), uint8(7), uint16(300), uint8(1), uint16(none), uint8(0), []byte{40, 3})
+	f.Add(uint64(4), uint8(3), uint16(200), uint8(3), uint16(none), uint8(0), []byte{13})
+	f.Add(uint64(5), uint8(2), uint16(50), uint8(0), uint16(17), uint8(0), []byte{5})
+	f.Add(uint64(6), uint8(3), uint16(64), uint8(0), uint16(none), uint8(9), []byte{11})
+	f.Add(uint64(7), uint8(3), uint16(64), uint8(0), uint16(5), uint8(9), []byte{2})
+	f.Add(uint64(8), uint8(3), uint16(64), uint8(0), uint16(30), uint8(9), []byte{0})
+	f.Add(uint64(9), uint8(3), uint16(64), uint8(0), uint16(9), uint8(9), []byte{6})
+	f.Add(uint64(10), uint8(3), uint16(9), uint8(0), uint16(none), uint8(9), []byte{4})
+	f.Add(uint64(11), uint8(1), uint16(0), uint8(0), uint16(none), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, seed uint64, threads uint8, n uint16, shape uint8, bad uint16, quota uint8, cuts []byte) {
+		th := 1 + int(threads%8)
+		body := genStreamLog(t, seed, th, int(n%512), shape, int(bad))
+		want := streamOracle(t, body, th, uint64(quota))
+
+		srv := New(Config{Workers: 1, MaxStreamFrames: uint64(quota)})
+		defer shutdownOrFail(t, srv)
+		sizes := make([]int, 0, len(cuts))
+		for _, c := range cuts {
+			sizes = append(sizes, 1+int(c%40))
+		}
+		chunkings := [][]int{{len(body)}, {1}}
+		if len(sizes) > 0 {
+			chunkings = append(chunkings, sizes)
+		}
+		for _, online := range []bool{false, true} {
+			query := fmt.Sprintf("app=fft&threads=%d&verify=0", th)
+			if online {
+				query += "&detect=online&duty=0"
+			}
+			var first []byte
+			for _, ch := range chunkings {
+				status, b := serveStreamInProcess(srv, query, body, ch...)
+				checkStreamOutcome(t, query, ch, status, b, want, online)
+				if first == nil {
+					first = b
+				} else if !bytes.Equal(b, first) {
+					t.Fatalf("%s: body at chunking %v differs from chunking %v:\n%s\nvs\n%s", query, ch, chunkings[0], b, first)
+				}
+			}
+		}
+	})
+}
+
+// genStreamLog draws an encoded order log for FuzzStreamIngest.
+func genStreamLog(t *testing.T, seed uint64, threads, entries int, shape uint8, bad int) []byte {
+	rng := rand.New(rand.NewPCG(seed, uint64(shape)))
+	cur := make([]clock.Scalar, threads)
+	for i := range cur {
+		if shape&1 != 0 {
+			cur[i] = clock.Scalar(1<<16 - 1 - rng.IntN(64))
+		} else {
+			cur[i] = clock.Scalar(rng.IntN(1000))
+		}
+	}
+	deltas := []int{0, 1, 3, 250, clock.Window}
+	if shape&2 != 0 {
+		deltas = append(deltas, clock.Window+1)
+	}
+	started := make([]bool, threads)
+	var l record.Log
+	for i := 0; i < entries; i++ {
+		tt := rng.IntN(threads)
+		if started[tt] {
+			cur[tt] += clock.Scalar(deltas[rng.IntN(len(deltas))])
+		}
+		started[tt] = true
+		e := record.Entry{Clock: cur[tt], Thread: uint16(tt), Instr: rng.Uint32()}
+		if i == bad {
+			e.Thread = uint16(threads + rng.IntN(4))
+		}
+		l.Append(e)
+	}
+	var buf bytes.Buffer
+	if err := l.EncodeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// streamOutcome is what one /v1/stream session must answer.
+type streamOutcome struct {
+	status    int
+	code, msg string
+	frames    uint64
+	hash      string
+	shards    []ShardSummary
+}
+
+// streamOracle computes the outcome of streaming body in one shot: the frame
+// quota (when set) cuts the log before the schedule runs, so an order
+// violation wins only when it comes first.
+func streamOracle(t *testing.T, body []byte, threads int, quota uint64) streamOutcome {
+	log, err := record.DecodeFrom(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("generated log does not decode: %v", err)
+	}
+	scheduled := log
+	over := quota > 0 && uint64(log.Len()) > quota
+	if over {
+		scheduled = &record.Log{}
+		for _, e := range log.Entries()[:quota] {
+			scheduled.Append(e)
+		}
+	}
+	epochs, err := scheduled.Schedule(threads)
+	switch {
+	case err != nil:
+		return streamOutcome{status: http.StatusUnprocessableEntity, code: codeOrderViolation, msg: err.Error()}
+	case over:
+		return streamOutcome{status: http.StatusRequestEntityTooLarge, code: codeQuotaExceeded,
+			msg: fmt.Sprintf("%v: frame quota (%d frames) exhausted", errStreamQuota, quota)}
+	}
+	// Schedule order is per-thread stream order, so a thread's first epoch
+	// here is its first entry.
+	shards := make([]*ShardSummary, threads)
+	for _, ep := range epochs {
+		sh := shards[ep.Thread]
+		if sh == nil {
+			sh = &ShardSummary{Thread: ep.Thread, FirstTime: ep.Time}
+			shards[ep.Thread] = sh
+		}
+		sh.Entries++
+		sh.Instructions += uint64(ep.Instr)
+		sh.LastTime = ep.Time
+	}
+	out := streamOutcome{status: http.StatusOK, frames: uint64(log.Len()),
+		hash: fmt.Sprintf("%016x", hashLog(log)), shards: []ShardSummary{}}
+	for _, sh := range shards {
+		if sh != nil {
+			out.shards = append(out.shards, *sh)
+		}
+	}
+	return out
+}
+
+// checkStreamOutcome compares one served session against the oracle.
+func checkStreamOutcome(t *testing.T, query string, chunks []int, status int, body []byte, want streamOutcome, online bool) {
+	t.Helper()
+	if status != want.status {
+		t.Fatalf("%s at chunking %v: status %d, want %d (body %s)", query, chunks, status, want.status, body)
+	}
+	if status != http.StatusOK {
+		var eb errorBody
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Code != want.code || eb.Error != want.msg {
+			t.Fatalf("%s at chunking %v: error %s, want code %q error %q", query, chunks, body, want.code, want.msg)
+		}
+		return
+	}
+	var sr StreamResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatalf("%s at chunking %v: summary is not JSON: %v", query, chunks, err)
+	}
+	if sr.Frames != want.frames || sr.LogBytes != want.frames*record.EntryBytes || sr.LogHash != want.hash ||
+		!slices.Equal(sr.Shards, want.shards) {
+		t.Fatalf("%s at chunking %v: served frames %d bytes %d hash %s shards %+v\nwant frames %d hash %s shards %+v",
+			query, chunks, sr.Frames, sr.LogBytes, sr.LogHash, sr.Shards, want.frames, want.hash, want.shards)
+	}
+	if online && (sr.Online == nil || sr.Online.EpochsTotal != want.frames || !sr.Online.Completed) {
+		t.Fatalf("%s at chunking %v: online block %+v, want %d epochs, completed", query, chunks, sr.Online, want.frames)
+	}
+	if !online && sr.Online != nil {
+		t.Fatalf("%s at chunking %v: offline session reported an online block", query, chunks)
+	}
 }
