@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -195,28 +196,57 @@ func TestFleetDispatchEquivalence(t *testing.T) {
 // TestFleetDispatchWorkerDeathReshards kills one worker mid-campaign (it
 // starts failing every shard after its first) and requires the dispatch to
 // finish on the survivor with a complete journal.
+//
+// The survivor holds its shard responses until the dying worker has received
+// its second shard request, so the death always happens: otherwise a fast
+// survivor can finish the campaign before the dying worker asks again.
 func TestFleetDispatchWorkerDeathReshards(t *testing.T) {
 	opts := fleetTestOptions(t)
-	healthy, healthySrv := newMeteredWorker(t)
 
 	// The dying worker answers its plan probe and first shard from a real
 	// server, then fails everything — indistinguishable on the wire from a
 	// worker that crashed after one shard.
 	var shardsSeen atomic.Int64
+	died := make(chan struct{})
 	backend := server.New(server.Config{Workers: 2})
 	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/campaign/shard") && shardsSeen.Add(1) > 1 {
-			http.Error(w, "worker lost", http.StatusInternalServerError)
-			return
+		if strings.HasSuffix(r.URL.Path, "/campaign/shard") {
+			if n := shardsSeen.Add(1); n > 1 {
+				if n == 2 {
+					close(died)
+				}
+				http.Error(w, "worker lost", http.StatusInternalServerError)
+				return
+			}
 		}
 		backend.ServeHTTP(w, r)
 	}))
 	t.Cleanup(dying.Close)
 
+	const hold = 30 * time.Second
+	deadline, cancel := context.WithTimeout(context.Background(), hold)
+	defer cancel()
+	var stalled atomic.Bool
+	healthySrv := server.New(server.Config{Workers: 2})
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/campaign/shard") {
+			select {
+			case <-died:
+			case <-deadline.Done():
+				stalled.Store(true)
+			}
+		}
+		healthySrv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(healthy.Close)
+
 	jl := openTestJournal(t)
 	dopts := opts
 	dopts.Checkpoint = jl
 	err := testDispatch(dopts, []string{healthy.URL, dying.URL}, 1, healthy.Client())
+	if stalled.Load() {
+		t.Fatalf("the dying worker got no second shard request within %v; the survivor was released by the deadline", hold)
+	}
 	if err != nil {
 		t.Fatalf("fleetDispatch with a dying worker: %v", err)
 	}
