@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"cord/internal/memsys"
 	"cord/internal/record"
@@ -93,7 +94,8 @@ type Config struct {
 	MigrateEvery uint64
 	// ReplayEpochs, when non-nil, switches the scheduler to log-driven
 	// replay: epochs run in order, each granting its thread a quota of
-	// committed instructions.
+	// committed instructions. The engine never writes into the slice, so
+	// one schedule may be replayed any number of times.
 	ReplayEpochs []record.Epoch
 	// ReplayFeed, when non-nil, also selects replay mode but sources the
 	// epoch schedule incrementally: the engine consumes epochs as a producer
@@ -243,13 +245,14 @@ type Engine struct {
 
 	// replay state
 	replay       bool
-	epochs       []record.Epoch
-	epochIdx     int
-	epochRun     uint32 // instructions committed in the current epoch
-	epochFresh   bool   // epoch just began: drain the thread's micro-ops first
-	replayErr    error  // sticky divergence detected while charging quota
+	epochs       []record.Epoch // the schedule from epochBase on
+	epochsOwned  bool           // epochs is the engine's copy, not Config.ReplayEpochs
+	epochBase    int            // consumed epochs dropped from the front of epochs
+	epochIdx     int            // the current epoch's position in epochs
+	epochRun     uint32         // instructions committed in the current epoch
+	epochFresh   bool           // epoch just began: drain the thread's micro-ops first
+	replayErr    error          // sticky divergence detected while charging quota
 	feed         *ReplayFeed
-	feedRead     int  // epochs consumed from the feed into e.epochs
 	feedCanceled bool // Cancel fired while waiting on the feed
 
 	lastAccess trace.Access
@@ -595,19 +598,21 @@ func (e *Engine) pickReplay() *threadCtx {
 // pullEpochs extends e.epochs from the feed, blocking until the producer
 // appends more, closes the feed (returns false), or Cancel fires (returns
 // false with feedCanceled set so the run loop reports ErrCanceled rather
-// than a hang).
+// than a hang). When every epoch so far is consumed it first drops them, so
+// a feed-driven replay holds only the epochs it has not run yet.
 func (e *Engine) pullEpochs() bool {
 	if e.feed == nil || e.feedCanceled {
 		return false
 	}
+	e.ownEpochs()
+	if e.epochIdx == len(e.epochs) {
+		e.epochBase += e.epochIdx
+		e.epochs, e.epochIdx = e.epochs[:0], 0
+	}
 	for {
-		eps, closed, wake := e.feed.take(e.feedRead)
-		if len(eps) > 0 {
-			// Copy into the engine's own schedule: replayRecoverable swaps
-			// and requeues epochs in place, which must never write back into
-			// the producer's published slice.
-			e.feedRead += len(eps)
-			e.epochs = append(e.epochs, eps...)
+		eps, closed, wake := e.feed.take(e.epochs)
+		if len(eps) > len(e.epochs) {
+			e.epochs = eps
 			return true
 		}
 		if closed {
@@ -631,7 +636,16 @@ func (e *Engine) advanceEpoch() {
 	e.epochRun = 0
 	e.epochFresh = true
 	if e.cfg.OnEpoch != nil {
-		e.cfg.OnEpoch(e.epochIdx)
+		e.cfg.OnEpoch(e.epochBase + e.epochIdx)
+	}
+}
+
+// ownEpochs makes e.epochs the engine's own copy before its first write:
+// Config.ReplayEpochs belongs to the caller, and replaying it must leave it
+// as it was.
+func (e *Engine) ownEpochs() {
+	if !e.epochsOwned {
+		e.epochs, e.epochsOwned = slices.Clone(e.epochs), true
 	}
 }
 
@@ -662,6 +676,7 @@ func (e *Engine) replayRecoverable() bool {
 		}
 		t := e.threads[e.epochs[j].Thread]
 		if t.state == stReady {
+			e.ownEpochs()
 			e.epochs[e.epochIdx].Instr -= e.epochRun
 			e.epochs[e.epochIdx], e.epochs[j] = e.epochs[j], e.epochs[e.epochIdx]
 			e.epochRun = 0

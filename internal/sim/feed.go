@@ -19,12 +19,13 @@ import (
 // sequence being sorted to decide when no concurrent epoch can still arrive.
 //
 // Append copies the epochs, so producers may reuse their slices (the
-// EpochStream release buffer, for instance) immediately. One producer and one
-// consuming engine is the supported topology; Append and CloseFeed may be
-// called from any goroutine.
+// EpochStream release buffer, for instance) immediately. The engine takes the
+// epochs over as it consumes them, so the feed holds only epochs not yet
+// taken. One producer and one consuming engine is the supported topology;
+// Append and CloseFeed may be called from any goroutine.
 type ReplayFeed struct {
 	mu     sync.Mutex
-	epochs []record.Epoch
+	epochs []record.Epoch // appended, not yet taken
 	closed bool
 	wake   chan struct{}
 }
@@ -64,19 +65,14 @@ func (f *ReplayFeed) CloseFeed() {
 	f.mu.Unlock()
 }
 
-// Len returns the number of epochs appended so far (diagnostics).
-func (f *ReplayFeed) Len() int {
+// take hands the epochs appended since the last take over to the consumer,
+// appending them to dst, and returns the closed flag and a channel that
+// closes on the next Append or CloseFeed. The feed keeps none of them; it
+// reuses its buffer for the next Append.
+func (f *ReplayFeed) take(dst []record.Epoch) ([]record.Epoch, bool, <-chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.epochs)
-}
-
-// take returns the epochs published past the consumer's read position, the
-// closed flag, and a channel that closes on the next Append or CloseFeed.
-// The returned slice is never mutated afterwards (the producer only appends,
-// and growth reallocates), so the consumer may read it without the lock.
-func (f *ReplayFeed) take(from int) ([]record.Epoch, bool, <-chan struct{}) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.epochs[from:], f.closed, f.wake
+	dst = append(dst, f.epochs...)
+	f.epochs = f.epochs[:0]
+	return dst, f.closed, f.wake
 }

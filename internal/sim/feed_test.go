@@ -195,6 +195,59 @@ func TestReplayFeedEqualTimeArrivesLate(t *testing.T) {
 	}
 }
 
+// TestReplayFeedRetentionBounded: neither the feed nor the engine keeps the
+// epochs the replay has already run. The producer appends the next batch
+// from OnEpoch whenever the engine has run every epoch so far, so 64 Ki
+// epochs pass through while the retained ones stay within two batches.
+func TestReplayFeedRetentionBounded(t *testing.T) {
+	const perThread, batch = 1 << 15, 256
+	prog := Program{
+		Name:    "steps",
+		Threads: 2,
+		Body: func(th int, env *Env) {
+			for i := 0; i < perThread; i++ {
+				env.Compute(1)
+			}
+		},
+	}
+	epochs := make([]record.Epoch, 2*perThread)
+	for i := range epochs {
+		epochs[i] = record.Epoch{Time: uint64(i), Thread: i % 2, Instr: 1, Index: i}
+	}
+	feed := NewReplayFeed()
+	var eng *Engine
+	sent, peak, last := 0, 0, -1
+	onEpoch := func(idx int) {
+		if idx != last+1 {
+			t.Errorf("OnEpoch(%d) after OnEpoch(%d): indices are not absolute", idx, last)
+		}
+		last = idx
+		feed.mu.Lock()
+		held := cap(feed.epochs)
+		feed.mu.Unlock()
+		peak = max(peak, held+cap(eng.epochs))
+		if idx == sent {
+			if sent == len(epochs) {
+				feed.CloseFeed()
+				return
+			}
+			feed.Append(epochs[sent : sent+batch]...)
+			sent += batch
+		}
+	}
+	eng = New(Config{Seed: 1, ReplayFeed: feed, OnEpoch: onEpoch}, prog)
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Hung || res.Ops != uint64(len(epochs)) || last != len(epochs) {
+		t.Fatalf("replay ran %d ops to epoch %d (hung %v), want %d", res.Ops, last, res.Hung, len(epochs))
+	}
+	if peak > 2*batch {
+		t.Fatalf("feed and engine retained up to %d epochs of %d streamed; want at most %d", peak, len(epochs), 2*batch)
+	}
+}
+
 // TestFeedAppendAfterClosePanics pins the misuse guard.
 func TestFeedAppendAfterClosePanics(t *testing.T) {
 	feed := NewReplayFeed()

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"cord/internal/memsys"
@@ -87,6 +89,58 @@ func TestReplayEqualTimeEpochsReorderable(t *testing.T) {
 	}
 	if res.Mem.Load(out.Word(0)) != 7 || res.Mem.Load(out.Word(1)) != 9 {
 		t.Fatal("writes missing after replay")
+	}
+}
+
+// TestReplayLeavesScheduleUntouched: the equal-time reorder swaps epochs
+// and cuts the blocked epoch's quota, but only in the engine's own copy.
+// The caller's ReplayEpochs slice is unchanged afterwards, and replaying it
+// again gives an identical Result.
+func TestReplayLeavesScheduleUntouched(t *testing.T) {
+	build := func() Program {
+		al := memsys.NewAllocator()
+		flag := NewFlag(al)
+		out := al.Alloc(2)
+		return Program{
+			Name:    "swap",
+			Threads: 2,
+			Body: func(th int, env *Env) {
+				if th == 0 {
+					flag.WaitAtLeast(env, 1)
+					env.Write(out.Word(0), 7)
+				} else {
+					flag.Set(env, 1)
+					env.Write(out.Word(1), 9)
+				}
+			},
+		}
+	}
+	epochs := []record.Epoch{
+		{Time: 1, Thread: 0, Instr: 2, Index: 0},
+		{Time: 1, Thread: 1, Instr: 2, Index: 1},
+	}
+	orig := slices.Clone(epochs)
+	var runs []Result
+	for range 2 {
+		res, err := New(Config{Seed: 1, ReplayEpochs: epochs}, build()).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Hung {
+			t.Fatal("replay hung instead of reordering equal-time epochs")
+		}
+		if !slices.Equal(epochs, orig) {
+			t.Fatalf("replay wrote into the caller's schedule: %v, was %v", epochs, orig)
+		}
+		runs = append(runs, res)
+	}
+	a, b := runs[0], runs[1]
+	if !b.Mem.Equal(a.Mem) {
+		t.Fatal("second replay's final memory differs")
+	}
+	a.Mem, b.Mem = nil, nil
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("second replay differs:\n%+v\n%+v", b, a)
 	}
 }
 
