@@ -68,6 +68,7 @@ func Kernels() []Kernel {
 		{Name: "record/stream-decode", Setup: setupStreamDecode},
 		{Name: "record/epoch-stream", Setup: setupEpochStream},
 		{Name: "record/schedule", Setup: setupSchedule},
+		{Name: "record/schedule-16t", Setup: setupSchedule16},
 		{Name: "engine/lock-ping", Setup: setupEngine},
 		{Name: "engine/replay", Setup: setupEngineReplay},
 	}
@@ -299,14 +300,15 @@ func setupStreamDecode() func(i int) {
 	}
 }
 
-// driftLog builds an order log of n entries over four threads the way the
-// service benchmark's synthetic logs are built: a random thread speaks next
-// and advances its clock by 1..8, starting just below the 16-bit wrap, so
-// the threads drift apart and the epoch stream holds a real pending window.
-func driftLog(n int) *record.Log {
+// driftLog builds an order log of n entries over the given number of threads
+// the way the service benchmark's synthetic logs are built: a random thread
+// speaks next and advances its clock by 1..8, starting just below the 16-bit
+// wrap, so the threads drift apart and the epoch stream holds a real pending
+// window.
+func driftLog(n, threads int) *record.Log {
 	rng := rand.New(rand.NewPCG(5, 8))
 	var l record.Log
-	clocks := make([]clock.Scalar, 4)
+	clocks := make([]clock.Scalar, threads)
 	for t := range clocks {
 		clocks[t] = clock.Scalar(65000 + rng.IntN(16))
 	}
@@ -324,7 +326,7 @@ func driftLog(n int) *record.Log {
 // flushes and a fresh one starts, so ns/op is the per-entry cost including
 // the amortised Flush and set-up.
 func setupEpochStream() func(i int) {
-	entries := driftLog(1 << 16).Entries()
+	entries := driftLog(1<<16, 4).Entries()
 	s := record.NewEpochStream(4)
 	return func(i int) {
 		k := i % len(entries)
@@ -339,12 +341,18 @@ func setupEpochStream() func(i int) {
 }
 
 // setupSchedule prices the one-shot replay schedule: one iteration is
-// record.Log.Schedule over a whole 16Ki-entry drifting log, as /v1/replay
-// and every replay check of the figure campaign run it.
-func setupSchedule() func(i int) {
-	l := driftLog(1 << 14)
+// record.Log.Schedule over a whole 16Ki-entry drifting log of four threads,
+// as /v1/replay and every replay check of the figure campaign run it.
+func setupSchedule() func(i int) { return scheduleKernel(4) }
+
+// setupSchedule16 is setupSchedule over sixteen threads. The merge costs
+// O(threads) per epoch, and the service accepts up to 64.
+func setupSchedule16() func(i int) { return scheduleKernel(16) }
+
+func scheduleKernel(threads int) func(i int) {
+	l := driftLog(1<<14, threads)
 	return func(i int) {
-		eps, err := l.Schedule(4)
+		eps, err := l.Schedule(threads)
 		if err != nil || len(eps) != l.Len() {
 			panic(fmt.Sprintf("perf: schedule returned %d epochs, err %v", len(eps), err))
 		}
@@ -413,13 +421,9 @@ func setupEngineReplay() func(i int) {
 	if err != nil {
 		panic(err)
 	}
-	// The engine may reorder equal-time epochs in place, so every
-	// iteration replays its own copy of the schedule.
-	buf := make([]record.Epoch, len(epochs))
 	return func(i int) {
-		copy(buf, epochs)
 		det := newDet(false)
-		res, err := sim.New(sim.Config{Seed: 1, Procs: procs, ReplayEpochs: buf,
+		res, err := sim.New(sim.Config{Seed: 1, Procs: procs, ReplayEpochs: epochs,
 			Observers: []trace.Observer{det}}, app.Build(1, threads)).Run()
 		if err != nil {
 			panic(err)

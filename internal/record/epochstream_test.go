@@ -48,19 +48,21 @@ func scheduleOracle(l *Log, numThreads int) ([]Epoch, error) {
 
 // checkStream checks an EpochStream and Log.Schedule against scheduleOracle
 // on one entry sequence. Flush is called before each entry index in flushes
-// (ascending) and once at the end. The checks:
+// (ascending) and once at the end. Entry i is appended without a release
+// when held[i] is set (held may be nil); every other entry is released at
+// once, by Push for even i and by Append then Release for odd i. The checks:
 //
 //   - Schedule returns the oracle's epochs, or its error text.
 //   - Between two Flush calls, the stream releases that segment's epochs in
 //     the oracle's (Time, Index) order, with the oracle's Index values.
-//   - After every Push, the segment's released epochs are exactly those with
-//     Time at or below the watermark, recomputed here from the oracle's
-//     times, and Pending() counts the rest.
-//   - The first bad entry fails Push with the oracle's error text, and the
-//     error is sticky.
+//   - After every release, the segment's released epochs are exactly those
+//     with Time at or below the watermark, recomputed here from the oracle's
+//     times; after every entry, Pending() counts the rest.
+//   - The first bad entry fails Push or Append with the oracle's error text,
+//     and the error is sticky.
 //
-// It returns the Pending() value after each accepted Push.
-func checkStream(tb testing.TB, entries []Entry, threads int, flushes []int) (pending []int) {
+// It returns the Pending() value after each accepted entry.
+func checkStream(tb testing.TB, entries []Entry, threads int, flushes []int, held []bool) (pending []int) {
 	tb.Helper()
 	l := &Log{entries: entries}
 	want, wantErr := scheduleOracle(l, threads)
@@ -131,7 +133,19 @@ func checkStream(tb testing.TB, entries []Entry, threads int, flushes []int) (pe
 			}
 			seg = segment(lo, hi)
 		}
-		rel, err := s.Push(entries[i])
+		hold := i < len(held) && held[i]
+		var rel []Epoch
+		var err error
+		switch {
+		case hold:
+			err = s.Append(entries[i])
+		case i%2 == 0:
+			rel, err = s.Push(entries[i])
+		default:
+			if err = s.Append(entries[i]); err == nil {
+				rel = s.Release(nil)
+			}
+		}
 		if i == bad {
 			if err == nil || err.Error() != wantErr.Error() {
 				tb.Fatalf("Push entry %d: error %v, oracle error %q", i, err, wantErr)
@@ -162,11 +176,12 @@ func checkStream(tb testing.TB, entries []Entry, threads int, flushes []int) (pe
 		}
 		// The final epochs form a prefix of the segment's order: anything
 		// still to come is above the watermark or, on it, has a larger Index.
-		for final < len(seg) && seg[final].Index <= i && seg[final].Time <= watermark {
+		// A held entry releases nothing.
+		for !hold && final < len(seg) && seg[final].Index <= i && seg[final].Time <= watermark {
 			final++
 		}
 		if len(released) != final || !epochsEqual(released[checked:], seg[checked:final]) {
-			tb.Fatalf("after entry %d (watermark %d): released %v, want %v", i, watermark, released, seg[:final])
+			tb.Fatalf("after entry %d (watermark %d, held %v): released %v, want %v", i, watermark, hold, released, seg[:final])
 		}
 		if p := i + 1 - lo - len(released); s.Pending() != p {
 			tb.Fatalf("after entry %d: Pending() = %d, want %d", i, s.Pending(), p)
@@ -225,13 +240,14 @@ func TestEpochStreamMatchesSchedule(t *testing.T) {
 		if name == "bursty" || name == "late-starter" {
 			threads = 3
 		}
-		t.Run(name, func(t *testing.T) { checkStream(t, l.Entries(), threads, nil) })
+		t.Run(name, func(t *testing.T) { checkStream(t, l.Entries(), threads, nil, nil) })
 	}
 }
 
 // TestEpochStreamMatchesScheduleRandom: randomized per-thread clock walks
 // (including zero deltas and window-sized jumps) stay equivalent to the batch
-// sort under property testing, with and without mid-stream Flush calls.
+// sort under property testing, with and without mid-stream Flush calls and
+// held releases.
 func TestEpochStreamMatchesScheduleRandom(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	for trial := 0; trial < 50; trial++ {
@@ -250,7 +266,14 @@ func TestEpochStreamMatchesScheduleRandom(t *testing.T) {
 			}
 			sort.Ints(flushes)
 		}
-		checkStream(t, l.Entries(), threads, flushes)
+		var held []bool
+		if trial%3 == 2 {
+			hold := rand.New(rand.NewPCG(uint64(trial), 13))
+			for range l.Len() {
+				held = append(held, hold.IntN(4) != 0)
+			}
+		}
+		checkStream(t, l.Entries(), threads, flushes, held)
 	}
 }
 
@@ -317,7 +340,7 @@ func TestEpochStreamEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pending := checkStream(t, tc.entries, tc.threads, tc.flushes)
+			pending := checkStream(t, tc.entries, tc.threads, tc.flushes, nil)
 			if tc.wantPending != nil && fmt.Sprint(pending) != fmt.Sprint(tc.wantPending) {
 				t.Fatalf("Pending() after each Push = %v, want %v", pending, tc.wantPending)
 			}
@@ -464,7 +487,7 @@ func TestEpochStreamClockWrap(t *testing.T) {
 	if !wrapped {
 		t.Fatal("fixture never crossed the 16-bit boundary; the test proves nothing")
 	}
-	checkStream(t, l.Entries(), 4, nil)
+	checkStream(t, l.Entries(), 4, nil, nil)
 }
 
 // TestEpochStreamErrors: the incremental verdicts match the oracle's for the
@@ -493,7 +516,7 @@ func TestEpochStreamErrors(t *testing.T) {
 			if _, err := scheduleOracle(l, 4); err == nil {
 				t.Fatal("the oracle accepted the broken log")
 			}
-			checkStream(t, l.Entries(), 4, nil)
+			checkStream(t, l.Entries(), 4, nil, nil)
 			s := NewEpochStream(4)
 			var first error
 			for _, e := range l.Entries() {

@@ -49,7 +49,9 @@ const maxFuzzEntries = 4096
 // 16-bit wrap). Each following 4-byte group [sel, d1, d2, instr] is one
 // entry. sel's top bit calls Flush before the entry; sel&0x7f names the
 // thread modulo the thread count, except 0x7f, which names the first thread
-// the session does not have. d1>>6 picks how the thread's clock advances:
+// the session does not have. instr's top bit holds the entry (Append without
+// a release; see checkStream), and instr&0x7f is its instruction count. d1>>6
+// picks how the thread's clock advances:
 //
 //	0: by d2%8 — small steps, zero deltas included
 //	1: by (d1&0x3f)<<8 | d2 — up to 16383
@@ -87,6 +89,23 @@ func FuzzEpochStream(f *testing.F) {
 		many = append(many, group(byte(i%64), 0, byte(i*7), byte(i)))
 	}
 	f.Add(seed(64, 0xFF, many...))
+	// Bursts: each thread speaks in runs of one to four entries, most of them
+	// held, so one release merges many runs.
+	for _, threads := range []byte{16, 64} {
+		var bursts [][]byte
+		for round := 0; round < 4; round++ {
+			for th := byte(0); th < threads; th++ {
+				for k := 0; k < 1+(round+int(th))%4; k++ {
+					hold := byte(0)
+					if (round+k+int(th))%5 != 0 {
+						hold = 0x80
+					}
+					bursts = append(bursts, group(th, 0, byte(round+k), hold|byte(k+1)))
+				}
+			}
+		}
+		f.Add(seed(threads, 0xFF, bursts...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -99,6 +118,7 @@ func FuzzEpochStream(f *testing.F) {
 		}
 		var entries []Entry
 		var flushes []int
+		var held []bool
 		for rest := data[2:min(len(data), 2+4*maxFuzzEntries)]; len(rest) >= 4; rest = rest[4:] {
 			sel, d1, d2, instr := rest[0], rest[1], rest[2], rest[3]
 			if sel&0x80 != 0 {
@@ -120,8 +140,9 @@ func FuzzEpochStream(f *testing.F) {
 				step = uint16(d1)<<8 | uint16(d2)
 			}
 			clocks[th] += step
-			entries = append(entries, Entry{Clock: clock.Scalar(clocks[th]), Thread: uint16(th), Instr: uint32(instr)})
+			entries = append(entries, Entry{Clock: clock.Scalar(clocks[th]), Thread: uint16(th), Instr: uint32(instr & 0x7f)})
+			held = append(held, instr&0x80 != 0)
 		}
-		checkStream(t, entries, threads, flushes)
+		checkStream(t, entries, threads, flushes, held)
 	})
 }

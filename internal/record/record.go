@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"cord/internal/clock"
 )
@@ -180,15 +179,14 @@ type Epoch struct {
 // always lie within the sliding window, so the per-thread deltas are
 // unambiguous), sorted by logical time with ties broken by log position. It
 // wraps EpochStream the way DecodeFrom wraps StreamDecoder: every entry is
-// pushed, each release appended, and Flush's remainder appended last.
+// appended, then one Flush merges the whole log.
 func (l *Log) Schedule(numThreads int) ([]Epoch, error) {
 	s := NewEpochStream(numThreads)
-	epochs := make([]Epoch, 0, len(l.entries))
+	s.reserve(l.entries)
 	for _, e := range l.entries {
-		var err error
-		if epochs, err = s.push(epochs, e); err != nil {
+		if err := s.Append(e); err != nil {
 			return nil, err
 		}
 	}
-	return s.release(epochs, math.MaxUint64), nil
+	return s.Flush(), nil // the stream is dropped: its buffer is the caller's
 }
