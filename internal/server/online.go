@@ -213,7 +213,8 @@ type onlineSession struct {
 
 	ing      *streamIngest
 	es       *record.EpochStream
-	released uint64 // epochs released from the stream (duty=0 accounting)
+	rel      []record.Epoch // reused release buffer
+	released uint64         // epochs released from the stream (duty=0 accounting)
 
 	gate   *dutyGate
 	feed   *sim.ReplayFeed
@@ -266,23 +267,30 @@ func startOnline(opts streamOptions, ing *streamIngest) *onlineSession {
 }
 
 // ingest is the decoder's emit target in online mode: the quota check, the
-// entry's release through the epoch stream into the replay feed, and the
-// shard fold at the time the epoch stream unwrapped — each entry is
-// unwrapped once.
+// entry's append to the epoch stream, and the shard fold at the time the
+// epoch stream unwrapped — each entry is unwrapped once.
 func (o *onlineSession) ingest(e record.Entry) error {
 	if err := o.ing.admit(); err != nil {
 		return err
 	}
-	rel, err := o.es.Push(e)
-	if err != nil {
+	if err := o.es.Append(e); err != nil {
 		return err
 	}
 	o.ing.fold(e, o.es.Time(int(e.Thread)))
-	o.released += uint64(len(rel))
-	if o.feed != nil {
-		o.feed.Append(rel...)
-	}
 	return nil
+}
+
+// release hands the epochs a decoded chunk made final to the replay feed in
+// one Append (at duty=0 it only counts them). The stream handler calls it
+// once per chunk. Releasing per chunk instead of per entry changes no
+// counter a progress frame reports: at a chunk boundary the watermark is the
+// same either way, so the released set is the same.
+func (o *onlineSession) release() {
+	o.rel = o.es.Release(o.rel[:0])
+	o.released += uint64(len(o.rel))
+	if o.feed != nil {
+		o.feed.Append(o.rel...)
+	}
 }
 
 // finish closes the feed after a complete stream and waits for the replay

@@ -448,8 +448,11 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 			if err := dec.Feed(buf[:n], sink); err != nil {
 				return fail(streamIngestFailure(err))
 			}
-			// Hash after Feed: in online mode the chunk's epochs are
-			// already with the replay engine while the hash runs.
+			// Release before the hash: in online mode the chunk's epochs
+			// are then with the replay engine while the hash runs.
+			if online != nil {
+				online.release()
+			}
 			ing.hash.Write(buf[:n])
 			if online != nil {
 				fw.progress(online, ing, bytesIn, n)
