@@ -125,8 +125,8 @@ fleet:
 
 # End-to-end distributed-campaign smoke (PROTOCOL.md §6): three workers,
 # one-run shards, kill -9 one worker mid-campaign; the coordinator must
-# exit 0 with artifacts byte-identical to a single-process run and to the
-# committed golden baseline. CI runs this.
+# drop it, requeue its shards, and exit 0 with artifacts byte-identical to a
+# single-process run and to the committed golden baseline. CI runs this.
 fleet-smoke:
 	sh scripts/fleet-smoke.sh
 

@@ -118,6 +118,23 @@ func registerWorker(t *testing.T, client *http.Client, registry, worker string) 
 	}
 }
 
+// requireJournalComplete fails the test unless every cell of the dispatched
+// campaign is in its journal.
+func requireJournalComplete(t *testing.T, opts experiment.Options) {
+	t.Helper()
+	meta := opts.Meta()
+	for appIdx := range meta.Apps {
+		if !opts.Checkpoint.Has(opts.DetectCountKey(appIdx)) {
+			t.Fatalf("app %d count cell missing from the journal", appIdx)
+		}
+		for i := 0; i < meta.Injections; i++ {
+			if !opts.Checkpoint.Has(opts.DetectInjectKey(appIdx, i)) {
+				t.Fatalf("app %d run %d missing from the journal", appIdx, i)
+			}
+		}
+	}
+}
+
 func TestParseWorkers(t *testing.T) {
 	urls, err := parseWorkers(" http://a:8080/ ,https://b")
 	if err != nil {
@@ -255,17 +272,7 @@ func TestFleetDispatchWorkerDeathReshards(t *testing.T) {
 	}
 
 	// The journal must still cover the whole campaign.
-	meta := dopts.Meta()
-	for appIdx := range meta.Apps {
-		if !jl.Has(dopts.DetectCountKey(appIdx)) {
-			t.Fatalf("app %d count cell missing after re-shard", appIdx)
-		}
-		for i := 0; i < meta.Injections; i++ {
-			if !jl.Has(dopts.DetectInjectKey(appIdx, i)) {
-				t.Fatalf("app %d run %d missing after re-shard", appIdx, i)
-			}
-		}
-	}
+	requireJournalComplete(t, dopts)
 	// The rescue is visible on the wire: the survivor executed shards that
 	// declared origin=requeue, which its /metrics fleet block counts.
 	if got := healthySrv.Metrics().Fleet.ShardsRequeued; got == 0 {
@@ -394,31 +401,164 @@ func TestFleetDispatchResumeSkipsJournaledShards(t *testing.T) {
 }
 
 // TestFleetDispatchStealsFromSlowWorker pairs a fast worker with one that
-// grinds through every shard slowly: the fast worker must drain its own
-// queue and then steal from the slow one's backlog, and the stolen shards
-// are wire-visible on the fast worker's /metrics fleet block.
+// holds its first shard until the fast worker has run every other injection
+// run: whatever placement queued behind the held shard must be stolen, so
+// the slow worker strands nothing but the shard it is executing.
+//
+// Both holds are events, not delays. The fast worker keeps its first
+// response until the slow worker has received a shard request (from its own
+// queue, or stolen from the fast one's), so the slow worker is always in the
+// campaign; the slow worker then keeps its response until the fast worker's
+// handler has answered every run outside that shard. Runs, not requests, are
+// counted, because the scheduler may coalesce neighbouring shards.
 func TestFleetDispatchStealsFromSlowWorker(t *testing.T) {
 	opts := fleetTestOptions(t)
-	opts.Injections = 6 // 12 single-run shards across the two apps
-	fast, fastSrv := newMeteredWorker(t)
-	slow := newSlowWorker(t, 40*time.Millisecond)
+	total := int64(len(opts.Apps) * opts.Injections)
+
+	const hold = 30 * time.Second
+	deadline, cancel := context.WithTimeout(context.Background(), hold)
+	defer cancel()
+	var stalled atomic.Bool
+	wait := func(ch <-chan struct{}) {
+		select {
+		case <-ch:
+		case <-deadline.Done():
+			stalled.Store(true)
+		}
+	}
+	// shardRuns reads a shard request's run count and restores its body.
+	shardRuns := func(r *http.Request) int64 {
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var req server.CampaignShardRequest
+		_ = json.Unmarshal(body, &req)
+		var runs int64
+		for _, rg := range req.Ranges {
+			runs += int64(rg.Hi - rg.Lo)
+		}
+		return runs
+	}
+
+	slowGot := make(chan struct{})
+	fastDone := make(chan struct{})
+	var slowShards, slowRuns, fastRuns atomic.Int64
+	slowBackend := server.New(server.Config{Workers: 2})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/campaign/shard") {
+			if slowShards.Add(1) == 1 {
+				slowRuns.Store(shardRuns(r))
+				close(slowGot)
+			}
+			wait(fastDone)
+		}
+		slowBackend.ServeHTTP(w, r)
+	}))
+	t.Cleanup(slow.Close)
+	fastBackend := server.New(server.Config{Workers: 2})
+	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/campaign/shard") {
+			fastBackend.ServeHTTP(w, r)
+			return
+		}
+		wait(slowGot)
+		runs := shardRuns(r)
+		fastBackend.ServeHTTP(w, r)
+		if fastRuns.Add(runs)+slowRuns.Load() == total {
+			close(fastDone)
+		}
+	}))
+	t.Cleanup(fast.Close)
 
 	dopts := opts
 	dopts.Checkpoint = openTestJournal(t)
-	if err := testDispatch(dopts, []string{fast.URL, slow.URL}, 1, fast.Client()); err != nil {
+	err := testDispatch(dopts, []string{fast.URL, slow.URL}, 1, fast.Client())
+	if stalled.Load() {
+		t.Fatalf("TestFleetDispatchStealsFromSlowWorker: a hold was released by the %v deadline (slow worker got %d shards, fast worker answered %d of %d runs)",
+			hold, slowShards.Load(), fastRuns.Load(), total-slowRuns.Load())
+	}
+	if err != nil {
 		t.Fatalf("fleetDispatch with a slow worker: %v", err)
 	}
-	if got := fastSrv.Metrics().Fleet.ShardsStolen; got == 0 {
-		t.Fatal("fast worker executed no origin=steal shards (fleet.shards_stolen = 0)")
+	if got, want := fastRuns.Load(), total-slowRuns.Load(); got != want {
+		t.Fatalf("fast worker ran %d runs, want %d", got, want)
 	}
-	// Stealing must not cost coverage: the whole campaign is journaled.
-	meta := dopts.Meta()
-	for appIdx := range meta.Apps {
-		for i := 0; i < meta.Injections; i++ {
-			if !dopts.Checkpoint.Has(dopts.DetectInjectKey(appIdx, i)) {
-				t.Fatalf("app %d run %d missing after stealing", appIdx, i)
+	if got := slowShards.Load(); got != 1 {
+		t.Fatalf("slow worker got %d shard requests, want 1", got)
+	}
+	requireJournalComplete(t, dopts)
+}
+
+// TestFleetDispatchRegistryFleetLossJoinerFinishes loses the whole fleet in
+// registry mode: the only worker fails every shard and dies, its in-flight
+// shard and backlog park as orphans with no live worker to take them, and a
+// worker that registers within JoinGrace takes them over and finishes the
+// campaign.
+//
+// The joiner registers only after the death is certain: the membership poll
+// re-probes a listed worker only once the pool has declared it dead, so the
+// dying worker's second plan request is that signal.
+func TestFleetDispatchRegistryFleetLossJoinerFinishes(t *testing.T) {
+	registry := newWorker(t)
+	joiner, joinerSrv := newMeteredWorker(t)
+
+	var plans atomic.Int64
+	dead := make(chan struct{})
+	backend := server.New(server.Config{Workers: 2})
+	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/campaign/plan") {
+			switch plans.Add(1) {
+			case 1:
+				backend.ServeHTTP(w, r)
+				return
+			case 2:
+				close(dead)
 			}
 		}
+		http.Error(w, "worker lost", http.StatusInternalServerError)
+	}))
+	t.Cleanup(dying.Close)
+	registerWorker(t, registry.Client(), registry.URL, dying.URL)
+
+	// The joiner registers from a goroutine (a raw POST: t.Fatal is not
+	// allowed off the test goroutine — if it fails, the dispatch reports the
+	// grace expiry).
+	const hold = 30 * time.Second
+	deadline, cancel := context.WithTimeout(context.Background(), hold)
+	defer cancel()
+	var stalled atomic.Bool
+	go func() {
+		select {
+		case <-dead:
+		case <-deadline.Done():
+			stalled.Store(true)
+			return
+		}
+		body, _ := json.Marshal(server.FleetRegisterRequest{URL: joiner.URL, TTLSeconds: 300})
+		resp, err := http.Post(registry.URL+"/v1/fleet/register", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+
+	opts := fleetTestOptions(t)
+	opts.Checkpoint = openTestJournal(t)
+	err := fleetDispatch(opts, fleetConfig{
+		Registry:     registry.URL,
+		ShardRuns:    1,
+		Client:       registry.Client(),
+		Policy:       testPolicy,
+		PollInterval: 10 * time.Millisecond,
+		JoinGrace:    hold,
+	})
+	if stalled.Load() {
+		t.Fatalf("TestFleetDispatchRegistryFleetLossJoinerFinishes: the dying worker was not re-probed within %v", hold)
+	}
+	if err != nil {
+		t.Fatalf("registry dispatch after losing the fleet: %v", err)
+	}
+	requireJournalComplete(t, opts)
+	if got := joinerSrv.Metrics().Fleet.ShardsRequeued; got == 0 {
+		t.Fatal("joiner executed no origin=requeue shards (fleet.shards_requeued = 0)")
 	}
 }
 
@@ -469,14 +609,7 @@ func TestFleetDispatchRegistryLateJoiner(t *testing.T) {
 	if joinerShards.Load() == 0 {
 		t.Fatal("late joiner executed no shards; membership polling never picked it up")
 	}
-	meta := dopts.Meta()
-	for appIdx := range meta.Apps {
-		for i := 0; i < meta.Injections; i++ {
-			if !dopts.Checkpoint.Has(dopts.DetectInjectKey(appIdx, i)) {
-				t.Fatalf("app %d run %d missing after late join", appIdx, i)
-			}
-		}
-	}
+	requireJournalComplete(t, dopts)
 }
 
 // TestFleetDispatchRegistryGraceExpires: in registry mode losing every

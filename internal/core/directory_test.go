@@ -3,9 +3,7 @@ package core
 import (
 	"testing"
 
-	"cord/internal/cache"
 	"cord/internal/directory"
-	"cord/internal/machine"
 	"cord/internal/memsys"
 	"cord/internal/sim"
 	"cord/internal/trace"
@@ -130,9 +128,9 @@ func TestDirectoryScalesBetterThanBroadcast(t *testing.T) {
 	t.Logf("16 procs: %.2f forwards/request vs %d snoops/broadcast", avg, procs-1)
 }
 
-// TestDirectoryTimingEndToEnd: the full extension stack — CORD over a
-// directory, priced by the hop-based directory machine — runs a workload
-// with sane costs.
+// TestDirectoryTimingEndToEnd: CORD over a directory, as the primary
+// detector of a timed run on 8 processors, runs race-free fft to completion
+// with directory traffic and no reported races.
 func TestDirectoryTimingEndToEnd(t *testing.T) {
 	const procs = 8
 	app, err := workload.ByName("fft")
@@ -141,18 +139,8 @@ func TestDirectoryTimingEndToEnd(t *testing.T) {
 	}
 	dir := directory.New(procs)
 	det := New(Config{Threads: procs, Procs: procs, D: 16, Record: true, Directory: dir})
-	mach := machine.NewDirMachine(machine.DirConfig{
-		Procs:            procs,
-		Hierarchy:        cache.DefaultHierarchy(),
-		HopCycles:        12,
-		HomeLookupCycles: 10,
-		MemoryCycles:     600,
-		L1HitCycles:      1,
-		L2HitCycles:      10,
-	})
 	res, err := sim.New(sim.Config{
 		Seed: 1, Jitter: 2, Procs: procs,
-		Cost:      mach,
 		Observers: []trace.Observer{det},
 		Primary:   det,
 	}, app.Build(1, procs)).Run()
@@ -162,8 +150,8 @@ func TestDirectoryTimingEndToEnd(t *testing.T) {
 	if res.Hung || res.Cycles == 0 {
 		t.Fatalf("bad run %+v", res)
 	}
-	if mach.Stats().Directory.Requests == 0 {
-		t.Fatal("machine directory carried no traffic")
+	if dir.Stats().Requests == 0 {
+		t.Fatal("directory carried no traffic")
 	}
 	if det.RaceCount() != 0 {
 		t.Fatalf("race-free fft reported %d races", det.RaceCount())

@@ -116,11 +116,6 @@ func (d *Directory) RemoveSharer(l memsys.Line, proc int) {
 	}
 }
 
-// SetExclusive records that proc is the only holder (after a write).
-func (d *Directory) SetExclusive(l memsys.Line, proc int) {
-	d.entryFor(l).sharers = 1 << proc
-}
-
 // Holds reports whether the directory believes proc shares the line.
 func (d *Directory) Holds(l memsys.Line, proc int) bool {
 	e := d.lines[l]

@@ -15,12 +15,8 @@ func TestSharerTracking(t *testing.T) {
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("sharers = %v", got)
 	}
-	d.SetExclusive(l, 3)
-	got = d.Sharers(l, 1, nil)
-	if len(got) != 1 || got[0] != 3 {
-		t.Fatalf("after exclusive: %v", got)
-	}
-	d.RemoveSharer(l, 3)
+	d.RemoveSharer(l, 0)
+	d.RemoveSharer(l, 2)
 	if d.Lines() != 0 {
 		t.Fatal("empty line not reclaimed")
 	}
