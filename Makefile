@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-json bench-smoke figures json-figures diff-figures table1-determinism serve loadtest smoke-service stream-smoke stream-perf resume-smoke fleet fleet-smoke fleet-chaos-smoke fuzz-smoke clean
+.PHONY: check fmt vet build test race bench bench-json bench-smoke figures json-figures diff-figures table1-determinism serve loadtest smoke-service stream-smoke resume-smoke fleet fleet-smoke fleet-chaos-smoke fuzz-smoke clean
 
 check: fmt vet build test
 
@@ -25,11 +25,11 @@ test:
 # The concurrent subsystems — the campaign runner's goroutine fan-out, the
 # service's worker pool and stream sessions, the incremental decoder they
 # share, the engine whose observers and callbacks run on its threads'
-# coroutines, FastTrack's sharded concurrent ingest, and the fleet
-# coordinator's registry/work-stealing scheduler — must stay race-clean.
+# coroutines, the fleet coordinator's registry/work-stealing scheduler, and
+# cordload's concurrent stage clients — must stay race-clean.
 # Requires cgo (CGO_ENABLED=1) on most platforms.
 race:
-	$(GO) test -race ./internal/experiment/... ./internal/server/... ./internal/record/... ./internal/sim/... ./internal/baseline/... ./cmd/cordbench/
+	$(GO) test -race ./internal/experiment/... ./internal/server/... ./internal/record/... ./internal/sim/... ./internal/baseline/... ./cmd/cordbench/ ./cmd/cordload/
 
 # Campaign scaling benchmark: compare procs=1 vs procs=4 lines.
 bench:
@@ -103,12 +103,6 @@ smoke-service:
 # fastest signal when iterating on the /v1/stream path.
 stream-smoke:
 	sh scripts/service-smoke.sh stream
-
-# Measure sustained streaming ingest throughput (cordload -stream against a
-# scratch cordd) and merge the records/sec into bench/BENCH_perf.json — see
-# EXPERIMENTS.md, "Sustained-throughput streaming".
-stream-perf:
-	sh scripts/stream-perf.sh
 
 # End-to-end crash-recovery smoke: kill -9 a live checkpointed campaign,
 # resume it, assert byte-identical artifacts; SIGTERM drain; 20% transient

@@ -86,7 +86,7 @@ func parseApps(spec string) ([]workload.App, error) {
 // produce empty workloads, and negative worker counts read as "default" far
 // downstream — all of which used to surface as confusing campaign output
 // instead of a usage error.
-func validateFlags(injections, scale, ovScale, procs, dirProcs, ftShards int) error {
+func validateFlags(injections, scale, ovScale, procs, dirProcs int) error {
 	if injections <= 0 {
 		return fmt.Errorf("-injections must be at least 1, got %d", injections)
 	}
@@ -101,9 +101,6 @@ func validateFlags(injections, scale, ovScale, procs, dirProcs, ftShards int) er
 	}
 	if dirProcs < 2 {
 		return fmt.Errorf("-directory-procs must be at least 2, got %d", dirProcs)
-	}
-	if ftShards < 1 {
-		return fmt.Errorf("-ft-shards must be at least 1, got %d", ftShards)
 	}
 	return nil
 }
@@ -129,7 +126,6 @@ func run() int {
 		ovScale    = flag.Int("overhead-scale", 4, "workload scale for Fig 11")
 		seed       = flag.Uint64("seed", 0xC0DD, "campaign base seed")
 		procs      = flag.Int("procs", 0, "host worker goroutines for campaign runs (0 = all CPUs); does not affect results")
-		ftShards   = flag.Int("ft-shards", 1, "FastTrack baseline shadow-memory shards; does not affect results")
 		quiet      = flag.Bool("q", false, "suppress progress lines")
 		jsonDir    = flag.String("json", "", "also write one BENCH_<id>.json artifact per selected figure/table into this directory")
 		diffDir    = flag.String("diff", "", "diff the fresh run against BENCH_<id>.json baselines in this directory (exit 1 on differences)")
@@ -147,7 +143,7 @@ func run() int {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*injections, *scale, *ovScale, *procs, *dirProcs, *ftShards); err != nil {
+	if err := validateFlags(*injections, *scale, *ovScale, *procs, *dirProcs); err != nil {
 		fmt.Fprintf(os.Stderr, "cordbench: %v\n", err)
 		flag.Usage()
 		return 2
@@ -233,7 +229,7 @@ func run() int {
 		}()
 	}
 
-	opts := experiment.Options{Scale: *scale, Injections: *injections, BaseSeed: *seed, Procs: *procs, FTShards: *ftShards, Apps: apps}
+	opts := experiment.Options{Scale: *scale, Injections: *injections, BaseSeed: *seed, Procs: *procs, Apps: apps}
 	if !*quiet {
 		opts.Progress = os.Stderr
 	}

@@ -24,33 +24,30 @@ func TestParseApps(t *testing.T) {
 // front with a usage error instead of producing empty figures or confusing
 // downstream failures.
 func TestValidateFlags(t *testing.T) {
-	ok := func(injections, scale, ovScale, procs, dirProcs, ftShards int) {
+	ok := func(injections, scale, ovScale, procs, dirProcs int) {
 		t.Helper()
-		if err := validateFlags(injections, scale, ovScale, procs, dirProcs, ftShards); err != nil {
-			t.Errorf("validateFlags(%d,%d,%d,%d,%d,%d) = %v, want nil",
-				injections, scale, ovScale, procs, dirProcs, ftShards, err)
+		if err := validateFlags(injections, scale, ovScale, procs, dirProcs); err != nil {
+			t.Errorf("validateFlags(%d,%d,%d,%d,%d) = %v, want nil",
+				injections, scale, ovScale, procs, dirProcs, err)
 		}
 	}
-	bad := func(injections, scale, ovScale, procs, dirProcs, ftShards int) {
+	bad := func(injections, scale, ovScale, procs, dirProcs int) {
 		t.Helper()
-		if err := validateFlags(injections, scale, ovScale, procs, dirProcs, ftShards); err == nil {
-			t.Errorf("validateFlags(%d,%d,%d,%d,%d,%d) accepted degenerate flags",
-				injections, scale, ovScale, procs, dirProcs, ftShards)
+		if err := validateFlags(injections, scale, ovScale, procs, dirProcs); err == nil {
+			t.Errorf("validateFlags(%d,%d,%d,%d,%d) accepted degenerate flags",
+				injections, scale, ovScale, procs, dirProcs)
 		}
 	}
 
-	ok(40, 1, 4, 0, 16, 1)  // the defaults
-	ok(1, 1, 1, 8, 2, 1)    // minimal legal values
-	ok(40, 1, 4, 0, 16, 64) // sharded FastTrack shadow memory
+	ok(40, 1, 4, 0, 16) // the defaults
+	ok(1, 1, 1, 8, 2)   // minimal legal values
 
-	bad(0, 1, 4, 0, 16, 1)  // -injections 0: empty detection campaign
-	bad(-5, 1, 4, 0, 16, 1) // negative injections
-	bad(40, 0, 4, 0, 16, 1) // -scale 0: empty workloads
-	bad(40, -1, 4, 0, 16, 1)
-	bad(40, 1, 0, 0, 16, 1)  // -overhead-scale 0
-	bad(40, 1, 4, -1, 16, 1) // negative host worker count
-	bad(40, 1, 4, 0, 1, 1)   // single-processor directory machine
-	bad(40, 1, 4, 0, 0, 1)
-	bad(40, 1, 4, 0, 16, 0) // -ft-shards 0: no shadow memory at all
-	bad(40, 1, 4, 0, 16, -4)
+	bad(0, 1, 4, 0, 16)  // -injections 0: empty detection campaign
+	bad(-5, 1, 4, 0, 16) // negative injections
+	bad(40, 0, 4, 0, 16) // -scale 0: empty workloads
+	bad(40, -1, 4, 0, 16)
+	bad(40, 1, 0, 0, 16)  // -overhead-scale 0
+	bad(40, 1, 4, -1, 16) // negative host worker count
+	bad(40, 1, 4, 0, 1)   // single-processor directory machine
+	bad(40, 1, 4, 0, 0)
 }

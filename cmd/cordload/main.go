@@ -9,30 +9,28 @@
 //
 //	cordd -addr :8080 &
 //	cordload -addr http://127.0.0.1:8080 -sweep 1,2,4,8 -n 32 -app fft
-//	cordload -addr http://127.0.0.1:8080 -stream -sweep 1,2,4 -n 8 \
-//	    -frames 200000 -perf-out bench/BENCH_perf.json
+//	cordload -addr http://127.0.0.1:8080 -stream -sweep 1,2,4 -n 8 -frames 200000
 //
 // Each stage issues -n detect sessions (seeds base, base+1, ...) from the
 // stage's client count and prints wall-clock, requests/s and latency
 // quantiles. A 429 is backpressure, not failure: the client honors the
 // server's Retry-After hint (capped at -retry-cap) and retries the session
 // up to -retries attempts, counting retries separately so pushback stays
-// visible in the summary. The final section echoes the server's /metrics
-// session counters.
+// visible in the summary. Any other failure is a hard error, and a sweep
+// with hard errors in any stage exits 1. The final section echoes the
+// server's /metrics session counters.
 //
 // With -stream, the sweep drives POST /v1/stream instead: every session
 // uploads a synthetic order log of -frames wire-format entries in chunked
 // pieces (verify=0, so the measurement is pure ingest, not detection
-// re-execution) and each stage reports sustained records/sec. -perf-out
-// merges the best stage into a BENCH_perf.json perf-trajectory artifact as
-// its "streaming" slice, preserving any benchmark rows already recorded.
+// re-execution) and each stage reports sustained records/sec.
 //
 // With -stream -duty "0,50,100", the sweep instead measures online race
 // detection (PROTOCOL.md §4.7): a real order log is recorded in-process
 // (the synthetic stream corresponds to no actual run, so the online replay
 // would just diverge), then streamed with detect=online at each duty point.
 // The duty=0 row is the ingest baseline; duty=100 prices full mid-stream
-// detection. -perf-out records the sweep as the "streaming-online" slice.
+// detection.
 //
 // With -progress http://coordinator:9090, cordload instead follows a running
 // distributed campaign: it polls the coordinator's GET /v1/campaign/progress
@@ -46,14 +44,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
+	"math"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -62,7 +59,6 @@ import (
 	"time"
 
 	"cord/internal/httpretry"
-	"cord/internal/perf"
 	"cord/internal/replay"
 	"cord/internal/workload"
 )
@@ -78,21 +74,24 @@ type detectRequest struct {
 	D       int    `json:"d,omitempty"`
 }
 
-// parseSweep parses a comma-separated list of client counts.
-func parseSweep(s string) ([]int, error) {
+// parseList parses the comma-separated integer list of flag -name, each
+// entry in [lo, hi].
+func parseList(name, s string, lo, hi int) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("-sweep must name at least one client count")
+		return nil, fmt.Errorf("-%s must name at least one value", name)
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("-sweep entry %q: %v", part, err)
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("-%s entry %q: %v", name, part, err)
+		case v < lo:
+			return nil, fmt.Errorf("-%s entry %d: below the minimum %d", name, v, lo)
+		case v > hi:
+			return nil, fmt.Errorf("-%s entry %d: above the maximum %d", name, v, hi)
 		}
-		if n < 1 {
-			return nil, fmt.Errorf("-sweep entry %d: client counts must be at least 1", n)
-		}
-		out = append(out, n)
+		out = append(out, v)
 	}
 	return out, nil
 }
@@ -125,7 +124,6 @@ func validateFlags(n, scale, threads, d, retries int, retryCap time.Duration) er
 }
 
 type stageResult struct {
-	clients   int
 	ok        int
 	retries   int // 429 responses that were retried after Retry-After
 	errors    int
@@ -162,7 +160,6 @@ func run() int {
 		frames   = flag.Int("frames", 200000, "order-record frames per stream session (with -stream)")
 		chunk    = flag.Int("chunk", 64<<10, "upload chunk size in bytes (with -stream)")
 		duty     = flag.String("duty", "", "comma-separated duty percentages: sweep detect=online at each (with -stream)")
-		perfOut  = flag.String("perf-out", "", "merge the best -stream stage into this BENCH_perf.json")
 
 		progressURL = flag.String("progress", "", "poll this coordinator's GET /v1/campaign/progress until the campaign completes (PROTOCOL.md §7)")
 		progressInt = flag.Duration("progress-interval", time.Second, "poll cadence for -progress")
@@ -188,7 +185,11 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	stages, err := parseSweep(*sweep)
+	stages, err := parseList("sweep", *sweep, 1, math.MaxInt)
+	var duties []int
+	if err == nil && *stream && *duty != "" {
+		duties, err = parseList("duty", *duty, 0, 100)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cordload: %v\n", err)
 		flag.Usage()
@@ -204,56 +205,105 @@ func run() int {
 	// Jittered per session key, so a stage's worth of throttled clients does
 	// not re-dogpile the server on the same fallback schedule.
 	policy := httpretry.Policy{Attempts: *retries, Fallback: 250 * time.Millisecond, Cap: *retryCap, Jitter: 0.5}
-	if *stream {
-		p := streamParams{
-			app: *app, seed: *seed, scale: *scale, threads: *threads, frames: *frames, chunk: *chunk,
+	var t sweepTable
+	switch {
+	case !*stream:
+		t = sweepTable{clients: "clients", rate: "req/s", unit: 1, prec: 1, series: []series{{
+			post: detectPost(client, *addr, detectRequest{App: *app, Seed: *seed, Scale: *scale, Threads: *threads, D: *d}),
+		}}}
+	case duties == nil:
+		body := syntheticStream(*frames, *threads)
+		fmt.Printf("streaming %d sessions/stage, %d frames (%d bytes) each, chunk %d\n",
+			*n, *frames, len(body), *chunk)
+		url := fmt.Sprintf("%s/v1/stream?app=%s&seed=%d&threads=%d&verify=0", *addr, *app, *seed, *threads)
+		t = sweepTable{clients: "streams", rate: "records/s", unit: float64(*frames),
+			series: []series{{post: streamPost(client, url, body, *chunk)}}}
+	default:
+		// Online replay needs a log that corresponds to an actual run; the
+		// synthetic stream does not.
+		body, recorded, err := recordedStream(*app, *seed, *scale, *threads)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cordload: %v\n", err)
+			return 1
 		}
-		if *duty != "" {
-			duties, err := parseDuties(*duty)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cordload: %v\n", err)
-				flag.Usage()
-				return 2
-			}
-			return runOnlineSweep(client, *addr, stages, *n, policy, p, duties, *perfOut)
+		fmt.Printf("online sweep: %d sessions/stage, recorded fixture %d frames (%d bytes), chunk %d, duties %v\n",
+			*n, recorded, len(body), *chunk, duties)
+		t = sweepTable{group: "duty", clients: "streams", rate: "records/s", unit: float64(recorded)}
+		for _, duty := range duties {
+			url := fmt.Sprintf("%s/v1/stream?app=%s&seed=%d&scale=%d&threads=%d&verify=0&detect=online&duty=%d",
+				*addr, *app, *seed, *scale, *threads, duty)
+			t.series = append(t.series, series{label: strconv.Itoa(duty), post: streamPost(client, url, body, *chunk)})
 		}
-		return runStreamSweep(client, *addr, stages, *n, policy, p, *perfOut)
 	}
+	return runSweep(client, *addr, stages, *n, policy, t)
+}
+
+// sweepTable is one sweep's sessions and the shape of its output table.
+type sweepTable struct {
+	group   string  // leading column naming each series ("duty"); empty for one series
+	clients string  // header of the client-count column
+	rate    string  // header of the throughput column
+	unit    float64 // work units per successful session: 1 request, or a stream's frames
+	prec    int     // decimals of the throughput column
+	series  []series
+}
+
+// series is one group of stages: its value in the group column and the
+// POST that issues session i.
+type series struct {
+	label string
+	post  func(i int64) (*http.Response, error)
+}
+
+// runSweep runs one stage per client count for each series, prints a row
+// per stage, then echoes the server's /metrics. Any stage with hard errors
+// makes the sweep exit 1, as does a failed /metrics fetch.
+func runSweep(client *http.Client, addr string, stages []int, n int, policy httpretry.Policy, t sweepTable) int {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "clients\tok\tretries\terrors\twall\treq/s\tp50\tp95\tmax")
-	for _, c := range stages {
-		res := runStage(client, *addr, c, *n, policy, detectRequest{
-			App: *app, Seed: *seed, Scale: *scale, Threads: *threads, D: *d,
-		})
-		sort.Slice(res.latencies, func(i, j int) bool { return res.latencies[i] < res.latencies[j] })
-		rps := float64(res.ok) / res.wall.Seconds()
-		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.2fs\t%.1f\t%s\t%s\t%s\n",
-			res.clients, res.ok, res.retries, res.errors, res.wall.Seconds(), rps,
-			quantile(res.latencies, 0.50).Round(time.Millisecond),
-			quantile(res.latencies, 0.95).Round(time.Millisecond),
-			quantile(res.latencies, 1.00).Round(time.Millisecond))
-		w.Flush()
-		if res.errors > 0 {
-			fmt.Fprintf(os.Stderr, "cordload: stage %d finished with %d hard errors\n", c, res.errors)
+	head := t.clients + "\tok\tretries\terrors\twall\t" + t.rate + "\tp50\tp95\tmax"
+	if t.group != "" {
+		head = t.group + "\t" + head
+	}
+	fmt.Fprintln(w, head)
+	exit := 0
+	for _, s := range t.series {
+		col, where := "", ""
+		if t.group != "" {
+			col, where = s.label+"\t", t.group+" "+s.label+" "
+		}
+		for _, c := range stages {
+			res := runStage(addr, c, n, policy, s.post)
+			slices.Sort(res.latencies)
+			fmt.Fprintf(w, "%s%d\t%d\t%d\t%d\t%.2fs\t%.*f\t%s\t%s\t%s\n",
+				col, c, res.ok, res.retries, res.errors, res.wall.Seconds(),
+				t.prec, float64(res.ok)*t.unit/res.wall.Seconds(),
+				quantile(res.latencies, 0.50).Round(time.Millisecond),
+				quantile(res.latencies, 0.95).Round(time.Millisecond),
+				quantile(res.latencies, 1.00).Round(time.Millisecond))
+			w.Flush()
+			if res.errors > 0 {
+				fmt.Fprintf(os.Stderr, "cordload: %sstage %d finished with %d hard errors\n", where, c, res.errors)
+				exit = 1
+			}
 		}
 	}
 
-	metrics, err := fetch(client, *addr+"/metrics")
+	metrics, err := fetch(client, addr+"/metrics")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cordload: fetching /metrics: %v\n", err)
 		return 1
 	}
 	fmt.Println("\nserver /metrics after the sweep:")
 	os.Stdout.Write(metrics)
-	return 0
+	return exit
 }
 
-// runStage issues n detect sessions from c concurrent clients; request i
-// uses seed base+i so every session is distinct work. 429 responses retry
-// under the stage's policy; a session that stays throttled through every
-// attempt counts as one hard error.
-func runStage(client *http.Client, addr string, c, n int, policy httpretry.Policy, base detectRequest) stageResult {
-	res := stageResult{clients: c}
+// runStage issues sessions 0..n-1 through post from c concurrent clients.
+// 429 responses retry under the stage's policy, jittered per session; a
+// session that stays throttled through every attempt, or fails any other
+// way, counts as one hard error.
+func runStage(addr string, c, n int, policy httpretry.Policy, post func(i int64) (*http.Response, error)) stageResult {
+	var res stageResult
 	var next atomic.Int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -267,12 +317,9 @@ func runStage(client *http.Client, addr string, c, n int, policy httpretry.Polic
 				if i >= int64(n) {
 					return
 				}
-				req := base
-				req.Seed += uint64(i)
-				body, _ := json.Marshal(req)
 				for attempt := 1; ; attempt++ {
 					t0 := time.Now()
-					resp, err := client.Post(addr+"/v1/detect", "application/json", bytes.NewReader(body))
+					resp, err := post(i)
 					lat := time.Since(t0)
 					throttled := false
 					var sleep time.Duration
@@ -309,33 +356,23 @@ func runStage(client *http.Client, addr string, c, n int, policy httpretry.Polic
 	return res
 }
 
-// parseDuties parses the -duty list: distinct integers in [0, 100].
-func parseDuties(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("-duty entry %q: %v", part, err)
-		}
-		if n < 0 || n > 100 {
-			return nil, fmt.Errorf("-duty entry %d: duty percentages live in [0, 100]", n)
-		}
-		out = append(out, n)
+// detectPost posts detect session i: base with seed base.Seed+i, so every
+// session is distinct work.
+func detectPost(client *http.Client, addr string, base detectRequest) func(int64) (*http.Response, error) {
+	return func(i int64) (*http.Response, error) {
+		req := base
+		req.Seed += uint64(i)
+		body, _ := json.Marshal(req)
+		return client.Post(addr+"/v1/detect", "application/json", bytes.NewReader(body))
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-duty must name at least one percentage")
-	}
-	return out, nil
 }
 
-// streamParams configures one streaming-throughput sweep.
-type streamParams struct {
-	app     string
-	seed    uint64
-	scale   int
-	threads int
-	frames  int
-	chunk   int
+// streamPost uploads the same order-log body for every session, in reads of
+// at most chunk bytes.
+func streamPost(client *http.Client, url string, body []byte, chunk int) func(int64) (*http.Response, error) {
+	return func(int64) (*http.Response, error) {
+		return client.Post(url, "application/octet-stream", &chunkReader{r: bytes.NewReader(body), n: chunk})
+	}
 }
 
 // syntheticStream builds one wire-format order log (PROTOCOL.md §2) of the
@@ -373,135 +410,6 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-type streamStageResult struct {
-	streams   int
-	ok        int
-	retries   int
-	errors    int
-	wall      time.Duration
-	latencies []time.Duration
-}
-
-// runStreamSweep drives the sustained-throughput mode: each stage runs n
-// /v1/stream sessions from c concurrent clients and reports records/sec —
-// ingested frames per second of stage wall-clock. The best stage is merged
-// into the BENCH_perf.json artifact when -perf-out names one.
-func runStreamSweep(client *http.Client, addr string, stages []int, n int, policy httpretry.Policy, p streamParams, perfOut string) int {
-	body := syntheticStream(p.frames, p.threads)
-	fmt.Printf("streaming %d sessions/stage, %d frames (%d bytes) each, chunk %d\n",
-		n, p.frames, len(body), p.chunk)
-
-	query := fmt.Sprintf("/v1/stream?app=%s&seed=%d&threads=%d&verify=0", p.app, p.seed, p.threads)
-	var best *perf.StreamingPerf
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "streams\tok\tretries\terrors\twall\trecords/s\tp50\tp95\tmax")
-	exit := 0
-	for _, c := range stages {
-		res := runStreamStage(client, addr, query, c, n, policy, p, body)
-		sort.Slice(res.latencies, func(i, j int) bool { return res.latencies[i] < res.latencies[j] })
-		recs := float64(res.ok) * float64(p.frames) / res.wall.Seconds()
-		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.2fs\t%.0f\t%s\t%s\t%s\n",
-			res.streams, res.ok, res.retries, res.errors, res.wall.Seconds(), recs,
-			quantile(res.latencies, 0.50).Round(time.Millisecond),
-			quantile(res.latencies, 0.95).Round(time.Millisecond),
-			quantile(res.latencies, 1.00).Round(time.Millisecond))
-		w.Flush()
-		if res.errors > 0 {
-			fmt.Fprintf(os.Stderr, "cordload: stage %d finished with %d hard errors\n", c, res.errors)
-			exit = 1
-		}
-		if res.ok > 0 && (best == nil || recs > best.RecordsPerSec) {
-			best = &perf.StreamingPerf{
-				Streams:          c,
-				Sessions:         res.ok,
-				FramesPerSession: p.frames,
-				RecordsPerSec:    recs,
-				WallClockMs:      float64(res.wall) / float64(time.Millisecond),
-			}
-		}
-	}
-
-	metrics, err := fetch(client, addr+"/metrics")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cordload: fetching /metrics: %v\n", err)
-		return 1
-	}
-	fmt.Println("\nserver /metrics after the sweep:")
-	os.Stdout.Write(metrics)
-
-	if perfOut != "" {
-		if best == nil {
-			fmt.Fprintf(os.Stderr, "cordload: no successful stage; not touching %s\n", perfOut)
-			return 1
-		}
-		if err := mergeStreamingPerf(perfOut, best); err != nil {
-			fmt.Fprintf(os.Stderr, "cordload: %v\n", err)
-			return 1
-		}
-		fmt.Printf("\nrecorded %.0f records/sec (streams=%d) into %s\n",
-			best.RecordsPerSec, best.Streams, perfOut)
-	}
-	return exit
-}
-
-// runStreamStage uploads n copies of one stream body from c concurrent
-// clients against the given /v1/stream query. 429 pushback (all stream slots
-// busy) retries under the same policy the detect sweep uses.
-func runStreamStage(client *http.Client, addr, query string, c, n int, policy httpretry.Policy, p streamParams, body []byte) streamStageResult {
-	res := streamStageResult{streams: c}
-	var next atomic.Int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := time.Now()
-	for k := 0; k < c; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				for attempt := 1; ; attempt++ {
-					t0 := time.Now()
-					resp, err := client.Post(addr+query, "application/octet-stream",
-						&chunkReader{r: bytes.NewReader(body), n: p.chunk})
-					lat := time.Since(t0)
-					throttled := false
-					var sleep time.Duration
-					mu.Lock()
-					switch {
-					case err != nil:
-						res.errors++
-					case resp.StatusCode == http.StatusOK:
-						res.ok++
-						res.latencies = append(res.latencies, lat)
-					case resp.StatusCode == http.StatusTooManyRequests && attempt < policy.Attempts:
-						res.retries++
-						throttled = true
-						sleep = policy.RetryAfterKeyed(resp.Header.Get("Retry-After"),
-							fmt.Sprintf("%s|%d", addr, i), attempt)
-					default:
-						res.errors++
-					}
-					mu.Unlock()
-					if err == nil {
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-					}
-					if !throttled {
-						break
-					}
-					time.Sleep(sleep)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	res.wall = time.Since(start)
-	return res
-}
-
 // recordedStream records a real order log in-process (the engine with a
 // recording CORD detector, the exact configuration /v1/detect re-executes)
 // and returns its wire bytes plus the frame count. Online replay needs a log
@@ -523,107 +431,6 @@ func recordedStream(appName string, seed uint64, scale, threads int) ([]byte, in
 		return nil, 0, err
 	}
 	return buf.Bytes(), out.Log.Len(), nil
-}
-
-// runOnlineSweep measures detect=online throughput at each duty point: one
-// recorded fixture, streamed n times per stage per duty with the online
-// replay following along. Every duty's best stage lands in the report, so
-// the artifact shows how throughput scales with detection coverage.
-func runOnlineSweep(client *http.Client, addr string, stages []int, n int, policy httpretry.Policy, p streamParams, duties []int, perfOut string) int {
-	body, frames, err := recordedStream(p.app, p.seed, p.scale, p.threads)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cordload: %v\n", err)
-		return 1
-	}
-	fmt.Printf("online sweep: %d sessions/stage, recorded fixture %d frames (%d bytes), chunk %d, duties %v\n",
-		n, frames, len(body), p.chunk, duties)
-
-	var rows []perf.OnlineDutyPerf
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "duty\tstreams\tok\tretries\terrors\twall\trecords/s\tp50\tp95\tmax")
-	exit := 0
-	for _, duty := range duties {
-		query := fmt.Sprintf("/v1/stream?app=%s&seed=%d&scale=%d&threads=%d&verify=0&detect=online&duty=%d",
-			p.app, p.seed, p.scale, p.threads, duty)
-		var best *perf.OnlineDutyPerf
-		for _, c := range stages {
-			res := runStreamStage(client, addr, query, c, n, policy, p, body)
-			sort.Slice(res.latencies, func(i, j int) bool { return res.latencies[i] < res.latencies[j] })
-			recs := float64(res.ok) * float64(frames) / res.wall.Seconds()
-			fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%.2fs\t%.0f\t%s\t%s\t%s\n",
-				duty, res.streams, res.ok, res.retries, res.errors, res.wall.Seconds(), recs,
-				quantile(res.latencies, 0.50).Round(time.Millisecond),
-				quantile(res.latencies, 0.95).Round(time.Millisecond),
-				quantile(res.latencies, 1.00).Round(time.Millisecond))
-			w.Flush()
-			if res.errors > 0 {
-				fmt.Fprintf(os.Stderr, "cordload: duty %d stage %d finished with %d hard errors\n", duty, c, res.errors)
-				exit = 1
-			}
-			if res.ok > 0 && (best == nil || recs > best.RecordsPerSec) {
-				best = &perf.OnlineDutyPerf{
-					Duty:             duty,
-					Streams:          c,
-					Sessions:         res.ok,
-					FramesPerSession: frames,
-					RecordsPerSec:    recs,
-					WallClockMs:      float64(res.wall) / float64(time.Millisecond),
-				}
-			}
-		}
-		if best != nil {
-			rows = append(rows, *best)
-		}
-	}
-
-	metrics, err := fetch(client, addr+"/metrics")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cordload: fetching /metrics: %v\n", err)
-		return 1
-	}
-	fmt.Println("\nserver /metrics after the sweep:")
-	os.Stdout.Write(metrics)
-
-	if perfOut != "" {
-		if len(rows) != len(duties) {
-			fmt.Fprintf(os.Stderr, "cordload: only %d of %d duty points succeeded; not touching %s\n",
-				len(rows), len(duties), perfOut)
-			return 1
-		}
-		if err := mergeOnlinePerf(perfOut, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "cordload: %v\n", err)
-			return 1
-		}
-		fmt.Printf("\nrecorded %d-point duty sweep into %s\n", len(rows), perfOut)
-	}
-	return exit
-}
-
-// mergeOnlinePerf sets the streaming-online slice of the perf-trajectory
-// artifact, preserving everything else already recorded.
-func mergeOnlinePerf(path string, rows []perf.OnlineDutyPerf) error {
-	r, err := perf.Read(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		r = perf.NewReport()
-	} else if err != nil {
-		return err
-	}
-	r.StreamingOnline = rows
-	return perf.Write(path, r)
-}
-
-// mergeStreamingPerf sets the streaming slice of the perf-trajectory
-// artifact, preserving benchmark and campaign rows if the file already
-// holds a readable report (a missing file starts a fresh one).
-func mergeStreamingPerf(path string, s *perf.StreamingPerf) error {
-	r, err := perf.Read(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		r = perf.NewReport()
-	} else if err != nil {
-		return err
-	}
-	r.Streaming = s
-	return perf.Write(path, r)
 }
 
 // progressReport and progressWorker mirror the coordinator's §7 progress

@@ -1,9 +1,6 @@
 package baseline
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"cord/internal/clock"
 	"cord/internal/trace"
 )
@@ -12,9 +9,9 @@ import (
 type FastTrackConfig struct {
 	// Threads is the simulated thread count (default 4).
 	Threads int
-	// Shards is the shadow-memory shard count, rounded up to a power of two
-	// (default 1). More shards only spread lock pressure when OnAccess is
-	// driven from concurrent goroutines; results are identical at any count.
+	// Shards is ignored: the shadow memory is one unsharded table.
+	//
+	// Deprecated: kept only so existing callers that set it still compile.
 	Shards int
 	// MaxStoredRaces caps the retained race descriptors (default 1<<16, the
 	// same cap Ideal uses). The racy-access counter is complete regardless.
@@ -41,20 +38,18 @@ type FastTrackConfig struct {
 // report is confirmed by Ideal.Confirms (the no-false-positive invariant
 // the campaign enforces).
 //
-// OnAccess is safe for concurrent use as long as each simulated thread's
-// accesses are issued by one goroutine: a thread's vector clock is touched
-// only by its own accesses, all shadow state is guarded by its shard lock,
-// and race accounting is atomic. The serial engine path is a special case
-// of that contract, and serial calls are fully deterministic.
+// Like every trace.Observer, FastTrack is called once per shared-memory
+// access, in global order, from one goroutine: it takes no locks and is not
+// safe for concurrent use, and its output is a pure function of the access
+// order.
 type FastTrack struct {
 	threads int
 	vcs     []clock.Vector
 	shadow  *shadowMem
 
 	maxRaces  int
-	raceCount atomic.Int64 // racy accesses (the shared raw-race metric)
-	full      atomic.Bool  // the retained-race cap has been reached
-	mu        sync.Mutex
+	raceCount int  // racy accesses (the shared raw-race metric)
+	full      bool // the retained-race cap has been reached
 	races     []trace.Race
 }
 
@@ -63,16 +58,13 @@ func NewFastTrack(cfg FastTrackConfig) *FastTrack {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 4
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
 	if cfg.MaxStoredRaces <= 0 {
 		cfg.MaxStoredRaces = 1 << 16
 	}
 	return &FastTrack{
 		threads:  cfg.Threads,
 		vcs:      makeVCs(cfg.Threads),
-		shadow:   newShadowMem(cfg.Shards),
+		shadow:   newShadowMem(),
 		maxRaces: cfg.MaxStoredRaces,
 	}
 }
@@ -83,36 +75,29 @@ func (d *FastTrack) Name() string { return "FastTrack" }
 // OnAccess implements trace.Observer.
 func (d *FastTrack) OnAccess(a trace.Access) trace.Report {
 	my := d.vcs[a.Thread]
-	sh := d.shadow.shard(a.Addr)
 	var rep trace.Report
 
 	if a.Class == trace.Sync {
-		sh.mu.Lock()
-		s := sh.sync(a.Addr, d.threads)
+		s := d.shadow.sync(a.Addr, d.threads)
 		if a.Kind == trace.Read {
 			my.Join(s) // acquire: ordered after the observed release
 		} else {
 			copy(s, my) // release: publish, then open a new epoch
-		}
-		sh.mu.Unlock()
-		if a.Kind == trace.Write {
 			my.Tick(a.Thread)
 		}
 		return rep
 	}
 
-	sh.mu.Lock()
-	w := sh.word(a.Addr)
+	w := d.shadow.word(a.Addr)
 	var racy bool
 	if a.Kind == trace.Read {
-		racy = d.onRead(a, my, w, sh, &rep)
+		racy = d.onRead(a, my, w, &rep)
 	} else {
-		racy = d.onWrite(a, my, w, sh, &rep)
+		racy = d.onWrite(a, my, w, &rep)
 	}
-	sh.mu.Unlock()
 
 	if racy {
-		d.raceCount.Add(1)
+		d.raceCount++
 		if len(rep.Races) > 0 {
 			d.store(rep.Races)
 		}
@@ -123,7 +108,7 @@ func (d *FastTrack) OnAccess(a trace.Access) trace.Report {
 // onRead handles a data read: a race check against the last write, then the
 // read history absorbs this access (epoch takeover, in-place vector update,
 // or inflation).
-func (d *FastTrack) onRead(a trace.Access, my clock.Vector, w *ftWord, sh *ftShard, rep *trace.Report) bool {
+func (d *FastTrack) onRead(a trace.Access, my clock.Vector, w *ftWord, rep *trace.Report) bool {
 	c := my[a.Thread]
 	// Same-epoch fast path: this thread already read the word in the
 	// current epoch, so nothing below can change.
@@ -151,7 +136,7 @@ func (d *FastTrack) onRead(a trace.Access, my clock.Vector, w *ftWord, sh *ftSha
 		w.read = ftEpoch{clock: c, thread: int32(a.Thread)}
 	default:
 		// Concurrent reads: inflate to the vector representation.
-		v := sh.inflate(w, d.threads)
+		v := d.shadow.inflate(w, d.threads)
 		v[w.read.thread] = w.read.clock
 		v[a.Thread] = c
 		w.read = ftEpoch{thread: epochNone}
@@ -162,7 +147,7 @@ func (d *FastTrack) onRead(a trace.Access, my clock.Vector, w *ftWord, sh *ftSha
 // onWrite handles a data write: race checks against the last write and the
 // full read state, then the word becomes write-exclusive to this epoch (a
 // read-shared word deflates).
-func (d *FastTrack) onWrite(a trace.Access, my clock.Vector, w *ftWord, sh *ftShard, rep *trace.Report) bool {
+func (d *FastTrack) onWrite(a trace.Access, my clock.Vector, w *ftWord, rep *trace.Report) bool {
 	c := my[a.Thread]
 	// Same-epoch fast path: this thread already wrote the word in the
 	// current epoch.
@@ -183,7 +168,7 @@ func (d *FastTrack) onWrite(a trace.Access, my clock.Vector, w *ftWord, sh *ftSh
 				racy = true
 			}
 		}
-		sh.deflate(w)
+		d.shadow.deflate(w)
 		w.read = ftEpoch{thread: epochNone}
 	} else if w.read.thread != epochNone && w.read.thread != int32(a.Thread) &&
 		my[w.read.thread] < w.read.clock {
@@ -198,7 +183,7 @@ func (d *FastTrack) onWrite(a trace.Access, my clock.Vector, w *ftWord, sh *ftSh
 // is already reached (mirroring Ideal: once full, only counters advance, so
 // the steady state allocates nothing).
 func (d *FastTrack) report(a trace.Access, thread int, kind trace.Kind, rep *trace.Report) {
-	if d.full.Load() {
+	if d.full {
 		return
 	}
 	rep.Races = append(rep.Races, raceOf(a, thread, kind))
@@ -214,15 +199,13 @@ func raceOf(a trace.Access, thread int, kind trace.Kind) trace.Race {
 
 // store retains races up to the cap.
 func (d *FastTrack) store(rs []trace.Race) {
-	d.mu.Lock()
 	for _, r := range rs {
 		if len(d.races) >= d.maxRaces {
-			d.full.Store(true)
+			d.full = true
 			break
 		}
 		d.races = append(d.races, r)
 	}
-	d.mu.Unlock()
 }
 
 // Migrate implements trace.Observer. Shadow state is keyed by thread, not
@@ -236,21 +219,17 @@ func (d *FastTrack) ThreadDone(thread int, totalInstr uint64) {}
 func (d *FastTrack) Finish() {}
 
 // Races returns the retained detected races in detection order.
-func (d *FastTrack) Races() []trace.Race {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.races
-}
+func (d *FastTrack) Races() []trace.Race { return d.races }
 
 // RaceCount returns the number of racy accesses — accesses with at least
 // one conflicting, unordered predecessor (the shared raw-race metric).
-func (d *FastTrack) RaceCount() int { return int(d.raceCount.Load()) }
+func (d *FastTrack) RaceCount() int { return d.raceCount }
 
 // ProblemDetected reports whether the run exposed at least one data race.
-func (d *FastTrack) ProblemDetected() bool { return d.raceCount.Load() > 0 }
+func (d *FastTrack) ProblemDetected() bool { return d.raceCount > 0 }
 
 // MetadataWords returns the live shadow-state footprint in words — the
 // FastTrack paper's metadata metric: one word per write/read epoch, a full
 // vector per sync variable and per read-inflated word. It is a pure
-// function of the access history, independent of the shard count.
-func (d *FastTrack) MetadataWords() int { return d.shadow.metadataWords() }
+// function of the access history.
+func (d *FastTrack) MetadataWords() int { return d.shadow.metaWords }

@@ -149,7 +149,7 @@ func TestFastTrackDeflateRecyclesVector(t *testing.T) {
 	if got, want := ft.MetadataWords(), 2; got != want {
 		t.Fatalf("after deflation: %d words, want %d", got, want)
 	}
-	sh := ft.shadow.shard(x)
+	sh := ft.shadow
 	if len(sh.freeVecs) != 1 {
 		t.Fatalf("deflated vector not on free list: %d", len(sh.freeVecs))
 	}
@@ -173,51 +173,13 @@ func TestFastTrackDeflateRecyclesVector(t *testing.T) {
 }
 
 func TestFastTrackMetadataWordsAccounting(t *testing.T) {
-	ft := NewFastTrack(FastTrackConfig{Threads: 4, Shards: 8})
+	ft := NewFastTrack(FastTrackConfig{Threads: 4})
 	d := drive(ft)
 	d.acc(0, x, trace.Write, trace.Data) // word x: 2
 	d.acc(0, y, trace.Read, trace.Data)  // word y: 2
 	d.acc(0, l, trace.Write, trace.Sync) // sync l: 4
 	if got, want := ft.MetadataWords(), 2+2+4; got != want {
 		t.Fatalf("metadata words = %d, want %d", got, want)
-	}
-}
-
-func TestFastTrackShardCountInvariant(t *testing.T) {
-	run := func(shards int) *FastTrack {
-		ft := NewFastTrack(FastTrackConfig{Threads: 4, Shards: shards})
-		d := drive(ft)
-		rng := rand.New(rand.NewSource(42))
-		for i := 0; i < 4000; i++ {
-			th := rng.Intn(4)
-			addr := memsys.Addr(0x1000 + 8*rng.Intn(64))
-			kind := trace.Read
-			if rng.Intn(2) == 0 {
-				kind = trace.Write
-			}
-			class := trace.Data
-			if rng.Intn(8) == 0 {
-				class = trace.Sync
-			}
-			d.acc(th, addr, kind, class)
-		}
-		return ft
-	}
-	a, b := run(1), run(16)
-	if a.RaceCount() != b.RaceCount() {
-		t.Fatalf("race count differs across shard counts: %d vs %d", a.RaceCount(), b.RaceCount())
-	}
-	if a.MetadataWords() != b.MetadataWords() {
-		t.Fatalf("metadata differs across shard counts: %d vs %d", a.MetadataWords(), b.MetadataWords())
-	}
-	ra, rb := a.Races(), b.Races()
-	if len(ra) != len(rb) {
-		t.Fatalf("stored races differ: %d vs %d", len(ra), len(rb))
-	}
-	for i := range ra {
-		if ra[i] != rb[i] {
-			t.Fatalf("race %d differs: %+v vs %+v", i, ra[i], rb[i])
-		}
 	}
 }
 
@@ -241,7 +203,7 @@ func TestFastTrackConfirmedByIdealRandomized(t *testing.T) {
 	// Randomized cross-check of the no-false-positive invariant: every race
 	// FastTrack reports over a mixed data/sync workload is one Ideal's full
 	// per-access oracle also found.
-	b := &both{id: NewIdeal(4), ft: NewFastTrack(FastTrackConfig{Threads: 4, Shards: 4})}
+	b := &both{id: NewIdeal(4), ft: NewFastTrack(FastTrackConfig{Threads: 4})}
 	d := drive(b)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20000; i++ {

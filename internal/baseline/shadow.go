@@ -1,18 +1,13 @@
 package baseline
 
 import (
-	"sync"
-
 	"cord/internal/clock"
 	"cord/internal/memsys"
 )
 
-// This file is the sharded shadow memory behind the FastTrack baseline
-// detector (fasttrack.go): per-word shadow state plus per-sync-variable
-// vector clocks, partitioned by address across N independently locked
-// shards. Sharding exists purely so one simulation's detection work can
-// spread over host cores — shard count never changes what is stored per
-// address, so detection results are identical at any shard count.
+// This file is the shadow memory behind the FastTrack baseline detector
+// (fasttrack.go): per-word shadow state plus per-sync-variable vector
+// clocks.
 
 // epochNone marks an empty epoch slot in a shadow word.
 const epochNone = int32(-1)
@@ -38,12 +33,10 @@ type ftWord struct {
 	readVec clock.Vector
 }
 
-// ftShard is one lock's worth of shadow memory: the words and sync
-// variables whose addresses hash here. Deflated read vectors are recycled
-// through a per-shard free list so the inflate/deflate cycle settles into
-// zero steady-state allocation.
-type ftShard struct {
-	mu    sync.Mutex
+// shadowMem holds the shadow words and sync variables. Deflated read
+// vectors are recycled through a free list so the inflate/deflate cycle
+// settles into zero steady-state allocation.
+type shadowMem struct {
 	words map[memsys.Addr]*ftWord
 	syncs map[memsys.Addr]clock.Vector
 
@@ -54,39 +47,15 @@ type ftShard struct {
 	metaWords int
 }
 
-// shadowMem is the sharded shadow memory: an address's shadow state lives in
-// exactly one shard, chosen by word index, and every touch of it happens
-// under that shard's lock.
-type shadowMem struct {
-	shards []ftShard
-	mask   uint64
-}
-
-// newShadowMem builds a shadow memory with the given shard count, rounded up
-// to a power of two (minimum 1).
-func newShadowMem(shards int) *shadowMem {
-	n := 1
-	for n < shards {
-		n <<= 1
+func newShadowMem() *shadowMem {
+	return &shadowMem{
+		words: make(map[memsys.Addr]*ftWord),
+		syncs: make(map[memsys.Addr]clock.Vector),
 	}
-	m := &shadowMem{shards: make([]ftShard, n), mask: uint64(n - 1)}
-	for i := range m.shards {
-		m.shards[i].words = make(map[memsys.Addr]*ftWord)
-		m.shards[i].syncs = make(map[memsys.Addr]clock.Vector)
-	}
-	return m
-}
-
-// shard returns the shard owning addr. Word-granular interleaving keeps
-// neighbouring words of one line in distinct shards, which is what lets the
-// sharded kernel's threads proceed without false lock sharing.
-func (m *shadowMem) shard(a memsys.Addr) *ftShard {
-	return &m.shards[(uint64(a)/memsys.WordBytes)&m.mask]
 }
 
 // word returns addr's shadow word, creating an empty one on first touch.
-// Callers hold the shard lock.
-func (s *ftShard) word(a memsys.Addr) *ftWord {
+func (s *shadowMem) word(a memsys.Addr) *ftWord {
 	w := s.words[a]
 	if w == nil {
 		w = &ftWord{write: ftEpoch{thread: epochNone}, read: ftEpoch{thread: epochNone}}
@@ -97,8 +66,8 @@ func (s *ftShard) word(a memsys.Addr) *ftWord {
 }
 
 // sync returns addr's sync-variable vector (the last release's clock),
-// creating a zero vector on first touch. Callers hold the shard lock.
-func (s *ftShard) sync(a memsys.Addr, threads int) clock.Vector {
+// creating a zero vector on first touch.
+func (s *shadowMem) sync(a memsys.Addr, threads int) clock.Vector {
 	v := s.syncs[a]
 	if v == nil {
 		v = clock.NewVector(threads)
@@ -109,8 +78,8 @@ func (s *ftShard) sync(a memsys.Addr, threads int) clock.Vector {
 }
 
 // inflate switches w's read state to the vector representation, reusing a
-// previously deflated vector when one is free. Callers hold the shard lock.
-func (s *ftShard) inflate(w *ftWord, threads int) clock.Vector {
+// previously deflated vector when one is free.
+func (s *shadowMem) inflate(w *ftWord, threads int) clock.Vector {
 	var v clock.Vector
 	if n := len(s.freeVecs); n > 0 {
 		v = s.freeVecs[n-1]
@@ -125,23 +94,9 @@ func (s *ftShard) inflate(w *ftWord, threads int) clock.Vector {
 }
 
 // deflate drops w's read vector back onto the free list (a write to a
-// read-shared word returns the word to the epoch representation). Callers
-// hold the shard lock.
-func (s *ftShard) deflate(w *ftWord) {
+// read-shared word returns the word to the epoch representation).
+func (s *shadowMem) deflate(w *ftWord) {
 	s.metaWords -= len(w.readVec)
 	s.freeVecs = append(s.freeVecs, w.readVec)
 	w.readVec = nil
-}
-
-// metadataWords sums the live shadow footprint across shards. The total is a
-// pure function of the access history — shard count only partitions it.
-func (m *shadowMem) metadataWords() int {
-	total := 0
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		total += s.metaWords
-		s.mu.Unlock()
-	}
-	return total
 }

@@ -89,9 +89,6 @@ func (v Vector) Compare(o Vector) Order {
 // HappensBefore reports v → o (strictly).
 func (v Vector) HappensBefore(o Vector) bool { return v.Compare(o) == Before }
 
-// ConcurrentWith reports that neither v → o nor o → v.
-func (v Vector) ConcurrentWith(o Vector) bool { return v.Compare(o) == Concurrent }
-
 // DominatesOrEqual reports o <= v componentwise, i.e. everything o has seen,
 // v has seen too.
 func (v Vector) DominatesOrEqual(o Vector) bool {

@@ -116,12 +116,6 @@ func (d *Directory) RemoveSharer(l memsys.Line, proc int) {
 	}
 }
 
-// Holds reports whether the directory believes proc shares the line.
-func (d *Directory) Holds(l memsys.Line, proc int) bool {
-	e := d.lines[l]
-	return e != nil && e.sharers&(1<<proc) != 0
-}
-
 // Stats returns the accumulated message counts.
 func (d *Directory) Stats() Stats { return d.st }
 

@@ -36,11 +36,6 @@ type Options struct {
 	// and aggregation happens in deterministic index order. Not to be
 	// confused with Threads, the count of simulated processors.
 	Procs int
-	// FTShards is the shard count of the FastTrack baseline's shadow memory
-	// (default 1). Like Procs, it has no effect on results: sharding only
-	// partitions shadow state by address, so race counts, metadata words,
-	// and the race list are identical at any shard count.
-	FTShards int
 	// Checkpoint, when non-nil, makes the campaign crash-safe: every
 	// completed run's outcome is journaled under its deterministic identity,
 	// and runs already journaled (by this process or a crashed predecessor
@@ -280,7 +275,7 @@ func (o Options) runInjection(appIdx, i int, target uint64) (injectionOutcome, e
 	vecInf := baseline.NewVecCache(baseline.VecConfig{Threads: o.Threads, Procs: o.Threads, Bound: baseline.BoundInf})
 	vecL2 := baseline.NewVecCache(baseline.VecConfig{Threads: o.Threads, Procs: o.Threads, Bound: baseline.BoundL2})
 	vecL1 := baseline.NewVecCache(baseline.VecConfig{Threads: o.Threads, Procs: o.Threads, Bound: baseline.BoundL1})
-	ft := baseline.NewFastTrack(baseline.FastTrackConfig{Threads: o.Threads, Shards: o.FTShards})
+	ft := baseline.NewFastTrack(baseline.FastTrackConfig{Threads: o.Threads})
 	cords := map[string]*core.Detector{
 		cfgD1:   core.New(core.Config{Threads: o.Threads, Procs: o.Threads, D: 1}),
 		cfgD4:   core.New(core.Config{Threads: o.Threads, Procs: o.Threads, D: 4}),

@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestFastTrackConfirmedAllApps runs a small injection campaign over every
 // Table 1 application and checks the FastTrack baseline's soundness bound:
@@ -31,31 +28,5 @@ func TestFastTrackConfirmedAllApps(t *testing.T) {
 	}
 	if detected == 0 {
 		t.Fatal("FastTrack detected no problems across the whole campaign")
-	}
-}
-
-// TestFastTrackShardCountInvariantCampaign: FTShards, like Procs, must not
-// leak into results — sharding only partitions shadow state by address.
-func TestFastTrackShardCountInvariantCampaign(t *testing.T) {
-	run := func(shards int) (*DetectionResults, []Table1Row) {
-		o := smallOpts()
-		o.FTShards = shards
-		res, err := RunDetection(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := RunTable1(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, rows
-	}
-	res1, rows1 := run(1)
-	res8, rows8 := run(8)
-	if !reflect.DeepEqual(res1, res8) {
-		t.Fatalf("detection results differ between FTShards=1 and FTShards=8:\n%+v\nvs\n%+v", res1, res8)
-	}
-	if !reflect.DeepEqual(rows1, rows8) {
-		t.Fatalf("Table1 rows differ between FTShards=1 and FTShards=8:\n%+v\nvs\n%+v", rows1, rows8)
 	}
 }

@@ -71,7 +71,7 @@ func (o Options) DetectInjectKey(app, run int) string { return o.runKey("detect-
 // inverse of Options.Meta, used by the cordd campaign endpoint. Zero fields
 // take the same defaults the CLI applies (so a normalized meta round-trips
 // to an equal fingerprint); negative fields and unknown application names
-// are rejected. Result-independent knobs — Procs, FTShards, Checkpoint —
+// are rejected. Result-independent knobs — Procs and Checkpoint —
 // are deliberately not on the wire and stay at their zero values for the
 // worker to choose locally.
 func OptionsFromMeta(m CampaignMeta) (Options, error) {

@@ -54,7 +54,7 @@ func RunTable1(o Options) ([]Table1Row, error) {
 	if err := o.forEach(len(o.Apps), func(i int) error {
 		return o.journaledRun("table1", i, 0, &rows[i], func() error {
 			app := o.Apps[i]
-			ft := baseline.NewFastTrack(baseline.FastTrackConfig{Threads: o.Threads, Shards: o.FTShards})
+			ft := baseline.NewFastTrack(baseline.FastTrackConfig{Threads: o.Threads})
 			res, err := o.runSim("sizing", app, o.Threads, sim.Config{
 				Seed: o.BaseSeed, Observers: []trace.Observer{ft},
 			})

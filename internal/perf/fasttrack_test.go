@@ -24,11 +24,11 @@ func runCycles(body func(i int), i, n int) int {
 
 // TestFastTrackKernelZeroAllocSteadyState: past the stored-race cap the
 // FastTrack OnAccess path must be allocation-free — epochs live inline in
-// the shadow words, read vectors are recycled through the shard free list,
+// the shadow words, read vectors are recycled through the shadow free list,
 // and a full detector only bumps counters. A small cap makes the steady
 // state reachable in-test; the code path is the kernel's.
 func TestFastTrackKernelZeroAllocSteadyState(t *testing.T) {
-	det := baseline.NewFastTrack(baseline.FastTrackConfig{Threads: 4, Shards: 1, MaxStoredRaces: 64})
+	det := baseline.NewFastTrack(baseline.FastTrackConfig{Threads: 4, MaxStoredRaces: 64})
 	body := observerKernel(det)
 	i := runCycles(body, 0, 2) // ~190 racy accesses per cycle: the cap is long hit
 	if len(det.Races()) != 64 {

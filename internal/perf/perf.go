@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"testing"
 
 	"cord/internal/baseline"
@@ -64,7 +63,6 @@ func Kernels() []Kernel {
 		{Name: "baseline/vec-infcache", Setup: setupVecInf},
 		{Name: "baseline/ideal", Setup: setupIdeal},
 		{Name: "baseline/fasttrack", Setup: setupFastTrack},
-		{Name: "baseline/fasttrack-sharded", Setup: setupFastTrackSharded},
 		{Name: "record/stream-decode", Setup: setupStreamDecode},
 		{Name: "record/epoch-stream", Setup: setupEpochStream},
 		{Name: "record/schedule", Setup: setupSchedule},
@@ -223,41 +221,12 @@ func setupIdeal() func(i int) {
 }
 
 // setupFastTrack prices the epoch detector's serial OnAccess path on the
-// shared stream the other baseline kernels use. With the default single
-// shard the lock is uncontended, so ns/op is the pure epoch-compare cost —
-// the number to hold against baseline/ideal, which appends a history record
-// per data access and walks per-thread chains of them.
+// shared stream the other baseline kernels use: ns/op is the pure
+// epoch-compare cost — the number to hold against baseline/ideal, which
+// appends a history record per data access and walks per-thread chains of
+// them.
 func setupFastTrack() func(i int) {
-	return observerKernel(baseline.NewFastTrack(baseline.FastTrackConfig{Threads: 4, Shards: 1}))
-}
-
-// setupFastTrackSharded prices concurrent ingestion: four goroutines feed one
-// 64-shard FastTrack detector, each replaying its own thread's slice of the
-// stream. One iteration is one 4x64-access block, so ns/op here is per block,
-// not per access — the kernel exists to catch shard-lock contention and
-// cross-shard accounting regressions, not to compare against the serial
-// kernels.
-func setupFastTrackSharded() func(i int) {
-	ft := baseline.NewFastTrack(baseline.FastTrackConfig{Threads: 4, Shards: 64})
-	byThread := make([][]trace.Access, 4)
-	for _, a := range accessStream(4, 1<<14) {
-		byThread[a.Thread] = append(byThread[a.Thread], a)
-	}
-	const block = 64
-	return func(i int) {
-		var wg sync.WaitGroup
-		for t := 0; t < 4; t++ {
-			wg.Add(1)
-			go func(accs []trace.Access) {
-				defer wg.Done()
-				off := i * block
-				for k := 0; k < block; k++ {
-					ft.OnAccess(accs[(off+k)%len(accs)])
-				}
-			}(byThread[t])
-		}
-		wg.Wait()
-	}
+	return observerKernel(baseline.NewFastTrack(baseline.FastTrackConfig{Threads: 4}))
 }
 
 // setupStreamDecode prices the /v1/stream ingest hot path: one iteration

@@ -30,58 +30,17 @@ type CampaignPerf struct {
 	WallClockMs float64  `json:"wall_clock_ms"`
 }
 
-// StreamingPerf records the sustained ingest throughput cordload measured
-// against a live cordd: RecordsPerSec is decoded order-record frames per
-// second of wall-clock across Streams concurrent /v1/stream sessions (the
-// EXPERIMENTS.md "Sustained-throughput streaming" workflow). Like
-// CampaignPerf it is a recorded measurement, not a byte-deterministic
-// artifact.
-type StreamingPerf struct {
-	// Streams is the concurrent stream count of the recorded stage.
-	Streams int `json:"streams"`
-	// Sessions is how many complete stream sessions the stage ran.
-	Sessions int `json:"sessions"`
-	// FramesPerSession is the order-record frame count of one session.
-	FramesPerSession int `json:"frames_per_session"`
-	// RecordsPerSec is total ingested frames divided by stage wall-clock.
-	RecordsPerSec float64 `json:"records_per_sec"`
-	WallClockMs   float64 `json:"wall_clock_ms"`
-}
-
-// OnlineDutyPerf is one duty point of the streaming online-detection sweep
-// (cordload -stream -duty): the best stage's throughput with detect=online
-// at the given duty percentage. Comparing the duty=0 point (pure ingest plus
-// epoch accounting) against duty=100 (full online replay and detection)
-// bounds the cost of surfacing races mid-stream.
-type OnlineDutyPerf struct {
-	// Duty is the duty-cycle percentage the sessions ran with.
-	Duty int `json:"duty"`
-	// Streams is the concurrent stream count of the recorded stage.
-	Streams int `json:"streams"`
-	// Sessions is how many complete stream sessions the stage ran.
-	Sessions int `json:"sessions"`
-	// FramesPerSession is the order-record frame count of one session.
-	FramesPerSession int `json:"frames_per_session"`
-	// RecordsPerSec is total ingested frames divided by stage wall-clock.
-	RecordsPerSec float64 `json:"records_per_sec"`
-	WallClockMs   float64 `json:"wall_clock_ms"`
-}
-
 // Report is the full perf-trajectory artifact. Unlike the figure artifacts
 // it is not byte-deterministic (timings vary run to run); it is a recorded
 // measurement, compared PR-over-PR by reading the numbers, not by byte diff.
 type Report struct {
-	Schema     int            `json:"schema"`
-	Kind       string         `json:"kind"` // always "perf"
-	GoVersion  string         `json:"go_version"`
-	GOOS       string         `json:"goos"`
-	GOARCH     string         `json:"goarch"`
-	Benchmarks []BenchResult  `json:"benchmarks"`
-	Campaign   *CampaignPerf  `json:"campaign,omitempty"`
-	Streaming  *StreamingPerf `json:"streaming,omitempty"`
-	// StreamingOnline holds the duty-cycle sweep of detect=online sessions,
-	// one row per duty point, in sweep order.
-	StreamingOnline []OnlineDutyPerf `json:"streaming-online,omitempty"`
+	Schema     int           `json:"schema"`
+	Kind       string        `json:"kind"` // always "perf"
+	GoVersion  string        `json:"go_version"`
+	GOOS       string        `json:"goos"`
+	GOARCH     string        `json:"goarch"`
+	Benchmarks []BenchResult `json:"benchmarks"`
+	Campaign   *CampaignPerf `json:"campaign,omitempty"`
 }
 
 // NewReport returns an empty report stamped with the build environment.

@@ -63,11 +63,8 @@ func NewStreamDecoder() *StreamDecoder { return &StreamDecoder{} }
 // original sticky error.
 func (d *StreamDecoder) Reset() { *d = StreamDecoder{} }
 
-// HeaderSeen reports whether the 16-byte header has been parsed; Declared is
-// only meaningful afterwards.
-func (d *StreamDecoder) HeaderSeen() bool { return d.header }
-
-// Declared returns the entry count the stream header promised.
+// Declared returns the entry count the stream header promised; it is only
+// meaningful once the 16-byte header has been parsed.
 func (d *StreamDecoder) Declared() uint64 { return d.declared }
 
 // Decoded returns the number of entries emitted so far.

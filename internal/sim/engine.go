@@ -122,8 +122,6 @@ type Config struct {
 	Cancel <-chan struct{}
 	// MaxOps aborts runaway executions (default 50M committed ops).
 	MaxOps uint64
-	// TraceReads, when set, receives every read's value (diagnostics).
-	TraceReads func(thread int, addr memsys.Addr, value uint64)
 }
 
 // Result summarizes one execution. The json tags are the stable wire
@@ -710,9 +708,6 @@ func (e *Engine) process(t *threadCtx) (response, error) {
 			// values seen by sub-instruction spin reads vary with the
 			// wakeup pattern without affecting program behaviour.
 			t.hash = (t.hash ^ (v + 0x9e37)) * fnvPrime
-			if e.cfg.TraceReads != nil {
-				e.cfg.TraceReads(t.id, req.addr, v)
-			}
 		}
 		return response{value: v}, nil
 
@@ -819,7 +814,7 @@ func (e *Engine) accessCost(t *threadCtx, rep trace.Report) uint64 {
 }
 
 // deliver builds the Access event and feeds it to every observer, returning
-// the primary observer's report (or the last one when no primary is set).
+// the primary observer's report (a zero Report when no primary is set).
 func (e *Engine) deliver(t *threadCtx, addr memsys.Addr, kind trace.Kind, class trace.Class, instrs uint8) trace.Report {
 	a := trace.Access{
 		Seq:    e.seq,
@@ -869,16 +864,6 @@ func (e *Engine) wake(w *threadCtx, addr memsys.Addr) {
 			}
 		}
 	}
-}
-
-// DebugState renders each thread's scheduler state — used in hang reports.
-func (e *Engine) DebugState() string {
-	s := ""
-	for _, t := range e.threads {
-		s += fmt.Sprintf("T%d state=%d block=%s vtime=%d instr=%d reqKind=%d reqAddr=%s\n",
-			t.id, t.state, t.block, t.vtime, t.instr, t.req.kind, t.req.addr)
-	}
-	return s
 }
 
 // maybeMigrate exchanges t's processor with the thread currently occupying

@@ -106,10 +106,6 @@ type Race struct {
 	Addr   memsys.Addr
 	First  Ref
 	Second Ref
-	// ViaMemory marks a race discovered through the main-memory timestamp;
-	// CORD suppresses these (never reports them, §2.5) but the simulator
-	// surfaces the flag for accounting and tests.
-	ViaMemory bool
 }
 
 // String renders the race for diagnostics.
