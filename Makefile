@@ -25,7 +25,7 @@ test:
 # The concurrent subsystems — the campaign runner's goroutine fan-out, the
 # service's worker pool and stream sessions, the incremental decoder they
 # share, the engine whose observers and callbacks run on its threads'
-# coroutines, the fleet coordinator's registry/work-stealing scheduler, and
+# coroutines, the fleet coordinator's registry and shared-queue scheduler, and
 # cordload's concurrent stage clients — must stay race-clean.
 # Requires cgo (CGO_ENABLED=1) on most platforms.
 race:

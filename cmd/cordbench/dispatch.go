@@ -23,8 +23,8 @@ import (
 // outcome cell under its run identity, and leaves RunDetection to aggregate
 // the journal exactly as it would a local run. The journal is the merge
 // point — remote cells are byte-identical to local ones (the §6 contract),
-// so the artifacts cannot depend on worker count, placement, stealing, or
-// failure schedule. Scheduling policy itself lives in fleetpool.go.
+// so the artifacts cannot depend on worker count, shard order, coalescing,
+// or failure schedule. Scheduling policy itself lives in fleetpool.go.
 
 // fleetClientTimeout bounds one shard request end to end: worker queue wait
 // plus serial shard execution. Workers bound sessions themselves
@@ -47,7 +47,7 @@ type fleetConfig struct {
 	Workers []string
 	// Registry is a §7 registry base URL: the worker set is resolved from
 	// GET /v1/fleet/workers, re-resolved every PollInterval (joiners are
-	// probed and put to work mid-campaign), and losing every worker parks
+	// probed and put to work mid-campaign), and losing every worker holds
 	// the remaining shards for up to JoinGrace awaiting a replacement.
 	Registry  string
 	ShardRuns int
@@ -93,19 +93,19 @@ func parseWorkers(spec string) ([]string, error) {
 }
 
 // shardWork is one dispatchable shard: a contiguous run range of one app,
-// plus the §7 origin it will declare if it was stolen or requeued.
+// plus the §7 origin it will declare if it was requeued.
 type shardWork struct {
 	id     string
 	ranges []experiment.ShardRange
 	runs   int
-	origin string // "", "steal" or "requeue"
+	origin string // "" or "requeue"
 }
 
 // buildShards cuts the campaign into per-app chunks of at most shardRuns
 // injection runs. Shard ids are deterministic functions of the content
 // (`<app>.<lo>.<hi>`), so a re-dispatched campaign re-sends byte-identical
 // shards and idempotent workers answer from determinism alone. The scheduler
-// may later coalesce contiguous chunks for a fast worker; merged shards
+// may later coalesce contiguous chunks into one request; merged shards
 // follow the same id convention.
 func buildShards(meta experiment.CampaignMeta, shardRuns int) []shardWork {
 	var shards []shardWork
@@ -239,37 +239,34 @@ func postShard(client *http.Client, url string, req server.CampaignShardRequest,
 	return nil, fmt.Errorf("worker %s gave up after %d attempts: %w", url, policy.Attempts, lastErr)
 }
 
-// probeWorker sends the §6 plan probe and measures its round trip — the
-// seed of the worker's latency EWMA. A disagreeing fingerprint or a fatal
+// probeWorker sends the §6 plan probe. A disagreeing fingerprint or a fatal
 // status returns a fatalDispatchError; any other failure is a skip (the
 // worker is unusable right now, not proof the campaign is wrong).
-func probeWorker(client *http.Client, url string, planBody []byte, fp string) (rtt time.Duration, err error) {
-	start := time.Now()
+func probeWorker(client *http.Client, url string, planBody []byte, fp string) error {
 	resp, err := client.Post(url+"/v1/campaign/plan", "application/json", bytes.NewReader(planBody))
 	if err != nil {
-		return 0, fmt.Errorf("unreachable: %w", err)
+		return fmt.Errorf("unreachable: %w", err)
 	}
 	b, readErr := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	rtt = time.Since(start)
 	if readErr != nil || resp.StatusCode != http.StatusOK {
 		var ep errorPayload
 		_ = json.Unmarshal(b, &ep)
 		if fatalStatus(resp.StatusCode) {
-			return 0, fatalDispatchError{fmt.Errorf("%s rejected the campaign plan: status %d code %q: %s",
+			return fatalDispatchError{fmt.Errorf("%s rejected the campaign plan: status %d code %q: %s",
 				url, resp.StatusCode, ep.Code, ep.Error)}
 		}
-		return 0, fmt.Errorf("plan probe failed (status %d)", resp.StatusCode)
+		return fmt.Errorf("plan probe failed (status %d)", resp.StatusCode)
 	}
 	var plan server.CampaignPlanResponse
 	if err := json.Unmarshal(b, &plan); err != nil {
-		return 0, fatalDispatchError{fmt.Errorf("%s: unparsable plan response: %v", url, err)}
+		return fatalDispatchError{fmt.Errorf("%s: unparsable plan response: %v", url, err)}
 	}
 	if plan.Fingerprint != fp {
-		return 0, fatalDispatchError{fmt.Errorf("%s fingerprints the campaign %s, this coordinator %s: worker and coordinator builds or configurations disagree — refusing to merge its results",
+		return fatalDispatchError{fmt.Errorf("%s fingerprints the campaign %s, this coordinator %s: worker and coordinator builds or configurations disagree — refusing to merge its results",
 			url, plan.Fingerprint, fp)}
 	}
-	return rtt, nil
+	return nil
 }
 
 // resolveRegistry lists the live workers from a §7 registry.
@@ -314,11 +311,12 @@ func startProgressServer(addr string, snapshot func() server.CampaignProgress) (
 // RunDetection aggregates entirely from the journal without simulating
 // anything locally.
 //
-// Worker loss is survived by requeueing: a worker that exhausts its retry
-// budget is dropped and its backlog redistributes to the survivors (or, in
-// registry mode, waits for a joiner). Fast workers steal queued shards from
-// slow or suspect ones — still exactly-once, because the journal keyed by
-// run identity is the merge point. Closing opts.Interrupt drains in-flight
+// Every worker loop pulls from one shared queue, so a fast worker simply
+// takes more shards than a slow one. Worker loss is survived by requeueing:
+// a worker that exhausts its retry budget is dropped and its in-flight shard
+// goes back to the queue head for the survivors (or, in registry mode, waits
+// for a joiner) — still exactly-once, because the journal keyed by run
+// identity is the merge point. Closing opts.Interrupt drains in-flight
 // shards (journaling them) and returns experiment.ErrInterrupted; the
 // journal then resumes the campaign exactly like a local -resume.
 func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
@@ -365,15 +363,10 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 	// the precondition for merging anything a worker says. Unreachable
 	// workers are dropped with a warning; a disagreeing worker is version
 	// or configuration skew and aborts the dispatch — its cells would merge
-	// silently wrong. The probe round trip seeds the placement EWMA.
-	type probed struct {
-		url string
-		rtt time.Duration
-	}
-	var live []probed
+	// silently wrong.
+	var live []string
 	for _, url := range workerURLs {
-		rtt, err := probeWorker(cfg.Client, url, planBody, fp)
-		if err != nil {
+		if err := probeWorker(cfg.Client, url, planBody, fp); err != nil {
 			var fatal fatalDispatchError
 			if errors.As(err, &fatal) {
 				return fmt.Errorf("fleet: %w", err)
@@ -381,7 +374,7 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 			progress("fleet: %s: %v; dispatching without it", url, err)
 			continue
 		}
-		live = append(live, probed{url, rtt})
+		live = append(live, url)
 	}
 	if len(live) == 0 {
 		return fmt.Errorf("fleet: none of the %d workers is usable", len(workerURLs))
@@ -444,7 +437,7 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 		}()
 	}
 
-	// Worker loops: take (own queue → orphans → steal), execute, journal.
+	// Worker loops: take from the shared queue, execute, journal.
 	var wg sync.WaitGroup
 	runWorker := func(url string) {
 		defer wg.Done()
@@ -504,16 +497,16 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 			pool.completed(url, w, time.Since(start))
 		}
 	}
-	// Place the shards before any worker loop starts: take reports the
+	// Enqueue the shards before any worker loop starts: take reports the
 	// campaign finished while runsRemaining is zero, so a loop that ran
-	// ahead of placement would exit at once and leave its queue unserved.
+	// ahead of the queue would exit at once.
 	var started []string
-	for _, p := range live {
-		if pool.addWorker(p.url, float64(p.rtt)/float64(time.Millisecond)) {
-			started = append(started, p.url)
+	for _, url := range live {
+		if pool.addWorker(url) {
+			started = append(started, url)
 		}
 	}
-	pool.placeShards(shards)
+	pool.enqueue(shards)
 	for _, url := range started {
 		wg.Add(1)
 		go runWorker(url)
@@ -546,12 +539,11 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 					if !pool.candidate(url) {
 						continue
 					}
-					rtt, err := probeWorker(cfg.Client, url, planBody, fp)
-					if err != nil {
+					if err := probeWorker(cfg.Client, url, planBody, fp); err != nil {
 						progress("fleet: joiner %s: %v; skipping", url, err)
 						continue
 					}
-					if pool.addWorker(url, float64(rtt)/float64(time.Millisecond)) {
+					if pool.addWorker(url) {
 						progress("fleet: %s joined the campaign", url)
 						wg.Add(1)
 						go runWorker(url)

@@ -75,8 +75,8 @@ func newWorker(t *testing.T) *httptest.Server {
 }
 
 // newMeteredWorker additionally returns the server handle, so tests can
-// assert on its /metrics fleet counters (shards_stolen, shards_requeued are
-// bumped by the worker that receives the re-routed shard).
+// assert on its /metrics fleet counters (shards_requeued is bumped by the
+// worker that receives a requeued shard).
 func newMeteredWorker(t *testing.T) (*httptest.Server, *server.Server) {
 	t.Helper()
 	srv := server.New(server.Config{Workers: 2})
@@ -85,8 +85,9 @@ func newMeteredWorker(t *testing.T) (*httptest.Server, *server.Server) {
 	return ts, srv
 }
 
-// newSlowWorker starts a real worker whose shard responses are delayed,
-// making it the steal victim of any faster peer.
+// newSlowWorker starts a real worker whose shard responses are delayed. Its
+// loop pulls from the shared queue like any other, so it simply takes fewer
+// shards than a faster peer.
 func newSlowWorker(t *testing.T, delay time.Duration) *httptest.Server {
 	t.Helper()
 	backend := server.New(server.Config{Workers: 2})
@@ -402,15 +403,16 @@ func TestFleetDispatchResumeSkipsJournaledShards(t *testing.T) {
 
 // TestFleetDispatchStealsFromSlowWorker pairs a fast worker with one that
 // holds its first shard until the fast worker has run every other injection
-// run: whatever placement queued behind the held shard must be stolen, so
-// the slow worker strands nothing but the shard it is executing.
+// run. Nothing is stolen: both loops pull from one shared queue, so the fast
+// worker drains it while the slow one is busy, and the slow worker never
+// takes a second shard.
 //
 // Both holds are events, not delays. The fast worker keeps its first
-// response until the slow worker has received a shard request (from its own
-// queue, or stolen from the fast one's), so the slow worker is always in the
-// campaign; the slow worker then keeps its response until the fast worker's
-// handler has answered every run outside that shard. Runs, not requests, are
-// counted, because the scheduler may coalesce neighbouring shards.
+// response until the slow worker has received a shard request, so the slow
+// worker is always in the campaign; the slow worker then keeps its response
+// until the fast worker's handler has answered every run outside that
+// shard. Runs, not requests, are counted, because the scheduler may coalesce
+// neighbouring shards.
 func TestFleetDispatchStealsFromSlowWorker(t *testing.T) {
 	opts := fleetTestOptions(t)
 	total := int64(len(opts.Apps) * opts.Injections)
@@ -490,9 +492,9 @@ func TestFleetDispatchStealsFromSlowWorker(t *testing.T) {
 
 // TestFleetDispatchRegistryFleetLossJoinerFinishes loses the whole fleet in
 // registry mode: the only worker fails every shard and dies, its in-flight
-// shard and backlog park as orphans with no live worker to take them, and a
-// worker that registers within JoinGrace takes them over and finishes the
-// campaign.
+// shard goes back to the queue head with no live worker to take it, and a
+// worker that registers within JoinGrace takes it and the rest of the queue
+// and finishes the campaign.
 //
 // The joiner registers only after the death is certain: the membership poll
 // re-probes a listed worker only once the pool has declared it dead, so the
@@ -613,7 +615,7 @@ func TestFleetDispatchRegistryLateJoiner(t *testing.T) {
 }
 
 // TestFleetDispatchRegistryGraceExpires: in registry mode losing every
-// worker parks the campaign for JoinGrace, and with no joiner the dispatch
+// worker holds the queue for JoinGrace, and with no joiner the dispatch
 // fails with the grace diagnosis instead of hanging.
 func TestFleetDispatchRegistryGraceExpires(t *testing.T) {
 	registry := newWorker(t)

@@ -2,63 +2,46 @@ package main
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
+	"cord/internal/experiment"
 	"cord/internal/server"
+	"cord/internal/workload"
 )
 
-// This file is the coordinator's scheduler: per-worker shard queues weighted
-// by a latency EWMA, work stealing from slow or suspect workers, requeue of a
-// dead worker's backlog, and the bookkeeping behind GET /v1/campaign/progress
-// (PROTOCOL.md §7). Everything here is placement policy — correctness never
-// depends on it, because the checkpoint journal keyed by run identity is the
-// merge point: however many times a shard is placed, stolen, requeued or
-// re-sent, its cells land under the same keys with the same bytes.
+// This file is the coordinator's scheduler: one shared shard queue that every
+// worker loop pulls from, ordered heaviest app first; requeue of a dead
+// worker's in-flight shard at the queue head; and the bookkeeping behind GET
+// /v1/campaign/progress (PROTOCOL.md §7). Everything here is placement policy —
+// correctness never depends on it, because the checkpoint journal keyed by run
+// identity is the merge point: however many times a shard is taken, requeued
+// or re-sent, its cells land under the same keys with the same bytes.
 
 // ewmaAlpha is the weight of the newest observation in the per-worker
-// latency estimate. 0.5 converges fast (the probe seed is rough) while still
-// smoothing single-shard noise.
+// latency estimate the progress resource reports. The estimate is
+// observability only: no scheduling decision reads it.
 const ewmaAlpha = 0.5
 
-// maxCoalesceFactor caps adaptive shard sizing: a worker whose EWMA says it
-// is k× faster than the pool mean may take up to min(k, 4) base shards as
-// one request. The cap bounds the work lost if the fast worker then dies.
+// maxCoalesceFactor caps how many base shards one take may merge into a
+// single request. The cap bounds the work lost if the worker then dies.
 const maxCoalesceFactor = 4
 
 // workerState is one worker's slice of the scheduler.
 type workerState struct {
-	url string
-	// queue is the worker's pending shards: the front is executed next, the
-	// back is the coldest work and the end thieves take from.
-	queue    []shardWork
+	url      string
 	inflight int // 0 or 1: each worker loop runs one shard at a time
 	done     int // shards completed
-	// ewmaRunMs estimates this worker's per-injection-run latency. It is
-	// seeded from the plan-probe round trip — meaningful only as a relative
-	// placement weight — and converges onto real shard latencies.
+	// ewmaRunMs is this worker's per-injection-run latency, folded over its
+	// completed shards; 0 until the first one.
 	ewmaRunMs float64
 	health    string // server.WorkerLive, WorkerSuspect or WorkerDead
 }
 
-// queuedRuns is the backlog in injection runs (the unit EWMAs are per).
-func (w *workerState) queuedRuns() int {
-	runs := 0
-	for _, s := range w.queue {
-		runs += s.runs
-	}
-	return runs
-}
-
-// backlogCostMs is the expected time to drain this worker's queue — the
-// signal thieves use to pick a victim.
-func (w *workerState) backlogCostMs() float64 {
-	return float64(w.queuedRuns()) * w.ewmaRunMs
-}
-
 // fleetPool is the shared scheduler state. All fields are guarded by mu; the
-// cond wakes worker loops when work appears (steal targets included) and the
-// dispatcher when the campaign completes or aborts.
+// cond wakes worker loops when work appears and the dispatcher when the
+// campaign completes or aborts.
 type fleetPool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -67,20 +50,21 @@ type fleetPool struct {
 	fp        string
 	shardRuns int
 	// registryMode relaxes the all-workers-lost rule: instead of failing
-	// immediately, the pool parks the orphaned work and waits joinGrace for
-	// the registry to deliver a replacement worker.
+	// immediately, the queue waits joinGrace for the registry to deliver a
+	// replacement worker.
 	registryMode bool
 	joinGrace    time.Duration
 
 	workers map[string]*workerState
 	live    int
-	// orphans is work whose owner died with no live worker to requeue it to
-	// (registry mode only): the next joiner drains it first.
-	orphans       []shardWork
+	// queue is the undispatched work, taken from the front: requeued shards
+	// first, then the campaign cut heaviest app first. queuedRuns is its size
+	// in injection runs.
+	queue         []shardWork
+	queuedRuns    int
 	runsRemaining int
 	inflight      int
 
-	stolen   int
 	requeued int
 
 	cellsTotal int
@@ -106,13 +90,10 @@ func newFleetPool(campaign, fp string, shardRuns int, registryMode bool, joinGra
 	return p
 }
 
-// addWorker registers (or revives) a worker with a latency seed and reports
-// whether a worker loop should be started for it. A URL that is already live
-// or suspect keeps its loop and its learned EWMA.
-func (p *fleetPool) addWorker(url string, seedRunMs float64) bool {
-	if seedRunMs <= 0 {
-		seedRunMs = 1
-	}
+// addWorker registers (or revives) a worker and reports whether a worker
+// loop should be started for it. A URL that is already live or suspect
+// keeps its loop.
+func (p *fleetPool) addWorker(url string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.failed != nil || p.interrupted {
@@ -123,25 +104,16 @@ func (p *fleetPool) addWorker(url string, seedRunMs float64) bool {
 		return false // already running
 	}
 	if w == nil {
-		w = &workerState{url: url, ewmaRunMs: seedRunMs}
+		w = &workerState{url: url}
 		p.workers[url] = w
 	}
-	// A revived worker restarts from the probe seed: its process (and its
-	// warm caches) are gone, so the learned EWMA is stale.
-	w.ewmaRunMs = seedRunMs
+	// A revived worker's process is new, so its old latency is stale.
+	w.ewmaRunMs = 0
 	w.health = server.WorkerLive
 	p.live++
 	if p.graceTimer != nil {
 		p.graceTimer.Stop()
 		p.graceTimer = nil
-	}
-	// The joiner takes the orphaned backlog of previously dead workers.
-	if len(p.orphans) > 0 {
-		for i := range p.orphans {
-			p.orphans[i].origin = "requeue"
-		}
-		w.queue = append(w.queue, p.orphans...)
-		p.orphans = nil
 	}
 	p.cond.Broadcast()
 	return true
@@ -160,59 +132,38 @@ func (p *fleetPool) candidate(url string) bool {
 	return w == nil || w.health == server.WorkerDead
 }
 
-// placeShards distributes the initial shard cut across the live workers:
-// each shard goes to the worker whose queue would finish soonest with it
-// appended (greedy makespan minimization under the probe-seeded EWMAs).
-// Shards arrive in campaign order, so a worker's queue stays mostly
-// contiguous and adaptive coalescing can merge neighbors later.
-func (p *fleetPool) placeShards(shards []shardWork) {
+// enqueue appends the campaign's shard cut to the queue, heaviest app first
+// by its Table 1 access count (Graham's LPT rule: the longest jobs start
+// while every worker is busy, so none is left running alone at the end).
+// The sort is stable, so each app's shards stay contiguous and in run order,
+// which is what lets take coalesce them.
+func (p *fleetPool) enqueue(shards []shardWork) {
+	cost := make(map[string]uint64)
+	for _, a := range workload.All() {
+		cost[a.Name] = a.Accesses
+	}
+	sorted := append([]shardWork(nil), shards...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		return cost[sorted[i].ranges[0].App] > cost[sorted[j].ranges[0].App]
+	})
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, s := range shards {
-		var best *workerState
-		var bestCost float64
-		for _, w := range p.workers {
-			if w.health == server.WorkerDead {
-				continue
-			}
-			cost := (float64(w.queuedRuns() + s.runs)) * w.ewmaRunMs
-			if best == nil || cost < bestCost || (cost == bestCost && w.url < best.url) {
-				best, bestCost = w, cost
-			}
-		}
-		if best == nil {
-			// No live worker (the campaign was interrupted or failed before
-			// placement, or everyone died during it): park the shard. waitDone
-			// observes the terminal flag regardless.
-			p.orphans = append(p.orphans, s)
-		} else {
-			best.queue = append(best.queue, s)
-		}
+	for _, s := range sorted {
+		p.queuedRuns += s.runs
 		p.runsRemaining += s.runs
 	}
+	p.queue = append(p.queue, sorted...)
 	p.cond.Broadcast()
 }
 
-// meanEwmaLocked is the pool-mean per-run latency over non-dead workers.
-func (p *fleetPool) meanEwmaLocked() float64 {
-	sum, n := 0.0, 0
-	for _, w := range p.workers {
-		if w.health == server.WorkerDead {
-			continue
-		}
-		sum += w.ewmaRunMs
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return sum / float64(n)
-}
-
-// take blocks until the named worker has a shard to execute — from its own
-// queue (coalescing contiguous neighbors up to its adaptive size), then the
-// orphan backlog, then stolen from the victim with the costliest backlog —
-// or until the campaign completes or aborts (ok=false, and the loop exits).
+// take blocks until the queue has a shard for the named worker, or until the
+// campaign completes or aborts (ok=false, and the loop exits). It pops the
+// head whole and coalesces the head's contiguous same-app, same-origin
+// neighbours into one request of at most target runs — a guided
+// self-scheduling bound that shrinks to one base shard as the queue drains,
+// so early takes save round trips and late ones keep the tail balanced. The
+// merged id follows the `<app>.<lo>.<hi>` content convention, so coalesced
+// shards are as idempotent and journal-keyed as base ones.
 func (p *fleetPool) take(url string) (shardWork, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -221,85 +172,46 @@ func (p *fleetPool) take(url string) (shardWork, bool) {
 		if p.failed != nil || p.interrupted || p.runsRemaining == 0 || self.health == server.WorkerDead {
 			return shardWork{}, false
 		}
-		// Own queue first.
-		if len(self.queue) > 0 {
-			s := self.queue[0]
-			self.queue = self.queue[1:]
-			// Adaptive sizing: a worker k× faster than the pool mean may
-			// coalesce up to k base shards — when they are contiguous runs
-			// of one app — into one request. The merged id follows the same
-			// `<app>.<lo>.<hi>` content convention, so coalesced shards are
-			// as idempotent and journal-keyed as base ones.
-			factor := p.meanEwmaLocked() / self.ewmaRunMs
-			if factor > maxCoalesceFactor {
-				factor = maxCoalesceFactor
-			}
-			target := int(factor * float64(p.shardRuns))
-			for len(self.queue) > 0 && len(s.ranges) == 1 {
-				next := self.queue[0]
-				if len(next.ranges) != 1 || next.ranges[0].App != s.ranges[0].App ||
-					next.ranges[0].Lo != s.ranges[0].Hi || s.runs+next.runs > target ||
-					next.origin != s.origin {
-					break
-				}
-				s.ranges[0].Hi = next.ranges[0].Hi
-				s.runs += next.runs
-				s.id = fmt.Sprintf("%s.%d.%d", s.ranges[0].App, s.ranges[0].Lo, s.ranges[0].Hi)
-				self.queue = self.queue[1:]
-			}
-			self.inflight++
-			p.inflight++
-			return s, true
-		}
-		// Orphaned work next (registry mode: a previous owner died while no
-		// worker was live).
-		if len(p.orphans) > 0 {
-			s := p.orphans[0]
-			p.orphans = p.orphans[1:]
-			s.origin = "requeue"
-			self.inflight++
-			p.inflight++
-			return s, true
-		}
-		// Steal from the victim with the largest expected backlog, suspect
-		// workers first: their queue is the likeliest to strand. The thief
-		// takes from the back — the work its owner would reach last.
-		var victim *workerState
-		var victimCost float64
-		for _, w := range p.workers {
-			if w == self || len(w.queue) == 0 || w.health == server.WorkerDead {
-				continue
-			}
-			cost := w.backlogCostMs()
-			if w.health == server.WorkerSuspect {
-				cost *= 1 << 20 // suspect backlog outranks any healthy backlog
-			}
-			if victim == nil || cost > victimCost || (cost == victimCost && w.url < victim.url) {
-				victim, victimCost = w, cost
-			}
-		}
-		if victim != nil {
-			s := victim.queue[len(victim.queue)-1]
-			victim.queue = victim.queue[:len(victim.queue)-1]
-			s.origin = "steal"
-			p.stolen++
-			self.inflight++
-			p.inflight++
-			return s, true
+		if len(p.queue) > 0 {
+			break
 		}
 		p.cond.Wait()
 	}
+	target := min(maxCoalesceFactor*p.shardRuns, p.queuedRuns/(2*p.live))
+	s := p.queue[0]
+	p.queue = p.queue[1:]
+	for len(p.queue) > 0 && len(s.ranges) == 1 {
+		next := p.queue[0]
+		if len(next.ranges) != 1 || next.ranges[0].App != s.ranges[0].App ||
+			next.ranges[0].Lo != s.ranges[0].Hi || s.runs+next.runs > target ||
+			next.origin != s.origin {
+			break
+		}
+		rg := experiment.ShardRange{App: s.ranges[0].App, Lo: s.ranges[0].Lo, Hi: next.ranges[0].Hi}
+		s.ranges = []experiment.ShardRange{rg}
+		s.runs += next.runs
+		s.id = fmt.Sprintf("%s.%d.%d", rg.App, rg.Lo, rg.Hi)
+		p.queue = p.queue[1:]
+	}
+	p.queuedRuns -= s.runs
+	self.inflight++
+	p.inflight++
+	return s, true
 }
 
 // completed retires one executed shard, folds its latency into the worker's
-// EWMA, and restores the worker to live (a suspect that delivers is healthy
-// again).
+// estimate, and restores the worker to live (a suspect that delivers is
+// healthy again).
 func (p *fleetPool) completed(url string, s shardWork, elapsed time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w := p.workers[url]
 	obs := float64(elapsed) / float64(time.Millisecond) / float64(s.runs)
-	w.ewmaRunMs = ewmaAlpha*obs + (1-ewmaAlpha)*w.ewmaRunMs
+	if w.ewmaRunMs == 0 {
+		w.ewmaRunMs = obs
+	} else {
+		w.ewmaRunMs = ewmaAlpha*obs + (1-ewmaAlpha)*w.ewmaRunMs
+	}
 	w.health = server.WorkerLive
 	w.done++
 	w.inflight--
@@ -308,22 +220,20 @@ func (p *fleetPool) completed(url string, s shardWork, elapsed time.Duration) {
 	p.cond.Broadcast()
 }
 
-// markSuspect flags a worker whose current request needed a transient retry:
-// still live, but its queued work becomes the preferred steal target.
+// markSuspect flags a worker whose current request needed a transient retry.
 func (p *fleetPool) markSuspect(url string) {
 	p.mu.Lock()
 	if w := p.workers[url]; w != nil && w.health == server.WorkerLive {
 		w.health = server.WorkerSuspect
-		p.cond.Broadcast() // idle peers may now want to steal from it
 	}
 	p.mu.Unlock()
 }
 
-// workerDied removes a worker that exhausted its retry budget, requeueing
-// its in-flight shard and backlog. With live workers remaining the work is
-// redistributed immediately; with none, registry mode parks it for the next
-// joiner (failing after joinGrace), while static mode fails the campaign —
-// nobody can ever join a static fleet.
+// workerDied removes a worker that exhausted its retry budget and puts its
+// in-flight shard back at the queue head, so the next take anywhere runs it.
+// With no live worker left, registry mode lets the queue wait for a joiner
+// (failing after joinGrace), while static mode fails the campaign — nobody
+// can ever join a static fleet.
 func (p *fleetPool) workerDied(url string, s shardWork, cause error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -332,34 +242,14 @@ func (p *fleetPool) workerDied(url string, s shardWork, cause error) {
 	w.inflight--
 	p.inflight--
 	p.live--
-	rescued := append([]shardWork{s}, w.queue...)
-	w.queue = nil
-	p.requeued += len(rescued)
-	for i := range rescued {
-		rescued[i].origin = "requeue"
-	}
-	if p.live > 0 {
-		// Cheapest-backlog-first keeps the requeue from re-creating the
-		// imbalance that may have doomed the dead worker.
-		for _, rs := range rescued {
-			var best *workerState
-			var bestCost float64
-			for _, cand := range p.workers {
-				if cand.health == server.WorkerDead {
-					continue
-				}
-				cost := (float64(cand.queuedRuns() + rs.runs)) * cand.ewmaRunMs
-				if best == nil || cost < bestCost || (cost == bestCost && cand.url < best.url) {
-					best, bestCost = cand, cost
-				}
-			}
-			best.queue = append(best.queue, rs)
-		}
-	} else {
-		p.orphans = append(p.orphans, rescued...)
+	p.requeued++
+	s.origin = "requeue"
+	p.queue = append([]shardWork{s}, p.queue...)
+	p.queuedRuns += s.runs
+	if p.live == 0 {
 		if !p.registryMode {
 			if p.failed == nil {
-				p.failed = fmt.Errorf("all workers lost with %d shards outstanding; last: %w", len(p.orphans), cause)
+				p.failed = fmt.Errorf("all workers lost with %d shards outstanding; last: %w", len(p.queue), cause)
 			}
 		} else if p.graceTimer == nil && p.failed == nil && !p.interrupted {
 			grace := p.joinGrace
@@ -367,7 +257,7 @@ func (p *fleetPool) workerDied(url string, s shardWork, cause error) {
 				p.mu.Lock()
 				if p.live == 0 && p.failed == nil && !p.interrupted && p.runsRemaining > 0 {
 					p.failed = fmt.Errorf("all workers lost and none joined within %v (%d shards outstanding); last: %w",
-						grace, len(p.orphans), cause)
+						grace, len(p.queue), cause)
 				}
 				p.cond.Broadcast()
 				p.mu.Unlock()
@@ -428,7 +318,9 @@ func (p *fleetPool) waitDone() (failed error, interrupted bool) {
 	}
 }
 
-// snapshot renders the pool as the §7 progress resource.
+// snapshot renders the pool as the §7 progress resource. shards_stolen and
+// per-worker shards_queued stay 0: nothing steals, and queued work belongs
+// to no worker until it is taken.
 func (p *fleetPool) snapshot() server.CampaignProgress {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -437,7 +329,6 @@ func (p *fleetPool) snapshot() server.CampaignProgress {
 		Fingerprint:    p.fp,
 		CellsDone:      len(p.doneKeys),
 		CellsTotal:     p.cellsTotal,
-		ShardsStolen:   p.stolen,
 		ShardsRequeued: p.requeued,
 	}
 	for _, w := range p.workers {
@@ -445,7 +336,6 @@ func (p *fleetPool) snapshot() server.CampaignProgress {
 			URL:            w.url,
 			Health:         w.health,
 			ShardsDone:     w.done,
-			ShardsQueued:   len(w.queue),
 			ShardsInFlight: w.inflight,
 			LatencyEwmaMs:  w.ewmaRunMs,
 		})

@@ -36,7 +36,7 @@
 // distributed campaign: it polls the coordinator's GET /v1/campaign/progress
 // resource (PROTOCOL.md §7, served by cordbench -progress-addr) every
 // -progress-interval and prints one status line per poll — cells done, shard
-// steals/requeues, per-worker health — exiting 0 once the campaign reports
+// requeues, per-worker health — exiting 0 once the campaign reports
 // complete (or the coordinator, its work done, goes away).
 package main
 
@@ -442,18 +442,15 @@ type progressReport struct {
 	Fingerprint    string           `json:"fingerprint"`
 	CellsDone      int              `json:"cells_done"`
 	CellsTotal     int              `json:"cells_total"`
-	ShardsStolen   int              `json:"shards_stolen"`
 	ShardsRequeued int              `json:"shards_requeued"`
 	Workers        []progressWorker `json:"workers"`
 }
 
 type progressWorker struct {
-	URL            string  `json:"url"`
-	Health         string  `json:"health"`
-	ShardsDone     int     `json:"shards_done"`
-	ShardsQueued   int     `json:"shards_queued"`
-	ShardsInFlight int     `json:"shards_in_flight"`
-	LatencyEwmaMs  float64 `json:"latency_ewma_ms"`
+	URL            string `json:"url"`
+	Health         string `json:"health"`
+	ShardsDone     int    `json:"shards_done"`
+	ShardsInFlight int    `json:"shards_in_flight"`
 }
 
 // watchProgress polls a coordinator's campaign-progress resource until the
@@ -490,9 +487,9 @@ func watchProgress(client *http.Client, base string, interval time.Duration) int
 		for _, w := range p.Workers {
 			healths[w.Health]++
 		}
-		fmt.Printf("%d/%d cells  workers live=%d suspect=%d dead=%d  stolen=%d requeued=%d\n",
+		fmt.Printf("%d/%d cells  workers live=%d suspect=%d dead=%d  requeued=%d\n",
 			p.CellsDone, p.CellsTotal, healths["live"], healths["suspect"], healths["dead"],
-			p.ShardsStolen, p.ShardsRequeued)
+			p.ShardsRequeued)
 		if p.CellsTotal > 0 && p.CellsDone >= p.CellsTotal {
 			fmt.Println("campaign complete")
 			return 0

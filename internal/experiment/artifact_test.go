@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cord/internal/workload"
 )
 
 // testMeta is a small campaign stamp for artifact fixtures.
@@ -159,5 +161,29 @@ func TestOptionsMeta(t *testing.T) {
 	if m.BaseSeed != m4.BaseSeed || m.Scale != m4.Scale || m.Threads != m4.Threads ||
 		m.Injections != m4.Injections {
 		t.Fatalf("Procs leaked into campaign meta: %+v vs %+v", m, m4)
+	}
+}
+
+// TestAppAccessesMatchTable1Golden pins workload.App.Accesses — the fleet
+// coordinator's a-priori cost order — to the committed Table 1 golden, so
+// the two cannot drift apart.
+func TestAppAccessesMatchTable1Golden(t *testing.T) {
+	a, err := ReadArtifact(filepath.Join("..", "..", "bench", "BENCH_table1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Campaign.Scale != 1 || a.Campaign.Threads != 4 {
+		t.Fatalf("golden is scale %d, %d threads; App.Accesses is defined at scale 1, 4 threads",
+			a.Campaign.Scale, a.Campaign.Threads)
+	}
+	apps := workload.All()
+	if len(a.Table1) != len(apps) {
+		t.Fatalf("golden has %d Table 1 rows, workload.All() %d apps", len(a.Table1), len(apps))
+	}
+	for i, row := range a.Table1 {
+		if row.App != apps[i].Name || row.Accesses != apps[i].Accesses {
+			t.Errorf("row %d: golden %s accesses %d, workload.All() %s Accesses %d",
+				i, row.App, row.Accesses, apps[i].Name, apps[i].Accesses)
+		}
 	}
 }

@@ -70,11 +70,12 @@ type CampaignShardRequest struct {
 	// Ranges are the half-open [lo, hi) injection-run ranges to execute.
 	Ranges []experiment.ShardRange `json:"ranges"`
 	// Origin records why the coordinator routed this shard here: "" for
-	// planned placement, "steal" when a faster worker stole it from a slow
-	// peer's queue, "requeue" when it was rescued from a dead worker
-	// (PROTOCOL.md §7). Origin is observability only — it feeds the worker's
-	// fleet metrics and is deliberately excluded from the shard content hash,
-	// so a stolen re-send of a planned shard is still idempotent, not a 409.
+	// first dispatch, "requeue" when it was rescued from a dead worker, and
+	// "steal" — still accepted from older coordinators — when a faster
+	// worker took it from a slow peer's queue (PROTOCOL.md §7). Origin is
+	// observability only — it feeds the worker's fleet metrics and is
+	// deliberately excluded from the shard content hash, so a requeued
+	// re-send of a shard is still idempotent, not a 409.
 	Origin string `json:"origin,omitempty"`
 }
 
@@ -204,7 +205,7 @@ func (s *Server) handleCampaignShard(w http.ResponseWriter, r *http.Request) {
 		// Worker-kill chaos fires here — after the shard's cells exist but
 		// before any response byte is written — so the coordinator sees the
 		// dropped connection a mid-request kill -9 produces and must recover
-		// through retry, requeue, or steal.
+		// through retry or requeue.
 		s.cfg.Chaos.ShardCompleted()
 		return &CampaignShardResponse{
 			Schema:      SchemaVersion,

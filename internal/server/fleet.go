@@ -45,8 +45,8 @@ type FleetRegisterRequest struct {
 	// will dial, so it must be reachable from the coordinator, not merely a
 	// bind address. Absolute http or https; it is also the registry key.
 	URL string `json:"url"`
-	// Workers is the worker's session-pool size, advertised so coordinators
-	// can seed placement weights before any shard has measured latency.
+	// Workers is the worker's session-pool size, advertised for operators
+	// and coordinators; this tree's coordinator does not read it.
 	// Optional; 0 means unknown.
 	Workers int `json:"workers,omitempty"`
 	// TTLSeconds is how long this registration lives without a heartbeat,
@@ -203,9 +203,9 @@ func (s *Server) handleFleetWorkers(w http.ResponseWriter, r *http.Request) {
 }
 
 // Worker health classifications in CampaignProgress. A worker is live while
-// its requests succeed, suspect after a transient failure (its queued shards
-// are first in line to be stolen), and dead once the coordinator has given up
-// on it and requeued its work.
+// its requests succeed, suspect after a transient failure (observability
+// only: it drives no scheduling), and dead once the coordinator has given up
+// on it and requeued its in-flight shard.
 const (
 	WorkerLive    = "live"
 	WorkerSuspect = "suspect"
@@ -217,12 +217,15 @@ type ProgressWorker struct {
 	URL    string `json:"url"`
 	Health string `json:"health"` // "live", "suspect" or "dead"
 	// ShardsDone / ShardsQueued / ShardsInFlight partition the shards the
-	// coordinator currently attributes to this worker.
+	// coordinator currently attributes to this worker. A coordinator with
+	// one shared queue attributes queued work to no worker, so
+	// ShardsQueued is always 0 from it.
 	ShardsDone     int `json:"shards_done"`
 	ShardsQueued   int `json:"shards_queued"`
 	ShardsInFlight int `json:"shards_in_flight"`
 	// LatencyEwmaMs is the coordinator's moving estimate of this worker's
-	// per-shard latency — the signal behind adaptive placement and stealing.
+	// per-run latency, folded over its completed shards; 0 until the first.
+	// Observability only: no scheduling decision reads it.
 	LatencyEwmaMs float64 `json:"latency_ewma_ms"`
 }
 
@@ -239,9 +242,10 @@ type CampaignProgress struct {
 	// the exactly-once unit of merge.
 	CellsDone  int `json:"cells_done"`
 	CellsTotal int `json:"cells_total"`
-	// ShardsStolen / ShardsRequeued count recovery actions so far: steals
-	// moved queued shards from slow or suspect workers to fast ones,
-	// requeues rescued shards from workers declared dead.
+	// ShardsStolen / ShardsRequeued count recovery actions so far: requeues
+	// rescued in-flight shards from workers declared dead. Steals are
+	// retained for the schema; a shared-queue coordinator never steals, so
+	// ShardsStolen is always 0 from it.
 	ShardsStolen   int `json:"shards_stolen"`
 	ShardsRequeued int `json:"shards_requeued"`
 	// Workers lists per-worker assignment and health, sorted by URL.

@@ -44,23 +44,28 @@ type App struct {
 	// Build constructs a runnable program. scale >= 1 grows the problem
 	// size; tests use scale 1, the experiment harness a few steps more.
 	Build func(scale, threads int) sim.Program
+	// Accesses is the app's Table 1 shared-memory access count at scale 1
+	// with 4 threads, an a-priori cost estimate: the fleet coordinator
+	// dispatches the heaviest apps first. It is data only and never reaches
+	// a run or an artifact.
+	Accesses uint64
 }
 
 // All returns the twelve applications in Table 1 order.
 func All() []App {
 	return []App{
-		{Name: "barnes", Input: "n2048", Build: Barnes},
-		{Name: "cholesky", Input: "tk23.0", Build: Cholesky},
-		{Name: "fft", Input: "m16", Build: FFT},
-		{Name: "fmm", Input: "2048", Build: FMM},
-		{Name: "lu", Input: "512x512", Build: LU},
-		{Name: "ocean", Input: "130x130", Build: Ocean},
-		{Name: "radiosity", Input: "-test", Build: Radiosity},
-		{Name: "radix", Input: "256K keys", Build: Radix},
-		{Name: "raytrace", Input: "teapot", Build: Raytrace},
-		{Name: "volrend", Input: "head-sd2", Build: Volrend},
-		{Name: "water-n2", Input: "216", Build: WaterN2},
-		{Name: "water-sp", Input: "216", Build: WaterSP},
+		{Name: "barnes", Input: "n2048", Build: Barnes, Accesses: 13982},
+		{Name: "cholesky", Input: "tk23.0", Build: Cholesky, Accesses: 5329},
+		{Name: "fft", Input: "m16", Build: FFT, Accesses: 54038},
+		{Name: "fmm", Input: "2048", Build: FMM, Accesses: 4430},
+		{Name: "lu", Input: "512x512", Build: LU, Accesses: 9623},
+		{Name: "ocean", Input: "130x130", Build: Ocean, Accesses: 49419},
+		{Name: "radiosity", Input: "-test", Build: Radiosity, Accesses: 4297},
+		{Name: "radix", Input: "256K keys", Build: Radix, Accesses: 7639},
+		{Name: "raytrace", Input: "teapot", Build: Raytrace, Accesses: 2514},
+		{Name: "volrend", Input: "head-sd2", Build: Volrend, Accesses: 1977},
+		{Name: "water-n2", Input: "216", Build: WaterN2, Accesses: 113908},
+		{Name: "water-sp", Input: "216", Build: WaterSP, Accesses: 1070},
 	}
 }
 

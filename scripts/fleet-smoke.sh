@@ -90,13 +90,14 @@ cmp -s bench/BENCH_fig12.json "$DIR/out/BENCH_fig12.json" \
 	|| fail "fleet artifact differs from the committed golden baseline"
 
 # The kill must have been real failover, not a no-op after the last shard.
-# It lands after the first of 96 shards, while the victim still has a
-# backlog of placed shards, so it always holds or asks for another shard:
-# the coordinator must drop it and requeue that shard. (Who completes the
-# requeued shard varies: a survivor may steal it, so the completion line
-# says "via requeue" or "via steal". The byte-identical artifacts above
-# already prove it was completed.)
+# It lands after the first of 96 shards. The victim has no backlog of its
+# own, but its loop always holds or takes another of the 95 queued shards,
+# so the coordinator must drop it and requeue that shard at the queue head.
+# Nothing re-routes a requeued shard, so a survivor completes it "via
+# requeue".
 grep -q "fleet: dropping http://127.0.0.1:$VICTIM_PORT " "$DIR/dispatch.log" \
 	|| fail "the coordinator never dropped the killed worker"
+grep -q " via requeue " "$DIR/dispatch.log" \
+	|| fail "no survivor completed the killed worker's requeued shard"
 
 echo "fleet-smoke: PASS (worker killed mid-campaign; exit 0; artifacts byte-identical to single-process run and golden baseline)"
