@@ -135,10 +135,11 @@ fleet-chaos-smoke:
 # Short fuzzing pass over every hardened input surface: the binary order-log
 # decoder, the epoch stream (differential against the sort-based schedule
 # oracle), the Ideal detector (differential against the per-word-slice
-# history oracle), both service request parsers, and /v1/stream ingest
+# history oracle), both service request parsers, /v1/stream ingest
 # (generated logs at random chunkings, differential against a one-shot
-# decode-and-schedule oracle). CI runs this; crashes land in testdata/fuzz/
-# for triage.
+# decode-and-schedule oracle), and the fleet merge (random shard partitions,
+# differential against a single-process campaign). CI runs this; crashes land
+# in testdata/fuzz/ for triage.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecodeFrom' -fuzztime 10s -run '^$$' ./internal/record/
 	$(GO) test -fuzz 'FuzzEpochStream' -fuzztime 10s -run '^$$' ./internal/record/
@@ -146,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDetectRequest' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzReplayParams' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzStreamIngest' -fuzztime 10s -run '^$$' ./internal/server/
+	$(GO) test -fuzz 'FuzzShardMerge' -fuzztime 10s -run '^$$' ./internal/experiment/
 
 clean:
 	$(GO) clean ./...

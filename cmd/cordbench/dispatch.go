@@ -128,19 +128,17 @@ func buildShards(meta experiment.CampaignMeta, shardRuns int) []shardWork {
 // shardJournaled reports whether every cell the shard would produce is
 // already in the journal — the resume fast path: such shards are never
 // dispatched again.
-func shardJournaled(o experiment.Options, appIdx map[string]int, w shardWork) bool {
+func shardJournaled(o experiment.Options, w shardWork) bool {
 	if o.Checkpoint == nil {
 		return false
 	}
-	for _, rg := range w.ranges {
-		idx := appIdx[rg.App]
-		if !o.Checkpoint.Has(o.DetectCountKey(idx)) {
+	keys, err := o.DetectKeys(experiment.ShardSpec{Ranges: w.ranges})
+	if err != nil {
+		return false
+	}
+	for _, k := range keys {
+		if !o.Checkpoint.Has(k) {
 			return false
-		}
-		for i := rg.Lo; i < rg.Hi; i++ {
-			if !o.Checkpoint.Has(o.DetectInjectKey(idx, i)) {
-				return false
-			}
 		}
 	}
 	return true
@@ -381,15 +379,11 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 	}
 
 	// Cut the campaign into shards, skipping those fully journaled (resume).
-	appIdx := make(map[string]int, len(meta.Apps))
-	for i, name := range meta.Apps {
-		appIdx[name] = i
-	}
 	all := buildShards(meta, cfg.ShardRuns)
 	var shards []shardWork
 	skipped := 0
 	for _, w := range all {
-		if shardJournaled(opts, appIdx, w) {
+		if shardJournaled(opts, w) {
 			skipped++
 			continue
 		}
@@ -401,17 +395,19 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 		return nil
 	}
 
-	pool := newFleetPool(campaign, fp, cfg.ShardRuns, cfg.Registry != "", cfg.JoinGrace,
-		len(meta.Apps)*(1+meta.Injections))
+	var whole experiment.ShardSpec
+	for _, w := range all {
+		whole.Ranges = append(whole.Ranges, w.ranges...)
+	}
+	keys, err := opts.DetectKeys(whole)
+	if err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+	pool := newFleetPool(campaign, fp, cfg.ShardRuns, cfg.Registry != "", cfg.JoinGrace, len(keys))
 	var seeded []string
-	for i := range meta.Apps {
-		if opts.Checkpoint.Has(opts.DetectCountKey(i)) {
-			seeded = append(seeded, opts.DetectCountKey(i))
-		}
-		for j := 0; j < meta.Injections; j++ {
-			if opts.Checkpoint.Has(opts.DetectInjectKey(i, j)) {
-				seeded = append(seeded, opts.DetectInjectKey(i, j))
-			}
+	for _, k := range keys {
+		if opts.Checkpoint.Has(k) {
+			seeded = append(seeded, k)
 		}
 	}
 	pool.seedJournaled(seeded)

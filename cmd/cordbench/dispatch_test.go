@@ -124,14 +124,20 @@ func registerWorker(t *testing.T, client *http.Client, registry, worker string) 
 func requireJournalComplete(t *testing.T, opts experiment.Options) {
 	t.Helper()
 	meta := opts.Meta()
-	for appIdx := range meta.Apps {
-		if !opts.Checkpoint.Has(opts.DetectCountKey(appIdx)) {
-			t.Fatalf("app %d count cell missing from the journal", appIdx)
-		}
-		for i := 0; i < meta.Injections; i++ {
-			if !opts.Checkpoint.Has(opts.DetectInjectKey(appIdx, i)) {
-				t.Fatalf("app %d run %d missing from the journal", appIdx, i)
-			}
+	var whole experiment.ShardSpec
+	for _, app := range meta.Apps {
+		whole.Ranges = append(whole.Ranges, experiment.ShardRange{App: app, Lo: 0, Hi: meta.Injections})
+	}
+	keys, err := opts.DetectKeys(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(meta.Apps) * (1 + meta.Injections); len(keys) != want {
+		t.Fatalf("campaign has %d journal keys, want %d", len(keys), want)
+	}
+	for _, k := range keys {
+		if !opts.Checkpoint.Has(k) {
+			t.Fatalf("cell %s missing from the journal", k)
 		}
 	}
 }

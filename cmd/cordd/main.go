@@ -8,7 +8,7 @@
 //
 // Endpoints: POST /v1/detect, POST /v1/replay, POST /v1/stream (streaming
 // order-record ingestion with optional online race detection and duty
-// cycling, PROTOCOL.md §4; -stream-duty sets the default duty percentage),
+// cycling, PROTOCOL.md §4),
 // POST /v1/campaign/plan and POST /v1/campaign/shard (distributed-campaign
 // worker protocol, PROTOCOL.md §6 — a cordbench coordinator with -workers
 // fans run shards across a fleet of these processes), POST
@@ -49,8 +49,7 @@ import (
 // socket, mirroring the other cord binaries: bad invocations exit 2 with
 // usage instead of failing at the first request.
 func validateFlags(workers, queue int, timeout, drain time.Duration, maxBody int64,
-	streams int, streamIdle time.Duration, streamMaxBytes int64, streamMaxFrames uint64,
-	streamDuty int) error {
+	streams int, streamIdle time.Duration, streamMaxBytes int64, streamMaxFrames uint64) error {
 	if workers < 0 {
 		return fmt.Errorf("-workers must be at least 1 (or 0 for NumCPU)")
 	}
@@ -77,11 +76,6 @@ func validateFlags(workers, queue int, timeout, drain time.Duration, maxBody int
 	}
 	if streamMaxFrames < 1 {
 		return fmt.Errorf("-stream-max-frames must be at least 1")
-	}
-	// The server treats 0 as "use the default", so the flag's domain starts
-	// at 1; per-session duty=0 remains available via the query parameter.
-	if streamDuty < 1 || streamDuty > 100 {
-		return fmt.Errorf("-stream-duty must be in [1, 100]")
 	}
 	return nil
 }
@@ -183,7 +177,6 @@ func run() int {
 		streamIdle      = flag.Duration("stream-idle", 30*time.Second, "stream idle timeout (eviction with 408)")
 		streamMaxBytes  = flag.Int64("stream-max-bytes", 256<<20, "per-stream byte quota")
 		streamMaxFrames = flag.Uint64("stream-max-frames", 16<<20, "per-stream frame quota")
-		streamDuty      = flag.Int("stream-duty", 100, "default duty %% for detect=online sessions (1-100)")
 
 		registry    = flag.Bool("registry", false, "serve as the fleet registry workers announce to (PROTOCOL.md §7)")
 		register    = flag.String("register", "", "fleet registry base URL to announce this worker to (e.g. http://reg:8080)")
@@ -193,7 +186,7 @@ func run() int {
 	flag.Parse()
 
 	if err := validateFlags(*workers, *queue, *timeout, *drain, *maxBody,
-		*streams, *streamIdle, *streamMaxBytes, *streamMaxFrames, *streamDuty); err != nil {
+		*streams, *streamIdle, *streamMaxBytes, *streamMaxFrames); err != nil {
 		fmt.Fprintf(os.Stderr, "cordd: %v\n", err)
 		flag.Usage()
 		return 2
@@ -218,7 +211,6 @@ func run() int {
 		StreamIdleTimeout: *streamIdle,
 		MaxStreamBytes:    *streamMaxBytes,
 		MaxStreamFrames:   *streamMaxFrames,
-		StreamDuty:        *streamDuty,
 		Chaos:             chaosSpec,
 	})
 	httpSrv := &http.Server{

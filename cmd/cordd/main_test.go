@@ -20,32 +20,26 @@ func TestValidateFlags(t *testing.T) {
 		streamIdle      time.Duration
 		streamMaxBytes  int64
 		streamMaxFrames uint64
-		streamDuty      int
 		wantErr         bool
 	}{
-		{"defaults", 0, 16, 60 * s, 30 * s, 8 << 20, 8, 30 * s, 256 << 20, 16 << 20, 100, false},
-		{"explicit workers", 4, 1, s, s, 1, 1, s, 1, 1, 1, false},
-		{"negative workers", -1, 16, s, s, 1 << 20, 8, s, 1 << 20, 1 << 20, 100, true},
-		{"zero queue", 4, 0, s, s, 1 << 20, 8, s, 1 << 20, 1 << 20, 100, true},
-		{"negative queue", 4, -3, s, s, 1 << 20, 8, s, 1 << 20, 1 << 20, 100, true},
-		{"zero timeout", 4, 16, 0, s, 1 << 20, 8, s, 1 << 20, 1 << 20, 100, true},
-		{"negative timeout", 4, 16, -s, s, 1 << 20, 8, s, 1 << 20, 1 << 20, 100, true},
-		{"zero drain", 4, 16, s, 0, 1 << 20, 8, s, 1 << 20, 1 << 20, 100, true},
-		{"zero max body", 4, 16, s, s, 0, 8, s, 1 << 20, 1 << 20, 100, true},
-		{"negative max body", 4, 16, s, s, -1, 8, s, 1 << 20, 1 << 20, 100, true},
-		{"zero streams", 4, 16, s, s, 1 << 20, 0, s, 1 << 20, 1 << 20, 100, true},
-		{"zero stream idle", 4, 16, s, s, 1 << 20, 8, 0, 1 << 20, 1 << 20, 100, true},
-		{"zero stream bytes", 4, 16, s, s, 1 << 20, 8, s, 0, 1 << 20, 100, true},
-		{"zero stream frames", 4, 16, s, s, 1 << 20, 8, s, 1 << 20, 0, 100, true},
-		{"zero stream duty", 4, 16, s, s, 1 << 20, 8, s, 1 << 20, 1 << 20, 0, true},
-		{"duty above range", 4, 16, s, s, 1 << 20, 8, s, 1 << 20, 1 << 20, 101, true},
-		{"duty lower bound", 4, 16, s, s, 1 << 20, 8, s, 1 << 20, 1 << 20, 1, false},
-		{"duty upper bound", 4, 16, s, s, 1 << 20, 8, s, 1 << 20, 1 << 20, 100, false},
+		{"defaults", 0, 16, 60 * s, 30 * s, 8 << 20, 8, 30 * s, 256 << 20, 16 << 20, false},
+		{"explicit workers", 4, 1, s, s, 1, 1, s, 1, 1, false},
+		{"negative workers", -1, 16, s, s, 1 << 20, 8, s, 1 << 20, 1 << 20, true},
+		{"zero queue", 4, 0, s, s, 1 << 20, 8, s, 1 << 20, 1 << 20, true},
+		{"negative queue", 4, -3, s, s, 1 << 20, 8, s, 1 << 20, 1 << 20, true},
+		{"zero timeout", 4, 16, 0, s, 1 << 20, 8, s, 1 << 20, 1 << 20, true},
+		{"negative timeout", 4, 16, -s, s, 1 << 20, 8, s, 1 << 20, 1 << 20, true},
+		{"zero drain", 4, 16, s, 0, 1 << 20, 8, s, 1 << 20, 1 << 20, true},
+		{"zero max body", 4, 16, s, s, 0, 8, s, 1 << 20, 1 << 20, true},
+		{"negative max body", 4, 16, s, s, -1, 8, s, 1 << 20, 1 << 20, true},
+		{"zero streams", 4, 16, s, s, 1 << 20, 0, s, 1 << 20, 1 << 20, true},
+		{"zero stream idle", 4, 16, s, s, 1 << 20, 8, 0, 1 << 20, 1 << 20, true},
+		{"zero stream bytes", 4, 16, s, s, 1 << 20, 8, s, 0, 1 << 20, true},
+		{"zero stream frames", 4, 16, s, s, 1 << 20, 8, s, 1 << 20, 0, true},
 	}
 	for _, tc := range cases {
 		err := validateFlags(tc.workers, tc.queue, tc.timeout, tc.drain, tc.maxBody,
-			tc.streams, tc.streamIdle, tc.streamMaxBytes, tc.streamMaxFrames,
-			tc.streamDuty)
+			tc.streams, tc.streamIdle, tc.streamMaxBytes, tc.streamMaxFrames)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: validateFlags = %v, wantErr=%v", tc.name, err, tc.wantErr)
 		}

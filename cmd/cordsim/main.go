@@ -163,32 +163,11 @@ func run() int {
 	}
 
 	if *jsonPath != "" {
-		// The summary IS the service's DetectResponse: one schema for both
-		// producers, so a cordsim -json file and a POST /v1/detect body for
+		// The summary IS the service's DetectResponse, built by the same
+		// constructor, so a cordsim -json file and a POST /v1/detect body for
 		// the same parameters are byte-identical.
-		sum := server.DetectResponse{
-			Schema:  server.SchemaVersion,
-			App:     app.Name,
-			Seed:    *seed,
-			Scale:   *scale,
-			Threads: *threads,
-			Inject:  *inject,
-			D:       *d,
-			Result:  res,
-			Detectors: []server.DetectorVerdict{
-				{Name: ideal.Name(), RacyAccesses: ideal.RaceCount(), ProblemDetected: ideal.ProblemDetected()},
-				{Name: vec.Name(), RacyAccesses: vec.RaceCount(), ProblemDetected: vec.ProblemDetected()},
-				{Name: det.Name(), RacyAccesses: det.RaceCount(), ProblemDetected: det.ProblemDetected()},
-			},
-			CordStats: st,
-			LogBytes:  det.Log().SizeBytes(),
-		}
-		for i, r := range det.Races() {
-			if i >= server.MaxRacesInResponse {
-				break
-			}
-			sum.Races = append(sum.Races, r.String())
-		}
+		req := server.DetectRequest{App: app.Name, Seed: *seed, Scale: *scale, Threads: *threads, Inject: *inject, D: *d}
+		sum := server.NewDetectResponse(req, res, ideal, vec, det)
 		b, err := json.MarshalIndent(sum, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cordsim: encoding summary: %v\n", err)

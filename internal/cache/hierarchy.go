@@ -25,12 +25,12 @@ func (h HitLevel) String() string {
 }
 
 // Hierarchy is one processor's private, inclusive two-level cache (8 KB L1,
-// 32 KB L2 in the paper's reduced configuration). It tracks presence only;
-// the detectors keep their own payload-bearing caches, and the timing model
-// uses Hierarchy to price each access.
+// 32 KB L2 in the paper's reduced configuration). It tracks presence plus a
+// dirty bit in each L2 line; the detectors keep their own payload-bearing
+// caches, and the timing model uses Hierarchy to price each access.
 type Hierarchy struct {
 	l1 *Cache[struct{}]
-	l2 *Cache[struct{}]
+	l2 *Cache[bool] // payload: the line is dirty
 }
 
 // HierarchyConfig sizes both levels.
@@ -52,42 +52,40 @@ func DefaultHierarchy() HierarchyConfig {
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	return &Hierarchy{
 		l1: New[struct{}](cfg.L1),
-		l2: New[struct{}](cfg.L2),
+		l2: New[bool](cfg.L2),
 	}
 }
 
 // Access touches line l, returning where it hit, and installs it in both
-// levels (inclusive). Evictions from L2 back-invalidate L1 to preserve
-// inclusion. The returned victim, when present, is the line the L2 displaced.
-func (h *Hierarchy) Access(l memsys.Line) (HitLevel, memsys.Line, bool) {
-	if _, ok := h.l1.Lookup(l); ok {
-		// L1 hit implies L2 residency (inclusion); refresh L2 recency.
-		h.l2.Lookup(l)
-		return L1Hit, 0, false
-	}
-	level := MissLevel
-	if _, ok := h.l2.Lookup(l); ok {
+// levels (inclusive); a write marks the line dirty. Evictions from L2
+// back-invalidate L1 to preserve inclusion. The returned victim, when
+// evicted is true, is the line the L2 displaced, with its dirty bit.
+func (h *Hierarchy) Access(l memsys.Line, write bool) (level HitLevel, victim Victim[bool], evicted bool) {
+	level = L1Hit
+	if _, ok := h.l1.Lookup(l); !ok {
 		level = L2Hit
 	}
-	// Install (or refresh) in L2 first, then L1.
-	v2, evicted := h.l2.Insert(l, struct{}{})
-	if evicted {
-		h.l1.Remove(v2.Line) // back-invalidate for inclusion
+	// An L1 hit implies L2 residency (inclusion). Lookup refreshes the L2
+	// copy's recency; Insert would also clear its dirty bit.
+	if dirty, ok := h.l2.Lookup(l); ok {
+		*dirty = *dirty || write
+	} else {
+		level = MissLevel
+		if victim, evicted = h.l2.Insert(l, write); evicted {
+			h.l1.Remove(victim.Line) // back-invalidate for inclusion
+		}
 	}
-	if v1, e1 := h.l1.Insert(l, struct{}{}); e1 {
-		_ = v1 // L1 victims stay in L2 (write-back modeled as free here)
+	if level != L1Hit {
+		h.l1.Insert(l, struct{}{}) // L1 victims stay in L2
 	}
-	if evicted {
-		return level, v2.Line, true
-	}
-	return level, 0, false
+	return level, victim, evicted
 }
 
-// Invalidate removes l from both levels (snooped remote write).
-func (h *Hierarchy) Invalidate(l memsys.Line) bool {
-	_, in2 := h.l2.Remove(l)
+// Invalidate removes l from both levels (snooped remote write), reporting
+// whether the dropped copy was dirty and whether l was resident at all.
+func (h *Hierarchy) Invalidate(l memsys.Line) (dirty, ok bool) {
 	h.l1.Remove(l)
-	return in2
+	return h.l2.Remove(l)
 }
 
 // Contains reports whether l is resident in the L2 (and hence the hierarchy).

@@ -391,7 +391,7 @@ func TestForEachJoinsDistinctErrors(t *testing.T) {
 }
 
 // TestRetryDelayDeterministicAndBounded: the backoff schedule is a pure
-// function of (key, attempt) and never exceeds MaxDelay plus its jitter.
+// function of (key, attempt) and, jitter included, never exceeds MaxDelay.
 func TestRetryDelayDeterministicAndBounded(t *testing.T) {
 	r := Retry{}.withDefaults()
 	for attempt := 1; attempt <= 6; attempt++ {
@@ -399,8 +399,8 @@ func TestRetryDelayDeterministicAndBounded(t *testing.T) {
 		if b := r.delay("k", attempt); a != b {
 			t.Fatalf("attempt %d: delay is not deterministic (%v vs %v)", attempt, a, b)
 		}
-		if a <= 0 || a > r.MaxDelay+r.MaxDelay/2 {
-			t.Fatalf("attempt %d: delay %v outside (0, MaxDelay*1.5]", attempt, a)
+		if a <= 0 || a > r.MaxDelay {
+			t.Fatalf("attempt %d: delay %v outside (0, MaxDelay]", attempt, a)
 		}
 	}
 	if r.delay("k", 1) == r.delay("other", 1) {

@@ -160,52 +160,25 @@ func RunDetection(o Options) (*DetectionResults, error) {
 	o = o.withDefaults()
 	res := &DetectionResults{Configs: Configs()}
 
-	// Phase 1: size every application with one plain run and draw its
-	// injection targets. Targets come from a per-app PCG stream consumed in
-	// injection order — the same stream and order as a serial campaign —
-	// which is what keeps parallel campaigns bit-identical.
-	counts := make([]countOutcome, len(o.Apps))
-	if err := o.forEach(len(o.Apps), func(appIdx int) error {
-		return o.journaledRun("detect-count", appIdx, 0, &counts[appIdx], func() error {
-			out, err := o.countRun(appIdx)
-			if err != nil {
-				return err
-			}
-			counts[appIdx] = out
-			return nil
-		})
-	}); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: the flat injection-run list, each run one independent
-	// simulation writing into its own index-keyed outcome cell.
-	outcomes := make([][]injectionOutcome, len(o.Apps))
+	ids := make([]runID, 0, len(o.Apps)*o.Injections)
 	for appIdx := range o.Apps {
-		outcomes[appIdx] = make([]injectionOutcome, o.Injections)
+		for i := 0; i < o.Injections; i++ {
+			ids = append(ids, runID{appIdx, i})
+		}
 	}
-	if err := o.forEach(len(o.Apps)*o.Injections, func(k int) error {
-		appIdx, i := k/o.Injections, k%o.Injections
-		return o.journaledRun("detect-inject", appIdx, i, &outcomes[appIdx][i], func() error {
-			out, err := o.runInjection(appIdx, i, counts[appIdx].Targets[i])
-			if err != nil {
-				return err
-			}
-			outcomes[appIdx][i] = out
-			return nil
-		})
-	}); err != nil {
+	_, outcomes, err := o.detectRuns(ids)
+	if err != nil {
 		return nil, err
 	}
 
-	// Phase 3: aggregate in (app, injection) index order.
+	// Aggregate in (app, injection) index order.
 	for appIdx, app := range o.Apps {
 		agg := AppDetection{
 			App:      app.Name,
 			Problems: map[string]int{},
 			Races:    map[string]int{},
 		}
-		for _, out := range outcomes[appIdx] {
+		for _, out := range outcomes[appIdx*o.Injections : (appIdx+1)*o.Injections] {
 			if !out.Landed {
 				continue // target beyond this run's instance count
 			}
@@ -233,6 +206,52 @@ func RunDetection(o Options) (*DetectionResults, error) {
 		}
 	}
 	return res, nil
+}
+
+// runID names one fault-injection run: application index and run index.
+type runID struct{ app, run int }
+
+// detectRuns executes the injection runs ids, sorted by application then
+// run, for RunDetection and ExecuteDetectShard alike. Phase 1 sizes each
+// application ids touch and draws its targets (countRun); phase 2 runs the
+// injections, each writing its own index-keyed cell. counts is indexed by
+// application, outcomes like ids.
+func (o Options) detectRuns(ids []runID) (counts []countOutcome, outcomes []injectionOutcome, err error) {
+	apps := appsOf(ids)
+	counts = make([]countOutcome, len(o.Apps))
+	if err := o.forEach(len(apps), func(k int) error {
+		appIdx := apps[k]
+		return o.journaledRun("detect-count", appIdx, 0, &counts[appIdx], func() (err error) {
+			counts[appIdx], err = o.countRun(appIdx)
+			return err
+		})
+	}); err != nil {
+		return nil, nil, err
+	}
+
+	outcomes = make([]injectionOutcome, len(ids))
+	if err := o.forEach(len(ids), func(k int) error {
+		id := ids[k]
+		return o.journaledRun("detect-inject", id.app, id.run, &outcomes[k], func() (err error) {
+			outcomes[k], err = o.runInjection(id.app, id.run, counts[id.app].Targets[id.run])
+			return err
+		})
+	}); err != nil {
+		return nil, nil, err
+	}
+	return counts, outcomes, nil
+}
+
+// appsOf lists the distinct applications of ids, which are sorted by
+// application, in order.
+func appsOf(ids []runID) []int {
+	var apps []int
+	for _, id := range ids {
+		if len(apps) == 0 || apps[len(apps)-1] != id.app {
+			apps = append(apps, id.app)
+		}
+	}
+	return apps
 }
 
 // countRun is the detection campaign's phase-1 sizing run for one

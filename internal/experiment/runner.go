@@ -53,6 +53,7 @@ import (
 	"time"
 
 	"cord/internal/checkpoint"
+	"cord/internal/httpretry"
 	"cord/internal/sim"
 	"cord/internal/workload"
 )
@@ -70,7 +71,7 @@ var ErrInterrupted = errors.New("experiment: campaign interrupted")
 
 // Retry bounds how a campaign retries one run's transient failures. The
 // attempt budget covers the first try: Attempts 3 means one try plus at most
-// two retries. Backoff doubles from BaseDelay up to MaxDelay, plus a
+// two retries. Backoff doubles from BaseDelay up to MaxDelay, less a
 // deterministic jitter derived from the run's identity — retry *timing*
 // varies, retry *outcomes* cannot, because runs are pure functions of their
 // seeds.
@@ -93,21 +94,12 @@ func (r Retry) withDefaults() Retry {
 	return r
 }
 
-// delay is the backoff before attempt+1: BaseDelay doubled per failed
-// attempt, capped at MaxDelay, plus up to 50% deterministic jitter keyed on
+// delay is the backoff before attempt+1: httpretry's capped doubling from
+// BaseDelay to MaxDelay, shrunk by up to 50% of deterministic jitter keyed on
 // the run identity (so parallel retries do not thundering-herd in lockstep,
 // and tests reproduce the same schedule).
 func (r Retry) delay(key string, attempt int) time.Duration {
-	d := r.BaseDelay
-	for i := 1; i < attempt && d < r.MaxDelay; i++ {
-		d *= 2
-	}
-	if d > r.MaxDelay {
-		d = r.MaxDelay
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d", key, attempt)
-	return d + time.Duration(h.Sum64()%uint64(d/2+1))
+	return httpretry.Policy{Fallback: r.BaseDelay, Cap: r.MaxDelay, Jitter: 0.5}.BackoffKeyed(key, attempt)
 }
 
 // transienter is the failure-classification contract: errors that declare

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"cord/internal/workload"
 )
@@ -34,8 +33,8 @@ type ShardRange struct {
 // ShardSpec is one unit of distributed campaign work: a set of run ranges
 // executed together. Ranges may name several applications; overlapping or
 // duplicate indices are collapsed, and the cells of a shard are canonically
-// ordered — applications by campaign index, each application's count cell
-// first, then injection cells by run index — so two spec-equal shards
+// ordered — the count cell of each application by campaign index, then the
+// injection cells by application and run index — so two spec-equal shards
 // always yield byte-identical responses regardless of range order.
 type ShardSpec struct {
 	Ranges []ShardRange `json:"ranges"`
@@ -59,13 +58,30 @@ type Cell struct {
 // any simulation runs.
 func (o Options) Fingerprint() string { return o.fingerprint() }
 
-// DetectCountKey is the journal identity of an application's phase-1 sizing
-// run in the detection campaign.
-func (o Options) DetectCountKey(app int) string { return o.runKey("detect-count", app, 0) }
+// DetectKeys lists the journal keys of the cells ExecuteDetectShard returns
+// for spec, in cell order; it fails like ExecuteDetectShard on a bad spec.
+// A coordinator uses it to tell which cells its journal already holds.
+func (o Options) DetectKeys(spec ShardSpec) ([]string, error) {
+	o = o.withDefaults()
+	ids, err := o.collapse(spec)
+	if err != nil {
+		return nil, err
+	}
+	return o.detectKeys(ids), nil
+}
 
-// DetectInjectKey is the journal identity of one fault-injection run in the
-// detection campaign.
-func (o Options) DetectInjectKey(app, run int) string { return o.runKey("detect-inject", app, run) }
+// detectKeys is DetectKeys over collapsed runs.
+func (o Options) detectKeys(ids []runID) []string {
+	apps := appsOf(ids)
+	keys := make([]string, 0, len(apps)+len(ids))
+	for _, appIdx := range apps {
+		keys = append(keys, o.runKey("detect-count", appIdx, 0))
+	}
+	for _, id := range ids {
+		keys = append(keys, o.runKey("detect-inject", id.app, id.run))
+	}
+	return keys
+}
 
 // OptionsFromMeta reconstructs campaign Options from wire metadata: the
 // inverse of Options.Meta, used by the cordd campaign endpoint. Zero fields
@@ -116,13 +132,44 @@ func OptionsFromMeta(m CampaignMeta) (Options, error) {
 // shard's runs journal locally too, exactly like a local campaign.
 func ExecuteDetectShard(o Options, spec ShardSpec) ([]Cell, error) {
 	o = o.withDefaults()
+	ids, err := o.collapse(spec)
+	if err != nil {
+		return nil, err
+	}
+	counts, outcomes, err := o.detectRuns(ids)
+	if err != nil {
+		return nil, err
+	}
+
+	// Each cell holds exactly the bytes journaledRun appends: json.Marshal
+	// of the outcome value.
+	var values []any
+	for _, appIdx := range appsOf(ids) {
+		values = append(values, &counts[appIdx])
+	}
+	for k := range outcomes {
+		values = append(values, &outcomes[k])
+	}
+	keys := o.detectKeys(ids)
+	cells := make([]Cell, len(keys))
+	for i, v := range values {
+		data, err := json.Marshal(v)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: encoding cell %s: %w", keys[i], err)
+		}
+		cells[i] = Cell{Key: keys[i], Data: data}
+	}
+	return cells, nil
+}
+
+// collapse validates spec and collapses its ranges into the canonical run
+// list: by application index, then by run index, each run once.
+func (o Options) collapse(spec ShardSpec) ([]runID, error) {
 	idxOf := make(map[string]int, len(o.Apps))
 	for i, a := range o.Apps {
 		idxOf[a.Name] = i
 	}
-
-	// Collapse the ranges into one sorted run set per application.
-	runsByApp := map[int]map[int]bool{}
+	named := make([][]bool, len(o.Apps))
 	for _, r := range spec.Ranges {
 		appIdx, ok := idxOf[r.App]
 		if !ok {
@@ -132,88 +179,25 @@ func ExecuteDetectShard(o Options, spec ShardSpec) ([]Cell, error) {
 			return nil, fmt.Errorf("%w: range [%d, %d) of %q outside [0, %d)",
 				ErrBadShard, r.Lo, r.Hi, r.App, o.Injections)
 		}
-		if runsByApp[appIdx] == nil {
-			runsByApp[appIdx] = map[int]bool{}
+		if named[appIdx] == nil {
+			named[appIdx] = make([]bool, o.Injections)
 		}
 		for i := r.Lo; i < r.Hi; i++ {
-			runsByApp[appIdx][i] = true
+			named[appIdx][i] = true
 		}
 	}
-	if len(runsByApp) == 0 {
+	var ids []runID
+	for appIdx, runs := range named {
+		for i, ok := range runs {
+			if ok {
+				ids = append(ids, runID{appIdx, i})
+			}
+		}
+	}
+	if len(ids) == 0 {
 		return nil, fmt.Errorf("%w: a shard must name at least one run", ErrBadShard)
 	}
-	apps := make([]int, 0, len(runsByApp))
-	for appIdx := range runsByApp {
-		apps = append(apps, appIdx)
-	}
-	sort.Ints(apps)
-
-	// Phase 1: size the shard's applications and draw their targets — the
-	// same journaled ladder a local campaign uses.
-	counts := make(map[int]*countOutcome, len(apps))
-	for _, appIdx := range apps {
-		counts[appIdx] = &countOutcome{}
-	}
-	if err := o.forEach(len(apps), func(k int) error {
-		appIdx := apps[k]
-		return o.journaledRun("detect-count", appIdx, 0, counts[appIdx], func() error {
-			out, err := o.countRun(appIdx)
-			if err != nil {
-				return err
-			}
-			*counts[appIdx] = out
-			return nil
-		})
-	}); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: the shard's flat injection-run list, in canonical order.
-	type runID struct{ app, run int }
-	var flat []runID
-	for _, appIdx := range apps {
-		runs := make([]int, 0, len(runsByApp[appIdx]))
-		for i := range runsByApp[appIdx] {
-			runs = append(runs, i)
-		}
-		sort.Ints(runs)
-		for _, i := range runs {
-			flat = append(flat, runID{appIdx, i})
-		}
-	}
-	outcomes := make([]injectionOutcome, len(flat))
-	if err := o.forEach(len(flat), func(k int) error {
-		id := flat[k]
-		return o.journaledRun("detect-inject", id.app, id.run, &outcomes[k], func() error {
-			out, err := o.runInjection(id.app, id.run, counts[id.app].Targets[id.run])
-			if err != nil {
-				return err
-			}
-			outcomes[k] = out
-			return nil
-		})
-	}); err != nil {
-		return nil, err
-	}
-
-	// Assemble the cells with exactly the bytes journaledRun appends:
-	// json.Marshal of the outcome value.
-	cells := make([]Cell, 0, len(apps)+len(flat))
-	for _, appIdx := range apps {
-		data, err := json.Marshal(counts[appIdx])
-		if err != nil {
-			return nil, fmt.Errorf("experiment: encoding count cell: %w", err)
-		}
-		cells = append(cells, Cell{Key: o.DetectCountKey(appIdx), Data: data})
-	}
-	for k, id := range flat {
-		data, err := json.Marshal(&outcomes[k])
-		if err != nil {
-			return nil, fmt.Errorf("experiment: encoding injection cell: %w", err)
-		}
-		cells = append(cells, Cell{Key: o.DetectInjectKey(id.app, id.run), Data: data})
-	}
-	return cells, nil
+	return ids, nil
 }
 
 // Runs is the number of injection runs the spec names after collapsing

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"cord/internal/checkpoint"
@@ -13,7 +14,7 @@ import (
 
 // shardTestOptions is a campaign small enough to run many times in a test
 // yet wide enough to exercise multi-app sharding.
-func shardTestOptions(t *testing.T) Options {
+func shardTestOptions(t testing.TB) Options {
 	t.Helper()
 	fft, err := workload.ByName("fft")
 	if err != nil {
@@ -171,6 +172,95 @@ func TestShardMergeEquivalence(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("merged results differ from direct run:\n direct %s\n merged %s", a, b)
 	}
+}
+
+// FuzzShardMerge: fleet merge ≡ single process over random partitions. The
+// fuzz bytes cut each application's runs into ranges, add overlapping and
+// duplicate ranges, deal the ranges to up to four shards in a drawn order,
+// execute the shards in a drawn order at Procs 1 or 2, and append every
+// shard's cells to one journal. The campaign run against that journal must
+// deep-equal a direct run and take every run from the journal.
+func FuzzShardMerge(f *testing.F) {
+	f.Add([]byte{})                                // one shard, one range per app, Procs 1
+	f.Add([]byte{1, 3, 0, 1, 1, 2, 2, 3, 1, 0, 2}) // four shards, Procs 2
+	f.Add([]byte{0, 1, 1, 0, 1, 1, 3, 0, 3, 1, 1, 2, 1, 1, 2, 1, 0, 1, 3, 1})
+	f.Add([]byte{1, 2, 3, 1, 3, 0, 3, 0, 3, 1, 2, 0, 0, 3, 1, 1, 2, 0, 0})
+
+	o := shardTestOptions(f)
+	direct, err := RunDetection(o)
+	if err != nil {
+		f.Fatal(err)
+	}
+	inj := o.withDefaults().Injections
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func(n int) int { // the next fuzz byte mod n; 0 once exhausted
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b % n
+		}
+		o := o
+		o.Procs = 1 + next(2)
+		shards := make([]ShardSpec, 1+next(4))
+		deal := func(r ShardRange) {
+			s := &shards[next(len(shards))]
+			s.Ranges = append(s.Ranges, r)
+		}
+		for _, app := range o.Apps {
+			for lo := 0; lo < inj; {
+				hi := lo + 1 + next(inj-lo)
+				deal(ShardRange{App: app.Name, Lo: lo, Hi: hi})
+				lo = hi
+			}
+		}
+		for extra := next(4); extra > 0; extra-- {
+			lo := next(inj)
+			deal(ShardRange{App: o.Apps[next(len(o.Apps))].Name, Lo: lo, Hi: lo + 1 + next(inj-lo)})
+		}
+		shuffle := func(n int, swap func(i, j int)) {
+			for i := n - 1; i > 0; i-- {
+				swap(i, next(i+1))
+			}
+		}
+		for _, s := range shards {
+			shuffle(len(s.Ranges), func(i, j int) { s.Ranges[i], s.Ranges[j] = s.Ranges[j], s.Ranges[i] })
+		}
+		shuffle(len(shards), func(i, j int) { shards[i], shards[j] = shards[j], shards[i] })
+
+		j, err := checkpoint.Open(filepath.Join(t.TempDir(), "merge.cordckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		for _, spec := range shards {
+			if len(spec.Ranges) == 0 {
+				continue
+			}
+			cells, err := ExecuteDetectShard(o, spec)
+			if err != nil {
+				t.Fatalf("shard %+v: %v", spec, err)
+			}
+			for _, c := range cells {
+				if err := j.Append(c.Key, c.Data); err != nil {
+					t.Fatalf("Append(%s): %v", c.Key, err)
+				}
+			}
+		}
+		merged := o
+		merged.Checkpoint = j
+		res, err := RunDetection(merged)
+		if err != nil {
+			t.Fatalf("merged campaign: %v", err)
+		}
+		if want := len(o.Apps) * (1 + inj); j.Hits() != want {
+			t.Fatalf("merged campaign hit the journal %d times, want %d", j.Hits(), want)
+		}
+		if !reflect.DeepEqual(res, direct) {
+			t.Fatalf("shards %+v: merged results differ from the direct run:\n direct %+v\n merged %+v", shards, direct, res)
+		}
+	})
 }
 
 // TestOptionsFromMetaRoundTrip: wire metadata reconstructs Options whose

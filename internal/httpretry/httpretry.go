@@ -1,12 +1,14 @@
-// Package httpretry is the one place the repository's HTTP clients decide
-// how long to back off after server pushback. Two clients speak to cordd —
-// cordload's load sweeps and cordbench's fleet dispatcher — and both must
-// honor the service's 429/`Retry-After` contract (PROTOCOL.md §4.2)
-// identically: delta-seconds and HTTP-date wire forms, a past HTTP-date
-// meaning "retry now" rather than "back off", and a doubling fallback only
-// when the header is absent or unparseable. The logic used to be duplicated
-// per binary; a past-date clamp bug fixed in one copy and not the other is
-// exactly the kind of drift this package exists to prevent.
+// Package httpretry is the one place the repository decides how long to
+// back off before a retry. Two clients speak to cordd — cordload's load
+// sweeps and cordbench's fleet dispatcher — and both must honor the
+// service's 429/`Retry-After` contract (PROTOCOL.md §4.2) identically:
+// delta-seconds and HTTP-date wire forms, a past HTTP-date meaning "retry
+// now" rather than "back off", and a doubling fallback only when the header
+// is absent or unparseable. The third client is the experiment campaign
+// runner, whose per-run retry of transient failures sleeps BackoffKeyed,
+// keyed on the run's identity. The logic used to be duplicated per caller;
+// a past-date clamp bug fixed in one copy and not the other is exactly the
+// kind of drift this package exists to prevent.
 package httpretry
 
 import (
@@ -96,7 +98,7 @@ func (p Policy) Backoff(attempt int) time.Duration {
 // spread out instead of re-synchronizing at the clamp. The draw is a pure
 // function of (key, attempt): retry schedules reproduce exactly under test
 // and across process restarts, the same determinism-by-hashing idiom the
-// campaign runner's retry delay and the chaos injector use.
+// chaos injector uses.
 func (p Policy) BackoffKeyed(key string, attempt int) time.Duration {
 	d := p.Fallback
 	for i := 1; i < attempt; i++ {

@@ -42,7 +42,6 @@ type Machine struct {
 	cfg    Config
 	fabric *bus.Fabric
 	procs  []*cache.Hierarchy
-	dirty  []map[memsys.Line]bool
 
 	// stats
 	misses, c2c, memFetch, upgrades uint64
@@ -59,7 +58,6 @@ func New(cfg Config) *Machine {
 	m := &Machine{cfg: cfg, fabric: bus.NewFabric(cfg.Timing)}
 	for i := 0; i < cfg.Procs; i++ {
 		m.procs = append(m.procs, cache.NewHierarchy(cfg.Hierarchy))
-		m.dirty = append(m.dirty, make(map[memsys.Line]bool))
 	}
 	return m
 }
@@ -80,7 +78,7 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 		}
 	}
 
-	level, victim, evicted := h.Access(l)
+	level, victim, evicted := h.Access(l, a.Kind == trace.Write)
 	end := now
 	switch level {
 	case cache.L1Hit:
@@ -109,32 +107,28 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 				m.fabric.Addr.Acquire(end, t.AddrBusCycles)
 			}
 			for p, rh := range m.procs {
-				if p != proc && rh.Invalidate(l) {
-					if m.dirty[p][l] {
-						// Invalidating a remote *dirty* copy flushes its data:
-						// a cache-to-cache supply on the data bus plus the
-						// memory write-back, like an eviction. The transfer
-						// happens off the writer's critical path, so it
-						// occupies the buses without delaying retirement.
-						m.dirtyInvals++
-						wb := m.fabric.Data.Acquire(end, t.DataBusCycles)
-						m.fabric.Mem.Acquire(wb, t.MemoryCycles)
-						delete(m.dirty[p], l)
-					}
+				if p == proc {
+					continue
+				}
+				if dirty, _ := rh.Invalidate(l); dirty {
+					// Invalidating a remote *dirty* copy flushes its data:
+					// a cache-to-cache supply on the data bus plus the
+					// memory write-back, like an eviction. The transfer
+					// happens off the writer's critical path, so it
+					// occupies the buses without delaying retirement.
+					m.dirtyInvals++
+					wb := m.fabric.Data.Acquire(end, t.DataBusCycles)
+					m.fabric.Mem.Acquire(wb, t.MemoryCycles)
 				}
 			}
 		}
-		m.dirty[proc][l] = true
 	}
 
-	if evicted {
-		if m.dirty[proc][victim] {
-			// Dirty write-back occupies the data bus and the memory
-			// channel but does not delay the issuing instruction.
-			wb := m.fabric.Data.Acquire(end, t.DataBusCycles)
-			m.fabric.Mem.Acquire(wb, t.MemoryCycles)
-			delete(m.dirty[proc], victim)
-		}
+	if evicted && victim.Payload {
+		// Dirty write-back occupies the data bus and the memory channel
+		// but does not delay the issuing instruction.
+		wb := m.fabric.Data.Acquire(end, t.DataBusCycles)
+		m.fabric.Mem.Acquire(wb, t.MemoryCycles)
 	}
 
 	// CORD traffic: race-check broadcasts and memory-timestamp update

@@ -140,8 +140,7 @@ type DetectorVerdict struct {
 }
 
 // MaxRacesInResponse caps the rendered race list in a DetectResponse; the
-// verdict counters are complete regardless. Exported so cordsim -json caps
-// identically and both producers stay byte-compatible.
+// verdict counters are complete regardless.
 const MaxRacesInResponse = 100
 
 // DetectResponse is the result of one detection session: the engine result,
@@ -200,9 +199,17 @@ func runDetectSession(ctx context.Context, req DetectRequest) (*DetectResponse, 
 		return nil, nil, err
 	}
 
+	return NewDetectResponse(req, res, ideal, vec, det), det.Log(), nil
+}
+
+// NewDetectResponse builds the body of one finished run of req (defaults
+// applied) from its result and the Ideal, vector-clock and CORD detectors
+// that observed it: the one constructor behind both POST /v1/detect and
+// cordsim -json, so the two are byte-identical for the same parameters.
+func NewDetectResponse(req DetectRequest, res sim.Result, ideal *baseline.Ideal, vec *baseline.VecCache, det *core.Detector) *DetectResponse {
 	resp := &DetectResponse{
 		Schema:  SchemaVersion,
-		App:     app.Name,
+		App:     req.App,
 		Seed:    req.Seed,
 		Scale:   req.Scale,
 		Threads: req.Threads,
@@ -223,7 +230,7 @@ func runDetectSession(ctx context.Context, req DetectRequest) (*DetectResponse, 
 		}
 		resp.Races = append(resp.Races, r.String())
 	}
-	return resp, det.Log(), nil
+	return resp
 }
 
 // ReplayRequest carries the run parameters of POST /v1/replay (query-string

@@ -117,7 +117,7 @@ func (s *Server) handleCampaignPlan(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req CampaignPlanRequest
 	if err := decodeJSONBody(r, &req); err != nil {
-		writeError(w, statusForBodyError(err), err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if !identRe.MatchString(req.Campaign) {
@@ -147,7 +147,7 @@ func (s *Server) handleCampaignShard(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req CampaignShardRequest
 	if err := decodeJSONBody(r, &req); err != nil {
-		writeError(w, statusForBodyError(err), err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if !identRe.MatchString(req.Campaign) || !identRe.MatchString(req.ShardID) {
@@ -218,9 +218,9 @@ func (s *Server) handleCampaignShard(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxShardRegistry bounds the conflict-detection registry. Beyond it the
-// oldest entries are forgotten — conflict detection is best-effort over
-// recent shards, never a correctness mechanism: cells are deterministic, so
+// maxShardRegistry bounds the conflict-detection registry. Beyond it each
+// new entry evicts an arbitrary one (Go map order) — conflict detection is
+// best-effort, never a correctness mechanism: cells are deterministic, so
 // even an undetected id re-use returns correct bytes for its content.
 const maxShardRegistry = 4096
 
@@ -248,7 +248,7 @@ func (s *Server) registerShard(req CampaignShardRequest) (prev uint64, ok bool) 
 		return prev, prev == sum
 	}
 	if len(s.shards) >= maxShardRegistry {
-		for k := range s.shards { // forget an arbitrary old entry
+		for k := range s.shards { // forget an arbitrary entry
 			delete(s.shards, k)
 			break
 		}

@@ -118,7 +118,7 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req FleetRegisterRequest
 	if err := decodeJSONBody(r, &req); err != nil {
-		writeError(w, statusForBodyError(err), err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	u, err := url.Parse(req.URL)
@@ -258,7 +258,7 @@ type CampaignProgress struct {
 func ProgressHandler(snapshot func() CampaignProgress) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed,
+			writeErrorCode(w, http.StatusMethodNotAllowed, codeBadRequest,
 				fmt.Errorf("%w: %s is not allowed on the progress resource", ErrBadRequest, r.Method))
 			return
 		}

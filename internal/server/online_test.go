@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -280,7 +281,8 @@ func TestStreamOnlineMidStreamRaces(t *testing.T) {
 
 // TestStreamOnlineDutyCoverage: duty=0 skips the replay entirely (pure
 // ingest with epoch accounting), a mid duty observes a matching fraction of
-// epochs, and the /metrics online counters add up.
+// epochs, the /metrics online counters add up, and a session without duty=
+// runs at full coverage.
 func TestStreamOnlineDutyCoverage(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 4})
 	ts := httptest.NewServer(srv)
@@ -350,6 +352,11 @@ func TestStreamOnlineDutyCoverage(t *testing.T) {
 	}
 	if m.Streams.OnlineDivergences != 0 {
 		t.Fatalf("online_divergences = %d, want 0", m.Streams.OnlineDivergences)
+	}
+
+	def := get(base)
+	if def.Duty != 100 || def.CoveragePct != 100 || !reflect.DeepEqual(def, full) {
+		t.Fatalf("block without duty= %+v, want the duty=100 block %+v", def, full)
 	}
 }
 

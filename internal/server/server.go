@@ -46,11 +46,6 @@ type Config struct {
 	// MaxStreamFrames is the per-session frame quota of one stream
 	// (default 16Mi entries); exceeding it answers 413.
 	MaxStreamFrames uint64
-	// StreamDuty is the default duty percentage of detect=online sessions
-	// that do not pass duty= themselves (default 100 — full coverage). The
-	// zero value selects the default; per-session duty=0 is still available
-	// via the query parameter.
-	StreamDuty int
 
 	// Chaos is the optional fault injector (nil in production): when its
 	// worker-kill knob is armed, completing a campaign shard may terminate
@@ -83,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxStreamFrames == 0 {
 		c.MaxStreamFrames = 16 << 20
-	}
-	if c.StreamDuty <= 0 || c.StreamDuty > 100 {
-		c.StreamDuty = 100
 	}
 	return c
 }
@@ -130,7 +122,7 @@ type Server struct {
 
 	stopOnce sync.Once
 
-	// shardMu/shards is the campaign shard-conflict registry: recent shard
+	// shardMu/shards is the campaign shard-conflict registry: bounded shard
 	// identities mapped to their content hashes (see registerShard).
 	shardMu sync.Mutex
 	shards  map[shardKey]uint64
@@ -261,39 +253,29 @@ func (s *Server) worker() {
 }
 
 // serve executes one session under the merged client/timeout context and
-// classifies its outcome.
+// counts its outcome; classify picks the error status and code.
 func (s *Server) serve(sess *session) {
 	defer s.release()
 	s.m.bump(func(c *SessionCounters) { c.Started++ })
 	ctx, cancel := context.WithTimeout(sess.ctx, s.cfg.SessionTimeout)
 	defer cancel()
 	v, err := sess.run(ctx)
+	var b []byte
+	if err == nil {
+		b, err = encodeJSON(v)
+	}
 	var res sessionResult
 	switch {
 	case err == nil:
-		b, encErr := encodeJSON(v)
-		if encErr != nil {
-			s.m.bump(func(c *SessionCounters) { c.Failed++ })
-			res = errorResult(http.StatusInternalServerError, encErr)
-			break
-		}
 		s.m.bump(func(c *SessionCounters) { c.Completed++ })
 		res = sessionResult{status: http.StatusOK, body: b}
 	case errors.Is(err, context.DeadlineExceeded):
 		s.m.bump(func(c *SessionCounters) { c.TimedOut++ })
-		res = errorResult(http.StatusGatewayTimeout,
+		res = errorResultCode(http.StatusGatewayTimeout, codeTimeout,
 			fmt.Errorf("session exceeded the %v timeout", s.cfg.SessionTimeout))
 	case errors.Is(err, context.Canceled):
 		s.m.bump(func(c *SessionCounters) { c.Canceled++ })
 		res = sessionResult{status: statusClientGone}
-	case errors.Is(err, record.ErrOrderViolation):
-		// The log parsed but violates the §3 order invariants: 422 per the
-		// PROTOCOL.md §5 taxonomy, matching the streaming path's verdict.
-		s.m.bump(func(c *SessionCounters) { c.Failed++ })
-		res = errorResult(http.StatusUnprocessableEntity, err)
-	case errors.Is(err, ErrBadRequest):
-		s.m.bump(func(c *SessionCounters) { c.Failed++ })
-		res = errorResult(http.StatusBadRequest, err)
 	default:
 		s.m.bump(func(c *SessionCounters) { c.Failed++ })
 		res = errorResult(http.StatusInternalServerError, err)
@@ -308,7 +290,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, run func(ctx c
 	start := time.Now()
 	if !s.accept() {
 		s.m.bump(func(c *SessionCounters) { c.RejectedDraining++ })
-		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
+		writeErrorCode(w, http.StatusServiceUnavailable, codeDraining, errors.New("server is draining"))
 		return
 	}
 	sess := &session{ctx: r.Context(), run: run, done: make(chan sessionResult, 1)}
@@ -322,7 +304,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, run func(ctx c
 		// one session's service time: hint with the endpoint's observed
 		// p50 handler latency, like the stream-slot 429 path.
 		w.Header().Set("Retry-After", s.retryAfter(r.URL.Path))
-		writeError(w, http.StatusTooManyRequests, errors.New("session queue is full"))
+		writeErrorCode(w, http.StatusTooManyRequests, codeQueueFull, errors.New("session queue is full"))
 		return
 	}
 	// Always collect the verdict (cancellation makes workers finish
@@ -357,7 +339,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req DetectRequest
 	if err := decodeJSONBody(r, &req); err != nil {
-		writeError(w, statusForBodyError(err), err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	req.ApplyDefaults()
@@ -386,7 +368,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	// truncated streams without oversized allocations.
 	log, err := record.DecodeFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		writeError(w, statusForBodyError(err), fmt.Errorf("decoding order log: %w", err))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding order log: %w", err))
 		return
 	}
 	s.dispatch(w, r, func(ctx context.Context) (any, error) {
@@ -477,16 +459,6 @@ func decodeJSONBody(r *http.Request, v any) error {
 	return nil
 }
 
-// statusForBodyError maps body-read failures: an over-limit body is 413,
-// anything else the client sent is 400.
-func statusForBodyError(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
 // errorBody is the uniform error response shape. Code is the machine-readable
 // taxonomy entry (PROTOCOL.md §errors): clients branch on it instead of
 // parsing the human-readable Error text.
@@ -516,42 +488,34 @@ const (
 	codeFingerprintMismatch = "fingerprint_mismatch" // coordinator/worker config fingerprints disagree
 )
 
-// errorCode classifies err (preferred) or falls back on the HTTP status, so
-// every error path lands on a taxonomy entry without each call site naming
-// one. Call sites with a more specific verdict (idle timeout, quotas, stream
-// admission) pass it explicitly via errorResultCode.
-func errorCode(status int, err error) string {
+// classify maps err onto its PROTOCOL.md §5 status and code; an error with
+// no verdict of its own gets fallback: 400 (bad_request) for bytes the client
+// sent, 500 (internal) for the server's own failures. Verdicts that are not
+// errors of the request name their code with writeErrorCode/errorResultCode.
+func classify(err error, fallback int) (int, string) {
 	var tooLarge *http.MaxBytesError
 	switch {
-	case errors.Is(err, record.ErrBadFormat) && errors.Is(err, io.ErrUnexpectedEOF):
-		return codeTruncated
-	case errors.Is(err, record.ErrBadFormat):
-		return codeBadFormat
 	case errors.As(err, &tooLarge):
-		return codeTooLarge
+		return http.StatusRequestEntityTooLarge, codeTooLarge
+	case errors.Is(err, errStreamQuota):
+		return http.StatusRequestEntityTooLarge, codeQuotaExceeded
 	case errors.Is(err, record.ErrOrderViolation):
-		return codeOrderViolation
-	case errors.Is(err, ErrBadRequest):
-		return codeBadRequest
-	}
-	switch status {
-	case http.StatusBadRequest:
-		return codeBadRequest
-	case http.StatusRequestEntityTooLarge:
-		return codeTooLarge
-	case http.StatusTooManyRequests:
-		return codeQueueFull
-	case http.StatusServiceUnavailable:
-		return codeDraining
-	case http.StatusGatewayTimeout:
-		return codeTimeout
+		return http.StatusUnprocessableEntity, codeOrderViolation
+	case errors.Is(err, record.ErrBadFormat) && errors.Is(err, io.ErrUnexpectedEOF):
+		return http.StatusBadRequest, codeTruncated
+	case errors.Is(err, record.ErrBadFormat):
+		return http.StatusBadRequest, codeBadFormat
+	case errors.Is(err, ErrBadRequest), fallback == http.StatusBadRequest:
+		return http.StatusBadRequest, codeBadRequest
 	default:
-		return codeInternal
+		return http.StatusInternalServerError, codeInternal
 	}
 }
 
-func errorResult(status int, err error) sessionResult {
-	return errorResultCode(status, errorCode(status, err), err)
+// errorResult is the error body classify picks for err.
+func errorResult(fallback int, err error) sessionResult {
+	status, code := classify(err, fallback)
+	return errorResultCode(status, code, err)
 }
 
 func errorResultCode(status int, code string, err error) sessionResult {
@@ -562,8 +526,9 @@ func errorResultCode(status int, code string, err error) sessionResult {
 	return sessionResult{status: status, body: b}
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	res := errorResult(status, err)
+// writeError writes the error body classify picks for err.
+func writeError(w http.ResponseWriter, fallback int, err error) {
+	res := errorResult(fallback, err)
 	writeBody(w, res.status, res.body)
 }
 

@@ -353,24 +353,34 @@ func TestRequestValidation(t *testing.T) {
 	defer ts.Close()
 	defer shutdownOrFail(t, srv)
 
+	// A well-formed log larger than MaxBodyBytes: too large, not malformed.
+	bigLog := genStreamLog(t, 1, 4, 1000, 0, -1)
+	if len(bigLog) <= 4096 {
+		t.Fatalf("log is %d bytes, want more than MaxBodyBytes 4096", len(bigLog))
+	}
+	// wantCode is the PROTOCOL.md §5 code of the JSON error body; "" marks
+	// the mux's own plain-text answer.
 	cases := []struct {
 		name       string
 		method     string
 		url        string
 		body       string
 		wantStatus int
+		wantCode   string
 	}{
-		{"unknown app", http.MethodPost, "/v1/detect", `{"app":"nope"}`, http.StatusBadRequest},
-		{"bad json", http.MethodPost, "/v1/detect", `{"app":`, http.StatusBadRequest},
-		{"unknown field", http.MethodPost, "/v1/detect", `{"app":"fft","sedd":1}`, http.StatusBadRequest},
-		{"threads too high", http.MethodPost, "/v1/detect", `{"app":"fft","threads":1000}`, http.StatusBadRequest},
-		{"negative scale", http.MethodPost, "/v1/detect", `{"app":"fft","scale":-1}`, http.StatusBadRequest},
+		{"unknown app", http.MethodPost, "/v1/detect", `{"app":"nope"}`, http.StatusBadRequest, codeBadRequest},
+		{"bad json", http.MethodPost, "/v1/detect", `{"app":`, http.StatusBadRequest, codeBadRequest},
+		{"unknown field", http.MethodPost, "/v1/detect", `{"app":"fft","sedd":1}`, http.StatusBadRequest, codeBadRequest},
+		{"threads too high", http.MethodPost, "/v1/detect", `{"app":"fft","threads":1000}`, http.StatusBadRequest, codeBadRequest},
+		{"negative scale", http.MethodPost, "/v1/detect", `{"app":"fft","scale":-1}`, http.StatusBadRequest, codeBadRequest},
 		{"oversized body", http.MethodPost, "/v1/detect",
-			`{"app":"fft","seed":` + strings.Repeat("1", 5000) + `}`, http.StatusRequestEntityTooLarge},
-		{"replay bad magic", http.MethodPost, "/v1/replay?app=fft", "not a cord log....", http.StatusBadRequest},
-		{"replay bad param", http.MethodPost, "/v1/replay?app=fft&threads=x", "", http.StatusBadRequest},
-		{"replay unknown app", http.MethodPost, "/v1/replay?app=nope", "", http.StatusBadRequest},
-		{"wrong method", http.MethodGet, "/v1/detect", "", http.StatusMethodNotAllowed},
+			`{"app":"fft","seed":` + strings.Repeat("1", 5000) + `}`, http.StatusRequestEntityTooLarge, codeTooLarge},
+		{"replay bad magic", http.MethodPost, "/v1/replay?app=fft", "not a cord log....", http.StatusBadRequest, codeBadFormat},
+		{"replay bad param", http.MethodPost, "/v1/replay?app=fft&threads=x", "", http.StatusBadRequest, codeBadRequest},
+		{"replay unknown app", http.MethodPost, "/v1/replay?app=nope", "", http.StatusBadRequest, codeBadRequest},
+		{"oversized replay body", http.MethodPost, "/v1/replay?app=fft&seed=1", string(bigLog),
+			http.StatusRequestEntityTooLarge, codeTooLarge},
+		{"wrong method", http.MethodGet, "/v1/detect", "", http.StatusMethodNotAllowed, ""},
 	}
 	for _, tc := range cases {
 		req, _ := http.NewRequest(tc.method, ts.URL+tc.url, strings.NewReader(tc.body))
@@ -382,6 +392,13 @@ func TestRequestValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.wantStatus {
 			t.Errorf("%s: status %d, want %d (body %s)", tc.name, resp.StatusCode, tc.wantStatus, b)
+		}
+		if tc.wantCode == "" {
+			continue
+		}
+		var eb errorBody
+		if err := json.Unmarshal(b, &eb); err != nil || eb.Code != tc.wantCode {
+			t.Errorf("%s: code %q, want %q (body %s)", tc.name, eb.Code, tc.wantCode, b)
 		}
 	}
 	if m := srv.Metrics(); m.Sessions.Accepted != 0 {

@@ -195,8 +195,7 @@ type streamOptions struct {
 	req    DetectRequest
 	verify bool
 	online bool
-	// duty is the online duty percentage; -1 until resolved against the
-	// server default (Config.StreamDuty).
+	// duty is the online duty percentage (default 100: full coverage).
 	duty int
 	// injectThread/injectNth re-apply the recorded run's fault injection to
 	// the online replay, exactly like a /v1/replay request; -1 = none.
@@ -212,7 +211,7 @@ type streamOptions struct {
 // streaming flags. verify defaults to on; detect=online is off by default.
 func parseStreamQuery(r *http.Request) (streamOptions, error) {
 	q := r.URL.Query()
-	o := streamOptions{verify: true, duty: -1, injectThread: -1}
+	o := streamOptions{verify: true, duty: 100, injectThread: -1}
 	o.req = DetectRequest{App: q.Get("app")}
 	var err error
 	if o.req.Seed, err = queryUint(q.Get("seed"), 0); err != nil {
@@ -324,9 +323,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if opts.duty < 0 {
-		opts.duty = s.cfg.StreamDuty
-	}
 
 	// Admission: drain state first, then a stream slot. Accepted streams
 	// count as in-flight work, so Shutdown waits for them like any session.
@@ -417,6 +413,11 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 		}
 		return status, code, err
 	}
+	// failErr fails with the verdict classify picks for err.
+	failErr := func(err error) (int, string, error) {
+		status, code := classify(err, http.StatusInternalServerError)
+		return fail(status, code, err)
+	}
 	sink := ing.ingest
 	if opts.online {
 		online = startOnline(opts, ing)
@@ -436,17 +437,15 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 		// The idle clock rearms per chunk: a stream stays admitted as long
 		// as it keeps delivering bytes, no matter how long it runs in total.
 		if err := rc.SetReadDeadline(time.Now().Add(s.cfg.StreamIdleTimeout)); err != nil {
-			return fail(http.StatusInternalServerError, codeInternal,
-				fmt.Errorf("stream transport does not support read deadlines: %w", err))
+			return failErr(fmt.Errorf("stream transport does not support read deadlines: %w", err))
 		}
 		n, err := r.Body.Read(buf)
 		if n > 0 {
 			if bytesIn += int64(n); bytesIn > s.cfg.MaxStreamBytes {
-				return fail(http.StatusRequestEntityTooLarge, codeQuotaExceeded,
-					fmt.Errorf("%w: byte quota (%d bytes) exhausted", errStreamQuota, s.cfg.MaxStreamBytes))
+				return failErr(fmt.Errorf("%w: byte quota (%d bytes) exhausted", errStreamQuota, s.cfg.MaxStreamBytes))
 			}
 			if err := dec.Feed(buf[:n], sink); err != nil {
-				return fail(streamIngestFailure(err))
+				return failErr(err)
 			}
 			// Release before the hash: in online mode the chunk's epochs
 			// are then with the replay engine while the hash runs.
@@ -476,7 +475,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 	rc.SetReadDeadline(time.Time{})
 
 	if err := dec.Close(); err != nil {
-		return fail(streamIngestFailure(err))
+		return failErr(err)
 	}
 
 	resp := &StreamResponse{
@@ -500,9 +499,8 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 			}
 			return fail(status, code, err)
 		}
-		switch {
-		case out.err != nil && !errors.Is(out.err, sim.ErrReplayDivergence):
-			return fail(http.StatusInternalServerError, codeInternal, out.err)
+		if out.err != nil && !errors.Is(out.err, sim.ErrReplayDivergence) {
+			return failErr(out.err)
 		}
 		resp.Online = online.summary(out)
 		s.m.bumpStream(func(c *StreamCounters) {
@@ -528,7 +526,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 			return fail(http.StatusGatewayTimeout, codeTimeout,
 				fmt.Errorf("verification run exceeded the %v timeout", s.cfg.SessionTimeout))
 		case err != nil:
-			return fail(http.StatusInternalServerError, codeInternal, err)
+			return failErr(err)
 		}
 		resp.Verified = true
 		resp.LogMatch = uint64(log.Len()) == ing.frames && hashLog(log) == ing.hash.Sum64()
@@ -537,7 +535,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 
 	b, err := encodeJSON(resp)
 	if err != nil {
-		return fail(http.StatusInternalServerError, codeInternal, err)
+		return failErr(err)
 	}
 	s.m.bumpStream(func(c *StreamCounters) { c.Completed++ })
 	if fw != nil && fw.wrote {
@@ -548,22 +546,4 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 		writeBody(w, http.StatusOK, b)
 	}
 	return http.StatusOK, "", nil
-}
-
-// streamIngestFailure maps a decode/ingest error onto (status, code): the
-// taxonomy distinguishes structural damage, truncation, order violations and
-// quota exhaustion so clients can tell a corrupt recording from a short one.
-func streamIngestFailure(err error) (int, string, error) {
-	switch {
-	case errors.Is(err, errStreamQuota):
-		return http.StatusRequestEntityTooLarge, codeQuotaExceeded, err
-	case errors.Is(err, record.ErrOrderViolation):
-		return http.StatusUnprocessableEntity, codeOrderViolation, err
-	case errors.Is(err, record.ErrBadFormat) && errors.Is(err, io.ErrUnexpectedEOF):
-		return http.StatusBadRequest, codeTruncated, err
-	case errors.Is(err, record.ErrBadFormat):
-		return http.StatusBadRequest, codeBadFormat, err
-	default:
-		return http.StatusInternalServerError, codeInternal, err
-	}
 }
