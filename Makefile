@@ -135,9 +135,10 @@ fleet-chaos-smoke:
 # Short fuzzing pass over every hardened input surface: the binary order-log
 # decoder, the epoch stream (differential against the sort-based schedule
 # oracle), the Ideal detector (differential against the per-word-slice
-# history oracle), both service request parsers, /v1/stream ingest
+# history oracle), the three service request parsers, /v1/stream ingest
 # (generated logs at random chunkings, differential against a one-shot
-# decode-and-schedule oracle), and the fleet merge (random shard partitions,
+# decode-and-schedule oracle), online detection at duty=100 (differential
+# against replay-time detection over the same log), and the fleet merge (random shard partitions,
 # differential against a single-process campaign). CI runs this; crashes land
 # in testdata/fuzz/ for triage.
 fuzz-smoke:
@@ -147,6 +148,8 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDetectRequest' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzReplayParams' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzStreamIngest' -fuzztime 10s -run '^$$' ./internal/server/
+	$(GO) test -fuzz 'FuzzStreamParams' -fuzztime 10s -run '^$$' ./internal/server/
+	$(GO) test -fuzz 'FuzzOnlineReplayDetection' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzShardMerge' -fuzztime 10s -run '^$$' ./internal/experiment/
 
 clean:

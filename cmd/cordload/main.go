@@ -1,9 +1,12 @@
 // Command cordload drives a running cordd with a concurrent-client sweep
 // and reports throughput and latency per stage — the load-testing workflow
-// of EXPERIMENTS.md. On the wire it speaks only the service's formats (JSON
-// bodies and the PROTOCOL.md binary log), so it can be pointed at any cordd;
-// the one in-process exception is -duty, which records a real order log with
-// the engine so the online replay has a run to follow.
+// of EXPERIMENTS.md. Everything it sends travels over HTTP in the service's
+// formats (JSON bodies and the PROTOCOL.md binary log), but it is not a
+// version-independent client: it shares the server package's wire types
+// (DetectRequest, CampaignProgress), so it speaks the formats of the cordd
+// built from the same revision. The one in-process run is -duty's, which
+// records a real order log with the engine (internal/replay) so the online
+// replay has a run to follow.
 //
 // Usage:
 //
@@ -60,19 +63,9 @@ import (
 
 	"cord/internal/httpretry"
 	"cord/internal/replay"
+	"cord/internal/server"
 	"cord/internal/workload"
 )
-
-// detectRequest mirrors server.DetectRequest; cordload speaks the wire
-// format only, so it can be built and pointed at any cordd without version
-// coupling.
-type detectRequest struct {
-	App     string `json:"app"`
-	Seed    uint64 `json:"seed"`
-	Scale   int    `json:"scale,omitempty"`
-	Threads int    `json:"threads,omitempty"`
-	D       int    `json:"d,omitempty"`
-}
 
 // parseList parses the comma-separated integer list of flag -name, each
 // entry in [lo, hi].
@@ -209,7 +202,7 @@ func run() int {
 	switch {
 	case !*stream:
 		t = sweepTable{clients: "clients", rate: "req/s", unit: 1, prec: 1, series: []series{{
-			post: detectPost(client, *addr, detectRequest{App: *app, Seed: *seed, Scale: *scale, Threads: *threads, D: *d}),
+			post: detectPost(client, *addr, server.DetectRequest{App: *app, Seed: *seed, Scale: *scale, Threads: *threads, D: *d}),
 		}}}
 	case duties == nil:
 		body := syntheticStream(*frames, *threads)
@@ -358,7 +351,7 @@ func runStage(addr string, c, n int, policy httpretry.Policy, post func(i int64)
 
 // detectPost posts detect session i: base with seed base.Seed+i, so every
 // session is distinct work.
-func detectPost(client *http.Client, addr string, base detectRequest) func(int64) (*http.Response, error) {
+func detectPost(client *http.Client, addr string, base server.DetectRequest) func(int64) (*http.Response, error) {
 	return func(i int64) (*http.Response, error) {
 		req := base
 		req.Seed += uint64(i)
@@ -433,26 +426,6 @@ func recordedStream(appName string, seed uint64, scale, threads int) ([]byte, in
 	return buf.Bytes(), out.Log.Len(), nil
 }
 
-// progressReport and progressWorker mirror the coordinator's §7 progress
-// resource on the wire, like detectRequest does for /v1/detect: cordload
-// stays a pure wire client.
-type progressReport struct {
-	Schema         int              `json:"schema"`
-	Campaign       string           `json:"campaign"`
-	Fingerprint    string           `json:"fingerprint"`
-	CellsDone      int              `json:"cells_done"`
-	CellsTotal     int              `json:"cells_total"`
-	ShardsRequeued int              `json:"shards_requeued"`
-	Workers        []progressWorker `json:"workers"`
-}
-
-type progressWorker struct {
-	URL            string `json:"url"`
-	Health         string `json:"health"`
-	ShardsDone     int    `json:"shards_done"`
-	ShardsInFlight int    `json:"shards_in_flight"`
-}
-
 // watchProgress polls a coordinator's campaign-progress resource until the
 // campaign reports every cell done. The coordinator serves the resource only
 // while it dispatches, so once at least one poll has succeeded, a vanished
@@ -474,7 +447,7 @@ func watchProgress(client *http.Client, base string, interval time.Duration) int
 			fmt.Fprintf(os.Stderr, "cordload: polling %s: %v\n", url, err)
 			return 1
 		}
-		var p progressReport
+		var p server.CampaignProgress
 		if err := json.Unmarshal(b, &p); err != nil {
 			fmt.Fprintf(os.Stderr, "cordload: unparsable progress from %s: %v\n", url, err)
 			return 1

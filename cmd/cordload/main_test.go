@@ -15,6 +15,7 @@ import (
 
 	"cord/internal/httpretry"
 	"cord/internal/record"
+	"cord/internal/server"
 )
 
 // TestValidateFlags: load parameters must be rejected before the sweep
@@ -71,7 +72,7 @@ func TestRunStageRetriesThrottling(t *testing.T) {
 	defer srv.Close()
 
 	policy := httpretry.Policy{Attempts: 3, Fallback: time.Millisecond, Cap: 10 * time.Millisecond}
-	post := detectPost(srv.Client(), srv.URL, detectRequest{App: "fft", Seed: 1})
+	post := detectPost(srv.Client(), srv.URL, server.DetectRequest{App: "fft", Seed: 1})
 	res := runStage(srv.URL, 2, 6, policy, post)
 	if res.ok != 6 || res.errors != 0 {
 		t.Fatalf("ok=%d errors=%d, want 6 ok and 0 errors", res.ok, res.errors)
@@ -151,7 +152,7 @@ func TestRunSweepExitsOnHardErrors(t *testing.T) {
 	body := syntheticStream(100, 4)
 	tables := map[string]sweepTable{
 		"detect": {clients: "clients", rate: "req/s", unit: 1, prec: 1,
-			series: []series{{post: detectPost(srv.Client(), srv.URL, detectRequest{App: "fft", Seed: 1})}}},
+			series: []series{{post: detectPost(srv.Client(), srv.URL, server.DetectRequest{App: "fft", Seed: 1})}}},
 		"stream": {clients: "streams", rate: "records/s", unit: 100,
 			series: []series{{post: streamPost(srv.Client(), srv.URL+"/v1/stream", body, 64)}}},
 		"duty": {group: "duty", clients: "streams", rate: "records/s", unit: 100, series: []series{

@@ -16,6 +16,7 @@ import (
 
 	"cord"
 	"cord/internal/record"
+	"cord/internal/workload"
 )
 
 // validateFlags rejects out-of-domain parameters before any simulation work,
@@ -52,14 +53,8 @@ func run() int {
 		return 2
 	}
 
-	var app cord.App
-	found := false
-	for _, a := range cord.Apps() {
-		if a.Name == *appName {
-			app, found = a, true
-		}
-	}
-	if !found {
+	app, err := workload.ByName(*appName)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "cordreplay: unknown application %q\n", *appName)
 		return 2
 	}

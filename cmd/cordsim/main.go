@@ -18,6 +18,7 @@ import (
 
 	"cord"
 	"cord/internal/server"
+	"cord/internal/workload"
 )
 
 func main() {
@@ -98,14 +99,8 @@ func run() int {
 		return 0
 	}
 
-	var app cord.App
-	found := false
-	for _, a := range cord.Apps() {
-		if a.Name == *appName {
-			app, found = a, true
-		}
-	}
-	if !found {
+	app, err := workload.ByName(*appName)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "cordsim: unknown application %q (try -list)\n", *appName)
 		return 2
 	}

@@ -118,27 +118,29 @@ func OptionsFromMeta(m CampaignMeta) (Options, error) {
 }
 
 // ExecuteDetectShard runs one shard of the detection campaign and returns
-// its outcome cells in canonical order. The shard recomputes the phase-1
-// sizing run of every application it touches — a count cell is cheap, and
-// recomputing it beats shipping injection targets around, because the cell
-// is a pure function of the configuration: shards that share an application
-// emit byte-identical copies of its count cell, and the coordinator's
-// journal collapses them (same key, same bytes).
+// its outcome cells in canonical order, plus the number of injection runs
+// the spec names once overlaps collapse (the per-app sizing runs not
+// counted). The shard recomputes the phase-1 sizing run of every
+// application it touches — a count cell is cheap, and recomputing it beats
+// shipping injection targets around, because the cell is a pure function of
+// the configuration: shards that share an application emit byte-identical
+// copies of its count cell, and the coordinator's journal collapses them
+// (same key, same bytes).
 //
 // Execution honors the campaign's full Options surface: runs fan out across
 // o.Procs workers, transient failures retry under o.Retry, chaos faults
 // inject, closing o.Interrupt drains and returns ErrInterrupted, and
 // closing o.Cancel aborts in-flight simulations. With o.Checkpoint set the
 // shard's runs journal locally too, exactly like a local campaign.
-func ExecuteDetectShard(o Options, spec ShardSpec) ([]Cell, error) {
+func ExecuteDetectShard(o Options, spec ShardSpec) ([]Cell, int, error) {
 	o = o.withDefaults()
 	ids, err := o.collapse(spec)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	counts, outcomes, err := o.detectRuns(ids)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	// Each cell holds exactly the bytes journaledRun appends: json.Marshal
@@ -155,11 +157,11 @@ func ExecuteDetectShard(o Options, spec ShardSpec) ([]Cell, error) {
 	for i, v := range values {
 		data, err := json.Marshal(v)
 		if err != nil {
-			return nil, fmt.Errorf("experiment: encoding cell %s: %w", keys[i], err)
+			return nil, 0, fmt.Errorf("experiment: encoding cell %s: %w", keys[i], err)
 		}
 		cells[i] = Cell{Key: keys[i], Data: data}
 	}
-	return cells, nil
+	return cells, len(ids), nil
 }
 
 // collapse validates spec and collapses its ranges into the canonical run
@@ -198,23 +200,4 @@ func (o Options) collapse(spec ShardSpec) ([]runID, error) {
 		return nil, fmt.Errorf("%w: a shard must name at least one run", ErrBadShard)
 	}
 	return ids, nil
-}
-
-// Runs is the number of injection runs the spec names after collapsing
-// overlaps, not counting the per-app sizing runs.
-func (s ShardSpec) Runs() int {
-	seen := map[string]map[int]bool{}
-	for _, r := range s.Ranges {
-		if seen[r.App] == nil {
-			seen[r.App] = map[int]bool{}
-		}
-		for i := r.Lo; i < r.Hi; i++ {
-			seen[r.App][i] = true
-		}
-	}
-	n := 0
-	for _, runs := range seen {
-		n += len(runs)
-	}
-	return n
 }

@@ -61,7 +61,7 @@ func TestExecuteDetectShardMatchesCampaignJournal(t *testing.T) {
 		t.Fatalf("local campaign: %v", err)
 	}
 
-	cells, err := ExecuteDetectShard(o, fullSpec(o))
+	cells, _, err := ExecuteDetectShard(o, fullSpec(o))
 	if err != nil {
 		t.Fatalf("ExecuteDetectShard: %v", err)
 	}
@@ -101,17 +101,20 @@ func TestExecuteDetectShardIdempotent(t *testing.T) {
 		{App: "lu", Lo: 1, Hi: 3},
 		{App: "fft", Lo: 0, Hi: 2},
 	}}
-	first, err := ExecuteDetectShard(o, spec)
+	first, runs, err := ExecuteDetectShard(o, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Runs() != 4 || equiv.Runs() != 4 {
-		t.Fatalf("Runs() = %d and %d, want 4 and 4", spec.Runs(), equiv.Runs())
+	if runs != 4 {
+		t.Fatalf("runs = %d, want 4", runs)
 	}
 	for name, again := range map[string]ShardSpec{"re-sent": spec, "equivalent": equiv} {
-		got, err := ExecuteDetectShard(o, again)
+		got, runs, err := ExecuteDetectShard(o, again)
 		if err != nil {
 			t.Fatalf("%s shard: %v", name, err)
+		}
+		if runs != 4 {
+			t.Fatalf("%s shard: runs = %d, want 4", name, runs)
 		}
 		if len(got) != len(first) {
 			t.Fatalf("%s shard: %d cells, want %d", name, len(got), len(first))
@@ -146,7 +149,7 @@ func TestShardMergeEquivalence(t *testing.T) {
 	}
 	defer j.Close()
 	for _, spec := range specs {
-		cells, err := ExecuteDetectShard(o, spec)
+		cells, _, err := ExecuteDetectShard(o, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +241,7 @@ func FuzzShardMerge(f *testing.F) {
 			if len(spec.Ranges) == 0 {
 				continue
 			}
-			cells, err := ExecuteDetectShard(o, spec)
+			cells, _, err := ExecuteDetectShard(o, spec)
 			if err != nil {
 				t.Fatalf("shard %+v: %v", spec, err)
 			}
@@ -320,7 +323,7 @@ func TestExecuteDetectShardRejectsBadSpecs(t *testing.T) {
 		{Ranges: []ShardRange{{App: "fft", Lo: 3, Hi: 1}}},
 	}
 	for i, spec := range cases {
-		if _, err := ExecuteDetectShard(o, spec); !errors.Is(err, ErrBadShard) {
+		if _, _, err := ExecuteDetectShard(o, spec); !errors.Is(err, ErrBadShard) {
 			t.Errorf("case %d: error %v, want ErrBadShard", i, err)
 		}
 	}
@@ -335,7 +338,7 @@ func TestExecuteDetectShardInterrupt(t *testing.T) {
 	close(stop)
 	o.Interrupt = stop
 	o.Procs = 1
-	if _, err := ExecuteDetectShard(o, fullSpec(o)); !errors.Is(err, ErrInterrupted) {
+	if _, _, err := ExecuteDetectShard(o, fullSpec(o)); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("error %v, want ErrInterrupted", err)
 	}
 }

@@ -76,13 +76,12 @@ func RecordAndReplay(prog sim.Program, opts Options) (Outcome, error) {
 	}
 	// Replay must remove exactly the instance the recording removed; the
 	// global instance index is interleaving-dependent, so the per-thread
-	// identity reported by the recording run is used instead.
-	repCfg := sim.Config{Seed: opts.Seed, Procs: opts.Procs, ReplayEpochs: epochs}
-	if rec.InjectedThread >= 0 {
-		repCfg.InjectThread = rec.InjectedThread
-		repCfg.InjectThreadNth = rec.InjectedThreadNth
-	}
-	rep, err := sim.New(repCfg, prog).Run()
+	// identity reported by the recording run is used instead (a run with no
+	// injection reports an InjectedThreadNth of 0, which injects nothing).
+	rep, err := sim.New(sim.Config{
+		Seed: opts.Seed, Procs: opts.Procs, ReplayEpochs: epochs,
+		InjectThread: rec.InjectedThread, InjectThreadNth: rec.InjectedThreadNth,
+	}, prog).Run()
 	if err != nil {
 		return Outcome{}, fmt.Errorf("replay: replaying run: %w", err)
 	}

@@ -117,17 +117,32 @@ func (r *DetectRequest) ApplyDefaults() {
 // Validate rejects out-of-domain parameters; every failure wraps
 // ErrBadRequest.
 func (r DetectRequest) Validate() error {
-	if _, err := workload.ByName(r.App); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if r.Scale < 1 || r.Scale > MaxScale {
-		return fmt.Errorf("%w: scale must be in [1, %d], got %d", ErrBadRequest, MaxScale, r.Scale)
-	}
-	if r.Threads < 1 || r.Threads > MaxThreads {
-		return fmt.Errorf("%w: threads must be in [1, %d], got %d", ErrBadRequest, MaxThreads, r.Threads)
+	if err := validateRun(r.App, r.Scale, r.Threads); err != nil {
+		return err
 	}
 	if r.D < 1 {
 		return fmt.Errorf("%w: d must be at least 1, got %d", ErrBadRequest, r.D)
+	}
+	return nil
+}
+
+// validateRun checks the identity of a run-shaped request: a known
+// application within the size bounds. Failures wrap ErrBadRequest.
+func validateRun(app string, scale, threads int) error {
+	if _, err := workload.ByName(app); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return validateSize(scale, threads)
+}
+
+// validateSize checks a run's scale and thread count against the
+// request-domain bounds. Failures wrap ErrBadRequest.
+func validateSize(scale, threads int) error {
+	if scale < 1 || scale > MaxScale {
+		return fmt.Errorf("%w: scale must be in [1, %d], got %d", ErrBadRequest, MaxScale, scale)
+	}
+	if threads < 1 || threads > MaxThreads {
+		return fmt.Errorf("%w: threads must be in [1, %d], got %d", ErrBadRequest, MaxThreads, threads)
 	}
 	return nil
 }
@@ -207,7 +222,7 @@ func runDetectSession(ctx context.Context, req DetectRequest) (*DetectResponse, 
 // that observed it: the one constructor behind both POST /v1/detect and
 // cordsim -json, so the two are byte-identical for the same parameters.
 func NewDetectResponse(req DetectRequest, res sim.Result, ideal *baseline.Ideal, vec *baseline.VecCache, det *core.Detector) *DetectResponse {
-	resp := &DetectResponse{
+	return &DetectResponse{
 		Schema:  SchemaVersion,
 		App:     req.App,
 		Seed:    req.Seed,
@@ -223,14 +238,18 @@ func NewDetectResponse(req DetectRequest, res sim.Result, ideal *baseline.Ideal,
 		},
 		CordStats: det.Stats(),
 		LogBytes:  det.Log().SizeBytes(),
+		Races:     raceStrings(det.Races()),
 	}
-	for i, r := range det.Races() {
-		if i >= MaxRacesInResponse {
-			break
-		}
-		resp.Races = append(resp.Races, r.String())
+}
+
+// raceStrings renders races in detection order, capped at
+// MaxRacesInResponse: the race list of every response body.
+func raceStrings(rs []trace.Race) []string {
+	var out []string
+	for _, r := range rs[:min(len(rs), MaxRacesInResponse)] {
+		out = append(out, r.String())
 	}
-	return resp
+	return out
 }
 
 // ReplayRequest carries the run parameters of POST /v1/replay (query-string
@@ -262,14 +281,8 @@ func (r *ReplayRequest) ApplyDefaults() {
 // Validate rejects out-of-domain parameters; every failure wraps
 // ErrBadRequest.
 func (r ReplayRequest) Validate() error {
-	if _, err := workload.ByName(r.App); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if r.Scale < 1 || r.Scale > MaxScale {
-		return fmt.Errorf("%w: scale must be in [1, %d], got %d", ErrBadRequest, MaxScale, r.Scale)
-	}
-	if r.Threads < 1 || r.Threads > MaxThreads {
-		return fmt.Errorf("%w: threads must be in [1, %d], got %d", ErrBadRequest, MaxThreads, r.Threads)
+	if err := validateRun(r.App, r.Scale, r.Threads); err != nil {
+		return err
 	}
 	if r.InjectThread < -1 || r.InjectThread >= r.Threads {
 		return fmt.Errorf("%w: inject_thread must be -1 or a thread id below %d, got %d",
@@ -307,8 +320,6 @@ func RunReplay(ctx context.Context, req ReplayRequest, log *record.Log) (*Replay
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	app, _ := workload.ByName(req.App)
-
 	epochs, err := log.Schedule(req.Threads)
 	if err != nil {
 		if errors.Is(err, record.ErrOrderViolation) {
@@ -318,14 +329,17 @@ func RunReplay(ctx context.Context, req ReplayRequest, log *record.Log) (*Replay
 		}
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	cfg := sim.Config{Seed: req.Seed, ReplayEpochs: epochs, Cancel: ctx.Done()}
-	if req.InjectThread >= 0 {
-		cfg.InjectThread = req.InjectThread
-		cfg.InjectThreadNth = req.InjectNth
+	res, err := req.engine(sim.Config{ReplayEpochs: epochs, Cancel: ctx.Done()}).Run()
+	if errors.Is(err, sim.ErrCanceled) && ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
-	resp := &ReplayResponse{
+	divergence, err := replayVerdict(res, err)
+	if err != nil {
+		return nil, err
+	}
+	return &ReplayResponse{
 		Schema:       SchemaVersion,
-		App:          app.Name,
+		App:          req.App,
 		Seed:         req.Seed,
 		Scale:        req.Scale,
 		Threads:      req.Threads,
@@ -333,25 +347,37 @@ func RunReplay(ctx context.Context, req ReplayRequest, log *record.Log) (*Replay
 		InjectNth:    req.InjectNth,
 		LogEntries:   log.Len(),
 		LogBytes:     log.SizeBytes(),
-	}
-	res, err := sim.New(cfg, app.Build(req.Scale, req.Threads)).Run()
+		Completed:    divergence == "",
+		Divergence:   divergence,
+		Result:       res,
+	}, nil
+}
+
+// engine builds the replay of r's run: cfg supplies the schedule
+// (ReplayEpochs or ReplayFeed), observers and cancellation, and r the seed,
+// the program and the recorded injection identity. A replay runs without
+// jitter: it follows the log, not the scheduler. r must be valid.
+func (r ReplayRequest) engine(cfg sim.Config) *sim.Engine {
+	app, _ := workload.ByName(r.App)
+	cfg.Seed = r.Seed
+	cfg.InjectThread, cfg.InjectThreadNth = r.InjectThread, r.InjectNth
+	return sim.New(cfg, app.Build(r.Scale, r.Threads))
+}
+
+// replayVerdict splits a replay's outcome into a verdict and a failure. A
+// replay that left the log — a divergence error, or a run that blocked
+// before all epochs ran — is a verdict, reported as a non-empty divergence;
+// any other error is returned as a failure.
+func replayVerdict(res sim.Result, err error) (divergence string, _ error) {
 	switch {
-	case err == nil:
-	case errors.Is(err, sim.ErrCanceled) && ctx.Err() != nil:
-		return nil, ctx.Err()
 	case errors.Is(err, sim.ErrReplayDivergence):
-		resp.Divergence = err.Error()
-		return resp, nil
-	default:
-		return nil, err
+		return err.Error(), nil
+	case err != nil:
+		return "", err
+	case res.Hung:
+		return "replayed run could not follow the log (blocked before all epochs ran)", nil
 	}
-	resp.Result = res
-	if res.Hung {
-		resp.Divergence = "replayed run could not follow the log (blocked before all epochs ran)"
-		return resp, nil
-	}
-	resp.Completed = true
-	return resp, nil
+	return "", nil
 }
 
 // encodeJSON renders a response body in the repository's canonical byte

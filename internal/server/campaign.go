@@ -101,11 +101,8 @@ func campaignOptions(m experiment.CampaignMeta) (experiment.Options, error) {
 		return experiment.Options{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	norm := o.Meta()
-	if norm.Scale > MaxScale {
-		return experiment.Options{}, fmt.Errorf("%w: scale must be in [1, %d], got %d", ErrBadRequest, MaxScale, norm.Scale)
-	}
-	if norm.Threads > MaxThreads {
-		return experiment.Options{}, fmt.Errorf("%w: threads must be in [1, %d], got %d", ErrBadRequest, MaxThreads, norm.Threads)
+	if err := validateSize(norm.Scale, norm.Threads); err != nil {
+		return experiment.Options{}, err
 	}
 	if norm.Injections > MaxInjections {
 		return experiment.Options{}, fmt.Errorf("%w: injections must be in [1, %d], got %d", ErrBadRequest, MaxInjections, norm.Injections)
@@ -184,7 +181,6 @@ func (s *Server) handleCampaignShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	spec := experiment.ShardSpec{Ranges: req.Ranges}
 	s.dispatch(w, r, func(ctx context.Context) (any, error) {
 		// Serial within the shard: one session occupies one pool worker, so
 		// fleet-level parallelism (many in-flight shards) composes with the
@@ -192,7 +188,7 @@ func (s *Server) handleCampaignShard(w http.ResponseWriter, r *http.Request) {
 		runOpts := opts
 		runOpts.Procs = 1
 		runOpts.Cancel = ctx.Done()
-		cells, err := experiment.ExecuteDetectShard(runOpts, spec)
+		cells, runs, err := experiment.ExecuteDetectShard(runOpts, experiment.ShardSpec{Ranges: req.Ranges})
 		switch {
 		case err == nil:
 		case errors.Is(err, sim.ErrCanceled) && ctx.Err() != nil:
@@ -212,7 +208,7 @@ func (s *Server) handleCampaignShard(w http.ResponseWriter, r *http.Request) {
 			Campaign:    req.Campaign,
 			ShardID:     req.ShardID,
 			Fingerprint: req.Fingerprint,
-			Runs:        spec.Runs(),
+			Runs:        runs,
 			Cells:       cells,
 		}, nil
 	})

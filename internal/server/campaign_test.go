@@ -179,7 +179,7 @@ func TestCampaignShardIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiment.ExecuteDetectShard(opts, experiment.ShardSpec{Ranges: req.Ranges})
+	want, _, err := experiment.ExecuteDetectShard(opts, experiment.ShardSpec{Ranges: req.Ranges})
 	if err != nil {
 		t.Fatal(err)
 	}

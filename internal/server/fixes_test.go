@@ -205,3 +205,31 @@ func TestStreamOnlineFastTrackDetector(t *testing.T) {
 		t.Fatalf("fasttrack summaries not byte-identical\nfirst: %s\nsecond: %s", summary, summary2)
 	}
 }
+
+// TestInjectThreadDomainOneRule: /v1/replay and a detect=online stream
+// check a replay's injection identity with one rule, so an out-of-range
+// inject_thread gets the same 400 bad_request, word for word, from both.
+func TestInjectThreadDomainOneRule(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer shutdownOrFail(t, srv)
+
+	const query = "app=fft&seed=1&threads=4&inject_thread=9&inject_nth=1"
+	const want = "server: bad request: inject_thread must be -1 or a thread id below 4, got 9"
+	for _, path := range []string{"/v1/replay?" + query, "/v1/stream?" + query + "&detect=online"} {
+		resp, err := http.Post(ts.URL+path, "application/octet-stream", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding error body: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || eb.Code != codeBadRequest || eb.Error != want {
+			t.Errorf("%s: %d %q %q, want 400 %q %q", path, resp.StatusCode, eb.Code, eb.Error, codeBadRequest, want)
+		}
+	}
+}

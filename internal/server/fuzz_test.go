@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,8 +13,13 @@ import (
 	"strings"
 	"testing"
 
+	"cord/internal/baseline"
 	"cord/internal/clock"
+	"cord/internal/core"
 	"cord/internal/record"
+	"cord/internal/sim"
+	"cord/internal/trace"
+	"cord/internal/workload"
 )
 
 // FuzzDetectRequest drives the full request-admission path of POST
@@ -283,4 +289,144 @@ func checkStreamOutcome(t *testing.T, query string, chunks []int, status int, bo
 	if !online && sr.Online != nil {
 		t.Fatalf("%s at chunking %v: offline session reported an online block", query, chunks)
 	}
+}
+
+// FuzzStreamParams drives the POST /v1/stream admission path — query
+// parsing, defaults and validation — with arbitrary query strings. Every
+// failure must wrap ErrBadRequest, and every accepted session must be in
+// domain: a known app within the size bounds, a duty in [0, 100], a known
+// detector family, an injection identity the engine can honour, and the
+// online-only parameters only with detect=online.
+func FuzzStreamParams(f *testing.F) {
+	f.Add("app=fft&seed=1")
+	f.Add("app=lu&seed=18446744073709551615&scale=2&threads=8&inject=3&d=256&verify=0")
+	f.Add("app=fft&detect=online&duty=50&detector=fasttrack&inject_thread=2&inject_nth=5")
+	f.Add("app=fft&threads=4&detect=online&inject_thread=9&inject_nth=1")
+	f.Add("app=fft&detect=online&inject_thread=-1&inject_nth=3")
+	f.Add("app=fft&detect=online&inject_thread=0")
+	f.Add("app=fft&detect=online&inject_thread=x&inject_nth=y")
+	f.Add("app=fft&duty=50&inject_nth=2")
+	f.Add("app=fft&detect=online&duty=101&detector=djit")
+	f.Add("app=nosuch&seed=18446744073709551616&verify=maybe")
+	f.Add("app=fft&threads=65&detect=online")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, query string) {
+		o, err := parseStreamQuery(&http.Request{URL: &url.URL{RawQuery: query}})
+		if err == nil {
+			err = o.validate()
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("%q: failure %v does not wrap ErrBadRequest", query, err)
+			}
+			return
+		}
+		if err := o.req.Validate(); err != nil {
+			t.Fatalf("%q: accepted a detect run Validate rejects: %v", query, err)
+		}
+		if o.duty < 0 || o.duty > 100 || (o.detector != "cord" && o.detector != "fasttrack") {
+			t.Fatalf("%q: accepted duty %d detector %q", query, o.duty, o.detector)
+		}
+		if !o.online {
+			values, _ := url.ParseQuery(query)
+			for _, name := range []string{"duty", "detector", "inject_thread", "inject_nth"} {
+				if values.Get(name) != "" {
+					t.Fatalf("%q: accepted %s without detect=online", query, name)
+				}
+			}
+			return
+		}
+		r := o.replay
+		if r.App != o.req.App || r.Seed != o.req.Seed || r.Scale != o.req.Scale || r.Threads != o.req.Threads {
+			t.Fatalf("%q: online replay %+v is not the detect run %+v", query, r, o.req)
+		}
+		if r.InjectThread < -1 || r.InjectThread >= r.Threads || (r.InjectThread >= 0 && r.InjectNth < 1) {
+			t.Fatalf("%q: accepted injection identity %d/%d at %d threads", query, r.InjectThread, r.InjectNth, r.Threads)
+		}
+	})
+}
+
+// FuzzOnlineReplayDetection checks online detection at duty=100 against
+// replay-time detection (PROTOCOL.md §4.7): a run recorded by the one-shot
+// detect session, streamed back with detect=online at fuzzer-chosen chunk
+// sizes, must report exactly the races an in-process replay of the same
+// log finds under the same detector family. The oracle replays the whole
+// Log.Schedule through its own engine configuration; the two may both
+// differ from the recording-time count, but never from each other.
+//
+// The seeds are runs where replay-time CORD differs from recording-time
+// CORD (radix, cholesky, volrend) or matches it (fft), plus a FastTrack run.
+func FuzzOnlineReplayDetection(f *testing.F) {
+	appIdx := func(name string) uint8 {
+		for i, a := range workload.All() {
+			if a.Name == name {
+				return uint8(i)
+			}
+		}
+		f.Fatalf("no app %q", name)
+		return 0
+	}
+	f.Add(appIdx("radix"), uint64(221732), uint16(3), false, uint16(4096))
+	f.Add(appIdx("fft"), uint64(1), uint16(2), false, uint16(17))
+	f.Add(appIdx("cholesky"), uint64(7919), uint16(60), false, uint16(1000))
+	f.Add(appIdx("volrend"), uint64(39595), uint16(60), false, uint16(256))
+	f.Add(appIdx("fft"), uint64(1), uint16(2), true, uint16(64))
+	f.Fuzz(func(t *testing.T, app uint8, seed uint64, inject uint16, fasttrack bool, chunk uint16) {
+		apps := workload.All()
+		req := DetectRequest{App: apps[int(app)%len(apps)].Name, Seed: seed, Inject: uint64(inject % 512)}
+		rec, log, err := runDetectSession(context.Background(), req)
+		if err != nil {
+			t.Fatalf("recording %+v: %v", req, err)
+		}
+		if rec.Result.Hung {
+			t.Skip("the recording deadlocked: there is no run to replay")
+		}
+		var body bytes.Buffer
+		if err := log.EncodeTo(&body); err != nil {
+			t.Fatal(err)
+		}
+
+		// Oracle: the whole schedule replayed under a detector built here.
+		var oracle onlineDetector = core.New(core.Config{Threads: rec.Threads, Procs: rec.Threads, D: rec.D})
+		detector := "cord"
+		if fasttrack {
+			oracle, detector = baseline.NewFastTrack(baseline.FastTrackConfig{Threads: rec.Threads}), "fasttrack"
+		}
+		epochs, err := log.Schedule(rec.Threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := workload.ByName(rec.App)
+		res, err := sim.New(sim.Config{
+			Seed:            rec.Seed,
+			ReplayEpochs:    epochs,
+			InjectThread:    rec.Result.InjectedThread,
+			InjectThreadNth: rec.Result.InjectedThreadNth,
+			Observers:       []trace.Observer{oracle},
+		}, a.Build(rec.Scale, rec.Threads)).Run()
+		if err != nil && !errors.Is(err, sim.ErrReplayDivergence) {
+			t.Fatalf("oracle replay: %v", err)
+		}
+		completed := err == nil && !res.Hung
+		races := raceStrings(oracle.Races())
+
+		srv := New(Config{Workers: 1})
+		defer shutdownOrFail(t, srv)
+		query := fmt.Sprintf("app=%s&seed=%d&inject=%d&detect=online&duty=100&verify=0&detector=%s&inject_thread=%d&inject_nth=%d",
+			rec.App, rec.Seed, rec.Inject, detector, rec.Result.InjectedThread, rec.Result.InjectedThreadNth)
+		status, b := serveStreamInProcess(srv, query, body.Bytes(), 1+int(chunk%8192))
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", query, status, b)
+		}
+		var sr StreamResponse
+		if err := json.Unmarshal(b, &sr); err != nil || sr.Online == nil {
+			t.Fatalf("%s: no online summary (%v): %s", query, err, b)
+		}
+		on := sr.Online
+		if on.Completed != completed || on.RacyAccesses != oracle.RaceCount() ||
+			on.RacesSoFar != len(oracle.Races()) || !slices.Equal(on.Races, races) {
+			t.Fatalf("%s: online completed=%v racy=%d races=%d, replay-time completed=%v racy=%d races=%d\nonline: %q\nreplay: %q",
+				query, on.Completed, on.RacyAccesses, on.RacesSoFar, completed, oracle.RaceCount(), len(oracle.Races()), on.Races, races)
+		}
+	})
 }

@@ -13,7 +13,6 @@ import (
 	"cord/internal/record"
 	"cord/internal/sim"
 	"cord/internal/trace"
-	"cord/internal/workload"
 )
 
 // This file implements online race detection on the streaming path
@@ -167,13 +166,9 @@ func (g *dutyGate) onEpoch(idx int) {
 	}
 	g.total = uint64(idx)
 	races := g.det.Races()
-	for _, r := range races[g.exported:] {
-		if g.exported >= MaxRacesInResponse {
-			break
-		}
-		g.pending = append(g.pending, r.String())
-		g.exported++
-	}
+	shown := min(len(races), MaxRacesInResponse)
+	g.pending = append(g.pending, raceStrings(races[g.exported:shown])...)
+	g.exported = shown
 	g.races = len(races)
 	g.racy = g.det.RaceCount()
 	g.mu.Unlock()
@@ -226,18 +221,14 @@ type onlineSession struct {
 }
 
 // startOnline builds the session and, at duty > 0, launches the replay
-// engine against the incremental feed. The engine configuration mirrors
-// RunReplay: same seed, no jitter (replay follows the log, not the
-// scheduler), the recorded run's injection identity re-applied.
+// engine against the incremental feed: the replay RunReplay runs, fed
+// epoch by epoch instead of from a whole schedule.
 func startOnline(opts streamOptions, ing *streamIngest) *onlineSession {
 	o := &onlineSession{
 		duty:     opts.duty,
 		detector: opts.detector,
 		ing:      ing,
 		es:       record.NewEpochStream(opts.req.Threads),
-	}
-	if o.detector == "" {
-		o.detector = "cord"
 	}
 	if opts.duty == 0 {
 		return o
@@ -246,21 +237,14 @@ func startOnline(opts streamOptions, ing *streamIngest) *onlineSession {
 	o.feed = sim.NewReplayFeed()
 	o.cancel = make(chan struct{})
 	o.done = make(chan onlineOutcome, 1)
-	app, _ := workload.ByName(opts.req.App)
-	cfg := sim.Config{
-		Seed:       opts.req.Seed,
+	eng := opts.replay.engine(sim.Config{
 		ReplayFeed: o.feed,
 		Observers:  []trace.Observer{o.gate},
 		OnEpoch:    o.gate.onEpoch,
 		Cancel:     o.cancel,
-	}
-	if opts.injectThread >= 0 {
-		cfg.InjectThread = opts.injectThread
-		cfg.InjectThreadNth = opts.injectNth
-	}
-	prog := app.Build(opts.req.Scale, opts.req.Threads)
+	})
 	go func() {
-		res, err := sim.New(cfg, prog).Run()
+		res, err := eng.Run()
 		o.done <- onlineOutcome{res: res, err: err}
 	}()
 	return o
@@ -342,15 +326,13 @@ func (o *onlineSession) stop() {
 	}
 }
 
-// summary renders the deterministic online block from the replay outcome,
-// mirroring RunReplay's divergence-as-verdict semantics. A nil error with
-// Hung set, or a replay-divergence error, is a verdict; anything else was
-// already turned into a transport error by the caller.
-func (o *onlineSession) summary(out *onlineOutcome) *OnlineSummary {
-	s := &OnlineSummary{Detector: o.detector, Duty: o.duty}
+// summary renders the deterministic online block, given the replay's
+// verdict (see replayVerdict): an empty divergence means the replay
+// completed.
+func (o *onlineSession) summary(divergence string) *OnlineSummary {
+	s := &OnlineSummary{Detector: o.detector, Duty: o.duty, Completed: divergence == "", Divergence: divergence}
 	if o.feed == nil { // duty=0: ingest-only accounting
 		s.EpochsTotal = o.released
-		s.Completed = true
 		return s
 	}
 	g := o.gate
@@ -363,20 +345,7 @@ func (o *onlineSession) summary(out *onlineOutcome) *OnlineSummary {
 	races := g.det.Races()
 	s.RacesSoFar = len(races)
 	s.RacyAccesses = g.det.RaceCount()
-	for i, r := range races {
-		if i >= MaxRacesInResponse {
-			break
-		}
-		s.Races = append(s.Races, r.String())
-	}
-	switch {
-	case out.err != nil:
-		s.Divergence = out.err.Error()
-	case out.res.Hung:
-		s.Divergence = "replayed run could not follow the log (blocked before all epochs ran)"
-	default:
-		s.Completed = true
-	}
+	s.Races = raceStrings(races)
 	return s
 }
 

@@ -517,19 +517,19 @@ func TestStreamRetryAfterP50(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	defer shutdownOrFail(t, srv)
 
-	if got := srv.streamRetryAfter(); got != "1" {
+	if got := srv.retryAfter("/v1/stream"); got != "1" {
 		t.Fatalf("cold server Retry-After = %s, want 1", got)
 	}
 	for i := 0; i < 5; i++ {
 		srv.m.observe("/v1/stream", 4200*time.Millisecond)
 	}
-	if got := srv.streamRetryAfter(); got != "5" {
+	if got := srv.retryAfter("/v1/stream"); got != "5" {
 		t.Fatalf("p50~5s Retry-After = %s, want 5 (bucket bound)", got)
 	}
 	for i := 0; i < 50; i++ {
 		srv.m.observe("/v1/stream", 2*time.Minute)
 	}
-	if got := srv.streamRetryAfter(); got != "30" {
+	if got := srv.retryAfter("/v1/stream"); got != "30" {
 		t.Fatalf("overflow p50 Retry-After = %s, want clamp to 30", got)
 	}
 	srv2 := New(Config{Workers: 1})
@@ -537,7 +537,7 @@ func TestStreamRetryAfterP50(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		srv2.m.observe("/v1/stream", 3*time.Millisecond)
 	}
-	if got := srv2.streamRetryAfter(); got != "1" {
+	if got := srv2.retryAfter("/v1/stream"); got != "1" {
 		t.Fatalf("fast-stream Retry-After = %s, want floor 1", got)
 	}
 }

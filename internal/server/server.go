@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -408,39 +409,51 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // parseReplayQuery extracts the replay run parameters from the query string.
 func parseReplayQuery(r *http.Request) (ReplayRequest, error) {
-	q := r.URL.Query()
-	req := ReplayRequest{App: q.Get("app"), InjectThread: -1}
-	var err error
-	if req.Seed, err = queryUint(q.Get("seed"), 0); err != nil {
-		return req, fmt.Errorf("%w: seed: %v", ErrBadRequest, err)
+	q := query{Values: r.URL.Query()}
+	req := ReplayRequest{
+		App:          q.Get("app"),
+		Seed:         q.uint("seed", 0),
+		Scale:        q.int("scale", 0),
+		Threads:      q.int("threads", 0),
+		InjectThread: q.int("inject_thread", -1),
+		InjectNth:    q.uint("inject_nth", 0),
 	}
-	if req.Scale, err = queryInt(q.Get("scale"), 0); err != nil {
-		return req, fmt.Errorf("%w: scale: %v", ErrBadRequest, err)
-	}
-	if req.Threads, err = queryInt(q.Get("threads"), 0); err != nil {
-		return req, fmt.Errorf("%w: threads: %v", ErrBadRequest, err)
-	}
-	if req.InjectThread, err = queryInt(q.Get("inject_thread"), -1); err != nil {
-		return req, fmt.Errorf("%w: inject_thread: %v", ErrBadRequest, err)
-	}
-	if req.InjectNth, err = queryUint(q.Get("inject_nth"), 0); err != nil {
-		return req, fmt.Errorf("%w: inject_nth: %v", ErrBadRequest, err)
-	}
-	return req, nil
+	return req, q.err
 }
 
-func queryInt(s string, def int) (int, error) {
-	if s == "" {
-		return def, nil
-	}
-	return strconv.Atoi(s)
+// query reads the numeric parameters of a request's query string. An absent
+// or empty parameter reads as its default; the first parameter that does not
+// parse is kept in err, wrapping ErrBadRequest.
+type query struct {
+	url.Values
+	err error
 }
 
-func queryUint(s string, def uint64) (uint64, error) {
+func (q *query) int(name string, def int) int {
+	s := q.Get(name)
 	if s == "" {
-		return def, nil
+		return def
 	}
-	return strconv.ParseUint(s, 10, 64)
+	v, err := strconv.Atoi(s)
+	q.keep(name, err)
+	return v
+}
+
+func (q *query) uint(name string, def uint64) uint64 {
+	s := q.Get(name)
+	if s == "" {
+		return def
+	}
+	v, err := strconv.ParseUint(s, 10, 64)
+	q.keep(name, err)
+	return v
+}
+
+// keep records err as the query's failure unless an earlier read failed.
+func (q *query) keep(name string, err error) {
+	if err != nil && q.err == nil {
+		q.err = fmt.Errorf("%w: %s: %v", ErrBadRequest, name, err)
+	}
 }
 
 // decodeJSONBody strictly parses one JSON value from the request body;

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cord/internal/record"
-	"cord/internal/sim"
 )
 
 // This file implements POST /v1/stream: the streaming order-record ingestion
@@ -190,17 +189,17 @@ type StreamResponse struct {
 
 // streamOptions are one session's parsed query parameters: the DetectRequest
 // domain plus the streaming-only knobs (verification, online detection, the
-// duty cycle, and the recorded run's injection identity for online replay).
+// duty cycle, and the online replay).
 type streamOptions struct {
 	req    DetectRequest
 	verify bool
 	online bool
 	// duty is the online duty percentage (default 100: full coverage).
 	duty int
-	// injectThread/injectNth re-apply the recorded run's fault injection to
-	// the online replay, exactly like a /v1/replay request; -1 = none.
-	injectThread int
-	injectNth    uint64
+	// replay is the run an online session replays: req's run identity plus
+	// the recorded run's injection identity, exactly like a /v1/replay
+	// request.
+	replay ReplayRequest
 	// detector selects the online detector family (PROTOCOL.md §4.7):
 	// "cord" (the default) or "fasttrack".
 	detector string
@@ -210,24 +209,18 @@ type streamOptions struct {
 // domain, query-string encoded — the body is the binary stream) plus the
 // streaming flags. verify defaults to on; detect=online is off by default.
 func parseStreamQuery(r *http.Request) (streamOptions, error) {
-	q := r.URL.Query()
-	o := streamOptions{verify: true, duty: 100, injectThread: -1}
-	o.req = DetectRequest{App: q.Get("app")}
-	var err error
-	if o.req.Seed, err = queryUint(q.Get("seed"), 0); err != nil {
-		return o, fmt.Errorf("%w: seed: %v", ErrBadRequest, err)
+	q := query{Values: r.URL.Query()}
+	o := streamOptions{verify: true, duty: 100, detector: "cord"}
+	o.req = DetectRequest{
+		App:     q.Get("app"),
+		Seed:    q.uint("seed", 0),
+		Scale:   q.int("scale", 0),
+		Threads: q.int("threads", 0),
+		Inject:  q.uint("inject", 0),
+		D:       q.int("d", 0),
 	}
-	if o.req.Scale, err = queryInt(q.Get("scale"), 0); err != nil {
-		return o, fmt.Errorf("%w: scale: %v", ErrBadRequest, err)
-	}
-	if o.req.Threads, err = queryInt(q.Get("threads"), 0); err != nil {
-		return o, fmt.Errorf("%w: threads: %v", ErrBadRequest, err)
-	}
-	if o.req.Inject, err = queryUint(q.Get("inject"), 0); err != nil {
-		return o, fmt.Errorf("%w: inject: %v", ErrBadRequest, err)
-	}
-	if o.req.D, err = queryInt(q.Get("d"), 0); err != nil {
-		return o, fmt.Errorf("%w: d: %v", ErrBadRequest, err)
+	if q.err != nil {
+		return o, q.err
 	}
 	switch v := q.Get("verify"); v {
 	case "", "1", "true":
@@ -247,15 +240,12 @@ func parseStreamQuery(r *http.Request) (streamOptions, error) {
 		if !o.online {
 			return o, fmt.Errorf("%w: duty requires detect=online", ErrBadRequest)
 		}
-		n, err := queryInt(v, -1)
-		if err != nil || n < 0 || n > 100 {
+		if o.duty = q.int("duty", -1); q.err != nil || o.duty < 0 || o.duty > 100 {
 			return o, fmt.Errorf("%w: duty: want an integer in [0, 100], got %q", ErrBadRequest, v)
 		}
-		o.duty = n
 	}
 	switch v := q.Get("detector"); v {
 	case "":
-		o.detector = "cord"
 	case "cord", "fasttrack":
 		if !o.online {
 			return o, fmt.Errorf("%w: detector requires detect=online", ErrBadRequest)
@@ -264,38 +254,24 @@ func parseStreamQuery(r *http.Request) (streamOptions, error) {
 	default:
 		return o, fmt.Errorf("%w: detector: want cord or fasttrack, got %q", ErrBadRequest, v)
 	}
-	if v := q.Get("inject_thread"); v != "" {
-		if !o.online {
-			return o, fmt.Errorf("%w: inject_thread requires detect=online", ErrBadRequest)
-		}
-		if o.injectThread, err = queryInt(v, -1); err != nil {
-			return o, fmt.Errorf("%w: inject_thread: %v", ErrBadRequest, err)
+	for _, name := range []string{"inject_thread", "inject_nth"} {
+		if q.Get(name) != "" && !o.online {
+			return o, fmt.Errorf("%w: %s requires detect=online", ErrBadRequest, name)
 		}
 	}
-	if v := q.Get("inject_nth"); v != "" {
-		if !o.online {
-			return o, fmt.Errorf("%w: inject_nth requires detect=online", ErrBadRequest)
-		}
-		if o.injectNth, err = queryUint(v, 0); err != nil {
-			return o, fmt.Errorf("%w: inject_nth: %v", ErrBadRequest, err)
-		}
-	}
-	return o, nil
+	o.replay = ReplayRequest{InjectThread: q.int("inject_thread", -1), InjectNth: q.uint("inject_nth", 0)}
+	return o, q.err
 }
 
-// validateOnline checks the online-only parameters once defaults are in
-// place, mirroring ReplayRequest.Validate for the injection identity.
-func (o *streamOptions) validateOnline() error {
-	if !o.online {
-		return nil
+// validate applies the defaults and checks the session: its detect run and,
+// for an online session, the replay of that run.
+func (o *streamOptions) validate() error {
+	o.req.ApplyDefaults()
+	if err := o.req.Validate(); err != nil || !o.online {
+		return err
 	}
-	if o.injectThread < -1 || o.injectThread >= o.req.Threads {
-		return fmt.Errorf("%w: inject_thread must be in [0, %d)", ErrBadRequest, o.req.Threads)
-	}
-	if o.injectThread >= 0 && o.injectNth == 0 {
-		return fmt.Errorf("%w: inject_nth must be at least 1 when inject_thread is set", ErrBadRequest)
-	}
-	return nil
+	o.replay.App, o.replay.Seed, o.replay.Scale, o.replay.Threads = o.req.App, o.req.Seed, o.req.Scale, o.req.Threads
+	return o.replay.Validate()
 }
 
 // streamReadChunk is the size of the reusable read buffer; one buffer serves
@@ -310,16 +286,10 @@ const statusResponded = -1
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	opts, err := parseStreamQuery(r)
+	if err == nil {
+		err = opts.validate()
+	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	opts.req.ApplyDefaults()
-	if err := opts.req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := opts.validateOnline(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -336,7 +306,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	case s.streams <- struct{}{}:
 	default:
 		s.m.bumpStream(func(c *StreamCounters) { c.RejectedLimit++ })
-		w.Header().Set("Retry-After", s.streamRetryAfter())
+		w.Header().Set("Retry-After", s.retryAfter("/v1/stream"))
 		writeErrorCode(w, http.StatusTooManyRequests, codeStreamLimit,
 			fmt.Errorf("all %d stream slots are busy", s.cfg.MaxStreams))
 		return
@@ -376,13 +346,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Connection", "close")
 		writeErrorCode(w, status, code, ferr)
 	}
-}
-
-// streamRetryAfter computes the Retry-After value for a stream-slot 429 from
-// the observed /v1/stream latency (see Server.retryAfter — the session-queue
-// 429 path uses the same derivation for its endpoints).
-func (s *Server) streamRetryAfter() string {
-	return s.retryAfter("/v1/stream")
 }
 
 // serveStream runs one admitted streaming session: the chunked ingest loop,
@@ -499,10 +462,11 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 			}
 			return fail(status, code, err)
 		}
-		if out.err != nil && !errors.Is(out.err, sim.ErrReplayDivergence) {
-			return failErr(out.err)
+		divergence, err := replayVerdict(out.res, out.err)
+		if err != nil {
+			return failErr(err)
 		}
-		resp.Online = online.summary(out)
+		resp.Online = online.summary(divergence)
 		s.m.bumpStream(func(c *StreamCounters) {
 			c.OnlineRaces += uint64(resp.Online.RacesSoFar)
 			c.OnlineEpochsTotal += resp.Online.EpochsTotal
