@@ -66,6 +66,8 @@ func allocsPerOp(body func(i int), i, n int) (allocs, bytes float64) {
 // pins EpochStream's "a warmed-up stream does not allocate": what is left is
 // the Flush and the fresh stream the kernel starts at the end of each log,
 // so it is measured over one whole log of four cycles, as -bench amortises it.
+// The record/stream-decode bound is zero: Decode fills the kernel's reused
+// entry buffer, and Reset keeps the decoder.
 func TestBaselineKernelAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -77,6 +79,7 @@ func TestBaselineKernelAllocBudget(t *testing.T) {
 		{"baseline/ideal", setupIdeal, 1, 16},
 		{"baseline/fasttrack", setupFastTrack, 1, math.Inf(1)},
 		{"record/epoch-stream", setupEpochStream, 4, 8},
+		{"record/stream-decode", setupStreamDecode, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			body := tc.setup()

@@ -85,10 +85,11 @@ func (u *Unwrapper) advance(e Entry) (prev, at uint64, ok bool) {
 //
 // Append unwraps each entry's clock through an Unwrapper, queues its epoch
 // and maintains the watermark; Release hands out every queued epoch at or
-// below the watermark. Push is Append followed by Release, for callers that
-// want each entry's releases at once; Flush releases the remainder at end of
-// stream. Whatever the cadence, the concatenation of every release followed
-// by Flush's remainder is the entries' epochs sorted by (Time, Index).
+// below the watermark, and Discard drops them, returning their count. Push
+// is Append followed by Release, for callers that want each entry's releases
+// at once; Flush releases the remainder at end of stream. Whatever the
+// cadence, the concatenation of every release followed by Flush's remainder
+// is the entries' epochs sorted by (Time, Index).
 //
 // The release rule is a watermark: per-thread unwrapped times are
 // nondecreasing, so once every one of the session's threads has appeared, any
@@ -224,6 +225,29 @@ func (s *EpochStream) Release(dst []Epoch) []Epoch {
 		s.refresh(s.watermark)
 	}
 	return s.release(dst, s.watermark)
+}
+
+// Discard drops every pending epoch at or below the watermark and returns
+// how many it dropped: exactly the count Release would hand out, without
+// merging or building the epochs. It serves callers that only count what
+// becomes final.
+func (s *EpochStream) Discard() int {
+	n := 0
+	for t := range s.queues {
+		q := &s.queues[t]
+		k := q.head
+		for k < len(q.buf) && q.buf[k].time <= s.watermark {
+			k++
+		}
+		n += k - q.head
+		if q.head = k; k == len(q.buf) {
+			q.buf, q.head = q.buf[:0], 0
+		}
+		s.keys[t] = noKey // every remaining head lies above the watermark
+	}
+	s.ready, s.stale = 0, false
+	s.pending -= n
+	return n
 }
 
 // Push ingests the next entry and returns the epochs that became final, in

@@ -60,6 +60,10 @@ func scheduleOracle(l *Log, numThreads int) ([]Epoch, error) {
 //     times; after every entry, Pending() counts the rest.
 //   - The first bad entry fails Push or Append with the oracle's error text,
 //     and the error is sticky.
+//   - A twin stream that is appended the same entries and calls Discard at
+//     every release point drops exactly as many epochs as the release
+//     handed out and keeps the same Pending(); before each Flush its
+//     Pending() is the count Flush returns.
 //
 // It returns the Pending() value after each accepted entry.
 func checkStream(tb testing.TB, entries []Entry, threads int, flushes []int, held []bool) (pending []int) {
@@ -102,6 +106,7 @@ func checkStream(tb testing.TB, entries []Entry, threads int, flushes []int, hel
 	}
 
 	s := NewEpochStream(threads)
+	twin := NewEpochStream(threads) // counts with Discard what s releases
 	last := make([]uint64, threads)
 	started := make([]bool, threads)
 	unstarted := threads
@@ -109,7 +114,12 @@ func checkStream(tb testing.TB, entries []Entry, threads int, flushes []int, hel
 	var seg, released []Epoch
 	endSegment := func(hi int) {
 		tb.Helper()
-		released = append(released, s.Flush()...)
+		flushed := s.Flush()
+		if twin.Pending() != len(flushed) {
+			tb.Fatalf("before Flush at %d: twin Pending() = %d, Flush released %d", hi, twin.Pending(), len(flushed))
+		}
+		twin.Flush()
+		released = append(released, flushed...)
 		if seg = segment(lo, hi); !epochsEqual(released, seg) {
 			tb.Fatalf("segment [%d, %d) released out of oracle order\ngot  %v\nwant %v", lo, hi, released, seg)
 		}
@@ -144,6 +154,16 @@ func checkStream(tb testing.TB, entries []Entry, threads int, flushes []int, hel
 		default:
 			if err = s.Append(entries[i]); err == nil {
 				rel = s.Release(nil)
+			}
+		}
+		twinErr := twin.Append(entries[i])
+		if (twinErr == nil) != (err == nil) || (err != nil && twinErr.Error() != err.Error()) {
+			tb.Fatalf("entry %d: twin Append error %v, stream error %v", i, twinErr, err)
+		}
+		if !hold && err == nil {
+			if n := twin.Discard(); n != len(rel) || twin.Pending() != s.Pending() {
+				tb.Fatalf("after entry %d: Discard dropped %d with %d pending; the release handed out %d with %d pending",
+					i, n, twin.Pending(), len(rel), s.Pending())
 			}
 		}
 		if i == bad {

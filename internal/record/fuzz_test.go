@@ -2,28 +2,87 @@ package record
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"cord/internal/clock"
 )
 
 // FuzzDecodeFrom ensures the binary log decoder never panics or over-reads
-// on arbitrary input, and that anything it accepts re-encodes to an
-// equivalent log.
+// on arbitrary input, that anything it accepts re-encodes to an equivalent
+// log, and that the three decoders agree: StreamDecoder.Decode and
+// StreamDecoder.Feed, fed the same fuzzer-chosen chunks (split[k] is the k-th
+// chunk's length less one, cyclically; no split is one chunk), deliver the
+// same entries and fail with the same error text, entries delivered ahead of
+// a format error included; DecodeFrom, which reads exactly the declared
+// length, accepts the same logs with the same entries, fails with the same
+// text on damage past the header, and ignores only the bytes past the
+// declared count, which the streaming decoders refuse after delivering
+// every declared entry.
 func FuzzDecodeFrom(f *testing.F) {
-	var l Log
-	l.Append(Entry{Clock: 7, Thread: 1, Instr: 42})
-	var seedBuf bytes.Buffer
-	if err := l.EncodeTo(&seedBuf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seedBuf.Bytes())
-	f.Add([]byte("CORD"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	seed := encodeLog(f, &Log{entries: []Entry{{Clock: 7, Thread: 1, Instr: 42}}})
+	f.Add(seed, []byte{})
+	f.Add(seed, []byte{0, 6, 2})                             // cuts inside the header and the entry
+	f.Add(append(bytes.Clone(seed), 1, 2, 3), []byte{20})    // bytes past the declared count
+	f.Add(append(bytes.Clone(seed), seed[16:]...), []byte{}) // a whole entry past it
+	f.Add(encodeLog(f, sampleLog(40)), []byte{6, 200, 30})
+	f.Add(encodeLog(f, sampleLog(40))[:100], []byte{9}) // truncated mid-entry
+	f.Add([]byte("CORD"), []byte{1})
+	f.Add([]byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, data, split []byte) {
+		var chunks [][]byte
+		for off, k := 0, 0; off < len(data); k++ {
+			n := len(data)
+			if len(split) > 0 {
+				n = 1 + int(split[k%len(split)])
+			}
+			end := min(off+n, len(data))
+			chunks = append(chunks, data[off:end])
+			off = end
+		}
+		var viaDecode, viaFeed []Entry
+		var errDecode, errFeed error
+		dd, fd := NewStreamDecoder(), NewStreamDecoder()
+		for _, p := range chunks {
+			if errDecode == nil {
+				viaDecode, errDecode = dd.Decode(p, viaDecode)
+			}
+			if errFeed == nil {
+				errFeed = fd.Feed(p, func(e Entry) error { viaFeed = append(viaFeed, e); return nil })
+			}
+		}
+		if errDecode == nil {
+			errDecode = dd.Close()
+		}
+		if errFeed == nil {
+			errFeed = fd.Close()
+		}
+		if !slices.Equal(viaDecode, viaFeed) || fmt.Sprint(errDecode) != fmt.Sprint(errFeed) {
+			t.Fatalf("Decode: %d entries, %v; Feed: %d entries, %v", len(viaDecode), errDecode, len(viaFeed), errFeed)
+		}
+
 		got, err := DecodeFrom(bytes.NewReader(data))
+		past := dd.header && uint64(len(data)) > HeaderBytes+dd.Declared()*EntryBytes
+		switch {
+		case len(data) < HeaderBytes:
+			if err == nil || errDecode == nil {
+				t.Fatalf("short header: DecodeFrom %v, Decode %v", err, errDecode)
+			}
+			return
+		case past:
+			if err != nil || !errors.Is(errDecode, ErrBadFormat) {
+				t.Fatalf("bytes past the declared count: DecodeFrom %v, Decode %v", err, errDecode)
+			}
+		case fmt.Sprint(err) != fmt.Sprint(errDecode):
+			t.Fatalf("DecodeFrom %v, Decode %v", err, errDecode)
+		}
 		if err != nil {
 			return
+		}
+		if !slices.Equal(got.Entries(), viaDecode) {
+			t.Fatalf("DecodeFrom: %d entries, Decode %d", got.Len(), len(viaDecode))
 		}
 		var out bytes.Buffer
 		if err := got.EncodeTo(&out); err != nil {
@@ -42,7 +101,8 @@ func FuzzDecodeFrom(f *testing.F) {
 const maxFuzzEntries = 4096
 
 // FuzzEpochStream is the differential check of EpochStream and Log.Schedule
-// against scheduleOracle (see checkStream) on fuzz-built sessions.
+// against scheduleOracle, and of Discard against Release on a twin stream
+// (see checkStream), on fuzz-built sessions.
 //
 // Layout: data[0] picks the thread count, 1 + data[0]%64; data[1] is the
 // high byte of every thread's generator clock (0xFF starts just below the

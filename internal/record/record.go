@@ -126,7 +126,7 @@ func DecodeFrom(r io.Reader) (*Log, error) {
 		return nil, fmt.Errorf("record: reading header: %w", err)
 	}
 	var d StreamDecoder
-	if err := d.Feed(hdr[:], nil); err != nil {
+	if _, err := d.Decode(hdr[:], nil); err != nil {
 		return nil, err
 	}
 	// The count is untrusted input: a malformed header must not make us
@@ -134,7 +134,6 @@ func DecodeFrom(r io.Reader) (*Log, error) {
 	// most maxPrealloc entries and let append grow the slice as real data
 	// arrives — a truncated stream then fails on read, not on OOM.
 	l := &Log{entries: make([]Entry, 0, min(d.Declared(), maxPrealloc))}
-	emit := func(e Entry) error { l.entries = append(l.entries, e); return nil }
 	buf := make([]byte, 32<<10)
 	var fed uint64
 	total := d.Declared() * EntryBytes
@@ -145,8 +144,9 @@ func DecodeFrom(r io.Reader) (*Log, error) {
 		}
 		m, err := io.ReadFull(r, buf[:n])
 		if m > 0 {
-			if ferr := d.Feed(buf[:m], emit); ferr != nil {
-				return nil, ferr
+			var derr error
+			if l.entries, derr = d.Decode(buf[:m], l.entries); derr != nil {
+				return nil, derr
 			}
 			fed += uint64(m)
 		}

@@ -44,7 +44,7 @@ func feedAll(b []byte, chunks []int, emit func(Entry) error) ([]Entry, error) {
 	return got, d.Close()
 }
 
-func encodeLog(t *testing.T, l *Log) []byte {
+func encodeLog(t testing.TB, l *Log) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := l.EncodeTo(&buf); err != nil {

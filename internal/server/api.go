@@ -263,7 +263,7 @@ type ReplayRequest struct {
 	Threads int    `json:"threads"`
 	// InjectThread/InjectNth re-apply the per-thread injection identity the
 	// recording run reported (Result.injected_thread/injected_thread_nth).
-	// InjectThread -1 means no injection.
+	// InjectThread -1 means no injection, and then InjectNth must be 0.
 	InjectThread int    `json:"inject_thread"`
 	InjectNth    uint64 `json:"inject_nth"`
 }
@@ -290,6 +290,9 @@ func (r ReplayRequest) Validate() error {
 	}
 	if r.InjectThread >= 0 && r.InjectNth == 0 {
 		return fmt.Errorf("%w: inject_nth must be at least 1 when inject_thread is set", ErrBadRequest)
+	}
+	if r.InjectThread == -1 && r.InjectNth != 0 {
+		return fmt.Errorf("%w: inject_nth requires a thread id in inject_thread", ErrBadRequest)
 	}
 	return nil
 }

@@ -208,28 +208,34 @@ func TestStreamOnlineFastTrackDetector(t *testing.T) {
 
 // TestInjectThreadDomainOneRule: /v1/replay and a detect=online stream
 // check a replay's injection identity with one rule, so an out-of-range
-// inject_thread gets the same 400 bad_request, word for word, from both.
+// inject_thread, or an inject_nth with no injected thread (which the replay
+// would ignore), gets the same 400 bad_request, word for word, from both.
 func TestInjectThreadDomainOneRule(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 4})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer shutdownOrFail(t, srv)
 
-	const query = "app=fft&seed=1&threads=4&inject_thread=9&inject_nth=1"
-	const want = "server: bad request: inject_thread must be -1 or a thread id below 4, got 9"
-	for _, path := range []string{"/v1/replay?" + query, "/v1/stream?" + query + "&detect=online"} {
-		resp, err := http.Post(ts.URL+path, "application/octet-stream", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var eb errorBody
-		err = json.NewDecoder(resp.Body).Decode(&eb)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("%s: decoding error body: %v", path, err)
-		}
-		if resp.StatusCode != http.StatusBadRequest || eb.Code != codeBadRequest || eb.Error != want {
-			t.Errorf("%s: %d %q %q, want 400 %q %q", path, resp.StatusCode, eb.Code, eb.Error, codeBadRequest, want)
+	for _, tc := range []struct{ query, want string }{
+		{"app=fft&seed=1&threads=4&inject_thread=9&inject_nth=1",
+			"server: bad request: inject_thread must be -1 or a thread id below 4, got 9"},
+		{"app=fft&seed=1&inject_nth=3", "server: bad request: inject_nth requires a thread id in inject_thread"},
+		{"app=fft&seed=1&inject_thread=-1&inject_nth=1", "server: bad request: inject_nth requires a thread id in inject_thread"},
+	} {
+		for _, path := range []string{"/v1/replay?" + tc.query, "/v1/stream?" + tc.query + "&detect=online"} {
+			resp, err := http.Post(ts.URL+path, "application/octet-stream", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb errorBody
+			err = json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s: decoding error body: %v", path, err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || eb.Code != codeBadRequest || eb.Error != tc.want {
+				t.Errorf("%s: %d %q %q, want 400 %q %q", path, resp.StatusCode, eb.Code, eb.Error, codeBadRequest, tc.want)
+			}
 		}
 	}
 }

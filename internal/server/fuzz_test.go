@@ -75,6 +75,7 @@ func FuzzReplayParams(f *testing.F) {
 	}
 	f.Add("app=fft&seed=1&threads=4", goodLog.Bytes())
 	f.Add("app=fft&seed=1&inject_thread=2&inject_nth=5", goodLog.Bytes())
+	f.Add("app=fft&seed=1&inject_nth=5", goodLog.Bytes())
 	f.Add("app=nosuch&seed=x", []byte{})
 	f.Add("seed=18446744073709551616", []byte("CORD"))
 	f.Add("threads=-1&inject_thread=99", goodLog.Bytes())
@@ -94,7 +95,8 @@ func FuzzReplayParams(f *testing.F) {
 			}
 			return
 		}
-		if req.Threads < 1 || req.Threads > MaxThreads || req.InjectThread >= req.Threads {
+		if req.Threads < 1 || req.Threads > MaxThreads || req.InjectThread >= req.Threads ||
+			(req.InjectThread == -1) != (req.InjectNth == 0) {
 			t.Fatalf("Validate accepted out-of-domain request %+v", req)
 		}
 		log, err := record.DecodeFrom(bytes.NewReader(logBytes))
@@ -295,8 +297,9 @@ func checkStreamOutcome(t *testing.T, query string, chunks []int, status int, bo
 // parsing, defaults and validation — with arbitrary query strings. Every
 // failure must wrap ErrBadRequest, and every accepted session must be in
 // domain: a known app within the size bounds, a duty in [0, 100], a known
-// detector family, an injection identity the engine can honour, and the
-// online-only parameters only with detect=online.
+// detector family, an injection identity the engine can honour (and no
+// inject_nth without an injected thread), and the online-only parameters
+// only with detect=online.
 func FuzzStreamParams(f *testing.F) {
 	f.Add("app=fft&seed=1")
 	f.Add("app=lu&seed=18446744073709551615&scale=2&threads=8&inject=3&d=256&verify=0")
@@ -340,7 +343,8 @@ func FuzzStreamParams(f *testing.F) {
 		if r.App != o.req.App || r.Seed != o.req.Seed || r.Scale != o.req.Scale || r.Threads != o.req.Threads {
 			t.Fatalf("%q: online replay %+v is not the detect run %+v", query, r, o.req)
 		}
-		if r.InjectThread < -1 || r.InjectThread >= r.Threads || (r.InjectThread >= 0 && r.InjectNth < 1) {
+		if r.InjectThread < -1 || r.InjectThread >= r.Threads || (r.InjectThread >= 0 && r.InjectNth < 1) ||
+			(r.InjectThread == -1 && r.InjectNth != 0) {
 			t.Fatalf("%q: accepted injection identity %d/%d at %d threads", query, r.InjectThread, r.InjectNth, r.Threads)
 		}
 	})

@@ -208,7 +208,7 @@ type onlineSession struct {
 
 	ing      *streamIngest
 	es       *record.EpochStream
-	rel      []record.Epoch // reused release buffer
+	rel      []record.Epoch // reused release buffer (duty > 0)
 	released uint64         // epochs released from the stream (duty=0 accounting)
 
 	gate   *dutyGate
@@ -250,43 +250,45 @@ func startOnline(opts streamOptions, ing *streamIngest) *onlineSession {
 	return o
 }
 
-// ingest is the decoder's emit target in online mode: the quota check, the
-// entry's append to the epoch stream, and the shard fold at the time the
-// epoch stream unwrapped — each entry is unwrapped once.
-func (o *onlineSession) ingest(e record.Entry) error {
-	if err := o.ing.admit(); err != nil {
-		return err
+// ingest folds one decoded chunk in online mode: the quota check, then each
+// entry's append to the epoch stream and its shard fold at the time the
+// epoch stream unwrapped — each entry is unwrapped once. The quota answers
+// last, as in streamIngest.ingest.
+func (o *onlineSession) ingest(es []record.Entry) error {
+	es, quota := o.ing.admit(es)
+	for _, e := range es {
+		if err := o.es.Append(e); err != nil {
+			return err
+		}
+		o.ing.fold(e, o.es.Time(int(e.Thread)))
 	}
-	if err := o.es.Append(e); err != nil {
-		return err
-	}
-	o.ing.fold(e, o.es.Time(int(e.Thread)))
-	return nil
+	return quota
 }
 
 // release hands the epochs a decoded chunk made final to the replay feed in
-// one Append (at duty=0 it only counts them). The stream handler calls it
-// once per chunk. Releasing per chunk instead of per entry changes no
-// counter a progress frame reports: at a chunk boundary the watermark is the
-// same either way, so the released set is the same.
+// one Append; at duty=0 it only counts them, with Discard, which neither
+// merges nor builds them. The stream handler calls it once per chunk.
+// Releasing per chunk instead of per entry changes no counter a progress
+// frame reports: at a chunk boundary the watermark is the same either way,
+// so the released set is the same.
 func (o *onlineSession) release() {
-	o.rel = o.es.Release(o.rel[:0])
-	o.released += uint64(len(o.rel))
-	if o.feed != nil {
-		o.feed.Append(o.rel...)
+	if o.feed == nil {
+		o.released += uint64(o.es.Discard())
+		return
 	}
+	o.rel = o.es.Release(o.rel[:0])
+	o.feed.Append(o.rel...)
 }
 
 // finish closes the feed after a complete stream and waits for the replay
 // verdict, bounded by the session timeout and the client's continued
 // presence. Only called once, after every byte has been ingested.
 func (o *onlineSession) finish(clientGone <-chan struct{}, timeout time.Duration) (*onlineOutcome, int, string, error) {
-	rest := o.es.Flush()
-	o.released += uint64(len(rest))
 	if o.feed == nil {
-		return &onlineOutcome{}, 0, "", nil // duty=0: nothing replayed
+		o.released += uint64(o.es.Pending()) // duty=0: nothing replayed
+		return &onlineOutcome{}, 0, "", nil
 	}
-	o.feed.Append(rest...)
+	o.feed.Append(o.es.Flush()...)
 	o.feed.CloseFeed()
 	select {
 	case out := <-o.done:

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -539,5 +540,108 @@ func TestStreamRetryAfterP50(t *testing.T) {
 	}
 	if got := srv2.retryAfter("/v1/stream"); got != "1" {
 		t.Fatalf("fast-stream Retry-After = %s, want floor 1", got)
+	}
+}
+
+// laggingLog encodes an order log of n entries over four threads whose
+// clocks start just below the 16-bit wrap: threads 0-2 speak at random and
+// advance by 1..8, while thread 3 speaks only every 1000th entry, so the
+// watermark lags it and thousands of epochs stay pending.
+func laggingLog(t *testing.T, n int) ([]record.Entry, []byte) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(25, 4))
+	clocks := []clock.Scalar{65000, 65010, 65020, 65030}
+	var l record.Log
+	for k := 0; k < n; k++ {
+		th := rng.IntN(3)
+		if k%1000 == 999 {
+			th = 3
+		}
+		l.Append(record.Entry{Clock: clocks[th], Thread: uint16(th), Instr: uint32(1 + rng.IntN(64))})
+		if th == 3 {
+			clocks[th] += clock.Scalar(1 + rng.IntN(3000))
+		} else {
+			clocks[th] += clock.Scalar(1 + rng.IntN(8))
+		}
+	}
+	var buf bytes.Buffer
+	if err := l.EncodeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return l.Entries(), buf.Bytes()
+}
+
+// TestStreamDutyZeroProgressEpochs: a duty=0 session counts released epochs
+// without building them, and every progress frame's epochs must still be
+// the count Release hands out over the entries ingested so far. The log is
+// 4 MiB with a lagging thread, sent in 1 MiB chunks; the summary's
+// epochs_total counts every entry.
+//
+// Per chunk the frame quota is checked once, yet an order violation before
+// the quota boundary still answers 422, and one on the boundary 413, on the
+// offline and the duty=0 sink alike.
+func TestStreamDutyZeroProgressEpochs(t *testing.T) {
+	entries, body := laggingLog(t, 1<<19)
+	srv := New(Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer shutdownOrFail(t, srv)
+
+	resp, out := postStream(t, ts.URL, "app=fft&threads=4&verify=0&detect=online&duty=0", body, 1<<20)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body %s", resp.StatusCode, out)
+	}
+	frames, summary := splitFrames(t, out)
+	if len(frames) < 3 {
+		t.Fatalf("%d progress frames, want one per MiB", len(frames))
+	}
+	oracle := record.NewEpochStream(4)
+	var ingested, released uint64
+	for _, f := range frames {
+		for ; ingested < f.Frames; ingested++ {
+			if err := oracle.Append(entries[ingested]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		released += uint64(len(oracle.Release(nil)))
+		if f.Epochs != released {
+			t.Fatalf("frame at %d entries: epochs %d, Release oracle %d", f.Frames, f.Epochs, released)
+		}
+		if oracle.Pending() == 0 {
+			t.Fatalf("frame at %d entries: nothing pending, so the thread does not lag", f.Frames)
+		}
+	}
+	var sr StreamResponse
+	if err := json.Unmarshal(summary, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Online == nil || sr.Online.EpochsTotal != uint64(len(entries)) {
+		t.Fatalf("online block %+v, want %d epochs", sr.Online, len(entries))
+	}
+
+	const quota = 1000
+	quotaSrv := New(Config{Workers: 1, QueueDepth: 4, MaxStreamFrames: quota})
+	defer shutdownOrFail(t, quotaSrv)
+	for _, tc := range []struct {
+		bad        int
+		status     int
+		code, text string
+	}{
+		{quota - 1, http.StatusUnprocessableEntity, codeOrderViolation, "entry 999 names thread"},
+		{quota, http.StatusRequestEntityTooLarge, codeQuotaExceeded, "frame quota (1000 frames) exhausted"},
+	} {
+		// 4000 entries: the whole log is the first 32 KiB chunk.
+		bad := genStreamLog(t, 7, 4, 4000, 0, tc.bad)
+		for _, query := range []string{"app=fft&threads=4&verify=0", "app=fft&threads=4&verify=0&detect=online&duty=0"} {
+			status, b := serveStreamInProcess(quotaSrv, query, bad, 32<<10)
+			var eb errorBody
+			if err := json.Unmarshal(b, &eb); err != nil {
+				t.Fatalf("%s, bad entry %d: %v in %s", query, tc.bad, err, b)
+			}
+			if status != tc.status || eb.Code != tc.code || !strings.Contains(eb.Error, tc.text) {
+				t.Errorf("%s, bad entry %d: %d %q %q, want %d %q containing %q",
+					query, tc.bad, status, eb.Code, eb.Error, tc.status, tc.code, tc.text)
+			}
+		}
 	}
 }

@@ -17,11 +17,12 @@ import (
 // This file implements POST /v1/stream: the streaming order-record ingestion
 // session of PROTOCOL.md §4. The request body is one encoded order log
 // delivered as arbitrarily sized chunks; entries are decoded incrementally
-// (record.StreamDecoder, fixed reusable read buffer) and folded into
-// per-thread shard state on the fly — the session's memory cost is constant
-// in stream length. At end of stream the server optionally re-executes the
-// named run and compares the recorded log against the streamed one by
-// content hash, answering with a deterministic StreamResponse summary.
+// (record.StreamDecoder, fixed reusable read buffer) a chunk at a time and
+// folded into per-thread shard state on the fly — without detect=online the
+// session's memory cost is constant in stream length. At end of stream the
+// server optionally re-executes the named run and compares the recorded log
+// against the streamed one by content hash, answering with a deterministic
+// StreamResponse summary.
 //
 // Streams are long-lived, so they do not ride the worker queue: they get
 // their own admission slots (Config.MaxStreams), per-session byte/frame
@@ -48,9 +49,9 @@ type ShardSummary struct {
 }
 
 // streamIngest is the per-session ingest state: one shard per declared
-// thread, the per-thread clock unwrap, and the content hash. It is the emit
-// target of the incremental decoder; no entry is retained. The hash is fed
-// each chunk's raw bytes, not entries.
+// thread, the per-thread clock unwrap, and the content hash. It folds each
+// chunk the incremental decoder delivers; no entry outlives its chunk. The
+// hash is fed each chunk's raw bytes, not entries.
 type streamIngest struct {
 	shards    []streamShard
 	clocks    *record.Unwrapper // offline only: online, the epoch stream unwraps
@@ -72,27 +73,30 @@ func newStreamIngest(threads int, maxFrames uint64) *streamIngest {
 // maps it to 413 / code "quota_exceeded".
 var errStreamQuota = errors.New("server: stream quota exceeded")
 
-// ingest folds one decoded entry into the session state: the quota check,
-// the clock unwrap, and the shard fold.
-func (g *streamIngest) ingest(e record.Entry) error {
-	if err := g.admit(); err != nil {
-		return err
+// ingest folds one decoded chunk into the session state: the quota check,
+// then each entry's clock unwrap and shard fold.
+func (g *streamIngest) ingest(es []record.Entry) error {
+	es, quota := g.admit(es)
+	for _, e := range es {
+		at, err := g.clocks.Unwrap(e)
+		if err != nil {
+			return err
+		}
+		g.fold(e, at)
 	}
-	at, err := g.clocks.Unwrap(e)
-	if err != nil {
-		return err
-	}
-	g.fold(e, at)
-	return nil
+	return quota
 }
 
-// admit is the frame quota, checked before anything else looks at an entry
-// so that a 413 wins over a 422 on the same entry.
-func (g *streamIngest) admit() error {
-	if g.frames >= g.maxFrames {
-		return fmt.Errorf("%w: frame quota (%d frames) exhausted", errStreamQuota, g.maxFrames)
+// admit is the frame quota, checked once per chunk: it cuts es to the
+// quota's remaining room and returns the quota error when it cut anything.
+// The caller folds the kept entries first and answers the quota error last,
+// so an order violation before the boundary wins, and a 413 wins over a 422
+// on the entry at the boundary, which is never looked at.
+func (g *streamIngest) admit(es []record.Entry) ([]record.Entry, error) {
+	if room := g.maxFrames - g.frames; uint64(len(es)) > room {
+		return es[:room], fmt.Errorf("%w: frame quota (%d frames) exhausted", errStreamQuota, g.maxFrames)
 	}
-	return nil
+	return es, nil
 }
 
 // fold counts entry e, already unwrapped to logical time at, into its
@@ -274,8 +278,9 @@ func (o *streamOptions) validate() error {
 	return o.replay.Validate()
 }
 
-// streamReadChunk is the size of the reusable read buffer; one buffer serves
-// the whole session regardless of stream length.
+// streamReadChunk is the size of the reusable read buffer; one buffer, and
+// one entry buffer of streamReadChunk/EntryBytes entries (the most a chunk
+// decodes to), serve the whole session regardless of stream length.
 const streamReadChunk = 32 << 10
 
 // statusResponded is serveStream's sentinel for "the failure was already
@@ -360,6 +365,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 	dec := record.NewStreamDecoder()
 	ing := newStreamIngest(req.Threads, s.cfg.MaxStreamFrames)
 	buf := make([]byte, streamReadChunk)
+	ents := make([]record.Entry, 0, streamReadChunk/record.EntryBytes) // one chunk's entries
 	var bytesIn int64
 
 	// Online mode: an incremental replay session consumes epochs as chunks
@@ -407,8 +413,15 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 			if bytesIn += int64(n); bytesIn > s.cfg.MaxStreamBytes {
 				return failErr(fmt.Errorf("%w: byte quota (%d bytes) exhausted", errStreamQuota, s.cfg.MaxStreamBytes))
 			}
-			if err := dec.Feed(buf[:n], sink); err != nil {
+			// The chunk's entries are folded before a decode error
+			// surfaces: bytes past the declared count fail only after the
+			// entries ahead of them.
+			es, derr := dec.Decode(buf[:n], ents[:0])
+			if err := sink(es); err != nil {
 				return failErr(err)
+			}
+			if derr != nil {
+				return failErr(derr)
 			}
 			// Release before the hash: in online mode the chunk's epochs
 			// are then with the replay engine while the hash runs.
