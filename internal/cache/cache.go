@@ -79,7 +79,7 @@ func (u *unboundedStore[P]) compact() {
 type Cache[P any] struct {
 	sets      [][]entry[P] // each set is MRU-first
 	ways      int
-	numSets   int
+	setMask   uint64 // sets-1: Validate guarantees a power-of-two set count
 	unbounded *unboundedStore[P]
 
 	// stats
@@ -126,7 +126,7 @@ func New[P any](cfg Config) *Cache[P] {
 	return &Cache[P]{
 		sets:    make([][]entry[P], cfg.Sets()),
 		ways:    cfg.Ways,
-		numSets: cfg.Sets(),
+		setMask: uint64(cfg.Sets() - 1),
 	}
 }
 
@@ -140,7 +140,7 @@ func NewUnbounded[P any]() *Cache[P] {
 // Unbounded reports whether the cache has infinite capacity.
 func (c *Cache[P]) Unbounded() bool { return c.unbounded != nil }
 
-func (c *Cache[P]) setOf(l memsys.Line) int { return int(uint64(l) % uint64(c.numSets)) }
+func (c *Cache[P]) setOf(l memsys.Line) int { return int(uint64(l) & c.setMask) }
 
 // Lookup returns a pointer to the payload of line l if resident, promoting it
 // to most-recently-used. The pointer stays valid until the line is evicted or

@@ -8,6 +8,7 @@ import (
 
 	"cord/internal/core"
 	"cord/internal/machine"
+	"cord/internal/progen"
 	"cord/internal/sim"
 	"cord/internal/trace"
 	"cord/internal/workload"
@@ -62,17 +63,19 @@ func (d *digestObserver) result(res sim.Result) uint64 {
 	return d.h.Sum64()
 }
 
-// interleavingDigests runs app under every scheduler mode the engine has and
-// returns one digest per mode, in the order of digestModes.
-func interleavingDigests(t *testing.T, app workload.App) [5]uint64 {
-	const threads, procs = 4, 4
+// interleavingDigests runs prog on four processors under every scheduler
+// mode the engine has and returns one digest per mode, in the order of
+// digestModes.
+func interleavingDigests(t *testing.T, prog sim.Program) [5]uint64 {
+	const procs = 4
+	threads := prog.Threads
 	var out [5]uint64
 	run := func(cfg sim.Config, d *digestObserver) sim.Result {
 		t.Helper()
 		cfg.Observers = append(cfg.Observers, d)
-		res, err := sim.New(cfg, app.Build(1, threads)).Run()
+		res, err := sim.New(cfg, prog).Run()
 		if err != nil {
-			t.Fatalf("%s: %v", app.Name, err)
+			t.Fatalf("%s: %v", prog.Name, err)
 		}
 		return res
 	}
@@ -100,7 +103,7 @@ func interleavingDigests(t *testing.T, app workload.App) [5]uint64 {
 
 	epochs, err := det.Log().Schedule(threads)
 	if err != nil {
-		t.Fatalf("%s: schedule: %v", app.Name, err)
+		t.Fatalf("%s: schedule: %v", prog.Name, err)
 	}
 
 	// Replay of the recorded log as a complete schedule.
@@ -147,11 +150,65 @@ var wantDigests = map[string][5]uint64{
 // across detection, performance, migration and both replay modes.
 func TestInterleavingDigests(t *testing.T) {
 	for _, app := range workload.All() {
-		got := interleavingDigests(t, app)
+		got := interleavingDigests(t, app.Build(1, 4))
 		want := wantDigests[app.Name]
 		for i := range got {
 			if got[i] != want[i] {
 				t.Errorf("%s %s: digest %#x, want %#x", app.Name, digestModes[i], got[i], want[i])
+			}
+		}
+	}
+}
+
+// progenDigestPrograms are generated programs of several shapes and seeds.
+// They write in patterns the twelve apps do not: writes right after a lock
+// acquire, flag publications between private writes, and back-to-back
+// writes with no read between them.
+func progenDigestPrograms() []sim.Program {
+	shapes := []progen.Config{
+		progen.DefaultConfig(),
+		{Threads: 2, Regions: 1, RegionWords: 4, OpsPerThread: 40},
+		{Threads: 8, Regions: 12, RegionWords: 64, OpsPerThread: 80, Phases: 3, PrivateWords: 256},
+		{Threads: 3, Regions: 2, RegionWords: 8, OpsPerThread: 60, Phases: 1, PrivateWords: 16},
+		{Threads: 6, Regions: 3, RegionWords: 16, OpsPerThread: 90, Phases: 4, PrivateWords: 32},
+	}
+	var progs []sim.Program
+	for i, shape := range shapes {
+		for _, seed := range []uint64{1, 42} {
+			progs = append(progs, progen.New(seed+uint64(i)*1000, shape).Prog)
+		}
+	}
+	return progs
+}
+
+// wantProgenDigests pins the interleavings of progenDigestPrograms under the
+// same five modes as wantDigests.
+var wantProgenDigests = map[string][5]uint64{
+	"progen-1":    {0x248e3db2fddb1efc, 0x9244df512a4b2358, 0xdbea6ada4098b435, 0xc60aaa005beffac0, 0xf5800baba045f51e},
+	"progen-42":   {0x3d2122cc4b06b815, 0x4643f75b4d65f88, 0x1e347ba721f905f2, 0xc72d85642b4ddb12, 0x5ff5dd1179732a0c},
+	"progen-1001": {0xa2c91075cf1aeaad, 0xfe9cdfdcb9c3fd65, 0x5e9681e5e0cd25fe, 0x33a320fc54379a31, 0xd55abe719a154827},
+	"progen-1042": {0x6dff43c13ed24ce2, 0x9c4875f3edf29d72, 0xe593860a2cf1aeaf, 0x2d4afb421dcfc648, 0xc1f86f6b1f7a7aae},
+	"progen-2001": {0x94695becb012e789, 0x43e9bb736fe9c76, 0x9b1f076d22c73b0d, 0xeb4c59d46f5a48ae, 0x85a3dd86b9017d49},
+	"progen-2042": {0xb4724cdf7eabcf2, 0xab43999818f89019, 0x6145d88273f3efee, 0x3519cf0337b043f4, 0xddc8c1b7153ffb7d},
+	"progen-3001": {0x750478ddd930ff8c, 0x42354832230017fe, 0x69607195b5067d98, 0x54c4fce29c2cb47e, 0x922e4a03ed7209d7},
+	"progen-3042": {0x4999d0e4b54e5218, 0xc82c1f8bb2fa8d19, 0x5b7313c25d42fb5d, 0x943331d428fde080, 0xb32a4b4758a9d4ba},
+	"progen-4001": {0x696bed451095e1e6, 0x955e4c3502379fd1, 0xd1045d51932485a8, 0xbb1cd49b242a2d3, 0x62f3f9882ffe35cf},
+	"progen-4042": {0xde8114328b05f707, 0xa1e3a184bc0274e5, 0x3b3fd1d15761d93c, 0x88212faad035a23f, 0xa269508302102e07},
+}
+
+// TestProgenInterleavingDigests locks in the engine's schedule for generated
+// programs across detection (with an injection), performance, migration and
+// both replay modes.
+func TestProgenInterleavingDigests(t *testing.T) {
+	for _, prog := range progenDigestPrograms() {
+		got := interleavingDigests(t, prog)
+		want, ok := wantProgenDigests[prog.Name]
+		if !ok {
+			t.Fatalf("%s: no pinned digests", prog.Name)
+		}
+		for m := range got {
+			if got[m] != want[m] {
+				t.Errorf("%s %s: digest %#x, want %#x", prog.Name, digestModes[m], got[m], want[m])
 			}
 		}
 	}

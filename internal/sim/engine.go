@@ -8,18 +8,25 @@
 // log-driven deterministic replay (§2.7.1).
 //
 // Each thread's Body runs in an iter.Pull coroutine, and only one of them
-// runs at a time. An Env call serves its own request on the calling
-// coroutine: it asks the scheduler for the next thread and, when that is the
-// caller again (the common case, and nearly every call in replay, where an
-// epoch grants one thread its whole quota), executes the request and returns
-// with no coroutine switch. Only when another thread is next, or the caller
-// blocks, does it hand that pick to Run and yield; Run resumes the picked
-// coroutine, which executes its own pending request and runs ahead in turn.
-// Every hand-off is a direct coroutine switch, with no channel and no trip
-// through the Go scheduler. When a run ends early (cancellation, an error, a
-// deadlock, a panic elsewhere), Run stops every coroutine still parked in an
-// Env call: its yield returns false, the call panics errAborted, and the Body
-// unwinds through its deferred calls before Run returns.
+// runs at a time. Every Env call posts a request to its thread's FIFO queue.
+// The calls that return nothing (Write, SyncWrite, FlagSet, Compute, Unlock)
+// return at once, before the engine has placed their requests in the global
+// order; the calls that need an answer (Read, SyncRead, TAS, the enter of
+// Lock and FlagWaitAtLeast) and a block are the Body's scheduling points: the
+// thread parks there until its queue drains. A parked thread runs the
+// scheduler on its own coroutine. At each pick the scheduler executes the
+// picked thread's oldest request in place, with observers, cost model,
+// jitter and OnEpoch exactly as if that thread had waited for its turn, so
+// the global order does not depend on how far a Body ran ahead. When the
+// parked caller's own queue drains it returns its answer with no coroutine
+// switch. When another thread's queue drains while its Body still runs, the
+// caller hands that thread to Run and yields; Run resumes it, and it
+// schedules in turn once it parks. Every hand-off is a direct coroutine
+// switch, with no channel and no trip through the Go scheduler. When a run
+// ends early (cancellation, an error, a deadlock, a panic elsewhere), Run
+// stops every coroutine still parked in an Env call: its yield returns
+// false, the call panics errAborted, and the Body unwinds through its
+// deferred calls before Run returns.
 //
 // An execution is a pure function of its Config: the Seed drives all
 // scheduling jitter, workloads communicate only through the simulated
@@ -179,7 +186,6 @@ const (
 	reqWrite
 	reqTAS
 	reqCompute
-	reqBlock
 	reqLockEnter
 	reqUnlockEnter
 	reqFlagWaitEnter
@@ -199,25 +205,38 @@ type response struct {
 	skip  bool
 }
 
-// threadCtx is one simulated thread: its scheduler state plus the pull
-// coroutine its Body runs in. next resumes the Body until it parks in an Env
-// call (its request in req) or returns; yield is the Body's side of that
-// switch; stop unwinds a parked Body (see spawn).
+// postCap bounds a thread's queue of posted requests. A Body that fills it
+// parks until the queue drains, so one that never reads still reaches the
+// scheduler's Cancel and op-budget checks.
+const postCap = 64
+
+// threadCtx is one simulated thread: its scheduler state, its queue of
+// posted requests, and the pull coroutine its Body runs in. next resumes the
+// Body until it parks in an Env call or returns; yield is the Body's side of
+// that switch; stop unwinds a parked Body (see spawn).
+//
+// The queue is posted[head:tail]. The Body runs only while it is empty: it
+// fills the queue, parks, and is resumed once the engine has executed every
+// request in it, so the queue never wraps.
 type threadCtx struct {
-	id    int
-	proc  int
-	vtime uint64
-	instr uint64 // committed instructions
-	syncN uint64 // own countable sync instances (InjectThreadNth)
-	state threadState
-	block memsys.Addr
-	req   request
-	hash  uint64 // FNV-1a over read values
-	env   Env    // the handle passed to Body; env.t points back here
-	next  func() (struct{}, bool)
-	yield func(struct{}) bool
-	stop  func()
-	err   error // a Body panic, recovered inside the coroutine
+	id       int
+	proc     int
+	vtime    uint64
+	instr    uint64 // committed instructions
+	syncN    uint64 // own countable sync instances (InjectThreadNth)
+	state    threadState
+	block    memsys.Addr
+	head     int
+	tail     int
+	resp     response // the answer to the last executed request
+	returned bool     // the Body returned; the thread is done once its queue drains
+	hash     uint64   // FNV-1a over read values
+	env      Env      // the handle passed to Body; env.t points back here
+	next     func() (struct{}, bool)
+	yield    func(struct{}) bool
+	stop     func()
+	err      error // a Body panic, recovered inside the coroutine
+	posted   [postCap]request
 }
 
 type lockKey struct {
@@ -255,12 +274,13 @@ type Engine struct {
 
 	lastAccess trace.Access
 
-	// run state, shared by Run and the coroutines that serve requests
-	inline   bool       // start-up is over: Env calls are served in place
+	// run state, shared by Run and the coroutines that run the scheduler
+	inline   bool       // start-up is over and no abort began: parked threads schedule in place
 	handoff  *threadCtx // the thread Run resumes next; nil ends the run
 	hung     bool
 	runErr   error
-	panicVal any // raised while a coroutine served a request; Run re-raises it
+	panicVal any    // raised while a coroutine ran the scheduler; Run re-raises it
+	resumes  uint64 // coroutine resumes, for tests of the switch rate
 }
 
 const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
@@ -309,10 +329,10 @@ func New(cfg Config, prog Program) *Engine {
 // Run executes the program to completion (or deadlock) and returns the
 // result. It is not safe to call twice.
 //
-// After the start-up phase Run only resumes coroutines: the thread the
-// scheduler picked serves its own request and keeps running ahead until
-// another thread is next, so Run regains control just to resume the next
-// pick (e.handoff), to close out a finished thread, or to end the run.
+// After the start-up phase Run mostly resumes coroutines: a parked thread
+// runs the scheduler itself, so Run regains control just to resume a thread
+// whose queue drained (e.handoff), to schedule after a Body returned, or to
+// end the run.
 func (e *Engine) Run() (Result, error) {
 	if e.prog.Init != nil {
 		e.prog.Init(e.mem)
@@ -323,10 +343,10 @@ func (e *Engine) Run() (Result, error) {
 	// Unwind whatever is still parked on every exit path, including a panic
 	// out of an observer or callback.
 	defer e.abortAll()
-	// Run every thread up to its first Env call (or completion) before
-	// entering the deterministic loop.
+	// Run every thread up to its first scheduling point (or completion)
+	// before entering the deterministic loop.
 	for _, t := range e.threads {
-		if e.step(t) && t.err != nil {
+		if e.resume(t) && t.err != nil {
 			return Result{}, t.err
 		}
 	}
@@ -335,17 +355,16 @@ func (e *Engine) Run() (Result, error) {
 		e.cfg.OnEpoch(0)
 	}
 	e.inline = true
-	for t := e.next(); t != nil; {
-		if !e.step(t) {
+	for t := e.schedule(); t != nil; {
+		if !e.resume(t) {
 			t = e.handoff
 			continue
 		}
-		e.finishThread(t)
 		if t.err != nil {
 			e.runErr = t.err
 			break
 		}
-		t = e.next()
+		t = e.schedule()
 	}
 	if e.panicVal != nil {
 		panic(e.panicVal)
@@ -377,10 +396,9 @@ func (e *Engine) Run() (Result, error) {
 	return res, nil
 }
 
-// next is the scheduling half of the service sequence: it checks Cancel,
-// picks the thread whose request goes next in the global order, and checks
-// the op budget. It returns nil when the run is over — every thread done, a
-// deadlock (e.hung), or an error in e.runErr.
+// next checks Cancel, picks the thread whose request goes next in the global
+// order, and checks the op budget. It returns nil when the run is over —
+// every thread done, a deadlock (e.hung), or an error in e.runErr.
 func (e *Engine) next() *threadCtx {
 	for {
 		if e.cfg.Cancel != nil {
@@ -413,57 +431,77 @@ func (e *Engine) next() *threadCtx {
 	}
 }
 
-// serve answers the request thread t just posted, on t's own coroutine. Once
-// the start-up phase is over t schedules the request itself and, when the
-// scheduler picks t again, executes it and returns without a coroutine
-// switch. Otherwise t hands the pick to Run and parks until Run resumes it
-// as a later pick, and executes the request then.
-func (e *Engine) serve(t *threadCtx) response {
-	e.absorbBlock(t)
+// wait parks t's Body until the engine has executed every request t posted,
+// and returns the answer to the last one. Once start-up is over t runs the
+// scheduler itself: when its own queue is the one that drains, it returns
+// with no coroutine switch; otherwise it hands the thread to resume (nil when
+// the run is over) to Run and yields until Run resumes it with its answer.
+func (e *Engine) wait(t *threadCtx) response {
 	if e.inline {
-		if resp, ok := e.service(t, true); ok {
-			return resp
+		if e.handoff = e.scheduleCaught(); e.handoff == t {
+			return t.resp
 		}
 	}
+	if !t.yield(struct{}{}) {
+		t.head, t.tail = 0, 0
+		panic(errAborted)
+	}
+	return t.resp
+}
+
+// scheduleCaught is schedule on a thread's coroutine. A panic raised there —
+// by an observer, the cost model or OnEpoch — is caught and re-raised by
+// Run, so it leaves Run with its own value and never unwinds the Body.
+func (e *Engine) scheduleCaught() (t *threadCtx) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicVal, t = r, nil
+		}
+	}()
+	return e.schedule()
+}
+
+// schedule runs the global order. At each pick it executes the picked
+// thread's oldest posted request. It returns the first thread whose queue
+// drains while its Body still runs, to be resumed with the answer, or nil
+// when the run is over. A thread whose Body returned is done once its queue
+// drains.
+func (e *Engine) schedule() *threadCtx {
 	for {
-		if !t.yield(struct{}{}) {
-			panic(errAborted)
+		t := e.next()
+		if t == nil {
+			return nil
 		}
-		if resp, ok := e.service(t, false); ok {
-			return resp
+		if err := e.exec(t); err != nil {
+			e.runErr = err
+			return nil
 		}
+		if t.head < t.tail {
+			continue
+		}
+		t.head, t.tail = 0, 0
+		if !t.returned {
+			return t
+		}
+		e.retire(t)
 	}
 }
 
-// service runs the service sequence for t's pending request: schedule it
-// (when decide is set), execute it, and surface a sticky replay divergence.
-// It reports false when t must park instead: another thread is next, or the
-// run is over (e.handoff is then nil). A panic raised here — by an observer,
-// the cost model or OnEpoch — is caught and re-raised by Run, so it leaves
-// Run with its own value and never unwinds the Body.
-func (e *Engine) service(t *threadCtx, decide bool) (resp response, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.panicVal, e.handoff, ok = r, nil, false
-		}
-	}()
-	if decide {
-		if e.handoff = e.next(); e.handoff != t {
-			return response{}, false
-		}
+// exec executes t's oldest posted request, keeps its answer in t.resp, and
+// surfaces a sticky replay divergence.
+func (e *Engine) exec(t *threadCtx) error {
+	req := &t.posted[t.head]
+	t.head++
+	if req.kind == reqNone {
+		t.resp = response{} // woken from a block: resume with no payload
+		return nil
 	}
-	if t.req.kind == reqNone {
-		return response{}, true // woken from a block: resume with no payload
-	}
-	resp, err := e.process(t)
+	resp, err := e.process(t, req)
+	t.resp = resp
 	if err == nil {
 		err = e.replayErr
 	}
-	if err != nil {
-		e.runErr, e.handoff = err, nil
-		return response{}, false
-	}
-	return resp, true
+	return err
 }
 
 func (e *Engine) allDone() bool {
@@ -475,29 +513,43 @@ func (e *Engine) allDone() bool {
 	return true
 }
 
-// step resumes t's coroutine until it parks in an Env call or its Body
-// returns. It reports whether the thread finished; t.err then holds a panic,
-// if the Body raised one.
-func (e *Engine) step(t *threadCtx) bool {
+// resume switches to t's coroutine until it parks in an Env call or its
+// Body returns. It reports whether the Body returned; t.err then holds a
+// panic, if the Body raised one. A returned Body with nothing left in its
+// queue retires at once.
+func (e *Engine) resume(t *threadCtx) bool {
+	e.resumes++
 	if _, ok := t.next(); ok {
 		return false
 	}
-	t.state = stDone
+	t.returned = true
+	if t.head == t.tail {
+		e.retire(t)
+	}
 	return true
 }
 
-// abortAll unwinds every thread that has not finished. Stopping a coroutine
-// that already returned, or never started, is a no-op.
-func (e *Engine) abortAll() {
-	for _, t := range e.threads {
-		t.state = stDone
-		t.stop()
+// retire marks a thread whose Body returned and whose queue drained done.
+// The observers hear of it unless the Body returned during start-up
+// without a single Env call.
+func (e *Engine) retire(t *threadCtx) {
+	t.state = stDone
+	if !e.inline {
+		return
+	}
+	for _, o := range e.cfg.Observers {
+		o.ThreadDone(t.id, t.instr)
 	}
 }
 
-func (e *Engine) finishThread(t *threadCtx) {
-	for _, o := range e.cfg.Observers {
-		o.ThreadDone(t.id, t.instr)
+// abortAll unwinds every thread that has not finished. Stopping a coroutine
+// that already returned, or never started, is a no-op. An Env call made
+// while a Body unwinds schedules nothing: it panics errAborted again.
+func (e *Engine) abortAll() {
+	e.inline = false
+	for _, t := range e.threads {
+		t.state = stDone
+		t.stop()
 	}
 }
 
@@ -520,15 +572,15 @@ func (e *Engine) pick() *threadCtx {
 	return best
 }
 
-// reqWidth is how many instructions the thread's pending request would
-// commit: zero for the sub-instruction micro-operations (test-and-set,
-// wake-from-block resumption), which the order log cannot see directly.
-func reqWidth(r request) uint64 {
+// reqWidth is how many instructions a request would commit: zero for the
+// sub-instruction micro-operations (test-and-set, wake-from-block
+// resumption), which the order log cannot see directly.
+func reqWidth(r *request) uint64 {
 	if r.micro {
 		return 0
 	}
 	switch r.kind {
-	case reqTAS, reqNone, reqBlock:
+	case reqTAS, reqNone:
 		return 0
 	case reqCompute:
 		return r.n
@@ -564,7 +616,7 @@ func (e *Engine) pickReplay() *threadCtx {
 			continue
 		}
 		if e.epochFresh {
-			if t.state == stReady && reqWidth(t.req) == 0 {
+			if t.state == stReady && reqWidth(&t.posted[t.head]) == 0 {
 				return t // drain micro-ops at epoch start
 			}
 			e.epochFresh = false
@@ -685,10 +737,8 @@ func (e *Engine) replayRecoverable() bool {
 	}
 }
 
-// process executes one parked request of thread t and returns the response
-// to resume it with.
-func (e *Engine) process(t *threadCtx) (response, error) {
-	req := t.req
+// process executes one request of thread t and returns its answer.
+func (e *Engine) process(t *threadCtx, req *request) (response, error) {
 	switch req.kind {
 	case reqCompute:
 		cost := e.cfg.Cost.ComputeCost(t.proc, req.n)
@@ -734,11 +784,6 @@ func (e *Engine) process(t *threadCtx) (response, error) {
 		e.advance(t, cost, 0)
 		return response{value: old}, nil
 
-	case reqBlock:
-		// Block requests are absorbed at the Env call (absorbBlock), so
-		// one reaching process() is a scheduler bug.
-		return response{}, fmt.Errorf("sim: thread %d block request reached process", t.id)
-
 	case reqLockEnter:
 		skip := e.countSyncInstance(t)
 		if skip {
@@ -749,12 +794,8 @@ func (e *Engine) process(t *threadCtx) (response, error) {
 		return response{skip: skip}, nil
 
 	case reqUnlockEnter:
-		k := lockKey{t.id, req.addr}
-		if e.skipped[k] > 0 {
-			e.skipped[k]--
-			e.advance(t, 0, 1)
-			return response{skip: true}, nil
-		}
+		// Whether the release is removed was decided when it was posted
+		// (unskip).
 		e.advance(t, 0, 1)
 		return response{}, nil
 
@@ -838,18 +879,33 @@ func (e *Engine) deliver(t *threadCtx, addr memsys.Addr, kind trace.Kind, class 
 	return primary
 }
 
-// absorbBlock processes a just-posted block request immediately: the
-// thread's sleep decision is based on a read that no other thread could have
-// invalidated (the engine ran nothing between that read and this request), so
-// marking it blocked here closes the check-then-block window — a write
-// arriving later always finds the thread already in stBlocked and wakes it.
-func (e *Engine) absorbBlock(t *threadCtx) {
-	if t.req.kind != reqBlock {
-		return
+// block marks t blocked on the word at a and posts its wake-up resumption.
+// The thread's sleep decision rests on a read that no other thread could
+// have invalidated (that read drained t's queue, and the engine ran nothing
+// since), so marking it blocked here closes the check-then-block window — a
+// write ordered later always finds the thread already in stBlocked and wakes
+// it.
+func (e *Engine) block(t *threadCtx, a memsys.Addr) {
+	if t.head != t.tail {
+		panic(fmt.Sprintf("sim: thread %d blocks with %d posted requests pending", t.id, t.tail-t.head))
 	}
 	t.state = stBlocked
-	t.block = memsys.WordAlign(t.req.addr)
-	t.req.kind = reqNone
+	t.block = memsys.WordAlign(a)
+	t.posted[0] = request{kind: reqNone}
+	t.tail = 1
+}
+
+// unskip reports whether thread t's release of the lock at l is removed
+// together with an injected acquire. It is decided when the release is
+// posted: the skipped counts for t are t's own state, and every acquire of
+// t's has been answered by then.
+func (e *Engine) unskip(t *threadCtx, l memsys.Addr) bool {
+	k := lockKey{t.id, l}
+	if e.skipped[k] == 0 {
+		return false
+	}
+	e.skipped[k]--
+	return true
 }
 
 // wake readies every thread blocked on addr; they resume no earlier than the

@@ -16,7 +16,9 @@ import (
 // thread coroutine behind, whether the threads still parked at that point are
 // blocked, runnable, or never reached their first Env call. The one-thread
 // cases end while their thread runs ahead, its requests served on its own
-// coroutine with no trip through Run.
+// coroutine with no trip through Run. The write-only bodies never reach a
+// call that needs an answer: they park only because their queue of posted
+// requests fills.
 func TestRunExitPaths(t *testing.T) {
 	al := memsys.NewAllocator()
 	never := NewFlag(al) // no thread ever sets it
@@ -28,8 +30,9 @@ func TestRunExitPaths(t *testing.T) {
 	}
 	cancel := make(chan struct{})
 	cancelAhead := make(chan struct{})
+	cancelPosted := make(chan struct{})
 	const cancelAt = 100
-	var delivered int
+	var delivered, deliveredPosted int
 	errObserver := errors.New("observer boom")
 	errEpoch := errors.New("epoch boom")
 	observe := func(fn func(trace.Access)) []trace.Observer {
@@ -39,6 +42,13 @@ func TestRunExitPaths(t *testing.T) {
 		return prog(name, 1, func(th int, env *Env) {
 			for {
 				env.Write(w, env.Read(w)+1)
+			}
+		})
+	}
+	writer := func(name string, threads int) Program {
+		return prog(name, threads, func(th int, env *Env) {
+			for i := uint64(0); ; i++ {
+				env.Write(w, i)
 			}
 		})
 	}
@@ -76,6 +86,21 @@ func TestRunExitPaths(t *testing.T) {
 				panic("late")
 			}),
 			wantMsg: "sim: thread 0 panicked: late",
+		},
+		{
+			name: "panic right after posting writes",
+			prog: prog("posted-panic", 3, func(th int, env *Env) {
+				if th != 0 {
+					never.WaitAtLeast(env, 1)
+					return
+				}
+				env.Read(w)
+				env.Write(w, 1)
+				env.Compute(5)
+				env.Write(w, 2)
+				panic("posted")
+			}),
+			wantMsg: "sim: thread 0 panicked: posted",
 		},
 		{
 			name: "Body returns without any Env call",
@@ -136,6 +161,36 @@ func TestRunExitPaths(t *testing.T) {
 				},
 			},
 			wantErr: ErrCanceled,
+		},
+		{
+			name:    "op budget exceeded by write-only bodies",
+			prog:    writer("write-runaway", 2),
+			cfg:     Config{MaxOps: 1000},
+			wantMsg: "sim: write-runaway exceeded op budget 1000",
+		},
+		{
+			name:    "op budget exceeded by a write-only body running ahead",
+			prog:    writer("write-solo", 1),
+			cfg:     Config{MaxOps: 1000},
+			wantMsg: "sim: write-solo exceeded op budget 1000",
+		},
+		{
+			name: "observer cancels a write-only body with a full queue",
+			prog: writer("write-cancel", 1),
+			cfg: Config{
+				Cancel: cancelPosted,
+				Observers: observe(func(a trace.Access) {
+					if deliveredPosted++; deliveredPosted == cancelAt {
+						close(cancelPosted)
+					}
+				}),
+			},
+			wantErr: ErrCanceled,
+			check: func(t *testing.T) {
+				if deliveredPosted > cancelAt+1 {
+					t.Fatalf("%d accesses delivered after Cancel closed at access %d", deliveredPosted-cancelAt, cancelAt)
+				}
+			},
 		},
 		{
 			name:    "op budget exceeded while running ahead",
