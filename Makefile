@@ -135,7 +135,8 @@ fleet-chaos-smoke:
 # Short fuzzing pass over every hardened input surface: the binary order-log
 # decoder, the epoch stream (differential against the sort-based schedule
 # oracle), the Ideal detector (differential against the per-word-slice
-# history oracle), the three service request parsers, /v1/stream ingest
+# history oracle), the paged address table (against a map model), the
+# three service request parsers, /v1/stream ingest
 # (generated logs at random chunkings, differential against a one-shot
 # decode-and-schedule oracle), online detection at duty=100 (differential
 # against replay-time detection over the same log), and the fleet merge (random shard partitions,
@@ -145,6 +146,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecodeFrom' -fuzztime 10s -run '^$$' ./internal/record/
 	$(GO) test -fuzz 'FuzzEpochStream' -fuzztime 10s -run '^$$' ./internal/record/
 	$(GO) test -fuzz 'FuzzIdeal' -fuzztime 10s -run '^$$' ./internal/baseline/
+	$(GO) test -fuzz 'FuzzTable' -fuzztime 10s -run '^$$' ./internal/memsys/
 	$(GO) test -fuzz 'FuzzDetectRequest' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzReplayParams' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzStreamIngest' -fuzztime 10s -run '^$$' ./internal/server/

@@ -64,7 +64,7 @@ func NewFastTrack(cfg FastTrackConfig) *FastTrack {
 	return &FastTrack{
 		threads:  cfg.Threads,
 		vcs:      makeVCs(cfg.Threads),
-		shadow:   newShadowMem(),
+		shadow:   &shadowMem{},
 		maxRaces: cfg.MaxStoredRaces,
 	}
 }

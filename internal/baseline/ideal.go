@@ -74,15 +74,15 @@ type syncWord struct {
 type Ideal struct {
 	threads int
 	vcs     []clock.Vector
-	syncs   map[memsys.Addr]*syncWord
+	syncs   memsys.Table[*syncWord] // keyed by memsys.WordKey
 
-	hist      []idealEntry          // retained data accesses, in global access order
-	words     map[memsys.Addr]int32 // the word index of each address with retained entries
-	slots     []idealWord           // indexed by word
-	heads     []int32               // heads[w*threads+t]: thread t's newest entry on word w, or -1
-	freeWords []int32               // word indices prune released, for reuse
-	hits      []int32               // scratch: slab indices of the current access's races
-	min       clock.Vector          // scratch: prune's component-wise minimum clock
+	hist      []idealEntry        // retained data accesses, in global access order
+	words     memsys.Table[int32] // keyed by memsys.WordKey: 1 + the word index of an address with retained entries, 0 if none
+	slots     []idealWord         // indexed by word
+	heads     []int32             // heads[w*threads+t]: thread t's newest entry on word w, or -1
+	freeWords []int32             // word indices prune released, for reuse
+	hits      []int32             // scratch: slab indices of the current access's races
+	min       clock.Vector        // scratch: prune's component-wise minimum clock
 
 	races     []trace.Race
 	raceCount int // racy accesses (>=1 conflicting unordered predecessor)
@@ -100,8 +100,6 @@ func NewIdeal(threads int) *Ideal {
 	return &Ideal{
 		threads:       threads,
 		vcs:           makeVCs(threads),
-		syncs:         make(map[memsys.Addr]*syncWord),
-		words:         make(map[memsys.Addr]int32),
 		min:           clock.NewVector(threads),
 		pairs:         make(map[pairKey]bool),
 		maxPairs:      1 << 20,
@@ -140,10 +138,11 @@ func (d *Ideal) OnAccess(a trace.Access) trace.Report {
 
 // onSync applies the acquire/release happens-before edges.
 func (d *Ideal) onSync(a trace.Access, my clock.Vector) {
-	s := d.syncs[a.Addr]
+	slot := d.syncs.Ref(memsys.WordKey(a.Addr))
+	s := *slot
 	if s == nil {
 		s = &syncWord{lastWrite: clock.NewVector(d.threads)}
-		d.syncs[a.Addr] = s
+		*slot = s
 	}
 	if a.Kind == trace.Read {
 		my.Join(s.lastWrite) // acquire: ordered after the observed release
@@ -156,10 +155,11 @@ func (d *Ideal) onSync(a trace.Access, my clock.Vector) {
 // earlier access not ordered before the current thread's vector clock is a
 // data race. Races are reported in global access order.
 func (d *Ideal) onData(a trace.Access, my clock.Vector, rep *trace.Report) {
-	w, ok := d.words[a.Addr]
-	if !ok {
-		w = d.newWord(a.Addr)
+	slot := d.words.Ref(memsys.WordKey(a.Addr))
+	if *slot == 0 {
+		*slot = d.newWord(a.Addr) + 1
 	}
+	w := *slot - 1
 	heads := d.heads[int(w)*d.threads : int(w+1)*d.threads]
 	hits := d.hits[:0]
 	for u, i := range heads {
@@ -223,7 +223,6 @@ func (d *Ideal) newWord(addr memsys.Addr) int32 {
 			d.heads = append(d.heads, -1)
 		}
 	}
-	d.words[addr] = w
 	return w
 }
 
@@ -249,7 +248,7 @@ func (d *Ideal) prune() {
 		if e.epoch <= min[e.thread] {
 			s := &d.slots[e.word]
 			if s.entries--; s.entries == 0 {
-				delete(d.words, s.addr)
+				*d.words.Ref(memsys.WordKey(s.addr)) = 0
 				d.freeWords = append(d.freeWords, e.word)
 			}
 			continue

@@ -33,12 +33,13 @@ type ftWord struct {
 	readVec clock.Vector
 }
 
-// shadowMem holds the shadow words and sync variables. Deflated read
-// vectors are recycled through a free list so the inflate/deflate cycle
-// settles into zero steady-state allocation.
+// shadowMem holds the shadow words and sync variables, each in a paged
+// table keyed by word index (nil = never touched). Deflated read vectors
+// are recycled through a free list so the inflate/deflate cycle settles
+// into zero steady-state allocation.
 type shadowMem struct {
-	words map[memsys.Addr]*ftWord
-	syncs map[memsys.Addr]clock.Vector
+	words memsys.Table[*ftWord]
+	syncs memsys.Table[clock.Vector]
 
 	freeVecs []clock.Vector
 	// metaWords counts the live shadow-state footprint in words, the
@@ -47,19 +48,13 @@ type shadowMem struct {
 	metaWords int
 }
 
-func newShadowMem() *shadowMem {
-	return &shadowMem{
-		words: make(map[memsys.Addr]*ftWord),
-		syncs: make(map[memsys.Addr]clock.Vector),
-	}
-}
-
 // word returns addr's shadow word, creating an empty one on first touch.
 func (s *shadowMem) word(a memsys.Addr) *ftWord {
-	w := s.words[a]
+	slot := s.words.Ref(memsys.WordKey(a))
+	w := *slot
 	if w == nil {
 		w = &ftWord{write: ftEpoch{thread: epochNone}, read: ftEpoch{thread: epochNone}}
-		s.words[a] = w
+		*slot = w
 		s.metaWords += 2
 	}
 	return w
@@ -68,10 +63,11 @@ func (s *shadowMem) word(a memsys.Addr) *ftWord {
 // sync returns addr's sync-variable vector (the last release's clock),
 // creating a zero vector on first touch.
 func (s *shadowMem) sync(a memsys.Addr, threads int) clock.Vector {
-	v := s.syncs[a]
+	slot := s.syncs.Ref(memsys.WordKey(a))
+	v := *slot
 	if v == nil {
 		v = clock.NewVector(threads)
-		s.syncs[a] = v
+		*slot = v
 		s.metaWords += threads
 	}
 	return v

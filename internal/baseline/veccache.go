@@ -231,6 +231,8 @@ func (d *VecCache) OnAccess(a trace.Access) trace.Report {
 			d.flushLine(&v.Payload)
 		}
 	} else {
+		// ls is still valid (Cache.Lookup's contract): probeRemotes
+		// touched only the other processors' caches.
 		d.stamp(ls, word, a.Kind, my)
 	}
 

@@ -23,7 +23,8 @@ type entry[P any] struct {
 
 // ubEntry is one line of the unbounded variant. Entries are allocated in
 // arena chunks so payload pointers stay valid for the lifetime of the line
-// (the Lookup contract) without one heap allocation per insert.
+// (the unbounded half of the Lookup contract) without one heap allocation
+// per insert.
 type ubEntry[P any] struct {
 	line    memsys.Line
 	payload P
@@ -33,17 +34,29 @@ type ubEntry[P any] struct {
 // ubChunkLines is the arena chunk size of the unbounded cache.
 const ubChunkLines = 256
 
-// unboundedStore is an insertion-ordered line store: a lookup index over
-// arena-allocated entries plus the insertion-order slice that ForEach and
-// RemoveIf walk. Iteration order is therefore a pure function of the access
-// stream — reproducible across runs and processes — unlike a Go map's
-// randomized range order, which would leak into walker/retirement callback
-// order and break the engine's determinism contract.
+// unboundedStore is an insertion-ordered line store: a paged lookup index
+// (memsys.Table keyed by line, nil = absent) over arena-allocated entries,
+// plus the insertion-order slice that ForEach and RemoveIf walk. Iteration
+// order is therefore a pure function of the access stream — reproducible
+// across runs and processes — and never the index's key order.
 type unboundedStore[P any] struct {
-	index map[memsys.Line]*ubEntry[P]
+	index memsys.Table[*ubEntry[P]]
 	order []*ubEntry[P] // insertion order; removed entries stay as tombstones
 	arena []ubEntry[P]  // current allocation chunk
 	dead  int           // tombstones in order
+}
+
+// remove unlinks a live entry from the index and turns it into a tombstone,
+// returning its payload and releasing the entry's references for the GC.
+// The caller compacts.
+func (u *unboundedStore[P]) remove(e *ubEntry[P]) P {
+	*u.index.Ref(uint64(e.line)) = nil
+	e.live = false
+	u.dead++
+	p := e.payload
+	var zero P
+	e.payload = zero
+	return p
 }
 
 func (u *unboundedStore[P]) alloc() *ubEntry[P] {
@@ -134,7 +147,7 @@ func New[P any](cfg Config) *Cache[P] {
 // iteration order is insertion order (re-inserting a removed line moves it
 // to the end), which keeps every traversal deterministic.
 func NewUnbounded[P any]() *Cache[P] {
-	return &Cache[P]{unbounded: &unboundedStore[P]{index: make(map[memsys.Line]*ubEntry[P])}}
+	return &Cache[P]{unbounded: &unboundedStore[P]{}}
 }
 
 // Unbounded reports whether the cache has infinite capacity.
@@ -143,11 +156,15 @@ func (c *Cache[P]) Unbounded() bool { return c.unbounded != nil }
 func (c *Cache[P]) setOf(l memsys.Line) int { return int(uint64(l) & c.setMask) }
 
 // Lookup returns a pointer to the payload of line l if resident, promoting it
-// to most-recently-used. The pointer stays valid until the line is evicted or
-// removed.
+// to most-recently-used.
+//
+// In a bounded cache the pointer is valid only until the next Lookup,
+// Insert, Remove or RemoveIf on this cache: promotion and removal shift the
+// entries of a set, so a kept pointer may then address another line's
+// payload. In an unbounded cache it stays valid until the line is removed.
 func (c *Cache[P]) Lookup(l memsys.Line) (*P, bool) {
 	if c.unbounded != nil {
-		if e, ok := c.unbounded.index[l]; ok {
+		if e := c.unbounded.index.Get(uint64(l)); e != nil {
 			c.hits++
 			return &e.payload, true
 		}
@@ -171,10 +188,10 @@ func (c *Cache[P]) Lookup(l memsys.Line) (*P, bool) {
 
 // Peek returns the payload of line l without touching recency or stats;
 // remote snoops use it so that coherence traffic does not perturb local LRU
-// state.
+// state. The pointer follows Lookup's contract.
 func (c *Cache[P]) Peek(l memsys.Line) (*P, bool) {
 	if c.unbounded != nil {
-		if e, ok := c.unbounded.index[l]; ok {
+		if e := c.unbounded.index.Get(uint64(l)); e != nil {
 			return &e.payload, true
 		}
 		return nil, false
@@ -191,8 +208,7 @@ func (c *Cache[P]) Peek(l memsys.Line) (*P, bool) {
 // Contains reports residency without touching recency or stats.
 func (c *Cache[P]) Contains(l memsys.Line) bool {
 	if c.unbounded != nil {
-		_, ok := c.unbounded.index[l]
-		return ok
+		return c.unbounded.index.Get(uint64(l)) != nil
 	}
 	for _, e := range c.sets[c.setOf(l)] {
 		if e.line == l {
@@ -214,14 +230,15 @@ type Victim[P any] struct {
 func (c *Cache[P]) Insert(l memsys.Line, payload P) (Victim[P], bool) {
 	if c.unbounded != nil {
 		u := c.unbounded
-		if e, ok := u.index[l]; ok {
+		slot := u.index.Ref(uint64(l))
+		if e := *slot; e != nil {
 			e.payload = payload
 			return Victim[P]{}, false
 		}
 		e := u.alloc()
 		*e = ubEntry[P]{line: l, payload: payload, live: true}
 		u.order = append(u.order, e)
-		u.index[l] = e
+		*slot = e
 		return Victim[P]{}, false
 	}
 	si := c.setOf(l)
@@ -254,15 +271,11 @@ func (c *Cache[P]) Remove(l memsys.Line) (P, bool) {
 	var zero P
 	if c.unbounded != nil {
 		u := c.unbounded
-		e, ok := u.index[l]
-		if !ok {
+		e := u.index.Get(uint64(l))
+		if e == nil {
 			return zero, false
 		}
-		delete(u.index, l)
-		e.live = false
-		u.dead++
-		p := e.payload
-		e.payload = zero // release payload references for the GC
+		p := u.remove(e)
 		u.compact()
 		return p, true
 	}
@@ -280,8 +293,8 @@ func (c *Cache[P]) Remove(l memsys.Line) (P, bool) {
 
 // Len returns the number of resident lines.
 func (c *Cache[P]) Len() int {
-	if c.unbounded != nil {
-		return len(c.unbounded.index)
+	if u := c.unbounded; u != nil {
+		return len(u.order) - u.dead
 	}
 	n := 0
 	for _, s := range c.sets {
@@ -318,18 +331,14 @@ func (c *Cache[P]) RemoveIf(pred func(l memsys.Line, p *P) bool, onRemove func(l
 	removed := 0
 	if c.unbounded != nil {
 		u := c.unbounded
-		var zero P
 		for _, e := range u.order {
 			if !e.live || !pred(e.line, &e.payload) {
 				continue
 			}
-			delete(u.index, e.line)
-			e.live = false
-			u.dead++
+			l, p := e.line, u.remove(e)
 			if onRemove != nil {
-				onRemove(e.line, e.payload)
+				onRemove(l, p)
 			}
-			e.payload = zero
 			removed++
 		}
 		u.compact()

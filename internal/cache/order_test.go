@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"cord/internal/memsys"
 )
@@ -123,5 +125,119 @@ func TestUnboundedInsertOverwritesInPlace(t *testing.T) {
 	}
 	if p, _ := c.Lookup(1); *p != 11 {
 		t.Fatalf("payload = %d, want 11", *p)
+	}
+}
+
+// ubRef is the reference model of the unbounded cache: resident lines with
+// their payloads, in insertion order.
+type ubRef struct {
+	lines    []memsys.Line
+	payloads []int
+}
+
+func (r *ubRef) find(l memsys.Line) int { return slices.Index(r.lines, l) }
+
+func (r *ubRef) remove(i int) {
+	r.lines = slices.Delete(r.lines, i, i+1)
+	r.payloads = slices.Delete(r.payloads, i, i+1)
+}
+
+// TestUnboundedMatchesReferenceModel is the unbounded counterpart of
+// TestMatchesReferenceModel. Over random sequences of lookup-then-insert,
+// plain inserts, removals, predicate removals and peeks, on lines spread
+// over several index pages, the cache must agree with an insertion-ordered
+// list: ForEach and RemoveIf visit lines in insertion order, Len follows
+// Remove and RemoveIf, a re-inserted line moves to the end, an insert over
+// a resident line keeps its place, and a payload pointer from Lookup stays
+// the line's own until the line is removed.
+func TestUnboundedMatchesReferenceModel(t *testing.T) {
+	f := func(seq [1024]uint16) bool {
+		c := NewUnbounded[int]()
+		ref := &ubRef{}
+		var held *int // pointer from the last Lookup hit, while its line is resident
+		var heldLine memsys.Line
+		for n, b := range seq {
+			l := memsys.Line(int(b&0x1fff) % 48 * 61) // 48 lines over three index pages
+			i := ref.find(l)
+			switch b >> 13 {
+			case 0, 1, 2:
+				p, hit := c.Lookup(l)
+				if hit != (i >= 0) {
+					t.Logf("op %d: Lookup(%d) hit=%v, model %v", n, l, hit, i >= 0)
+					return false
+				}
+				if hit {
+					if *p != ref.payloads[i] {
+						return false
+					}
+					*p = n // write through the pointer
+					ref.payloads[i] = n
+					held, heldLine = p, l
+				} else {
+					c.Insert(l, n)
+					ref.lines, ref.payloads = append(ref.lines, l), append(ref.payloads, n)
+				}
+			case 3:
+				c.Insert(l, n)
+				if i >= 0 {
+					ref.payloads[i] = n
+				} else {
+					ref.lines, ref.payloads = append(ref.lines, l), append(ref.payloads, n)
+				}
+			case 4, 5:
+				p, ok := c.Remove(l)
+				if ok != (i >= 0) || ok && p != ref.payloads[i] {
+					return false
+				}
+				if ok {
+					ref.remove(i)
+					if l == heldLine {
+						held = nil
+					}
+				}
+			case 6:
+				var got []memsys.Line
+				removed := c.RemoveIf(
+					func(_ memsys.Line, p *int) bool { return *p%3 == 0 },
+					func(l memsys.Line, _ int) { got = append(got, l) })
+				var want []memsys.Line
+				for j := 0; j < len(ref.lines); {
+					if ref.payloads[j]%3 == 0 {
+						want = append(want, ref.lines[j])
+						if ref.lines[j] == heldLine {
+							held = nil
+						}
+						ref.remove(j)
+						continue
+					}
+					j++
+				}
+				if removed != len(want) || !slices.Equal(got, want) {
+					t.Logf("op %d: RemoveIf removed %v, model %v", n, got, want)
+					return false
+				}
+			case 7:
+				p, ok := c.Peek(l)
+				if ok != (i >= 0) || c.Contains(l) != ok || ok && *p != ref.payloads[i] {
+					return false
+				}
+			}
+			if c.Len() != len(ref.lines) {
+				t.Logf("op %d: Len %d, model %d", n, c.Len(), len(ref.lines))
+				return false
+			}
+			if held != nil && *held != ref.payloads[ref.find(heldLine)] {
+				t.Logf("op %d: held pointer of line %d went stale", n, heldLine)
+				return false
+			}
+		}
+		if got := unboundedOrder(c); !slices.Equal(got, ref.lines) {
+			t.Logf("ForEach order %v, model %v", got, ref.lines)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

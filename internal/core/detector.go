@@ -325,14 +325,14 @@ func (d *Detector) OnAccess(a trace.Access) trace.Report {
 			d.cfg.Directory.AddSharer(line, proc)
 		}
 	} else {
-		ls, _ = d.caches[proc].Lookup(line) // re-fetch: inserts cannot have moved it, but stay safe
-		if ls != nil {
-			if isUpgrade {
-				ls.state = owned
-			}
-			d.setFilters(ls, a.Kind, probe)
-			d.stamp(proc, ls, word, wk, newClock)
+		// ls from the Lookup above is still valid (Cache.Lookup's
+		// contract): since then only other processors' caches were probed
+		// or invalidated, and memoryFetch and setClock touch no cache.
+		if isUpgrade {
+			ls.state = owned
 		}
+		d.setFilters(ls, a.Kind, probe)
+		d.stamp(proc, ls, word, wk, newClock)
 	}
 
 	d.postSyncWrite(a, &rep)

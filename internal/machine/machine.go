@@ -70,15 +70,13 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 	l := memsys.LineOf(a.Addr)
 	h := m.procs[proc]
 
-	sharedRemotely := false
-	for p, rh := range m.procs {
-		if p != proc && rh.Contains(l) {
-			sharedRemotely = true
-			break
-		}
-	}
-
+	// Access touches only the local hierarchy, so the remote probe can
+	// follow it; only a miss or a write reads its answer.
 	level, victim, evicted := h.Access(l, a.Kind == trace.Write)
+	sharedRemotely := false
+	if level == cache.MissLevel || a.Kind == trace.Write {
+		sharedRemotely = m.sharedRemotely(proc, l)
+	}
 	end := now
 	switch level {
 	case cache.L1Hit:
@@ -149,6 +147,16 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 	}
 
 	return end - now
+}
+
+// sharedRemotely reports whether any processor other than proc holds l.
+func (m *Machine) sharedRemotely(proc int, l memsys.Line) bool {
+	for p, rh := range m.procs {
+		if p != proc && rh.Contains(l) {
+			return true
+		}
+	}
+	return false
 }
 
 // ComputeCost implements the CostModel contract.

@@ -30,6 +30,9 @@ func LineOf(a Addr) Line { return Line(a / LineBytes) }
 // WordIndex returns the index (0..WordsPerLine-1) of a's word within its line.
 func WordIndex(a Addr) int { return int(a % LineBytes / WordBytes) }
 
+// WordKey returns a's key in a word-indexed Table: its word index.
+func WordKey(a Addr) uint64 { return uint64(a / WordBytes) }
+
 // WordAlign rounds a down to its word boundary.
 func WordAlign(a Addr) Addr { return a &^ (WordBytes - 1) }
 
@@ -45,32 +48,17 @@ func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 // String renders the line in hex with its byte base.
 func (l Line) String() string { return fmt.Sprintf("line:0x%x", uint64(LineBase(l))) }
 
-// Memory page geometry: the store is a lazily-allocated array of fixed-size
-// pages indexed by Addr >> PageShift. 4 KB pages keep the page table small
-// for the compact address spaces the Allocator hands out while making the
-// common Load/Store a shift, two bounds checks, and an array index — no
-// hashing on the simulator's hottest path.
-const (
-	// PageShift is log2 of the page size in bytes.
-	PageShift = 12
-	// PageBytes is the size of one memory page.
-	PageBytes = 1 << PageShift
-	// PageWords is the number of words one page holds.
-	PageWords = PageBytes / WordBytes
-)
-
-type page [PageWords]uint64
-
-// Memory is a word-granularity value store over a paged flat address space:
-// pages are allocated lazily on first store, and absent pages read as zero.
-// The zero value is an all-zero memory ready for use. Memory is not safe for
-// concurrent use; the simulator serializes all accesses.
+// Memory is a word-granularity value store over a flat address space, kept
+// in a Table keyed by word index: pages are allocated lazily on the first
+// non-zero store, and absent pages read as zero. The zero value is an
+// all-zero memory ready for use. Memory is not safe for concurrent use; the
+// simulator serializes all accesses.
 //
 // Unlike a map-backed store, every traversal (Snapshot, ForEachWord, Equal)
 // visits words in ascending address order, so memory-image dumps and
 // comparisons are reproducible byte for byte across runs and processes.
 type Memory struct {
-	pages   []*page
+	words   Table[uint64]
 	nonzero int // distinct words currently holding a non-zero value
 }
 
@@ -79,38 +67,15 @@ func NewMemory() *Memory { return &Memory{} }
 
 // Load returns the value of the word at a (a is word-aligned by the caller;
 // stray offset bits are masked off).
-func (m *Memory) Load(a Addr) uint64 {
-	pi := a >> PageShift
-	if pi >= Addr(len(m.pages)) {
-		return 0
-	}
-	p := m.pages[pi]
-	if p == nil {
-		return 0
-	}
-	return p[(a%PageBytes)/WordBytes]
-}
+func (m *Memory) Load(a Addr) uint64 { return m.words.Get(WordKey(a)) }
 
 // Store writes v to the word at a.
 func (m *Memory) Store(a Addr, v uint64) {
-	pi := a >> PageShift
-	if pi >= Addr(len(m.pages)) {
-		if v == 0 {
-			return // storing zero over an untouched word changes nothing
-		}
-		grown := make([]*page, pi+1)
-		copy(grown, m.pages)
-		m.pages = grown
+	i := WordKey(a)
+	if v == 0 && m.words.Get(i) == 0 {
+		return // storing zero over a zero word changes nothing and allocates nothing
 	}
-	p := m.pages[pi]
-	if p == nil {
-		if v == 0 {
-			return
-		}
-		p = new(page)
-		m.pages[pi] = p
-	}
-	w := &p[(a%PageBytes)/WordBytes]
+	w := m.words.Ref(i)
 	switch {
 	case *w == 0 && v != 0:
 		m.nonzero++
@@ -136,17 +101,11 @@ func (m *Memory) Footprint() int { return m.nonzero }
 // paged layout's natural order, identical across runs and processes. Dump
 // and comparison paths build on it so printed memory images are stable.
 func (m *Memory) ForEachWord(fn func(a Addr, v uint64)) {
-	for pi, p := range m.pages {
-		if p == nil {
-			continue
+	m.words.ForEach(func(i uint64, v *uint64) {
+		if *v != 0 {
+			fn(Addr(i*WordBytes), *v)
 		}
-		base := Addr(pi) << PageShift
-		for w, v := range p {
-			if v != 0 {
-				fn(base+Addr(w*WordBytes), v)
-			}
-		}
-	}
+	})
 }
 
 // WordValue is one non-zero word of a memory image.
