@@ -136,7 +136,8 @@ fleet-chaos-smoke:
 # decoder, the epoch stream (differential against the sort-based schedule
 # oracle), the Ideal detector (differential against the per-word-slice
 # history oracle), the paged address table (against a map model), the
-# three service request parsers, /v1/stream ingest
+# three service request parsers, the campaign plan/shard and fleet register
+# bodies (every refusal a typed 400 or 422), /v1/stream ingest
 # (generated logs at random chunkings, differential against a one-shot
 # decode-and-schedule oracle), online detection at duty=100 (differential
 # against replay-time detection over the same log), and the fleet merge (random shard partitions,
@@ -152,6 +153,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzStreamIngest' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzStreamParams' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzOnlineReplayDetection' -fuzztime 10s -run '^$$' ./internal/server/
+	$(GO) test -fuzz 'FuzzCampaignRequests' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzShardMerge' -fuzztime 10s -run '^$$' ./internal/experiment/
 
 clean:

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -95,53 +96,30 @@ func parseWorkers(spec string) ([]string, error) {
 // shardWork is one dispatchable shard: a contiguous run range of one app,
 // plus the §7 origin it will declare if it was requeued.
 type shardWork struct {
-	id     string
-	ranges []experiment.ShardRange
-	runs   int
+	rng    experiment.ShardRange
 	origin string // "" or "requeue"
 }
 
+// id is the shard's id, a deterministic function of its content
+// (`<app>.<lo>.<hi>`): a re-dispatched campaign re-sends byte-identical
+// shards, and idempotent workers answer from determinism alone.
+func (s shardWork) id() string { return fmt.Sprintf("%s.%d.%d", s.rng.App, s.rng.Lo, s.rng.Hi) }
+
+// runs is the shard's injection-run count.
+func (s shardWork) runs() int { return s.rng.Hi - s.rng.Lo }
+
 // buildShards cuts the campaign into per-app chunks of at most shardRuns
-// injection runs. Shard ids are deterministic functions of the content
-// (`<app>.<lo>.<hi>`), so a re-dispatched campaign re-sends byte-identical
-// shards and idempotent workers answer from determinism alone. The scheduler
-// may later coalesce contiguous chunks into one request; merged shards
-// follow the same id convention.
+// injection runs. The scheduler may later coalesce contiguous chunks into
+// one request.
 func buildShards(meta experiment.CampaignMeta, shardRuns int) []shardWork {
 	var shards []shardWork
 	for _, app := range meta.Apps {
 		for lo := 0; lo < meta.Injections; lo += shardRuns {
-			hi := lo + shardRuns
-			if hi > meta.Injections {
-				hi = meta.Injections
-			}
-			shards = append(shards, shardWork{
-				id:     fmt.Sprintf("%s.%d.%d", app, lo, hi),
-				ranges: []experiment.ShardRange{{App: app, Lo: lo, Hi: hi}},
-				runs:   hi - lo,
-			})
+			hi := min(lo+shardRuns, meta.Injections)
+			shards = append(shards, shardWork{rng: experiment.ShardRange{App: app, Lo: lo, Hi: hi}})
 		}
 	}
 	return shards
-}
-
-// shardJournaled reports whether every cell the shard would produce is
-// already in the journal — the resume fast path: such shards are never
-// dispatched again.
-func shardJournaled(o experiment.Options, w shardWork) bool {
-	if o.Checkpoint == nil {
-		return false
-	}
-	keys, err := o.DetectKeys(experiment.ShardSpec{Ranges: w.ranges})
-	if err != nil {
-		return false
-	}
-	for _, k := range keys {
-		if !o.Checkpoint.Has(k) {
-			return false
-		}
-	}
-	return true
 }
 
 // errorPayload mirrors the service's error body (PROTOCOL.md §5).
@@ -378,12 +356,26 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 		return fmt.Errorf("fleet: none of the %d workers is usable", len(workerURLs))
 	}
 
+	// Name every cell of the campaign, one full-range DetectKeys per app:
+	// appKeys[app][0] is its count cell, appKeys[app][1+i] injection run i.
+	var keys []string
+	appKeys := make(map[string][]string, len(meta.Apps))
+	for _, app := range meta.Apps {
+		k, err := opts.DetectKeys(experiment.ShardRange{App: app, Lo: 0, Hi: meta.Injections})
+		if err != nil {
+			return fmt.Errorf("fleet: %w", err)
+		}
+		appKeys[app] = k
+		keys = append(keys, k...)
+	}
+	missing := func(k string) bool { return !opts.Checkpoint.Has(k) }
+
 	// Cut the campaign into shards, skipping those fully journaled (resume).
-	all := buildShards(meta, cfg.ShardRuns)
 	var shards []shardWork
 	skipped := 0
-	for _, w := range all {
-		if shardJournaled(opts, w) {
+	for _, w := range buildShards(meta, cfg.ShardRuns) {
+		k := appKeys[w.rng.App]
+		if !missing(k[0]) && !slices.ContainsFunc(k[1+w.rng.Lo:1+w.rng.Hi], missing) {
 			skipped++
 			continue
 		}
@@ -395,22 +387,8 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 		return nil
 	}
 
-	var whole experiment.ShardSpec
-	for _, w := range all {
-		whole.Ranges = append(whole.Ranges, w.ranges...)
-	}
-	keys, err := opts.DetectKeys(whole)
-	if err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
 	pool := newFleetPool(campaign, fp, cfg.ShardRuns, cfg.Registry != "", cfg.JoinGrace, len(keys))
-	var seeded []string
-	for _, k := range keys {
-		if opts.Checkpoint.Has(k) {
-			seeded = append(seeded, k)
-		}
-	}
-	pool.seedJournaled(seeded)
+	pool.seedJournaled(slices.DeleteFunc(slices.Clone(keys), missing))
 
 	if cfg.ProgressAddr != "" {
 		bound, stopProgress, err := startProgressServer(cfg.ProgressAddr, pool.snapshot)
@@ -444,10 +422,10 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 			}
 			req := server.CampaignShardRequest{
 				Campaign:    campaign,
-				ShardID:     w.id,
+				ShardID:     w.id(),
 				Fingerprint: fp,
 				Options:     meta,
-				Ranges:      w.ranges,
+				Range:       w.rng,
 				Origin:      w.origin,
 			}
 			start := time.Now()
@@ -460,7 +438,7 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 					pool.workerDied(url, w, err) // releases the in-flight slot
 					return
 				}
-				progress("fleet: dropping %s (%v); requeueing %s", url, err, w.id)
+				progress("fleet: dropping %s (%v); requeueing %s", url, err, w.id())
 				pool.workerDied(url, w, err)
 				return
 			}
@@ -486,9 +464,9 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 				return
 			}
 			if w.origin != "" {
-				progress("fleet: %s completed shard %s via %s (%d runs, %d cells)", url, w.id, w.origin, w.runs, len(cells))
+				progress("fleet: %s completed shard %s via %s (%d runs, %d cells)", url, w.id(), w.origin, w.runs(), len(cells))
 			} else {
-				progress("fleet: %s completed shard %s (%d runs, %d cells)", url, w.id, w.runs, len(cells))
+				progress("fleet: %s completed shard %s (%d runs, %d cells)", url, w.id(), w.runs(), len(cells))
 			}
 			pool.completed(url, w, time.Since(start))
 		}

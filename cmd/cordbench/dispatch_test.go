@@ -124,13 +124,13 @@ func registerWorker(t *testing.T, client *http.Client, registry, worker string) 
 func requireJournalComplete(t *testing.T, opts experiment.Options) {
 	t.Helper()
 	meta := opts.Meta()
-	var whole experiment.ShardSpec
+	var keys []string
 	for _, app := range meta.Apps {
-		whole.Ranges = append(whole.Ranges, experiment.ShardRange{App: app, Lo: 0, Hi: meta.Injections})
-	}
-	keys, err := opts.DetectKeys(whole)
-	if err != nil {
-		t.Fatal(err)
+		k, err := opts.DetectKeys(experiment.ShardRange{App: app, Lo: 0, Hi: meta.Injections})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k...)
 	}
 	if want := len(meta.Apps) * (1 + meta.Injections); len(keys) != want {
 		t.Fatalf("campaign has %d journal keys, want %d", len(keys), want)
@@ -163,8 +163,8 @@ func TestBuildShards(t *testing.T) {
 	var got []string
 	runs := 0
 	for _, s := range shards {
-		got = append(got, s.id)
-		runs += s.runs
+		got = append(got, s.id())
+		runs += s.runs()
 	}
 	want := []string{"fft.0.2", "fft.2.4", "fft.4.5", "lu.0.2", "lu.2.4", "lu.4.5"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
@@ -440,11 +440,7 @@ func TestFleetDispatchStealsFromSlowWorker(t *testing.T) {
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		var req server.CampaignShardRequest
 		_ = json.Unmarshal(body, &req)
-		var runs int64
-		for _, rg := range req.Ranges {
-			runs += int64(rg.Hi - rg.Lo)
-		}
-		return runs
+		return int64(req.Range.Hi - req.Range.Lo)
 	}
 
 	slowGot := make(chan struct{})

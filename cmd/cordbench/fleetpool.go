@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"cord/internal/experiment"
 	"cord/internal/server"
 	"cord/internal/workload"
 )
@@ -144,13 +143,13 @@ func (p *fleetPool) enqueue(shards []shardWork) {
 	}
 	sorted := append([]shardWork(nil), shards...)
 	sort.SliceStable(sorted, func(i, j int) bool {
-		return cost[sorted[i].ranges[0].App] > cost[sorted[j].ranges[0].App]
+		return cost[sorted[i].rng.App] > cost[sorted[j].rng.App]
 	})
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, s := range sorted {
-		p.queuedRuns += s.runs
-		p.runsRemaining += s.runs
+		p.queuedRuns += s.runs()
+		p.runsRemaining += s.runs()
 	}
 	p.queue = append(p.queue, sorted...)
 	p.cond.Broadcast()
@@ -161,9 +160,9 @@ func (p *fleetPool) enqueue(shards []shardWork) {
 // head whole and coalesces the head's contiguous same-app, same-origin
 // neighbours into one request of at most target runs — a guided
 // self-scheduling bound that shrinks to one base shard as the queue drains,
-// so early takes save round trips and late ones keep the tail balanced. The
-// merged id follows the `<app>.<lo>.<hi>` content convention, so coalesced
-// shards are as idempotent and journal-keyed as base ones.
+// so early takes save round trips and late ones keep the tail balanced. A
+// coalesced shard is one range like any other, so its content-derived id
+// makes it as idempotent and journal-keyed as a base one.
 func (p *fleetPool) take(url string) (shardWork, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -180,20 +179,16 @@ func (p *fleetPool) take(url string) (shardWork, bool) {
 	target := min(maxCoalesceFactor*p.shardRuns, p.queuedRuns/(2*p.live))
 	s := p.queue[0]
 	p.queue = p.queue[1:]
-	for len(p.queue) > 0 && len(s.ranges) == 1 {
+	for len(p.queue) > 0 {
 		next := p.queue[0]
-		if len(next.ranges) != 1 || next.ranges[0].App != s.ranges[0].App ||
-			next.ranges[0].Lo != s.ranges[0].Hi || s.runs+next.runs > target ||
-			next.origin != s.origin {
+		if next.rng.App != s.rng.App || next.rng.Lo != s.rng.Hi ||
+			s.runs()+next.runs() > target || next.origin != s.origin {
 			break
 		}
-		rg := experiment.ShardRange{App: s.ranges[0].App, Lo: s.ranges[0].Lo, Hi: next.ranges[0].Hi}
-		s.ranges = []experiment.ShardRange{rg}
-		s.runs += next.runs
-		s.id = fmt.Sprintf("%s.%d.%d", rg.App, rg.Lo, rg.Hi)
+		s.rng.Hi = next.rng.Hi
 		p.queue = p.queue[1:]
 	}
-	p.queuedRuns -= s.runs
+	p.queuedRuns -= s.runs()
 	self.inflight++
 	p.inflight++
 	return s, true
@@ -206,7 +201,7 @@ func (p *fleetPool) completed(url string, s shardWork, elapsed time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w := p.workers[url]
-	obs := float64(elapsed) / float64(time.Millisecond) / float64(s.runs)
+	obs := float64(elapsed) / float64(time.Millisecond) / float64(s.runs())
 	if w.ewmaRunMs == 0 {
 		w.ewmaRunMs = obs
 	} else {
@@ -216,7 +211,7 @@ func (p *fleetPool) completed(url string, s shardWork, elapsed time.Duration) {
 	w.done++
 	w.inflight--
 	p.inflight--
-	p.runsRemaining -= s.runs
+	p.runsRemaining -= s.runs()
 	p.cond.Broadcast()
 }
 
@@ -245,7 +240,7 @@ func (p *fleetPool) workerDied(url string, s shardWork, cause error) {
 	p.requeued++
 	s.origin = "requeue"
 	p.queue = append([]shardWork{s}, p.queue...)
-	p.queuedRuns += s.runs
+	p.queuedRuns += s.runs()
 	if p.live == 0 {
 		if !p.registryMode {
 			if p.failed == nil {
@@ -318,9 +313,7 @@ func (p *fleetPool) waitDone() (failed error, interrupted bool) {
 	}
 }
 
-// snapshot renders the pool as the §7 progress resource. shards_stolen and
-// per-worker shards_queued stay 0: nothing steals, and queued work belongs
-// to no worker until it is taken.
+// snapshot renders the pool as the §7 progress resource.
 func (p *fleetPool) snapshot() server.CampaignProgress {
 	p.mu.Lock()
 	defer p.mu.Unlock()

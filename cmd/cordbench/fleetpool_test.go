@@ -2,7 +2,6 @@ package main
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -11,13 +10,9 @@ import (
 	"cord/internal/server"
 )
 
-// shard builds one single-range shard with the buildShards id convention.
+// shard builds one shard of app's runs [lo, hi).
 func shard(app string, lo, hi int) shardWork {
-	return shardWork{
-		id:     fmt.Sprintf("%s.%d.%d", app, lo, hi),
-		ranges: []experiment.ShardRange{{App: app, Lo: lo, Hi: hi}},
-		runs:   hi - lo,
-	}
+	return shardWork{rng: experiment.ShardRange{App: app, Lo: lo, Hi: hi}}
 }
 
 // testPool is a pool over the named workers, with shards enqueued.
@@ -54,7 +49,7 @@ func drain(t *testing.T, p *fleetPool, url string) []string {
 		if !ok {
 			return ids
 		}
-		ids = append(ids, s.id)
+		ids = append(ids, s.id())
 		p.completed(url, s, time.Millisecond)
 	}
 }
@@ -107,11 +102,11 @@ func TestFleetPoolCoalescing(t *testing.T) {
 		if !ok {
 			break
 		}
-		if rg := s.ranges[0]; rg.Lo != next || s.runs != rg.Hi-rg.Lo {
-			t.Fatalf("take %s after run %d: not the contiguous next range", s.id, next)
+		if s.rng.Lo != next {
+			t.Fatalf("take %s after run %d: not the contiguous next range", s.id(), next)
 		}
-		next = s.ranges[0].Hi
-		sizes = append(sizes, s.runs)
+		next = s.rng.Hi
+		sizes = append(sizes, s.runs())
 		p.completed("http://a", s, time.Millisecond)
 	}
 	if next != 40 {
@@ -139,19 +134,19 @@ func TestFleetPoolDeadWorkerShardIsNextTake(t *testing.T) {
 	p := testPool(t, 1, false, []string{"http://a", "http://b"}, shards)
 	// Two live workers, eight queued runs: the bound is 8/(2*2) = 2.
 	lost := mustTake(t, p, "http://a")
-	if lost.id != "fft.0.2" {
-		t.Fatalf("first take = %s, want fft.0.2", lost.id)
+	if lost.id() != "fft.0.2" {
+		t.Fatalf("first take = %s, want fft.0.2", lost.id())
 	}
 	p.workerDied("http://a", lost, errors.New("gone"))
 	// One live worker, eight queued runs again: the bound is now 4, and
 	// fft.2.3 continues the requeued range.
 	s := mustTake(t, p, "http://b")
-	if s.id != "fft.0.2" || s.origin != "requeue" {
-		t.Fatalf("take after death = %s origin %q, want fft.0.2 origin requeue", s.id, s.origin)
+	if s.id() != "fft.0.2" || s.origin != "requeue" {
+		t.Fatalf("take after death = %s origin %q, want fft.0.2 origin requeue", s.id(), s.origin)
 	}
 	p.completed("http://b", s, time.Millisecond)
-	if s := mustTake(t, p, "http://b"); s.id != "fft.2.5" || s.origin != "" {
-		t.Fatalf("take after the requeue = %s origin %q, want fft.2.5 origin \"\"", s.id, s.origin)
+	if s := mustTake(t, p, "http://b"); s.id() != "fft.2.5" || s.origin != "" {
+		t.Fatalf("take after the requeue = %s origin %q, want fft.2.5 origin \"\"", s.id(), s.origin)
 	}
 	if _, ok := p.take("http://a"); ok {
 		t.Fatal("a dead worker's loop was handed work")
@@ -199,15 +194,15 @@ func TestFleetPoolRegistryWaitsForJoiner(t *testing.T) {
 	}
 }
 
-// TestFleetPoolProgress pins the §7 fields the shared queue no longer
-// drives: shards_stolen and per-worker shards_queued stay 0, and
+// TestFleetPoolProgress pins the §7 worker fields: shards_in_flight counts
+// the taken shard, health follows markSuspect and completion, and
 // latency_ewma_ms reads 0 until the worker's first completed shard.
 func TestFleetPoolProgress(t *testing.T) {
 	p := testPool(t, 1, false, []string{"http://a"}, []shardWork{shard("fft", 0, 1), shard("lu", 0, 1)})
 	s := mustTake(t, p, "http://a")
 	want := server.ProgressWorker{URL: "http://a", Health: server.WorkerLive, ShardsInFlight: 1}
 	prog := p.snapshot()
-	if prog.ShardsStolen != 0 || len(prog.Workers) != 1 || prog.Workers[0] != want {
+	if prog.ShardsRequeued != 0 || len(prog.Workers) != 1 || prog.Workers[0] != want {
 		t.Fatalf("progress before a completion = %+v", prog)
 	}
 	p.markSuspect("http://a")

@@ -16,9 +16,9 @@
 // §7), GET /healthz, GET /metrics. SIGINT/SIGTERM drain in-flight sessions —
 // streams included — before the process exits.
 //
-// Fleet roles (PROTOCOL.md §7): `cordd -registry` marks an instance as the
-// fleet registry other workers announce themselves to; `cordd -register
-// http://reg:8080` joins that fleet, heartbeating its advertised URL
+// Fleet roles (PROTOCOL.md §7): every instance serves the fleet registry, so
+// any one can be the registry other workers announce themselves to; `cordd
+// -register http://reg:8080` joins that fleet, heartbeating its advertised URL
 // (-advertise, derived from -addr when omitted) every -register-ttl/3 so a
 // crashed worker expires from discovery within one TTL. The CORD_CHAOS
 // worker-kill knob arms deterministic mid-campaign worker deaths for the
@@ -178,7 +178,6 @@ func run() int {
 		streamMaxBytes  = flag.Int64("stream-max-bytes", 256<<20, "per-stream byte quota")
 		streamMaxFrames = flag.Uint64("stream-max-frames", 16<<20, "per-stream frame quota")
 
-		registry    = flag.Bool("registry", false, "serve as the fleet registry workers announce to (PROTOCOL.md §7)")
 		register    = flag.String("register", "", "fleet registry base URL to announce this worker to (e.g. http://reg:8080)")
 		advertise   = flag.String("advertise", "", "URL to announce to the registry (default: derived from -addr)")
 		registerTTL = flag.Duration("register-ttl", 15*time.Second, "registration TTL; heartbeats fire every TTL/3")
@@ -224,9 +223,6 @@ func run() int {
 
 	if chaosSpec.Active() {
 		log.Printf("cordd: %s", chaosSpec)
-	}
-	if *registry {
-		log.Printf("cordd: serving as fleet registry (POST /v1/fleet/register, GET /v1/fleet/workers)")
 	}
 	if *register != "" {
 		adv := *advertise

@@ -111,7 +111,7 @@ func TestRunStreamStage(t *testing.T) {
 		}
 		got = append(got, len(b))
 		mu.Unlock()
-		w.Write([]byte(`{"schema":1}`))
+		w.Write([]byte(`{"schema":2}`))
 	}))
 	defer srv.Close()
 
@@ -271,7 +271,7 @@ func TestWatchProgress(t *testing.T) {
 			done = 1
 		}
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"schema":1,"campaign":"bench-f","fingerprint":"f","cells_done":%d,"cells_total":3,"shards_stolen":1,"shards_requeued":0,"workers":[{"url":"http://a","health":"live","shards_done":2,"shards_queued":0,"shards_in_flight":1,"latency_ewma_ms":4.5}]}`, done)
+		fmt.Fprintf(w, `{"schema":2,"campaign":"bench-f","fingerprint":"f","cells_done":%d,"cells_total":3,"shards_requeued":0,"workers":[{"url":"http://a","health":"live","shards_done":2,"shards_in_flight":1,"latency_ewma_ms":4.5}]}`, done)
 	}))
 	t.Cleanup(ts.Close)
 
@@ -288,7 +288,7 @@ func TestWatchProgress(t *testing.T) {
 		served := false
 		once.Do(func() {
 			served = true
-			io.WriteString(w, `{"schema":1,"campaign":"c","fingerprint":"f","cells_done":0,"cells_total":9,"workers":[]}`)
+			io.WriteString(w, `{"schema":2,"campaign":"c","fingerprint":"f","cells_done":0,"cells_total":9,"workers":[]}`)
 		})
 		if !served {
 			conn, _, _ := w.(http.Hijacker).Hijack()

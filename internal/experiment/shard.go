@@ -9,35 +9,26 @@ import (
 )
 
 // This file is the worker half of the distributed detection campaign
-// (PROTOCOL.md §6): a shard — some application's half-open injection-run
-// ranges — executed in isolation, returning the exact outcome cells the
+// (PROTOCOL.md §6): a shard — one application's half-open injection-run
+// range — executed in isolation, returning the exact outcome cells the
 // coordinator's checkpoint journal would hold had it run those runs itself.
 // Everything rests on the campaign's determinism contract (see the package
 // comment): a run is a pure function of (BaseSeed, app index, run index),
 // so a worker that receives only the campaign configuration and a range of
 // indices produces, byte for byte, the cells of any other executor.
 
-// ErrBadShard reports a shard specification that names runs outside the
-// campaign's domain — an unknown application or an out-of-range index. The
-// cordd campaign endpoint maps it to HTTP 400.
+// ErrBadShard reports a shard range that names runs outside the campaign's
+// domain — an unknown application or an out-of-range index. The cordd
+// campaign endpoint maps it to HTTP 400.
 var ErrBadShard = errors.New("experiment: invalid shard specification")
 
-// ShardRange names the half-open injection-run interval [Lo, Hi) of one
-// application. Lo and Hi are run indices in [0, Injections].
+// ShardRange is one unit of distributed campaign work: the half-open
+// injection-run interval [Lo, Hi) of one application, with Lo and Hi run
+// indices in [0, Injections].
 type ShardRange struct {
 	App string `json:"app"`
 	Lo  int    `json:"lo"`
 	Hi  int    `json:"hi"`
-}
-
-// ShardSpec is one unit of distributed campaign work: a set of run ranges
-// executed together. Ranges may name several applications; overlapping or
-// duplicate indices are collapsed, and the cells of a shard are canonically
-// ordered — the count cell of each application by campaign index, then the
-// injection cells by application and run index — so two spec-equal shards
-// always yield byte-identical responses regardless of range order.
-type ShardSpec struct {
-	Ranges []ShardRange `json:"ranges"`
 }
 
 // Cell is one run outcome under its deterministic journal identity: Key is
@@ -59,24 +50,21 @@ type Cell struct {
 func (o Options) Fingerprint() string { return o.fingerprint() }
 
 // DetectKeys lists the journal keys of the cells ExecuteDetectShard returns
-// for spec, in cell order; it fails like ExecuteDetectShard on a bad spec.
+// for r, in cell order; it fails like ExecuteDetectShard on a bad range.
 // A coordinator uses it to tell which cells its journal already holds.
-func (o Options) DetectKeys(spec ShardSpec) ([]string, error) {
+func (o Options) DetectKeys(r ShardRange) ([]string, error) {
 	o = o.withDefaults()
-	ids, err := o.collapse(spec)
+	ids, err := o.shardRuns(r)
 	if err != nil {
 		return nil, err
 	}
 	return o.detectKeys(ids), nil
 }
 
-// detectKeys is DetectKeys over collapsed runs.
+// detectKeys is DetectKeys over one application's runs.
 func (o Options) detectKeys(ids []runID) []string {
-	apps := appsOf(ids)
-	keys := make([]string, 0, len(apps)+len(ids))
-	for _, appIdx := range apps {
-		keys = append(keys, o.runKey("detect-count", appIdx, 0))
-	}
+	keys := make([]string, 0, 1+len(ids))
+	keys = append(keys, o.runKey("detect-count", ids[0].app, 0))
 	for _, id := range ids {
 		keys = append(keys, o.runKey("detect-inject", id.app, id.run))
 	}
@@ -118,37 +106,33 @@ func OptionsFromMeta(m CampaignMeta) (Options, error) {
 }
 
 // ExecuteDetectShard runs one shard of the detection campaign and returns
-// its outcome cells in canonical order, plus the number of injection runs
-// the spec names once overlaps collapse (the per-app sizing runs not
-// counted). The shard recomputes the phase-1 sizing run of every
-// application it touches — a count cell is cheap, and recomputing it beats
+// its outcome cells in canonical order: the application's count cell, then
+// its injection cells by run index. The shard recomputes the application's
+// phase-1 sizing run — a count cell is cheap, and recomputing it beats
 // shipping injection targets around, because the cell is a pure function of
-// the configuration: shards that share an application emit byte-identical
-// copies of its count cell, and the coordinator's journal collapses them
-// (same key, same bytes).
+// the configuration: shards of one application emit byte-identical copies of
+// its count cell, and the coordinator's journal collapses them (same key,
+// same bytes).
 //
 // Execution honors the campaign's full Options surface: runs fan out across
 // o.Procs workers, transient failures retry under o.Retry, chaos faults
 // inject, closing o.Interrupt drains and returns ErrInterrupted, and
 // closing o.Cancel aborts in-flight simulations. With o.Checkpoint set the
 // shard's runs journal locally too, exactly like a local campaign.
-func ExecuteDetectShard(o Options, spec ShardSpec) ([]Cell, int, error) {
+func ExecuteDetectShard(o Options, r ShardRange) ([]Cell, error) {
 	o = o.withDefaults()
-	ids, err := o.collapse(spec)
+	ids, err := o.shardRuns(r)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	counts, outcomes, err := o.detectRuns(ids)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 
 	// Each cell holds exactly the bytes journaledRun appends: json.Marshal
 	// of the outcome value.
-	var values []any
-	for _, appIdx := range appsOf(ids) {
-		values = append(values, &counts[appIdx])
-	}
+	values := []any{&counts[ids[0].app]}
 	for k := range outcomes {
 		values = append(values, &outcomes[k])
 	}
@@ -157,47 +141,31 @@ func ExecuteDetectShard(o Options, spec ShardSpec) ([]Cell, int, error) {
 	for i, v := range values {
 		data, err := json.Marshal(v)
 		if err != nil {
-			return nil, 0, fmt.Errorf("experiment: encoding cell %s: %w", keys[i], err)
+			return nil, fmt.Errorf("experiment: encoding cell %s: %w", keys[i], err)
 		}
 		cells[i] = Cell{Key: keys[i], Data: data}
 	}
-	return cells, len(ids), nil
+	return cells, nil
 }
 
-// collapse validates spec and collapses its ranges into the canonical run
-// list: by application index, then by run index, each run once.
-func (o Options) collapse(spec ShardSpec) ([]runID, error) {
-	idxOf := make(map[string]int, len(o.Apps))
+// shardRuns validates r and lists its runs in run order.
+func (o Options) shardRuns(r ShardRange) ([]runID, error) {
+	appIdx := -1
 	for i, a := range o.Apps {
-		idxOf[a.Name] = i
-	}
-	named := make([][]bool, len(o.Apps))
-	for _, r := range spec.Ranges {
-		appIdx, ok := idxOf[r.App]
-		if !ok {
-			return nil, fmt.Errorf("%w: application %q is not in this campaign", ErrBadShard, r.App)
-		}
-		if r.Lo < 0 || r.Hi > o.Injections || r.Lo >= r.Hi {
-			return nil, fmt.Errorf("%w: range [%d, %d) of %q outside [0, %d)",
-				ErrBadShard, r.Lo, r.Hi, r.App, o.Injections)
-		}
-		if named[appIdx] == nil {
-			named[appIdx] = make([]bool, o.Injections)
-		}
-		for i := r.Lo; i < r.Hi; i++ {
-			named[appIdx][i] = true
+		if a.Name == r.App {
+			appIdx = i
 		}
 	}
-	var ids []runID
-	for appIdx, runs := range named {
-		for i, ok := range runs {
-			if ok {
-				ids = append(ids, runID{appIdx, i})
-			}
-		}
+	if appIdx < 0 {
+		return nil, fmt.Errorf("%w: application %q is not in this campaign", ErrBadShard, r.App)
 	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("%w: a shard must name at least one run", ErrBadShard)
+	if r.Lo < 0 || r.Hi > o.Injections || r.Lo >= r.Hi {
+		return nil, fmt.Errorf("%w: range [%d, %d) of %q outside [0, %d)",
+			ErrBadShard, r.Lo, r.Hi, r.App, o.Injections)
+	}
+	ids := make([]runID, 0, r.Hi-r.Lo)
+	for i := r.Lo; i < r.Hi; i++ {
+		ids = append(ids, runID{appIdx, i})
 	}
 	return ids, nil
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // shardTestOptions is a campaign small enough to run many times in a test
-// yet wide enough to exercise multi-app sharding.
+// yet wide enough to shard across two applications.
 func shardTestOptions(t testing.TB) Options {
 	t.Helper()
 	fft, err := workload.ByName("fft")
@@ -32,14 +32,30 @@ func shardTestOptions(t testing.TB) Options {
 	}
 }
 
-// fullSpec covers every run of the campaign in one shard.
-func fullSpec(o Options) ShardSpec {
+// fullRanges covers every run of the campaign, one shard per application.
+func fullRanges(o Options) []ShardRange {
 	o = o.withDefaults()
-	var spec ShardSpec
+	var ranges []ShardRange
 	for _, a := range o.Apps {
-		spec.Ranges = append(spec.Ranges, ShardRange{App: a.Name, Lo: 0, Hi: o.Injections})
+		ranges = append(ranges, ShardRange{App: a.Name, Lo: 0, Hi: o.Injections})
 	}
-	return spec
+	return ranges
+}
+
+// mergeShards executes each shard in order and appends its cells to j.
+func mergeShards(t testing.TB, o Options, j *checkpoint.Journal, shards []ShardRange) {
+	t.Helper()
+	for _, r := range shards {
+		cells, err := ExecuteDetectShard(o, r)
+		if err != nil {
+			t.Fatalf("shard %+v: %v", r, err)
+		}
+		for _, c := range cells {
+			if err := j.Append(c.Key, c.Data); err != nil {
+				t.Fatalf("Append(%s): %v", c.Key, err)
+			}
+		}
+	}
 }
 
 // TestExecuteDetectShardMatchesCampaignJournal: the distributed contract
@@ -61,9 +77,13 @@ func TestExecuteDetectShardMatchesCampaignJournal(t *testing.T) {
 		t.Fatalf("local campaign: %v", err)
 	}
 
-	cells, _, err := ExecuteDetectShard(o, fullSpec(o))
-	if err != nil {
-		t.Fatalf("ExecuteDetectShard: %v", err)
+	var cells []Cell
+	for _, r := range fullRanges(o) {
+		got, err := ExecuteDetectShard(o, r)
+		if err != nil {
+			t.Fatalf("ExecuteDetectShard(%+v): %v", r, err)
+		}
+		cells = append(cells, got...)
 	}
 	wantCells := len(o.Apps)*1 + len(o.Apps)*o.Injections
 	if len(cells) != wantCells {
@@ -84,44 +104,50 @@ func TestExecuteDetectShardMatchesCampaignJournal(t *testing.T) {
 	}
 }
 
-// TestExecuteDetectShardIdempotent: re-executing the same shard — and
-// spec-equal shards written with different range order and overlaps —
-// returns byte-identical cells in identical order. This is the §6
-// idempotency rule the server's re-send behavior rests on.
+// TestExecuteDetectShardIdempotent: re-executing the same shard returns
+// byte-identical cells in identical order, and shards whose ranges overlap
+// it return the same bytes under every key they share. This is the §6
+// idempotency rule the server's re-send behavior and the coordinator's
+// journal merge rest on.
 func TestExecuteDetectShardIdempotent(t *testing.T) {
 	o := shardTestOptions(t)
-	spec := ShardSpec{Ranges: []ShardRange{
-		{App: "lu", Lo: 1, Hi: 3},
-		{App: "fft", Lo: 0, Hi: 2},
-	}}
-	// Same run set, scrambled order plus an overlapping range.
-	equiv := ShardSpec{Ranges: []ShardRange{
-		{App: "fft", Lo: 1, Hi: 2},
-		{App: "lu", Lo: 2, Hi: 3},
-		{App: "lu", Lo: 1, Hi: 3},
-		{App: "fft", Lo: 0, Hi: 2},
-	}}
-	first, runs, err := ExecuteDetectShard(o, spec)
+	r := ShardRange{App: "lu", Lo: 1, Hi: 3}
+	first, err := ExecuteDetectShard(o, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs != 4 {
-		t.Fatalf("runs = %d, want 4", runs)
+	if len(first) != 3 {
+		t.Fatalf("%d cells, want the count cell and 2 injection cells", len(first))
 	}
-	for name, again := range map[string]ShardSpec{"re-sent": spec, "equivalent": equiv} {
-		got, runs, err := ExecuteDetectShard(o, again)
+	keys, err := o.DetectKeys(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range first {
+		if c.Key != keys[i] {
+			t.Fatalf("cell %d key %s, DetectKeys says %s", i, c.Key, keys[i])
+		}
+	}
+	again, err := ExecuteDetectShard(o, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Fatal("re-sent shard returned different cells")
+	}
+
+	want := make(map[string][]byte)
+	for _, c := range first {
+		want[c.Key] = c.Data
+	}
+	for _, overlap := range []ShardRange{{App: "lu", Lo: 2, Hi: 3}, {App: "lu", Lo: 0, Hi: 4}, {App: "lu", Lo: 1, Hi: 2}} {
+		cells, err := ExecuteDetectShard(o, overlap)
 		if err != nil {
-			t.Fatalf("%s shard: %v", name, err)
+			t.Fatalf("shard %+v: %v", overlap, err)
 		}
-		if runs != 4 {
-			t.Fatalf("%s shard: runs = %d, want 4", name, runs)
-		}
-		if len(got) != len(first) {
-			t.Fatalf("%s shard: %d cells, want %d", name, len(got), len(first))
-		}
-		for i := range got {
-			if got[i].Key != first[i].Key || !bytes.Equal(got[i].Data, first[i].Data) {
-				t.Errorf("%s shard cell %d differs: %s vs %s", name, i, got[i].Key, first[i].Key)
+		for _, c := range cells {
+			if data, ok := want[c.Key]; ok && !bytes.Equal(c.Data, data) {
+				t.Errorf("shard %+v cell %s differs from shard %+v's", overlap, c.Key, r)
 			}
 		}
 	}
@@ -138,27 +164,17 @@ func TestShardMergeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Two shards split mid-app, as a two-worker dispatch would.
-	specs := []ShardSpec{
-		{Ranges: []ShardRange{{App: "fft", Lo: 0, Hi: 4}, {App: "lu", Lo: 0, Hi: 2}}},
-		{Ranges: []ShardRange{{App: "lu", Lo: 2, Hi: 4}}},
-	}
+	// Three shards, lu's split mid-app, as a multi-worker dispatch would.
 	j, err := checkpoint.Open(filepath.Join(t.TempDir(), "merge.cordckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	for _, spec := range specs {
-		cells, _, err := ExecuteDetectShard(o, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range cells {
-			if err := j.Append(c.Key, c.Data); err != nil {
-				t.Fatalf("Append(%s): %v", c.Key, err)
-			}
-		}
-	}
+	mergeShards(t, o, j, []ShardRange{
+		{App: "fft", Lo: 0, Hi: 4},
+		{App: "lu", Lo: 0, Hi: 2},
+		{App: "lu", Lo: 2, Hi: 4},
+	})
 
 	merged := o
 	merged.Checkpoint = j
@@ -178,14 +194,14 @@ func TestShardMergeEquivalence(t *testing.T) {
 }
 
 // FuzzShardMerge: fleet merge ≡ single process over random partitions. The
-// fuzz bytes cut each application's runs into ranges, add overlapping and
-// duplicate ranges, deal the ranges to up to four shards in a drawn order,
-// execute the shards in a drawn order at Procs 1 or 2, and append every
-// shard's cells to one journal. The campaign run against that journal must
-// deep-equal a direct run and take every run from the journal.
+// fuzz bytes cut each application's runs into single-range shards, add
+// overlapping and duplicate shards, execute them all in a drawn order at
+// Procs 1 or 2, and append every shard's cells to one journal. The campaign
+// run against that journal must deep-equal a direct run and take every run
+// from the journal.
 func FuzzShardMerge(f *testing.F) {
-	f.Add([]byte{})                                // one shard, one range per app, Procs 1
-	f.Add([]byte{1, 3, 0, 1, 1, 2, 2, 3, 1, 0, 2}) // four shards, Procs 2
+	f.Add([]byte{})                                // one shard per app, Procs 1
+	f.Add([]byte{1, 3, 0, 1, 1, 2, 2, 3, 1, 0, 2}) // Procs 2, cut shards
 	f.Add([]byte{0, 1, 1, 0, 1, 1, 3, 0, 3, 1, 1, 2, 1, 1, 2, 1, 0, 1, 3, 1})
 	f.Add([]byte{1, 2, 3, 1, 3, 0, 3, 0, 3, 1, 2, 0, 0, 3, 1, 1, 2, 0, 0})
 
@@ -206,51 +222,29 @@ func FuzzShardMerge(f *testing.F) {
 		}
 		o := o
 		o.Procs = 1 + next(2)
-		shards := make([]ShardSpec, 1+next(4))
-		deal := func(r ShardRange) {
-			s := &shards[next(len(shards))]
-			s.Ranges = append(s.Ranges, r)
-		}
+		var shards []ShardRange
 		for _, app := range o.Apps {
 			for lo := 0; lo < inj; {
 				hi := lo + 1 + next(inj-lo)
-				deal(ShardRange{App: app.Name, Lo: lo, Hi: hi})
+				shards = append(shards, ShardRange{App: app.Name, Lo: lo, Hi: hi})
 				lo = hi
 			}
 		}
 		for extra := next(4); extra > 0; extra-- {
 			lo := next(inj)
-			deal(ShardRange{App: o.Apps[next(len(o.Apps))].Name, Lo: lo, Hi: lo + 1 + next(inj-lo)})
+			shards = append(shards, ShardRange{App: o.Apps[next(len(o.Apps))].Name, Lo: lo, Hi: lo + 1 + next(inj-lo)})
 		}
-		shuffle := func(n int, swap func(i, j int)) {
-			for i := n - 1; i > 0; i-- {
-				swap(i, next(i+1))
-			}
+		for i := len(shards) - 1; i > 0; i-- {
+			k := next(i + 1)
+			shards[i], shards[k] = shards[k], shards[i]
 		}
-		for _, s := range shards {
-			shuffle(len(s.Ranges), func(i, j int) { s.Ranges[i], s.Ranges[j] = s.Ranges[j], s.Ranges[i] })
-		}
-		shuffle(len(shards), func(i, j int) { shards[i], shards[j] = shards[j], shards[i] })
 
 		j, err := checkpoint.Open(filepath.Join(t.TempDir(), "merge.cordckpt"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer j.Close()
-		for _, spec := range shards {
-			if len(spec.Ranges) == 0 {
-				continue
-			}
-			cells, _, err := ExecuteDetectShard(o, spec)
-			if err != nil {
-				t.Fatalf("shard %+v: %v", spec, err)
-			}
-			for _, c := range cells {
-				if err := j.Append(c.Key, c.Data); err != nil {
-					t.Fatalf("Append(%s): %v", c.Key, err)
-				}
-			}
-		}
+		mergeShards(t, o, j, shards)
 		merged := o
 		merged.Checkpoint = j
 		res, err := RunDetection(merged)
@@ -311,20 +305,24 @@ func TestOptionsFromMetaRejects(t *testing.T) {
 }
 
 // TestExecuteDetectShardRejectsBadSpecs: out-of-domain shards are ErrBadShard
-// (the endpoint's 400), not panics or silent truncation.
+// (the endpoint's 400), from ExecuteDetectShard and DetectKeys alike, not
+// panics or silent truncation.
 func TestExecuteDetectShardRejectsBadSpecs(t *testing.T) {
 	o := shardTestOptions(t)
-	cases := []ShardSpec{
+	cases := []ShardRange{
 		{},
-		{Ranges: []ShardRange{{App: "nonesuch", Lo: 0, Hi: 1}}},
-		{Ranges: []ShardRange{{App: "fft", Lo: -1, Hi: 1}}},
-		{Ranges: []ShardRange{{App: "fft", Lo: 0, Hi: 5}}}, // Injections is 4
-		{Ranges: []ShardRange{{App: "fft", Lo: 2, Hi: 2}}},
-		{Ranges: []ShardRange{{App: "fft", Lo: 3, Hi: 1}}},
+		{App: "nonesuch", Lo: 0, Hi: 1},
+		{App: "fft", Lo: -1, Hi: 1},
+		{App: "fft", Lo: 0, Hi: 5}, // Injections is 4
+		{App: "fft", Lo: 2, Hi: 2},
+		{App: "fft", Lo: 3, Hi: 1},
 	}
-	for i, spec := range cases {
-		if _, _, err := ExecuteDetectShard(o, spec); !errors.Is(err, ErrBadShard) {
+	for i, r := range cases {
+		if _, err := ExecuteDetectShard(o, r); !errors.Is(err, ErrBadShard) {
 			t.Errorf("case %d: error %v, want ErrBadShard", i, err)
+		}
+		if _, err := o.DetectKeys(r); !errors.Is(err, ErrBadShard) {
+			t.Errorf("case %d: DetectKeys error %v, want ErrBadShard", i, err)
 		}
 	}
 }
@@ -338,7 +336,7 @@ func TestExecuteDetectShardInterrupt(t *testing.T) {
 	close(stop)
 	o.Interrupt = stop
 	o.Procs = 1
-	if _, _, err := ExecuteDetectShard(o, fullSpec(o)); !errors.Is(err, ErrInterrupted) {
+	if _, err := ExecuteDetectShard(o, fullRanges(o)[0]); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("error %v, want ErrInterrupted", err)
 	}
 }

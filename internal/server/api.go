@@ -66,7 +66,7 @@ import (
 // SchemaVersion stamps every response body, following the
 // internal/experiment artifact convention: readers reject versions they do
 // not understand instead of mis-parsing them.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Request-domain bounds. Sessions are additionally bounded by the pool's
 // per-session timeout, so these only reject configurations that are

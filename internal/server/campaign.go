@@ -67,22 +67,22 @@ type CampaignShardRequest struct {
 	// recomputes it and rejects any disagreement with 422.
 	Fingerprint string                  `json:"fingerprint"`
 	Options     experiment.CampaignMeta `json:"options"`
-	// Ranges are the half-open [lo, hi) injection-run ranges to execute.
-	Ranges []experiment.ShardRange `json:"ranges"`
+	// Range is the half-open [lo, hi) injection-run range of one
+	// application to execute.
+	Range experiment.ShardRange `json:"range"`
 	// Origin records why the coordinator routed this shard here: "" for
-	// first dispatch, "requeue" when it was rescued from a dead worker, and
-	// "steal" — still accepted from older coordinators — when a faster
-	// worker took it from a slow peer's queue (PROTOCOL.md §7). Origin is
-	// observability only — it feeds the worker's fleet metrics and is
-	// deliberately excluded from the shard content hash, so a requeued
-	// re-send of a shard is still idempotent, not a 409.
+	// first dispatch, "requeue" when it was rescued from a dead worker
+	// (PROTOCOL.md §7). Origin is observability only — it feeds the
+	// worker's fleet metrics and is deliberately excluded from the shard
+	// content hash, so a requeued re-send of a shard is still idempotent,
+	// not a 409.
 	Origin string `json:"origin,omitempty"`
 }
 
 // CampaignShardResponse carries the shard's outcome cells in canonical
-// order (apps by campaign index; each app's count cell, then its injection
-// cells by run index). Cells are exactly the bytes an equivalent local
-// campaign journals, so a re-sent shard returns a byte-identical response.
+// order: the application's count cell, then its injection cells by run
+// index. Cells are exactly the bytes an equivalent local campaign journals,
+// so a re-sent shard returns a byte-identical response.
 type CampaignShardResponse struct {
 	Schema      int               `json:"schema"`
 	Campaign    string            `json:"campaign"`
@@ -140,6 +140,40 @@ func (s *Server) handleCampaignPlan(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// validate decides everything about a shard request that needs no
+// execution and no worker state: ids, origin, configuration, fingerprint
+// and range. It returns the campaign Options, or an error that wraps
+// ErrBadRequest (400) or is a fingerprintMismatch (422).
+func (req *CampaignShardRequest) validate() (experiment.Options, error) {
+	if !identRe.MatchString(req.Campaign) || !identRe.MatchString(req.ShardID) {
+		return experiment.Options{}, fmt.Errorf("%w: campaign and shard_id must match %s", ErrBadRequest, identRe)
+	}
+	if req.Origin != "" && req.Origin != "requeue" {
+		return experiment.Options{}, fmt.Errorf("%w: origin must be \"\" or \"requeue\", got %q", ErrBadRequest, req.Origin)
+	}
+	opts, err := campaignOptions(req.Options)
+	if err != nil {
+		return experiment.Options{}, err
+	}
+	if fp := opts.Fingerprint(); req.Fingerprint != fp {
+		return experiment.Options{}, fingerprintMismatch{got: req.Fingerprint, want: fp}
+	}
+	// DetectKeys fails exactly when the range is outside the campaign.
+	if _, err := opts.DetectKeys(req.Range); err != nil {
+		return experiment.Options{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return opts, nil
+}
+
+// fingerprintMismatch refuses a shard whose declared fingerprint is not the
+// worker's own: coordinator and worker disagree on the configuration.
+type fingerprintMismatch struct{ got, want string }
+
+func (e fingerprintMismatch) Error() string {
+	return fmt.Sprintf("request fingerprint %q does not match this worker's %q: coordinator and worker disagree on the campaign configuration",
+		e.got, e.want)
+}
+
 func (s *Server) handleCampaignShard(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req CampaignShardRequest
@@ -147,31 +181,9 @@ func (s *Server) handleCampaignShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if !identRe.MatchString(req.Campaign) || !identRe.MatchString(req.ShardID) {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: campaign and shard_id must match %s", ErrBadRequest, identRe))
-		return
-	}
-	switch req.Origin {
-	case "":
-	case "steal":
-		s.m.bumpFleet(func(c *FleetCounters) { c.ShardsStolen++ })
-	case "requeue":
-		s.m.bumpFleet(func(c *FleetCounters) { c.ShardsRequeued++ })
-	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: origin must be \"\", \"steal\" or \"requeue\", got %q", ErrBadRequest, req.Origin))
-		return
-	}
-	opts, err := campaignOptions(req.Options)
+	opts, err := req.validate()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if fp := opts.Fingerprint(); req.Fingerprint != fp {
-		writeErrorCode(w, http.StatusUnprocessableEntity, codeFingerprintMismatch,
-			fmt.Errorf("request fingerprint %q does not match this worker's %q: coordinator and worker disagree on the campaign configuration",
-				req.Fingerprint, fp))
 		return
 	}
 	if prev, ok := s.registerShard(req); !ok {
@@ -179,6 +191,9 @@ func (s *Server) handleCampaignShard(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("shard %s/%s was already submitted with different content (hash %016x); shard ids are immutable once used",
 				req.Campaign, req.ShardID, prev))
 		return
+	}
+	if req.Origin == "requeue" {
+		s.m.bumpFleet(func(c *FleetCounters) { c.ShardsRequeued++ })
 	}
 
 	s.dispatch(w, r, func(ctx context.Context) (any, error) {
@@ -188,14 +203,11 @@ func (s *Server) handleCampaignShard(w http.ResponseWriter, r *http.Request) {
 		runOpts := opts
 		runOpts.Procs = 1
 		runOpts.Cancel = ctx.Done()
-		cells, runs, err := experiment.ExecuteDetectShard(runOpts, experiment.ShardSpec{Ranges: req.Ranges})
-		switch {
-		case err == nil:
-		case errors.Is(err, sim.ErrCanceled) && ctx.Err() != nil:
-			return nil, ctx.Err()
-		case errors.Is(err, experiment.ErrBadShard):
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		default:
+		cells, err := experiment.ExecuteDetectShard(runOpts, req.Range)
+		if err != nil {
+			if errors.Is(err, sim.ErrCanceled) && ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
 			return nil, err
 		}
 		// Worker-kill chaos fires here — after the shard's cells exist but
@@ -208,7 +220,7 @@ func (s *Server) handleCampaignShard(w http.ResponseWriter, r *http.Request) {
 			Campaign:    req.Campaign,
 			ShardID:     req.ShardID,
 			Fingerprint: req.Fingerprint,
-			Runs:        runs,
+			Runs:        req.Range.Hi - req.Range.Lo,
 			Cells:       cells,
 		}, nil
 	})
@@ -228,10 +240,7 @@ type shardKey struct{ campaign, shard string }
 // already used with different content.
 func (s *Server) registerShard(req CampaignShardRequest) (prev uint64, ok bool) {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|", req.Fingerprint, len(req.Ranges))
-	for _, rg := range req.Ranges {
-		fmt.Fprintf(h, "%s:%d:%d|", rg.App, rg.Lo, rg.Hi)
-	}
+	fmt.Fprintf(h, "%s|%s:%d:%d", req.Fingerprint, req.Range.App, req.Range.Lo, req.Range.Hi)
 	sum := h.Sum64()
 
 	s.shardMu.Lock()

@@ -143,7 +143,7 @@ func TestCampaignShardIdempotent(t *testing.T) {
 		ShardID:     "s0",
 		Fingerprint: campaignFingerprint(t, meta),
 		Options:     meta,
-		Ranges:      []experiment.ShardRange{{App: "fft", Lo: 0, Hi: 3}},
+		Range:       experiment.ShardRange{App: "fft", Lo: 0, Hi: 3},
 	}
 
 	const resends = 4
@@ -179,7 +179,7 @@ func TestCampaignShardIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := experiment.ExecuteDetectShard(opts, experiment.ShardSpec{Ranges: req.Ranges})
+	want, err := experiment.ExecuteDetectShard(opts, req.Range)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,14 +218,14 @@ func TestCampaignShardConflict(t *testing.T) {
 		ShardID:     "s0",
 		Fingerprint: campaignFingerprint(t, meta),
 		Options:     meta,
-		Ranges:      []experiment.ShardRange{{App: "fft", Lo: 0, Hi: 1}},
+		Range:       experiment.ShardRange{App: "fft", Lo: 0, Hi: 1},
 	}
 	if resp, b := postJSON(t, ts.URL+"/v1/campaign/shard", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first send: status %d, body %s", resp.StatusCode, b)
 	}
 
 	mutated := req
-	mutated.Ranges = []experiment.ShardRange{{App: "fft", Lo: 1, Hi: 2}}
+	mutated.Range = experiment.ShardRange{App: "fft", Lo: 1, Hi: 2}
 	resp, b := postJSON(t, ts.URL+"/v1/campaign/shard", mutated)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("conflicting re-use: status %d, want 409 (body %s)", resp.StatusCode, b)
@@ -253,7 +253,7 @@ func TestCampaignShardFingerprintMismatch(t *testing.T) {
 	for _, fp := range []string{"", "0000000000000000", "not-a-fingerprint"} {
 		req := CampaignShardRequest{
 			Campaign: "fp", ShardID: "s0", Fingerprint: fp, Options: meta,
-			Ranges: []experiment.ShardRange{{App: "fft", Lo: 0, Hi: 1}},
+			Range: experiment.ShardRange{App: "fft", Lo: 0, Hi: 1},
 		}
 		resp, b := postJSON(t, ts.URL+"/v1/campaign/shard", req)
 		if resp.StatusCode != http.StatusUnprocessableEntity {
@@ -266,7 +266,8 @@ func TestCampaignShardFingerprintMismatch(t *testing.T) {
 }
 
 // TestCampaignShardBadRanges: ranges outside the campaign domain are 400
-// bad_request — classified through the pool's error path.
+// bad_request, decided before the shard registers its id: the same id then
+// carries a good range without a 409.
 func TestCampaignShardBadRanges(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer shutdownOrFail(t, s)
@@ -275,18 +276,16 @@ func TestCampaignShardBadRanges(t *testing.T) {
 
 	meta := campaignTestMeta()
 	fp := campaignFingerprint(t, meta)
-	cases := [][]experiment.ShardRange{
-		nil,
-		{{App: "lu", Lo: 0, Hi: 1}},   // not in this campaign's app list
-		{{App: "fft", Lo: 0, Hi: 4}},  // beyond Injections=3
-		{{App: "fft", Lo: 2, Hi: 2}},  // empty
-		{{App: "fft", Lo: -1, Hi: 1}}, // negative
+	cases := []experiment.ShardRange{
+		{},
+		{App: "lu", Lo: 0, Hi: 1},   // not in this campaign's app list
+		{App: "fft", Lo: 0, Hi: 4},  // beyond Injections=3
+		{App: "fft", Lo: 2, Hi: 2},  // empty
+		{App: "fft", Lo: -1, Hi: 1}, // negative
 	}
-	for i, ranges := range cases {
-		req := CampaignShardRequest{
-			Campaign: "bad", ShardID: "s" + string(rune('a'+i)), Fingerprint: fp,
-			Options: meta, Ranges: ranges,
-		}
+	req := CampaignShardRequest{Campaign: "bad", ShardID: "s0", Fingerprint: fp, Options: meta}
+	for i, rng := range cases {
+		req.Range = rng
 		resp, b := postJSON(t, ts.URL+"/v1/campaign/shard", req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: status %d, want 400 (body %s)", i, resp.StatusCode, b)
@@ -295,6 +294,10 @@ func TestCampaignShardBadRanges(t *testing.T) {
 		if e := decodeErrorBody(t, b); e.Code != "bad_request" {
 			t.Errorf("case %d: code %q, want bad_request", i, e.Code)
 		}
+	}
+	req.Range = experiment.ShardRange{App: "fft", Lo: 0, Hi: 1}
+	if resp, b := postJSON(t, ts.URL+"/v1/campaign/shard", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("good range under a refused shard's id: status %d, body %s", resp.StatusCode, b)
 	}
 }
 
@@ -307,7 +310,7 @@ func TestCampaignShardDrainingAndQueueFull(t *testing.T) {
 	shardReq := func(id string) CampaignShardRequest {
 		return CampaignShardRequest{
 			Campaign: "bp", ShardID: id, Fingerprint: fp, Options: meta,
-			Ranges: []experiment.ShardRange{{App: "fft", Lo: 0, Hi: 1}},
+			Range: experiment.ShardRange{App: "fft", Lo: 0, Hi: 1},
 		}
 	}
 
@@ -378,21 +381,31 @@ func TestCampaignShardDrainingAndQueueFull(t *testing.T) {
 }
 
 // TestCampaignShardStrictBody: unknown fields fail loudly (400) instead of
-// silently running a default-configured shard.
+// silently running a default-configured shard — a typo, and the
+// multi-range "ranges" list that schema 1 carried instead of "range".
 func TestCampaignShardStrictBody(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer shutdownOrFail(t, s)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/campaign/shard", "application/json",
-		strings.NewReader(`{"campaign":"c","shard_id":"s","fingerprnt":"typo"}`))
+	meta, err := json.Marshal(campaignTestMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400 (body %s)", resp.StatusCode, b)
+	for _, body := range []string{
+		`{"campaign":"c","shard_id":"s","fingerprnt":"typo"}`,
+		`{"campaign":"c","shard_id":"s","fingerprint":"` + campaignFingerprint(t, campaignTestMeta()) +
+			`","options":` + string(meta) + `,"ranges":[{"app":"fft","lo":0,"hi":1}]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/campaign/shard", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || decodeErrorBody(t, b).Code != "bad_request" {
+			t.Fatalf("%s: status %d, want 400 bad_request (body %s)", body, resp.StatusCode, b)
+		}
 	}
 }

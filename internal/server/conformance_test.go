@@ -199,7 +199,6 @@ func TestProtocolConformance(t *testing.T) {
 			Fingerprint:    "976adcbc7ab77749",
 			CellsDone:      2,
 			CellsTotal:     3,
-			ShardsStolen:   1,
 			ShardsRequeued: 2,
 			Workers: []ProgressWorker{
 				{URL: "http://worker-b:8080", Health: WorkerDead, LatencyEwmaMs: 40},

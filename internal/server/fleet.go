@@ -11,8 +11,8 @@ import (
 // This file is the fleet-membership half of the self-healing campaign story
 // (PROTOCOL.md §7): every cordd serves a worker registry — POST
 // /v1/fleet/register is both initial registration and heartbeat, GET
-// /v1/fleet/workers is discovery — so any instance can be pointed at with
-// `cordd -registry` and any other can announce itself with `cordd -register`.
+// /v1/fleet/workers is discovery — so any instance can serve as the
+// registry and any other can announce itself to it with `cordd -register`.
 // Expiry is TTL-based and lazy: entries whose deadline has passed are pruned
 // on the next register or listing, never by a background goroutine, which
 // keeps the registry deterministic under an injected clock (tests and the
@@ -216,12 +216,10 @@ const (
 type ProgressWorker struct {
 	URL    string `json:"url"`
 	Health string `json:"health"` // "live", "suspect" or "dead"
-	// ShardsDone / ShardsQueued / ShardsInFlight partition the shards the
-	// coordinator currently attributes to this worker. A coordinator with
-	// one shared queue attributes queued work to no worker, so
-	// ShardsQueued is always 0 from it.
+	// ShardsDone / ShardsInFlight count the shards this worker completed
+	// and the one it is executing. Queued shards belong to no worker until
+	// one takes them from the coordinator's shared queue.
 	ShardsDone     int `json:"shards_done"`
-	ShardsQueued   int `json:"shards_queued"`
 	ShardsInFlight int `json:"shards_in_flight"`
 	// LatencyEwmaMs is the coordinator's moving estimate of this worker's
 	// per-run latency, folded over its completed shards; 0 until the first.
@@ -242,11 +240,8 @@ type CampaignProgress struct {
 	// the exactly-once unit of merge.
 	CellsDone  int `json:"cells_done"`
 	CellsTotal int `json:"cells_total"`
-	// ShardsStolen / ShardsRequeued count recovery actions so far: requeues
-	// rescued in-flight shards from workers declared dead. Steals are
-	// retained for the schema; a shared-queue coordinator never steals, so
-	// ShardsStolen is always 0 from it.
-	ShardsStolen   int `json:"shards_stolen"`
+	// ShardsRequeued counts recovery actions so far: in-flight shards
+	// rescued from workers declared dead.
 	ShardsRequeued int `json:"shards_requeued"`
 	// Workers lists per-worker assignment and health, sorted by URL.
 	Workers []ProgressWorker `json:"workers"`

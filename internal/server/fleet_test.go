@@ -203,9 +203,10 @@ func TestFleetConcurrentHeartbeats(t *testing.T) {
 	}
 }
 
-// TestCampaignShardOrigin: a steal or requeue origin is counted in the fleet
-// metrics, is excluded from the shard content hash (so a re-send under a
-// different origin is idempotent, not a 409), and anything else is rejected.
+// TestCampaignShardOrigin: a requeue origin is counted in the fleet metrics
+// and is excluded from the shard content hash (so a re-send under a
+// different origin is idempotent, not a 409); anything else, the "steal"
+// origin of schema 1 included, is rejected.
 func TestCampaignShardOrigin(t *testing.T) {
 	s := New(Config{Workers: 2, QueueDepth: 8})
 	defer shutdownOrFail(t, s)
@@ -218,12 +219,11 @@ func TestCampaignShardOrigin(t *testing.T) {
 		ShardID:     "s0",
 		Fingerprint: campaignFingerprint(t, meta),
 		Options:     meta,
-		Ranges:      []experiment.ShardRange{{App: "fft", Lo: 0, Hi: 1}},
-		Origin:      "steal",
+		Range:       experiment.ShardRange{App: "fft", Lo: 0, Hi: 1},
 	}
 	resp, first := postJSON(t, ts.URL+"/v1/campaign/shard", req)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stolen shard: status %d, body %s", resp.StatusCode, first)
+		t.Fatalf("first dispatch: status %d, body %s", resp.StatusCode, first)
 	}
 
 	// Same shard, now re-sent as a requeue: the origin must not change the
@@ -237,17 +237,19 @@ func TestCampaignShardOrigin(t *testing.T) {
 		t.Fatal("origin changed the response bytes of an identical shard")
 	}
 	m := s.Metrics()
-	if m.Fleet.ShardsStolen != 1 || m.Fleet.ShardsRequeued != 1 {
+	if m.Fleet.ShardsRequeued != 1 {
 		t.Fatalf("fleet shard counters: %+v", m.Fleet)
 	}
 
-	req.Origin = "bogus"
-	resp, b := postJSON(t, ts.URL+"/v1/campaign/shard", req)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bogus origin: status %d, body %s", resp.StatusCode, b)
-	}
-	if e := decodeErrorBody(t, b); e.Code != "bad_request" {
-		t.Fatalf("bogus origin: code %q, want bad_request", e.Code)
+	for _, origin := range []string{"steal", "bogus"} {
+		req.Origin = origin
+		resp, b := postJSON(t, ts.URL+"/v1/campaign/shard", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s origin: status %d, body %s", origin, resp.StatusCode, b)
+		}
+		if e := decodeErrorBody(t, b); e.Code != "bad_request" {
+			t.Fatalf("%s origin: code %q, want bad_request", origin, e.Code)
+		}
 	}
 }
 
@@ -268,7 +270,7 @@ func TestShardRegistryEvictionIdempotent(t *testing.T) {
 		ShardID:     "s0",
 		Fingerprint: campaignFingerprint(t, meta),
 		Options:     meta,
-		Ranges:      []experiment.ShardRange{{App: "fft", Lo: 0, Hi: 2}},
+		Range:       experiment.ShardRange{App: "fft", Lo: 0, Hi: 2},
 	}
 	resp, first := postJSON(t, ts.URL+"/v1/campaign/shard", req)
 	if resp.StatusCode != http.StatusOK {
@@ -306,7 +308,7 @@ func TestProgressHandler(t *testing.T) {
 			CellsTotal:  8,
 			Workers: []ProgressWorker{
 				{URL: "http://w2:8080", Health: WorkerLive, ShardsDone: 2, LatencyEwmaMs: 80},
-				{URL: "http://w1:8080", Health: WorkerSuspect, ShardsQueued: 1, LatencyEwmaMs: 120.5},
+				{URL: "http://w1:8080", Health: WorkerSuspect, ShardsInFlight: 1, LatencyEwmaMs: 120.5},
 			},
 		}
 	}

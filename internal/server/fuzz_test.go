@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"slices"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"cord/internal/baseline"
 	"cord/internal/clock"
 	"cord/internal/core"
+	"cord/internal/experiment"
 	"cord/internal/record"
 	"cord/internal/sim"
 	"cord/internal/trace"
@@ -433,4 +435,108 @@ func FuzzOnlineReplayDetection(f *testing.F) {
 				query, on.Completed, on.RacyAccesses, on.RacesSoFar, completed, oracle.RaceCount(), len(oracle.Races()), on.Races, races)
 		}
 	})
+}
+
+// FuzzCampaignRequests drives the admission paths of POST /v1/campaign/plan,
+// /v1/campaign/shard and /v1/fleet/register with arbitrary bodies. Every
+// refusal must be typed: 400 bad_request wrapping ErrBadRequest, or 422
+// fingerprint_mismatch — never a 5xx, another code, or a panic. A shard that
+// validate admits is checked against the campaign's domain but never
+// executed, so the target runs no simulation; only refused shards go through
+// the handler, which must answer with validate's verdict.
+func FuzzCampaignRequests(f *testing.F) {
+	const (
+		plan, shard, register = 0, 1, 2
+		meta                  = `{"base_seed": 7, "scale": 1, "threads": 2, "injections": 2, "apps": ["fft"]}`
+		head                  = `{"campaign": "paper-repro", "shard_id": "fft.0.2", "fingerprint": "976adcbc7ab77749", "options": ` + meta
+	)
+	f.Add(uint8(plan), `{"campaign": "paper-repro", "options": `+meta+`}`)
+	f.Add(uint8(plan), `{"campaign": "c", "options": {"injections": 1048577, "threads": 65}}`)
+	f.Add(uint8(plan), `{"campaign": "no spaces", "options": {"apps": ["nonesuch"]}}`)
+	f.Add(uint8(shard), head+`, "range": {"app": "fft", "lo": 0, "hi": 2}}`)
+	f.Add(uint8(shard), head+`, "range": {"app": "fft", "lo": 0, "hi": 2}, "origin": "requeue"}`)
+	f.Add(uint8(shard), head+`, "ranges": [{"app": "fft", "lo": 0, "hi": 2}]}`) // the schema 1 body
+	f.Add(uint8(shard), head+`, "range": {"app": "fft", "lo": 1, "hi": 3}}`)
+	f.Add(uint8(shard), head+`, "range": {"app": "lu", "lo": 0, "hi": 1}, "origin": "steal"}`)
+	f.Add(uint8(shard), `{"campaign": "c", "shard_id": "s", "fingerprint": "0000000000000000", "options": `+meta+`, "range": {"app": "fft", "lo": 0, "hi": 1}}`)
+	f.Add(uint8(register), `{"url": "http://worker-a:8080", "workers": 4, "ttl_seconds": 30}`)
+	f.Add(uint8(register), `{"url": "worker-c.example"}`)
+	f.Add(uint8(register), `{"url": "http://w", "ttl_seconds": 301, "workers": -1}`)
+	f.Add(uint8(register), `[]`)
+
+	s := New(Config{Workers: 1})
+	f.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	paths := []string{plan: "/v1/campaign/plan", shard: "/v1/campaign/shard", register: "/v1/fleet/register"}
+	f.Fuzz(func(t *testing.T, endpoint uint8, body string) {
+		kind := int(endpoint) % len(paths)
+		want := 0 // the shard status validate decides; 0 for any other endpoint
+		if kind == shard {
+			var req CampaignShardRequest
+			err := decodeJSONBody(httptest.NewRequest(http.MethodPost, paths[shard], strings.NewReader(body)), &req)
+			if err == nil {
+				var opts experiment.Options
+				if opts, err = req.validate(); err == nil {
+					checkAdmittedShard(t, req, opts)
+					return
+				}
+			}
+			switch {
+			case errors.Is(err, ErrBadRequest):
+				want = http.StatusBadRequest
+			case errors.As(err, new(fingerprintMismatch)):
+				want = http.StatusUnprocessableEntity
+			default:
+				t.Fatalf("%s: refusal %v is neither ErrBadRequest nor a fingerprint mismatch", body, err)
+			}
+		}
+
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, paths[kind], strings.NewReader(body)))
+		if w.Code == http.StatusOK && kind != shard {
+			checkAdmittedCampaignBody(t, kind == plan, w.Body.Bytes())
+			return
+		}
+		var eb errorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil {
+			t.Fatalf("%s %s: status %d with an unparsable error body %q", paths[kind], body, w.Code, w.Body)
+		}
+		codes := map[int]string{http.StatusBadRequest: codeBadRequest, http.StatusUnprocessableEntity: codeFingerprintMismatch}
+		if code, ok := codes[w.Code]; !ok || eb.Code != code || eb.Schema != SchemaVersion || (want != 0 && w.Code != want) {
+			t.Fatalf("%s %s: answered %d %+v; want a typed 400 or 422 (validate says %d)", paths[kind], body, w.Code, eb, want)
+		}
+	})
+}
+
+// checkAdmittedShard fails unless an admitted shard is inside its campaign:
+// well-formed ids, a known origin, the worker's fingerprint, and a
+// non-empty range of one of the campaign's applications.
+func checkAdmittedShard(t *testing.T, req CampaignShardRequest, opts experiment.Options) {
+	t.Helper()
+	meta := opts.Meta()
+	r := req.Range
+	if !identRe.MatchString(req.Campaign) || !identRe.MatchString(req.ShardID) ||
+		(req.Origin != "" && req.Origin != "requeue") || req.Fingerprint != opts.Fingerprint() ||
+		!slices.Contains(meta.Apps, r.App) || r.Lo < 0 || r.Lo >= r.Hi || r.Hi > meta.Injections ||
+		meta.Injections > MaxInjections || meta.Threads > MaxThreads || meta.Scale > MaxScale {
+		t.Fatalf("validate admitted an out-of-domain shard %+v", req)
+	}
+}
+
+// checkAdmittedCampaignBody fails unless a 200 plan or register answer is
+// self-consistent.
+func checkAdmittedCampaignBody(t *testing.T, plan bool, body []byte) {
+	t.Helper()
+	if plan {
+		var p CampaignPlanResponse
+		if err := json.Unmarshal(body, &p); err != nil || p.Schema != SchemaVersion ||
+			p.RunsPerApp < 1 || p.RunsPerApp > MaxInjections || p.TotalRuns != p.RunsPerApp*len(p.Apps) {
+			t.Fatalf("inconsistent plan answer %s (%v)", body, err)
+		}
+		return
+	}
+	var reg FleetRegisterResponse
+	if err := json.Unmarshal(body, &reg); err != nil || reg.Schema != SchemaVersion ||
+		reg.TTLSeconds < 1 || reg.TTLSeconds > maxFleetTTLSeconds || reg.LiveWorkers < 1 {
+		t.Fatalf("inconsistent register answer %s (%v)", body, err)
+	}
 }

@@ -86,9 +86,9 @@ type StreamCounters struct {
 }
 
 // FleetCounters are the cumulative fleet-membership and shard-recovery
-// counters. The registry counters move on any cordd serving as a registry;
-// the shard counters move on workers, counting shards whose requests declare
-// a steal or requeue origin (PROTOCOL.md §7). The block is present — zeroed —
+// counters. The registry counters move on any cordd workers register with;
+// the shard counter moves on workers, counting admitted shards whose
+// requests declare the requeue origin (PROTOCOL.md §7). The block is present — zeroed —
 // on every server, keeping /metrics bodies structurally identical.
 type FleetCounters struct {
 	// LiveWorkers is a gauge: registrations currently alive (not expired).
@@ -100,9 +100,8 @@ type FleetCounters struct {
 	// WorkersExpired counts registrations pruned after their TTL lapsed
 	// (including best-effort evictions of a full registry).
 	WorkersExpired uint64 `json:"workers_expired"`
-	// ShardsStolen / ShardsRequeued count executed shards that arrived with
-	// origin "steal" / "requeue".
-	ShardsStolen   uint64 `json:"shards_stolen"`
+	// ShardsRequeued counts admitted shards that arrived with origin
+	// "requeue".
 	ShardsRequeued uint64 `json:"shards_requeued"`
 }
 

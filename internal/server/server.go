@@ -514,6 +514,8 @@ func classify(err error, fallback int) (int, string) {
 		return http.StatusRequestEntityTooLarge, codeQuotaExceeded
 	case errors.Is(err, record.ErrOrderViolation):
 		return http.StatusUnprocessableEntity, codeOrderViolation
+	case errors.As(err, new(fingerprintMismatch)):
+		return http.StatusUnprocessableEntity, codeFingerprintMismatch
 	case errors.Is(err, record.ErrBadFormat) && errors.Is(err, io.ErrUnexpectedEOF):
 		return http.StatusBadRequest, codeTruncated
 	case errors.Is(err, record.ErrBadFormat):
@@ -534,7 +536,7 @@ func errorResult(fallback int, err error) sessionResult {
 func errorResultCode(status int, code string, err error) sessionResult {
 	b, encErr := encodeJSON(errorBody{Schema: SchemaVersion, Code: code, Error: err.Error()})
 	if encErr != nil { // can't happen: errorBody always marshals
-		b = []byte(`{"schema":1,"code":"internal","error":"internal error"}` + "\n")
+		b = []byte(fmt.Sprintf(`{"schema":%d,"code":"internal","error":"internal error"}`+"\n", SchemaVersion))
 	}
 	return sessionResult{status: status, body: b}
 }

@@ -54,7 +54,7 @@ echo "fleet-chaos-smoke: single-process reference run"
 	|| fail "reference campaign failed"
 
 echo "fleet-chaos-smoke: starting registry at $REGISTRY"
-"$DIR/cordd" -addr "127.0.0.1:$BASE" -registry \
+"$DIR/cordd" -addr "127.0.0.1:$BASE" \
 	>"$DIR/cordd-registry.log" 2>&1 &
 PIDS="$PIDS $!"
 fleet_wait_healthy "$REGISTRY" || fail "registry did not become healthy"

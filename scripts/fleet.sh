@@ -26,7 +26,7 @@ go build -o "$DIR/cordd" ./cmd/cordd
 REGISTRY=""
 if [ "${CORD_FLEET_REGISTRY:-0}" = "1" ]; then
 	REGISTRY="http://127.0.0.1:$BASE"
-	"$DIR/cordd" -addr "127.0.0.1:$BASE" -registry \
+	"$DIR/cordd" -addr "127.0.0.1:$BASE" \
 		>"$DIR/cordd-registry.log" 2>&1 &
 	PIDS="$PIDS $!"
 	fleet_wait_healthy "$REGISTRY"

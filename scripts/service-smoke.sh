@@ -72,7 +72,7 @@ if [ "$MODE" = "all" ]; then
 		-H 'Content-Type: application/json' \
 		-d '{"app":"fft","seed":3,"threads":4,"inject":5}' \
 		>"$DIR/detect.json" || fail "detect request did not return 2xx"
-	grep -q '"schema": 1' "$DIR/detect.json" || fail "detect body missing schema stamp"
+	grep -q '"schema": 2' "$DIR/detect.json" || fail "detect body missing schema stamp"
 	grep -q '"app": "fft"' "$DIR/detect.json" || fail "detect body missing app echo"
 	grep -q '"detectors"' "$DIR/detect.json" || fail "detect body missing detector verdicts"
 	echo "service-smoke: detect session OK"
@@ -82,7 +82,7 @@ if [ "$MODE" = "all" ]; then
 		-H 'Content-Type: application/octet-stream' \
 		--data-binary @"$DIR/fft.cordlog" \
 		>"$DIR/replay.json" || fail "replay request did not return 2xx"
-	grep -q '"schema": 1' "$DIR/replay.json" || fail "replay body missing schema stamp"
+	grep -q '"schema": 2' "$DIR/replay.json" || fail "replay body missing schema stamp"
 	grep -q '"completed": true' "$DIR/replay.json" || fail "replay did not complete"
 	echo "service-smoke: replay session OK"
 	SESSIONS=2
@@ -101,7 +101,7 @@ curl -sf -X POST "http://$ADDR/v1/stream?app=fft&seed=9&threads=4" \
 	-H 'Transfer-Encoding: chunked' \
 	--data-binary @"$DIR/fft.cordlog" \
 	>"$DIR/stream.json" || fail "stream request did not return 2xx"
-grep -q '"schema": 1' "$DIR/stream.json" || fail "stream summary missing schema stamp"
+grep -q '"schema": 2' "$DIR/stream.json" || fail "stream summary missing schema stamp"
 grep -q '"verified": true' "$DIR/stream.json" || fail "stream summary not verified"
 grep -q '"log_match": true' "$DIR/stream.json" || fail "streamed log did not match the re-execution"
 grep -q '"shards"' "$DIR/stream.json" || fail "stream summary missing shard table"
