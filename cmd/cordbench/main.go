@@ -65,20 +65,17 @@ func main() {
 }
 
 // parseApps resolves the -apps comma list to workloads; an empty spec means
-// "all of Table 1" (a nil slice, which Options.withDefaults expands).
+// "all of Table 1" (a nil slice, which Options.withDefaults expands). An
+// unknown or repeated name is an error.
 func parseApps(spec string) ([]workload.App, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
 	}
-	var apps []workload.App
-	for _, name := range strings.Split(spec, ",") {
-		app, err := workload.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		apps = append(apps, app)
+	names := strings.Split(spec, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
 	}
-	return apps, nil
+	return workload.ByNames(names)
 }
 
 // validateFlags rejects degenerate campaign parameters up front: zero or

@@ -1,9 +1,12 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestParseApps: the -apps comma list resolves names through the Table 1
-// catalogue; empty means all, unknown names are usage errors.
+// catalogue; empty means all, unknown and repeated names are usage errors.
 func TestParseApps(t *testing.T) {
 	if apps, err := parseApps(""); apps != nil || err != nil {
 		t.Fatalf("parseApps(\"\") = %v, %v; want nil, nil (all apps)", apps, err)
@@ -17,6 +20,13 @@ func TestParseApps(t *testing.T) {
 	}
 	if _, err := parseApps("raytrace,nosuchapp"); err == nil {
 		t.Fatal("unknown app name accepted")
+	}
+	// A repeated name would alias the first copy's shards in a fleet
+	// campaign, which then never dispatches them.
+	for _, spec := range []string{"fft,fft", "lu, fft ,lu"} {
+		if _, err := parseApps(spec); err == nil || !strings.Contains(err.Error(), "named twice") {
+			t.Fatalf("parseApps(%q) = %v, want a repeated-name error", spec, err)
+		}
 	}
 }
 

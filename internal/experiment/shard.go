@@ -74,10 +74,10 @@ func (o Options) detectKeys(ids []runID) []string {
 // OptionsFromMeta reconstructs campaign Options from wire metadata: the
 // inverse of Options.Meta, used by the cordd campaign endpoint. Zero fields
 // take the same defaults the CLI applies (so a normalized meta round-trips
-// to an equal fingerprint); negative fields and unknown application names
-// are rejected. Result-independent knobs — Procs and Checkpoint —
-// are deliberately not on the wire and stay at their zero values for the
-// worker to choose locally.
+// to an equal fingerprint); negative fields and unknown or repeated
+// application names are rejected. Result-independent knobs — Procs and
+// Checkpoint — are deliberately not on the wire and stay at their zero
+// values for the worker to choose locally.
 func OptionsFromMeta(m CampaignMeta) (Options, error) {
 	if m.Scale < 0 || m.Threads < 0 || m.Injections < 0 {
 		return Options{}, fmt.Errorf("experiment: campaign meta fields must be non-negative (scale=%d threads=%d injections=%d)",
@@ -93,14 +93,11 @@ func OptionsFromMeta(m CampaignMeta) (Options, error) {
 		Injections: m.Injections,
 	}
 	if len(m.Apps) > 0 {
-		o.Apps = make([]workload.App, len(m.Apps))
-		for i, name := range m.Apps {
-			app, err := workload.ByName(name)
-			if err != nil {
-				return Options{}, fmt.Errorf("experiment: campaign meta: %w", err)
-			}
-			o.Apps[i] = app
+		apps, err := workload.ByNames(m.Apps)
+		if err != nil {
+			return Options{}, fmt.Errorf("experiment: campaign meta: %w", err)
 		}
+		o.Apps = apps
 	}
 	return o, nil
 }

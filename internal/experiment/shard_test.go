@@ -296,6 +296,7 @@ func TestOptionsFromMetaRejects(t *testing.T) {
 		{Injections: -2},
 		{Threads: 1 << 16},
 		{Apps: []string{"nonesuch"}},
+		{Apps: []string{"fft", "lu", "fft"}},
 	}
 	for _, m := range cases {
 		if _, err := OptionsFromMeta(m); err == nil {

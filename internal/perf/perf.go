@@ -65,6 +65,7 @@ func Kernels() []Kernel {
 		{Name: "baseline/fasttrack", Setup: setupFastTrack},
 		{Name: "record/stream-decode", Setup: setupStreamDecode},
 		{Name: "record/epoch-stream", Setup: setupEpochStream},
+		{Name: "record/epoch-stream-chunk", Setup: setupEpochStreamChunk},
 		{Name: "record/schedule", Setup: setupSchedule},
 		{Name: "record/schedule-16t", Setup: setupSchedule16},
 		{Name: "engine/lock-ping", Setup: setupEngine},
@@ -313,6 +314,30 @@ func setupEpochStream() func(i int) {
 		if _, err := s.Push(entries[k]); err != nil {
 			panic(err)
 		}
+	}
+}
+
+// setupEpochStreamChunk prices the duty=0 online path: one iteration appends
+// one 4096-entry chunk of a drifting log to record.EpochStream in one call,
+// the most a 32 KiB transport chunk decodes to, and discards the epochs that
+// became final. At the end of the log the stream flushes and a fresh one
+// starts, so ns/op is the per-chunk cost including the amortised Flush and
+// set-up; against record/epoch-stream it prices per-entry Push.
+func setupEpochStreamChunk() func(i int) {
+	const chunk = 4096
+	entries := driftLog(1<<16, 4).Entries()
+	s := record.NewEpochStream(4)
+	var sink int
+	return func(i int) {
+		k := i % (len(entries) / chunk)
+		if k == 0 && i > 0 {
+			s.Flush()
+			s = record.NewEpochStream(4)
+		}
+		if err := s.Append(entries[k*chunk : (k+1)*chunk]...); err != nil {
+			panic(err)
+		}
+		sink += s.Discard()
 	}
 }
 

@@ -13,69 +13,103 @@ import (
 // count and its clock against the comparison window, and unwraps each
 // thread's 16-bit clock into monotone 64-bit logical time. EpochStream, and
 // through it Log.Schedule, and the service's stream ingest all unwrap through
-// it, so every path reports a violation in the same words.
+// it, so every path reports a violation in the same words. Along the way it
+// keeps each thread's Tally, the per-thread summary a stream session reports.
 type Unwrapper struct {
-	threads   []threadClock
-	unstarted int
-	next      int   // stream index of the next entry
-	err       error // sticky: a violated stream stays violated
+	threads []threadClock
+	next    int   // stream index of the next entry
+	err     error // sticky: a violated stream stays violated
 }
 
-// threadClock is one thread's unwrap state.
+// Tally is one thread's fold over its accepted entries: how many there are,
+// their instruction total, and the unwrapped times of the first and the
+// latest. A thread with no entries has the zero Tally.
+type Tally struct {
+	Entries      uint64
+	Instructions uint64
+	First, Last  uint64
+}
+
+// threadClock is one thread's unwrap state: its Tally, whose Last is the
+// unwrapped time of its latest entry, and that entry's raw clock. A thread has
+// started once its Entries is non-zero.
 type threadClock struct {
-	time    uint64 // the unwrapped time of the thread's latest entry
-	last    clock.Scalar
-	started bool
+	Tally
+	last clock.Scalar
 }
 
 // NewUnwrapper builds an unwrapper for a session of numThreads threads.
 func NewUnwrapper(numThreads int) *Unwrapper {
-	return &Unwrapper{threads: make([]threadClock, numThreads), unstarted: numThreads}
+	return &Unwrapper{threads: make([]threadClock, numThreads)}
 }
 
-// Unwrap ingests the next entry of the stream and returns its unwrapped
-// logical time; a thread's first entry starts at its raw clock value.
-// Errors (an entry naming a thread the session does not have, or a clock
-// delta outside the comparison window) wrap ErrOrderViolation, name the
-// offending entry's stream index, and are sticky.
-func (u *Unwrapper) Unwrap(e Entry) (uint64, error) {
-	if _, at, ok := u.advance(e); ok {
-		return at, nil
+// Append ingests the next entries of the stream in order, unwrapping each
+// clock; one call per decoded chunk is the intended cadence, and Append(e)
+// is the one-entry case. A thread's first entry starts at its raw clock value.
+// It stops at the first violation (an entry naming a thread the session does
+// not have, or a clock delta outside the comparison window), keeping the
+// entries before it, and returns an error that wraps ErrOrderViolation and
+// names the offending entry's stream index. Errors are sticky.
+func (u *Unwrapper) Append(es ...Entry) error {
+	if u.err != nil {
+		return u.err
 	}
-	switch t := int(e.Thread); {
-	case u.err != nil: // keep the first violation
-	case t >= len(u.threads):
-		u.err = fmt.Errorf("%w: entry %d names thread %d, have %d threads", ErrOrderViolation, u.next, t, len(u.threads))
-	default:
-		u.err = fmt.Errorf("%w: entry %d clock regressed for thread %d", ErrOrderViolation, u.next, t)
+	n := len(es) // the entries accepted: all of them, or those before a violation
+	for i, e := range es {
+		if _, _, ok := u.advance(e); !ok {
+			n = i
+			break
+		}
 	}
-	return 0, u.err
+	if u.next += n; n < len(es) {
+		return u.refuse(es[n])
+	}
+	return nil
 }
 
-// advance is Unwrap's fast path, without the error formatting. It also
-// returns the thread's time before e (0 for its first entry), which
-// EpochStream's watermark needs. On a violation it changes nothing and
-// reports !ok, and Unwrap then names the violation.
+// Len returns the number of entries accepted so far.
+func (u *Unwrapper) Len() int { return u.next }
+
+// Tally returns thread t's fold over the entries accepted so far.
+func (u *Unwrapper) Tally(t int) Tally { return u.threads[t].Tally }
+
+// advance applies the §3 unwrap rule to one entry and folds it into its
+// thread's Tally. It returns the thread's time before e (0 for its first
+// entry), which EpochStream's watermark needs, and e's unwrapped time. On a
+// violation it changes nothing and reports !ok; the caller then names the
+// violation with refuse. It does not count e in next: the chunk loops that
+// call it advance next once per chunk. It stays within the inliner's budget
+// (cost 80 of 80), so both chunk loops inline the one copy of the rule.
 func (u *Unwrapper) advance(e Entry) (prev, at uint64, ok bool) {
-	t := int(e.Thread)
-	if t >= len(u.threads) || u.err != nil {
+	if int(e.Thread) >= len(u.threads) {
 		return
 	}
-	c := &u.threads[t]
-	prev, at = c.time, uint64(e.Clock)
-	if c.started {
-		delta := uint16(e.Clock - c.last)
-		if delta > clock.Window {
-			return
-		}
-		at = prev + uint64(delta)
-	} else {
-		c.started = true
-		u.unstarted--
+	// An unstarted thread's Last and last are 0, so its first entry lands
+	// at its raw clock; only the window check must skip it.
+	c := &u.threads[e.Thread]
+	delta := uint64(uint16(e.Clock - c.last))
+	if c.Entries == 0 {
+		c.First = delta
+	} else if delta > clock.Window {
+		return
 	}
-	c.time, c.last = at, e.Clock
-	u.next++
+	prev = c.Last
+	at = prev + delta
+	c.Last, c.last = at, e.Clock
+	c.Entries++
+	c.Instructions += uint64(e.Instr)
 	return prev, at, true
+}
+
+// refuse records the violation advance found in e, the entry at stream index
+// next, as the sticky error and returns it.
+func (u *Unwrapper) refuse(e Entry) error {
+	if t := int(e.Thread); t >= len(u.threads) {
+		u.err = fmt.Errorf("%w: entry %d names thread %d, have %d threads", ErrOrderViolation, u.next, t, len(u.threads))
+	} else {
+		u.err = fmt.Errorf("%w: entry %d clock regressed for thread %d", ErrOrderViolation, u.next, t)
+	}
+	return u.err
 }
 
 // EpochStream incrementally converts a streamed entry sequence into the
@@ -83,13 +117,14 @@ func (u *Unwrapper) advance(e Entry) (prev, at uint64, ok bool) {
 // the one implementation of the order rule: Log.Schedule wraps it, and the
 // service's online-detection path (PROTOCOL.md §4.7) feeds it chunk by chunk.
 //
-// Append unwraps each entry's clock through an Unwrapper, queues its epoch
-// and maintains the watermark; Release hands out every queued epoch at or
-// below the watermark, and Discard drops them, returning their count. Push
-// is Append followed by Release, for callers that want each entry's releases
-// at once; Flush releases the remainder at end of stream. Whatever the
-// cadence, the concatenation of every release followed by Flush's remainder
-// is the entries' epochs sorted by (Time, Index).
+// Append unwraps a chunk of entries through an Unwrapper, queues each
+// entry's epoch and settles the watermark once at the chunk's end; Append(e)
+// is the one-entry case. Release hands out every queued epoch at or below the
+// watermark, and Discard drops them, returning their count. Push is Append
+// of one entry followed by Release, for callers that want each entry's
+// releases at once; Flush releases the remainder at end of stream. Whatever
+// the cadence, the concatenation of every release followed by Flush's
+// remainder is the entries' epochs sorted by (Time, Index).
 //
 // The release rule is a watermark: per-thread unwrapped times are
 // nondecreasing, so once every one of the session's threads has appeared, any
@@ -107,14 +142,18 @@ func (u *Unwrapper) advance(e Entry) (prev, at uint64, ok bool) {
 // and Index grows — so a release merges the FIFO heads rather than sorting:
 // it keeps one (Time, Index) key per thread, the head's or none when the head
 // lies above the watermark, takes the smallest with a branch-free 128-bit
-// compare, and refreshes only the popped thread's key. Append is O(1), plus
-// O(threads) when its thread held the watermark. The first Release after the
+// compare, and refreshes only the popped thread's key. Append costs O(1) per
+// entry in one loop over the chunk, plus one O(threads) watermark recompute
+// at the chunk's end when a thread that held the watermark advanced or the
+// last thread started; the watermark only rises, so holding it at its old
+// value through the chunk releases nothing early. The first Release after the
 // watermark moved recomputes every key, O(threads); each released epoch then
-// costs O(threads), and a Release with nothing to release is O(1). Releasing
-// once per chunk rather than once per entry recomputes the keys once per
-// chunk. Each FIFO compacts in place once half of it is consumed, so memory
-// tracks the pending window, not the stream length, and a warmed-up stream
-// (Push, or Append and Release) does not allocate.
+// costs O(threads), and a Release with nothing to release is O(1). Appending
+// and releasing once per chunk rather than once per entry recomputes the
+// watermark and the keys once per chunk. Each FIFO compacts in place once
+// half of it is consumed, so memory tracks the pending window, not the
+// stream length, and a warmed-up stream (Push, or Append and Release or
+// Discard) does not allocate.
 type EpochStream struct {
 	clocks    Unwrapper
 	watermark uint64 // min of the unwrapped times once every thread has started, else 0
@@ -150,7 +189,7 @@ var noKey = headKey{math.MaxUint64, math.MaxUint64}
 // NewEpochStream builds a stream for a session of numThreads threads.
 func NewEpochStream(numThreads int) *EpochStream {
 	s := &EpochStream{
-		clocks: *NewUnwrapper(numThreads),
+		clocks: Unwrapper{threads: make([]threadClock, numThreads)},
 		queues: make([]epochFIFO, numThreads),
 		keys:   make([]headKey, numThreads),
 	}
@@ -175,47 +214,82 @@ func (s *EpochStream) reserve(entries []Entry) {
 	s.out = make([]Epoch, 0, len(entries))
 }
 
-// Time returns thread t's unwrapped logical time as of the last entry
-// appended (0 before its first entry).
-func (s *EpochStream) Time(t int) uint64 { return s.clocks.threads[t].time }
+// Len returns the number of entries appended so far.
+func (s *EpochStream) Len() int { return s.clocks.Len() }
+
+// Tally returns thread t's fold over the entries appended so far.
+func (s *EpochStream) Tally(t int) Tally { return s.clocks.Tally(t) }
 
 // Pending returns the number of buffered epochs not yet released — what Flush
 // would currently return.
 func (s *EpochStream) Pending() int { return s.pending }
 
-// Append ingests the next entry: it unwraps the entry's clock, queues its
-// epoch and moves the watermark, releasing nothing. Errors (an entry naming a
-// thread the session does not have, or a clock delta outside the comparison
-// window) are Unwrapper's: sticky, and naming the offending entry's stream
+// Append ingests the next entries of the stream, one decoded chunk per call:
+// it unwraps each entry's clock, queues its epoch and settles the watermark
+// once at the end, releasing nothing. It stops at the first violation (an
+// entry naming a thread the session does not have, or a clock delta outside
+// the comparison window), keeping the entries before it queued and the
+// watermark settled over them, exactly as if they had been appended alone.
+// Errors are Unwrapper's: sticky, and naming the offending entry's stream
 // index.
-func (s *EpochStream) Append(e Entry) error {
-	prev, at, ok := s.clocks.advance(e)
-	if !ok {
-		_, err := s.clocks.Unwrap(e) // refused again, with the reason
-		return err
+func (s *EpochStream) Append(es ...Entry) error {
+	u := &s.clocks
+	if u.err != nil {
+		return u.err
 	}
-	q := &s.queues[e.Thread]
-	q.push(pendingEpoch{time: at, index: uint64(s.clocks.next - 1), instr: e.Instr})
-	s.pending++
-	// Only the thread that held the minimum can move the watermark. That
-	// includes the last thread to start: until then the watermark is 0, and
-	// so is every unstarted thread's time.
-	if s.clocks.unstarted == 0 && prev == s.watermark {
-		wm := s.clocks.threads[0].time
-		for _, c := range s.clocks.threads[1:] {
-			wm = min(wm, c.time)
+	// held: an entry's thread sat at the watermark before it. Only such a
+	// thread can move the watermark, and that includes the last thread to
+	// start: until then the watermark is 0, and so is every unstarted
+	// thread's time.
+	held := false
+	n := len(es) // the entries queued: all of them, or those before a violation
+	for i, e := range es {
+		prev, at, ok := u.advance(e)
+		if !ok {
+			n = i
+			break
 		}
-		s.stale = s.stale || wm != s.watermark
-		s.watermark = wm
+		if prev == s.watermark {
+			held = true
+		}
+		index := uint64(u.next + i)
+		q := &s.queues[e.Thread]
+		q.push(pendingEpoch{time: at, index: index, instr: e.Instr})
+		// The watermark holds its old value through the chunk; a moved
+		// watermark leaves the keys for Release to recompute. Beyond that,
+		// only a new epoch that became its FIFO's head at or below the
+		// watermark gains a key.
+		if len(q.buf)-q.head == 1 && at <= s.watermark {
+			s.keys[e.Thread] = headKey{at, index}
+			s.ready++
+		}
 	}
-	// A moved watermark leaves the keys for Release to recompute; beyond
-	// that, only the new epoch can gain a key, if it became its FIFO's head
-	// at or below the watermark.
-	if len(q.buf)-q.head == 1 && at <= s.watermark {
-		s.keys[e.Thread] = headKey{at, uint64(s.clocks.next - 1)}
-		s.ready++
+	s.settle(n, held)
+	if n < len(es) {
+		return u.refuse(es[n])
 	}
 	return nil
+}
+
+// settle counts the chunk's first n entries, all queued, and recomputes the
+// watermark when held says it may have moved: to the minimum of the threads'
+// times once every thread has started, else it stays 0.
+func (s *EpochStream) settle(n int, held bool) {
+	u := &s.clocks
+	u.next += n
+	s.pending += n
+	if !held {
+		return
+	}
+	wm := uint64(math.MaxUint64)
+	for t := range u.threads {
+		if u.threads[t].Entries == 0 {
+			return
+		}
+		wm = min(wm, u.threads[t].Last)
+	}
+	s.stale = s.stale || wm != s.watermark
+	s.watermark = wm
 }
 
 // Release appends every pending epoch at or below the watermark to dst in
@@ -251,7 +325,8 @@ func (s *EpochStream) Discard() int {
 }
 
 // Push ingests the next entry and returns the epochs that became final, in
-// global schedule order: Append, then Release into a reused buffer. The
+// global schedule order: Append of the one entry, then Release into a reused
+// buffer. The
 // returned slice is valid only until the next Push or Flush call; callers
 // that retain epochs must copy them. Errors are Append's.
 func (s *EpochStream) Push(e Entry) ([]Epoch, error) {

@@ -212,6 +212,88 @@ func checkStream(tb testing.TB, entries []Entry, threads int, flushes []int, hel
 	return pending
 }
 
+// checkChunked checks chunk-granular Append against per-entry Push on one
+// entry sequence. The entries are cut into chunks before each index in cuts
+// (ascending); one twin appends each chunk in one call and then calls
+// Release, a second twin calls Discard instead, and a reference stream
+// pushes the same entries one at a time. After every chunk:
+//
+//   - the Release twin has handed out exactly the epochs the reference's
+//     pushes over the chunk released, in the same order, and the Discard
+//     twin dropped as many;
+//   - all three agree on Pending(), Len() and every thread's Tally.
+//
+// A chunk holding a bad entry fails both twins with the reference's error
+// text for that entry, after the entries ahead of it took effect as if
+// pushed alone; the error is sticky. At the end, Flush hands out the same
+// remainder.
+func checkChunked(tb testing.TB, entries []Entry, threads int, cuts []int) {
+	tb.Helper()
+	ref, rel, dis := NewEpochStream(threads), NewEpochStream(threads), NewEpochStream(threads)
+	var refErr error
+	var want, got []Epoch
+	compare := func(at int) {
+		tb.Helper()
+		if !epochsEqual(got, want) {
+			tb.Fatalf("chunk ending at %d: chunked release %v, per-entry pushes released %v", at, got, want)
+		}
+		for _, s := range []*EpochStream{rel, dis} {
+			if s.Pending() != ref.Pending() || s.Len() != ref.Len() {
+				tb.Fatalf("chunk ending at %d: Pending() %d, Len() %d; per-entry %d, %d",
+					at, s.Pending(), s.Len(), ref.Pending(), ref.Len())
+			}
+			for t := 0; t < threads; t++ {
+				if s.Tally(t) != ref.Tally(t) {
+					tb.Fatalf("chunk ending at %d: thread %d tally %+v, per-entry %+v", at, t, s.Tally(t), ref.Tally(t))
+				}
+			}
+		}
+	}
+	lo := 0
+	for k := 0; lo < len(entries) || k == 0; k++ {
+		hi := len(entries)
+		for _, c := range cuts {
+			if c > lo {
+				hi = min(hi, c)
+				break
+			}
+		}
+		chunk := entries[lo:hi]
+		want, got = want[:0], got[:0]
+		for _, e := range chunk {
+			if refErr != nil {
+				break
+			}
+			var out []Epoch
+			if out, refErr = ref.Push(e); refErr == nil {
+				want = append(want, out...)
+			}
+		}
+		relErr, disErr := rel.Append(chunk...), dis.Append(chunk...)
+		if fmt.Sprint(relErr) != fmt.Sprint(refErr) || fmt.Sprint(disErr) != fmt.Sprint(refErr) {
+			tb.Fatalf("chunk [%d, %d): Append errors %v and %v, per-entry Push error %v", lo, hi, relErr, disErr, refErr)
+		}
+		got = rel.Release(got)
+		if n := dis.Discard(); n != len(got) {
+			tb.Fatalf("chunk [%d, %d): Discard dropped %d, Release handed out %d", lo, hi, n, len(got))
+		}
+		compare(hi)
+		if refErr != nil {
+			if again := rel.Append(Entry{}); fmt.Sprint(again) != fmt.Sprint(refErr) {
+				tb.Fatalf("chunked error not sticky: %v after %v", again, refErr)
+			}
+			break
+		}
+		lo = hi
+	}
+	want, got = ref.Flush(), rel.Flush()
+	if dis.Pending() != len(want) {
+		tb.Fatalf("before Flush: Discard twin Pending() = %d, Flush released %d", dis.Pending(), len(want))
+	}
+	dis.Flush()
+	compare(len(entries))
+}
+
 func epochsEqual(a, b []Epoch) bool {
 	if len(a) != len(b) {
 		return false
@@ -361,6 +443,8 @@ func TestEpochStreamEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pending := checkStream(t, tc.entries, tc.threads, tc.flushes, nil)
+			checkChunked(t, tc.entries, tc.threads, tc.flushes)
+			checkChunked(t, tc.entries, tc.threads, []int{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597})
 			if tc.wantPending != nil && fmt.Sprint(pending) != fmt.Sprint(tc.wantPending) {
 				t.Fatalf("Pending() after each Push = %v, want %v", pending, tc.wantPending)
 			}

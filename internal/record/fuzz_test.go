@@ -102,7 +102,9 @@ const maxFuzzEntries = 4096
 
 // FuzzEpochStream is the differential check of EpochStream and Log.Schedule
 // against scheduleOracle, and of Discard against Release on a twin stream
-// (see checkStream), on fuzz-built sessions.
+// (see checkStream), on fuzz-built sessions; and of chunk-granular Append,
+// in chunks cut at the Flush marks, against per-entry Push (see
+// checkChunked).
 //
 // Layout: data[0] picks the thread count, 1 + data[0]%64; data[1] is the
 // high byte of every thread's generator clock (0xFF starts just below the
@@ -204,5 +206,6 @@ func FuzzEpochStream(f *testing.F) {
 			held = append(held, instr&0x80 != 0)
 		}
 		checkStream(t, entries, threads, flushes, held)
+		checkChunked(t, entries, threads, flushes)
 	})
 }

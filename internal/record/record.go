@@ -178,15 +178,13 @@ type Epoch struct {
 // thread are appended in nondecreasing clock order and consecutive entries
 // always lie within the sliding window, so the per-thread deltas are
 // unambiguous), sorted by logical time with ties broken by log position. It
-// wraps EpochStream the way DecodeFrom wraps StreamDecoder: every entry is
-// appended, then one Flush merges the whole log.
+// wraps EpochStream the way DecodeFrom wraps StreamDecoder: the whole log is
+// appended in one call, then one Flush merges it.
 func (l *Log) Schedule(numThreads int) ([]Epoch, error) {
 	s := NewEpochStream(numThreads)
 	s.reserve(l.entries)
-	for _, e := range l.entries {
-		if err := s.Append(e); err != nil {
-			return nil, err
-		}
+	if err := s.Append(l.entries...); err != nil {
+		return nil, err
 	}
 	return s.Flush(), nil // the stream is dropped: its buffer is the caller's
 }

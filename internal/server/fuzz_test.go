@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -125,7 +126,9 @@ func FuzzReplayParams(f *testing.F) {
 // 16-bit wrap when shape bit 0 is set; runs of Window deltas wrap too. bad <
 // entries puts an out-of-range thread at that index, and quota > 0 lowers
 // MaxStreamFrames to it. The seeds cover each outcome, including a 413 and a
-// 422 on the same entry, where the quota wins.
+// 422 on the same entry, where the quota wins, and violations in the middle
+// of a chunk. Every session must also have folded exactly the entries ahead
+// of its violation or quota boundary (frames_ingested).
 func FuzzStreamIngest(f *testing.F) {
 	const none = 1<<16 - 1
 	f.Add(uint64(1), uint8(3), uint16(64), uint8(0), uint16(none), uint8(0), []byte{7})
@@ -139,6 +142,13 @@ func FuzzStreamIngest(f *testing.F) {
 	f.Add(uint64(9), uint8(3), uint16(64), uint8(0), uint16(9), uint8(9), []byte{6})
 	f.Add(uint64(10), uint8(3), uint16(9), uint8(0), uint16(none), uint8(9), []byte{4})
 	f.Add(uint64(11), uint8(1), uint16(0), uint8(0), uint16(none), uint8(0), []byte{})
+	// Order violations inside a chunk, after entries of the same chunk
+	// folded: 40-byte chunks carry entries 5k-2 to 5k+2 (k >= 1), so entry
+	// 10 is the third of its chunk; a quota past it leaves the 422 first.
+	// Seed 13 regresses thread 0's clock at entry 26, the fourth of its chunk.
+	f.Add(uint64(12), uint8(3), uint16(64), uint8(0), uint16(10), uint8(0), []byte{39})
+	f.Add(uint64(12), uint8(3), uint16(64), uint8(0), uint16(10), uint8(12), []byte{39})
+	f.Add(uint64(13), uint8(1), uint16(100), uint8(2), uint16(none), uint8(0), []byte{39})
 	f.Fuzz(func(t *testing.T, seed uint64, threads uint8, n uint16, shape uint8, bad uint16, quota uint8, cuts []byte) {
 		th := 1 + int(threads%8)
 		body := genStreamLog(t, seed, th, int(n%512), shape, int(bad))
@@ -161,8 +171,12 @@ func FuzzStreamIngest(f *testing.F) {
 			}
 			var first []byte
 			for _, ch := range chunkings {
+				before := framesIngested(srv)
 				status, b := serveStreamInProcess(srv, query, body, ch...)
 				checkStreamOutcome(t, query, ch, status, b, want, online)
+				if n := framesIngested(srv) - before; n != want.folded {
+					t.Fatalf("%s at chunking %v: %d frames ingested, want %d", query, ch, n, want.folded)
+				}
 				if first == nil {
 					first = b
 				} else if !bytes.Equal(b, first) {
@@ -209,13 +223,22 @@ func genStreamLog(t *testing.T, seed uint64, threads, entries int, shape uint8, 
 	return buf.Bytes()
 }
 
-// streamOutcome is what one /v1/stream session must answer.
+// streamOutcome is what one /v1/stream session must answer, and how many
+// entries it must fold before it answers: every entry ahead of an order
+// violation or the quota boundary, and all of them on success.
 type streamOutcome struct {
 	status    int
 	code, msg string
 	frames    uint64
 	hash      string
 	shards    []ShardSummary
+	folded    uint64
+}
+
+// framesIngested reads the server's cumulative frames_ingested counter.
+func framesIngested(s *Server) (n uint64) {
+	s.m.bumpStream(func(c *StreamCounters) { n = c.FramesIngested })
+	return n
 }
 
 // streamOracle computes the outcome of streaming body in one shot: the frame
@@ -237,10 +260,21 @@ func streamOracle(t *testing.T, body []byte, threads int, quota uint64) streamOu
 	epochs, err := scheduled.Schedule(threads)
 	switch {
 	case err != nil:
-		return streamOutcome{status: http.StatusUnprocessableEntity, code: codeOrderViolation, msg: err.Error()}
+		// The offending entry is the first one a prefix of the log cannot
+		// schedule; the ones before it fold.
+		bad := sort.Search(scheduled.Len(), func(k int) bool {
+			var prefix record.Log
+			for _, e := range scheduled.Entries()[:k+1] {
+				prefix.Append(e)
+			}
+			_, err := prefix.Schedule(threads)
+			return err != nil
+		})
+		return streamOutcome{status: http.StatusUnprocessableEntity, code: codeOrderViolation, msg: err.Error(),
+			folded: uint64(bad)}
 	case over:
 		return streamOutcome{status: http.StatusRequestEntityTooLarge, code: codeQuotaExceeded,
-			msg: fmt.Sprintf("%v: frame quota (%d frames) exhausted", errStreamQuota, quota)}
+			msg: fmt.Sprintf("%v: frame quota (%d frames) exhausted", errStreamQuota, quota), folded: quota}
 	}
 	// Schedule order is per-thread stream order, so a thread's first epoch
 	// here is its first entry.
@@ -255,7 +289,7 @@ func streamOracle(t *testing.T, body []byte, threads int, quota uint64) streamOu
 		sh.Instructions += uint64(ep.Instr)
 		sh.LastTime = ep.Time
 	}
-	out := streamOutcome{status: http.StatusOK, frames: uint64(log.Len()),
+	out := streamOutcome{status: http.StatusOK, frames: uint64(log.Len()), folded: uint64(log.Len()),
 		hash: fmt.Sprintf("%016x", hashLog(log)), shards: []ShardSummary{}}
 	for _, sh := range shards {
 		if sh != nil {
@@ -453,6 +487,8 @@ func FuzzCampaignRequests(f *testing.F) {
 	f.Add(uint8(plan), `{"campaign": "paper-repro", "options": `+meta+`}`)
 	f.Add(uint8(plan), `{"campaign": "c", "options": {"injections": 1048577, "threads": 65}}`)
 	f.Add(uint8(plan), `{"campaign": "no spaces", "options": {"apps": ["nonesuch"]}}`)
+	f.Add(uint8(plan), `{"campaign": "c", "options": {"apps": ["fft", "lu", "fft"]}}`)
+	f.Add(uint8(shard), `{"campaign": "c", "shard_id": "fft.0.1", "fingerprint": "0000000000000000", "options": {"apps": ["fft", "fft"]}, "range": {"app": "fft", "lo": 0, "hi": 1}}`)
 	f.Add(uint8(shard), head+`, "range": {"app": "fft", "lo": 0, "hi": 2}}`)
 	f.Add(uint8(shard), head+`, "range": {"app": "fft", "lo": 0, "hi": 2}, "origin": "requeue"}`)
 	f.Add(uint8(shard), head+`, "ranges": [{"app": "fft", "lo": 0, "hi": 2}]}`) // the schema 1 body
@@ -523,12 +559,15 @@ func checkAdmittedShard(t *testing.T, req CampaignShardRequest, opts experiment.
 }
 
 // checkAdmittedCampaignBody fails unless a 200 plan or register answer is
-// self-consistent.
+// self-consistent; a plan names each application once.
 func checkAdmittedCampaignBody(t *testing.T, plan bool, body []byte) {
 	t.Helper()
 	if plan {
 		var p CampaignPlanResponse
-		if err := json.Unmarshal(body, &p); err != nil || p.Schema != SchemaVersion ||
+		err := json.Unmarshal(body, &p)
+		distinct := slices.Clone(p.Apps)
+		slices.Sort(distinct)
+		if err != nil || p.Schema != SchemaVersion || len(slices.Compact(distinct)) != len(p.Apps) ||
 			p.RunsPerApp < 1 || p.RunsPerApp > MaxInjections || p.TotalRuns != p.RunsPerApp*len(p.Apps) {
 			t.Fatalf("inconsistent plan answer %s (%v)", body, err)
 		}

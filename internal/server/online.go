@@ -206,10 +206,9 @@ type onlineSession struct {
 	duty     int
 	detector string
 
-	ing      *streamIngest
-	es       *record.EpochStream
-	rel      []record.Epoch // reused release buffer (duty > 0)
-	released uint64         // epochs released from the stream (duty=0 accounting)
+	es       *record.EpochStream // the session's unwrapper: streamIngest.ingest appends each chunk
+	rel      []record.Epoch      // reused release buffer (duty > 0)
+	released uint64              // epochs released from the stream (duty=0 accounting)
 
 	gate   *dutyGate
 	feed   *sim.ReplayFeed
@@ -223,11 +222,10 @@ type onlineSession struct {
 // startOnline builds the session and, at duty > 0, launches the replay
 // engine against the incremental feed: the replay RunReplay runs, fed
 // epoch by epoch instead of from a whole schedule.
-func startOnline(opts streamOptions, ing *streamIngest) *onlineSession {
+func startOnline(opts streamOptions) *onlineSession {
 	o := &onlineSession{
 		duty:     opts.duty,
 		detector: opts.detector,
-		ing:      ing,
 		es:       record.NewEpochStream(opts.req.Threads),
 	}
 	if opts.duty == 0 {
@@ -248,21 +246,6 @@ func startOnline(opts streamOptions, ing *streamIngest) *onlineSession {
 		o.done <- onlineOutcome{res: res, err: err}
 	}()
 	return o
-}
-
-// ingest folds one decoded chunk in online mode: the quota check, then each
-// entry's append to the epoch stream and its shard fold at the time the
-// epoch stream unwrapped — each entry is unwrapped once. The quota answers
-// last, as in streamIngest.ingest.
-func (o *onlineSession) ingest(es []record.Entry) error {
-	es, quota := o.ing.admit(es)
-	for _, e := range es {
-		if err := o.es.Append(e); err != nil {
-			return err
-		}
-		o.ing.fold(e, o.es.Time(int(e.Thread)))
-	}
-	return quota
 }
 
 // release hands the epochs a decoded chunk made final to the replay feed in
@@ -393,7 +376,7 @@ func (fw *frameWriter) progress(o *onlineSession, ing *streamIngest, bytesIn int
 	fw.emit(progressFrame{
 		Frame:          "progress",
 		Schema:         SchemaVersion,
-		Frames:         ing.frames,
+		Frames:         ing.frames(),
 		Bytes:          bytesIn,
 		Epochs:         snap.total,
 		EpochsObserved: snap.observed,

@@ -28,18 +28,10 @@ import (
 // their own admission slots (Config.MaxStreams), per-session byte/frame
 // quotas, and an idle timeout enforced with per-chunk read deadlines.
 
-// streamShard is one thread's slice of a session's detector state. Shards
-// are independent by construction — entry ordering constraints are
-// per-thread (PROTOCOL.md §3) — which is what lets concurrent sessions
-// scale without shared write state.
-type streamShard struct {
-	entries      uint64
-	instructions uint64
-	firstTime    uint64
-	lastTime     uint64
-}
-
-// ShardSummary is one thread's end-of-stream summary in a StreamResponse.
+// ShardSummary is one thread's end-of-stream summary in a StreamResponse:
+// the thread's record.Tally. Shards are independent by construction — entry
+// ordering constraints are per-thread (PROTOCOL.md §3) — which is what lets
+// concurrent sessions scale without shared write state.
 type ShardSummary struct {
 	Thread       int    `json:"thread"`
 	Entries      uint64 `json:"entries"`
@@ -48,25 +40,29 @@ type ShardSummary struct {
 	LastTime     uint64 `json:"last_time"`
 }
 
-// streamIngest is the per-session ingest state: one shard per declared
-// thread, the per-thread clock unwrap, and the content hash. It folds each
+// unwrapper is what a session unwraps its stream through: a
+// record.Unwrapper offline, the online session's record.EpochStream, which
+// also queues the epochs. Either takes a whole decoded chunk per Append and
+// keeps the per-thread tallies the summary reports.
+type unwrapper interface {
+	Append(es ...record.Entry) error
+	Len() int
+	Tally(t int) record.Tally
+}
+
+// streamIngest is the per-session ingest state: the unwrapper, whose
+// per-thread tallies are the shards, and the content hash. It takes each
 // chunk the incremental decoder delivers; no entry outlives its chunk. The
 // hash is fed each chunk's raw bytes, not entries.
 type streamIngest struct {
-	shards    []streamShard
-	clocks    *record.Unwrapper // offline only: online, the epoch stream unwraps
+	clocks    unwrapper
+	threads   int
 	hash      *logHash
-	frames    uint64
 	maxFrames uint64
 }
 
-func newStreamIngest(threads int, maxFrames uint64) *streamIngest {
-	return &streamIngest{
-		shards:    make([]streamShard, threads),
-		clocks:    record.NewUnwrapper(threads),
-		hash:      newLogHash(),
-		maxFrames: maxFrames,
-	}
+func newStreamIngest(clocks unwrapper, threads int, maxFrames uint64) *streamIngest {
+	return &streamIngest{clocks: clocks, threads: threads, hash: newLogHash(), maxFrames: maxFrames}
 }
 
 // errStreamQuota marks a stream that exceeded its frame quota; the handler
@@ -74,18 +70,18 @@ func newStreamIngest(threads int, maxFrames uint64) *streamIngest {
 var errStreamQuota = errors.New("server: stream quota exceeded")
 
 // ingest folds one decoded chunk into the session state: the quota check,
-// then each entry's clock unwrap and shard fold.
+// then one Append that unwraps the kept entries and folds them into their
+// threads' tallies (online, it also queues their epochs).
 func (g *streamIngest) ingest(es []record.Entry) error {
 	es, quota := g.admit(es)
-	for _, e := range es {
-		at, err := g.clocks.Unwrap(e)
-		if err != nil {
-			return err
-		}
-		g.fold(e, at)
+	if err := g.clocks.Append(es...); err != nil {
+		return err
 	}
 	return quota
 }
+
+// frames is the number of entries ingested so far.
+func (g *streamIngest) frames() uint64 { return uint64(g.clocks.Len()) }
 
 // admit is the frame quota, checked once per chunk: it cuts es to the
 // quota's remaining room and returns the quota error when it cut anything.
@@ -93,40 +89,27 @@ func (g *streamIngest) ingest(es []record.Entry) error {
 // so an order violation before the boundary wins, and a 413 wins over a 422
 // on the entry at the boundary, which is never looked at.
 func (g *streamIngest) admit(es []record.Entry) ([]record.Entry, error) {
-	if room := g.maxFrames - g.frames; uint64(len(es)) > room {
+	if room := g.maxFrames - g.frames(); uint64(len(es)) > room {
 		return es[:room], fmt.Errorf("%w: frame quota (%d frames) exhausted", errStreamQuota, g.maxFrames)
 	}
 	return es, nil
 }
 
-// fold counts entry e, already unwrapped to logical time at, into its
-// thread's shard.
-func (g *streamIngest) fold(e record.Entry, at uint64) {
-	sh := &g.shards[e.Thread]
-	if sh.entries == 0 {
-		sh.firstTime = at
-	}
-	sh.lastTime = at
-	sh.entries++
-	sh.instructions += uint64(e.Instr)
-	g.frames++
-}
-
 // summaries renders the non-empty shards in thread order — deterministic, so
 // identical streams produce byte-identical response bodies.
 func (g *streamIngest) summaries() []ShardSummary {
-	out := make([]ShardSummary, 0, len(g.shards))
-	for t := range g.shards {
-		sh := &g.shards[t]
-		if sh.entries == 0 {
+	out := make([]ShardSummary, 0, g.threads)
+	for t := 0; t < g.threads; t++ {
+		tl := g.clocks.Tally(t)
+		if tl.Entries == 0 {
 			continue
 		}
 		out = append(out, ShardSummary{
 			Thread:       t,
-			Entries:      sh.entries,
-			Instructions: sh.instructions,
-			FirstTime:    sh.firstTime,
-			LastTime:     sh.lastTime,
+			Entries:      tl.Entries,
+			Instructions: tl.Instructions,
+			FirstTime:    tl.First,
+			LastTime:     tl.Last,
 		})
 	}
 	return out
@@ -363,7 +346,6 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 	req := opts.req
 	rc := http.NewResponseController(w)
 	dec := record.NewStreamDecoder()
-	ing := newStreamIngest(req.Threads, s.cfg.MaxStreamFrames)
 	buf := make([]byte, streamReadChunk)
 	ents := make([]record.Entry, 0, streamReadChunk/record.EntryBytes) // one chunk's entries
 	var bytesIn int64
@@ -387,18 +369,21 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 		status, code := classify(err, http.StatusInternalServerError)
 		return fail(status, code, err)
 	}
-	sink := ing.ingest
+	var clocks unwrapper
 	if opts.online {
-		online = startOnline(opts, ing)
+		online = startOnline(opts)
 		defer online.stop()
 		fw = newFrameWriter(w, rc)
-		sink = online.ingest
+		clocks = online.es
+	} else {
+		clocks = record.NewUnwrapper(req.Threads)
 	}
+	ing := newStreamIngest(clocks, req.Threads, s.cfg.MaxStreamFrames)
 
 	defer func() {
 		s.m.bumpStream(func(c *StreamCounters) {
 			c.BytesIngested += uint64(bytesIn)
-			c.FramesIngested += ing.frames
+			c.FramesIngested += ing.frames()
 		})
 	}()
 
@@ -417,7 +402,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 			// surfaces: bytes past the declared count fail only after the
 			// entries ahead of them.
 			es, derr := dec.Decode(buf[:n], ents[:0])
-			if err := sink(es); err != nil {
+			if err := ing.ingest(es); err != nil {
 				return failErr(err)
 			}
 			if derr != nil {
@@ -462,8 +447,8 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 		Threads:  req.Threads,
 		Inject:   req.Inject,
 		D:        req.D,
-		Frames:   ing.frames,
-		LogBytes: ing.frames * record.EntryBytes,
+		Frames:   ing.frames(),
+		LogBytes: ing.frames() * record.EntryBytes,
 		LogHash:  fmt.Sprintf("%016x", ing.hash.Sum64()),
 		Shards:   ing.summaries(),
 	}
@@ -506,7 +491,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 			return failErr(err)
 		}
 		resp.Verified = true
-		resp.LogMatch = uint64(log.Len()) == ing.frames && hashLog(log) == ing.hash.Sum64()
+		resp.LogMatch = uint64(log.Len()) == ing.frames() && hashLog(log) == ing.hash.Sum64()
 		resp.Detect = det
 	}
 

@@ -616,3 +616,58 @@ func TestHashLogMatchesIngest(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamChunkAllocatesNothing: once warmed up, a session's per-chunk
+// work allocates nothing, offline and online at duty=0: the decode into the
+// reused entry buffer, the sink's one Append of the chunk, at duty=0 the
+// Discard of what became final, and the hash. The log's four threads
+// advance in step, so the epoch stream's pending window stays bounded.
+func TestStreamChunkAllocatesNothing(t *testing.T) {
+	const threads, entries = 4, 1 << 18
+	var l record.Log
+	for i := 0; i < entries; i++ {
+		l.Append(record.Entry{Clock: clock.Scalar(4*(i/threads) + i%3), Thread: uint16(i % threads), Instr: uint32(i)})
+	}
+	var buf bytes.Buffer
+	if err := l.EncodeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	for _, online := range []bool{false, true} {
+		var clocks unwrapper = record.NewUnwrapper(threads)
+		var o *onlineSession
+		if online {
+			o = startOnline(streamOptions{req: DetectRequest{Threads: threads}, online: true, duty: 0})
+			defer o.stop()
+			clocks = o.es
+		}
+		ing := newStreamIngest(clocks, threads, entries)
+		dec := record.NewStreamDecoder()
+		ents := make([]record.Entry, 0, streamReadChunk/record.EntryBytes)
+		off := 0
+		chunk := func() {
+			p := body[off : off+streamReadChunk]
+			off += len(p)
+			es, err := dec.Decode(p, ents[:0])
+			if err == nil {
+				err = ing.ingest(es)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o != nil {
+				o.release()
+			}
+			ing.hash.Write(p)
+		}
+		for off < len(body)/4 {
+			chunk()
+		}
+		if n := testing.AllocsPerRun(len(body)/2/streamReadChunk, chunk); n != 0 {
+			t.Fatalf("online %v: %v allocs per chunk, want 0", online, n)
+		}
+		if online && o.es.Pending() > 2*threads {
+			t.Fatalf("duty=0: %d epochs pending after a Discard, want the window bounded", o.es.Pending())
+		}
+	}
+}

@@ -30,6 +30,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"cord/internal/memsys"
 	"cord/internal/sim"
@@ -77,6 +78,24 @@ func ByName(name string) (App, error) {
 		}
 	}
 	return App{}, fmt.Errorf("workload: unknown application %q", name)
+}
+
+// ByNames resolves a campaign's application list in order. It refuses an
+// unknown name and a repeated one: a campaign's cells and a fleet's shards
+// name their application, so a second copy of a name would alias the first.
+func ByNames(names []string) ([]App, error) {
+	apps := make([]App, 0, len(names))
+	for i, name := range names {
+		if slices.Contains(names[:i], name) {
+			return nil, fmt.Errorf("workload: application %q named twice", name)
+		}
+		app, err := ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		apps = append(apps, app)
+	}
+	return apps, nil
 }
 
 // lcg is a tiny deterministic generator for per-thread access patterns.

@@ -17,7 +17,10 @@
 #
 # If offsets differ, pad a scratch build of one side (a never-taken
 # println in a function linked before the hot code) until they match, and
-# measure again. An optional second argument replaces the default symbol
+# measure again. Equal offsets modulo 64 are not the whole story: a shift
+# by a multiple of 64 bytes has still moved figures by a few percent, so
+# the sturdier control pads the parent to the change's absolute addresses
+# (go tool nm -sort address) and runs it as a third side. An optional second argument replaces the default symbol
 # pattern (an extended regular expression matched against the name).
 set -euo pipefail
 
