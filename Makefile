@@ -140,9 +140,11 @@ fleet-chaos-smoke:
 # bodies (every refusal a typed 400 or 422), /v1/stream ingest
 # (generated logs at random chunkings, differential against a one-shot
 # decode-and-schedule oracle), online detection at duty=100 (differential
-# against replay-time detection over the same log), and the fleet merge (random shard partitions,
-# differential against a single-process campaign). CI runs this; crashes land
-# in testdata/fuzz/ for triage.
+# against replay-time detection over the same log), the fleet merge (random shard partitions,
+# differential against a single-process campaign), and the engine's posted
+# requests (generated programs with injection and migration, differential
+# against a run where every call parks). CI runs this; crashes land in
+# testdata/fuzz/ for triage.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecodeFrom' -fuzztime 10s -run '^$$' ./internal/record/
 	$(GO) test -fuzz 'FuzzEpochStream' -fuzztime 10s -run '^$$' ./internal/record/
@@ -155,6 +157,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzOnlineReplayDetection' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzCampaignRequests' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzShardMerge' -fuzztime 10s -run '^$$' ./internal/experiment/
+	$(GO) test -fuzz 'FuzzPostedParked' -fuzztime 10s -run '^$$' ./internal/sim/
 
 clean:
 	$(GO) clean ./...

@@ -209,14 +209,23 @@ func TestForEach(t *testing.T) {
 	}
 }
 
+// TestForEachErrorCancels: an error stops the fan-out promptly. In parallel
+// every call but index 3's blocks until index 3 has failed, so the workers
+// cannot drain the list while the one that drew index 3 waits to be
+// scheduled: the three other workers hold indices 0–2 when it fails.
 func TestForEachErrorCancels(t *testing.T) {
 	boom := errors.New("boom")
 	for _, procs := range []int{1, 4} {
 		var ran atomic.Int64
+		failed := make(chan struct{})
 		err := (Options{Procs: procs}).forEach(1000, func(i int) error {
 			ran.Add(1)
 			if i == 3 {
+				close(failed)
 				return boom
+			}
+			if procs > 1 {
+				<-failed
 			}
 			return nil
 		})

@@ -16,6 +16,7 @@ package perf
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -26,6 +27,7 @@ import (
 	"cord/internal/core"
 	"cord/internal/memsys"
 	"cord/internal/record"
+	"cord/internal/server"
 	"cord/internal/sim"
 	"cord/internal/trace"
 	"cord/internal/workload"
@@ -70,6 +72,7 @@ func Kernels() []Kernel {
 		{Name: "record/schedule-16t", Setup: setupSchedule16},
 		{Name: "engine/lock-ping", Setup: setupEngine},
 		{Name: "engine/replay", Setup: setupEngineReplay},
+		{Name: "engine/detect-run", Setup: setupEngineDetect},
 	}
 }
 
@@ -431,6 +434,21 @@ func setupEngineReplay() func(i int) {
 		}
 		if res.Ops != want.Ops || res.ReadHash[0] != want.ReadHash[0] {
 			panic("perf: replay diverged from the recorded run")
+		}
+	}
+}
+
+// setupEngineDetect runs one water-n2 detection session per iteration through
+// server.RunDetect: the engine under jitter and one injection with the Ideal,
+// L2-bounded vector-clock and recording CORD observers, as every /v1/detect
+// request runs it. water-n2 is the heaviest app, with a lock acquire and
+// release around every two read-modify-writes, and it sets the detect
+// workload's tail.
+func setupEngineDetect() func(i int) {
+	return func(i int) {
+		req := server.DetectRequest{App: "water-n2", Seed: uint64(i%8 + 1), Inject: 5}
+		if _, err := server.RunDetect(context.Background(), req); err != nil {
+			panic(err)
 		}
 	}
 }

@@ -69,6 +69,10 @@ type action struct {
 	span    int
 	amount  int
 	flagIdx int
+	// posted spells a read-modify-write or a fold with the posted Env calls
+	// (Add, Load, LoadAdd, Store) instead of a Read that parks. The engine
+	// orders both spellings the same, so the choice moves no access.
+	posted bool
 }
 
 // Program is a generated program plus the metadata tests need.
@@ -125,6 +129,9 @@ func New(seed uint64, cfg Config) Program {
 	// indices are schedule-independent and injections can be aimed at
 	// them precisely.
 	r := &rng{s: seed*2654435761 + 977}
+	// spell draws each action's spelling from its own stream, so the actions
+	// a seed generates do not depend on how they are spelled.
+	spell := &rng{s: seed*0x9e3779b97f4a7c15 + 31}
 	scripts := make([][][]action, cfg.Threads) // [thread][phase][]action
 	firstPhase := make([]int, cfg.Threads)
 	phases := max(cfg.Phases, 1)
@@ -135,7 +142,7 @@ func New(seed uint64, cfg Config) Program {
 		for t := 0; t < cfg.Threads; t++ {
 			var script []action
 			for i := 0; i < opsPerPhase; i++ {
-				a := action{kind: r.n(6)}
+				a := action{kind: r.n(6), posted: spell.n(2) == 1}
 				countable := false
 				switch a.kind {
 				case 0, 1: // locked access to a shared region
@@ -180,21 +187,32 @@ func New(seed uint64, cfg Config) Program {
 					env.Lock(locks.Word(a.region))
 					for k := 0; k < a.span; k++ {
 						w := regions[a.region].Word((a.offset + k) % regions[a.region].Words)
-						env.Write(w, env.Read(w)+uint64(a.amount))
+						add(env, a.posted, w, uint64(a.amount))
 					}
 					env.Unlock(locks.Word(a.region))
 				case 1:
 					env.Lock(locks.Word(a.region))
 					var acc uint64
 					for k := 0; k < a.span; k++ {
-						acc += env.Read(regions[a.region].Word((a.offset + k) % regions[a.region].Words))
+						w := regions[a.region].Word((a.offset + k) % regions[a.region].Words)
+						switch {
+						case !a.posted:
+							acc += env.Read(w)
+						case k == 0:
+							env.Load(w)
+						default:
+							env.LoadAdd(w)
+						}
 					}
 					env.Unlock(locks.Word(a.region))
-					env.Write(privs[t].Word(0), acc)
+					if a.posted {
+						env.Store(privs[t].Word(0), 0)
+					} else {
+						env.Write(privs[t].Word(0), acc)
+					}
 				case 2:
 					for k := 0; k < a.span; k++ {
-						w := privs[t].Word((a.offset + k) % privs[t].Words)
-						env.Write(w, env.Read(w)+1)
+						add(env, a.posted, privs[t].Word((a.offset+k)%privs[t].Words), 1)
 					}
 				case 3:
 					env.Compute(a.amount)
@@ -218,6 +236,15 @@ func New(seed uint64, cfg Config) Program {
 		},
 		FirstPhaseSync: firstPhase,
 		Cfg:            cfg,
+	}
+}
+
+// add adds d to the word at w, posted or as a Read that parks.
+func add(env *sim.Env, posted bool, w memsys.Addr, d uint64) {
+	if posted {
+		env.Add(w, d)
+	} else {
+		env.Write(w, env.Read(w)+d)
 	}
 }
 

@@ -9,24 +9,28 @@
 //
 // Each thread's Body runs in an iter.Pull coroutine, and only one of them
 // runs at a time. Every Env call posts a request to its thread's FIFO queue.
-// The calls that return nothing (Write, SyncWrite, FlagSet, Compute, Unlock)
-// return at once, before the engine has placed their requests in the global
-// order; the calls that need an answer (Read, SyncRead, TAS, the enter of
-// Lock and FlagWaitAtLeast) and a block are the Body's scheduling points: the
-// thread parks there until its queue drains. A parked thread runs the
-// scheduler on its own coroutine. At each pick the scheduler executes the
-// picked thread's oldest request in place, with observers, cost model,
-// jitter and OnEpoch exactly as if that thread had waited for its turn, so
-// the global order does not depend on how far a Body ran ahead. When the
-// parked caller's own queue drains it returns its answer with no coroutine
-// switch. When another thread's queue drains while its Body still runs, the
-// caller hands that thread to Run and yields; Run resumes it, and it
-// schedules in turn once it parks. Every hand-off is a direct coroutine
-// switch, with no channel and no trip through the Go scheduler. When a run
-// ends early (cancellation, an error, a deadlock, a panic elsewhere), Run
-// stops every coroutine still parked in an Env call: its yield returns
-// false, the call panics errAborted, and the Body unwinds through its
-// deferred calls before Run returns.
+// A thread parks only for a value it branches on: Read, SyncRead and TAS park
+// until the thread's queue drains, and so does a post that fills the queue.
+// Every other call returns at once, before the engine has placed its request
+// in the global order. That includes the blocking primitives: Lock, Unlock
+// and FlagWaitAtLeast are each one request that the engine runs as a
+// micro-program at the head of the queue, one step per pick (an enter, a TAS
+// or spin read, a block, a no-op wake-up), and the Body's later requests wait
+// behind it. A read whose value only feeds a later write is posted too: it
+// loads a per-thread accumulator that a posted store writes back. A parked
+// thread runs the scheduler on its own coroutine. At each pick the scheduler
+// executes one step of the picked thread's oldest request in place, with
+// observers, cost model, jitter and OnEpoch exactly as if that thread had
+// waited for its turn, so the global order does not depend on how far a Body
+// ran ahead. When the parked caller's own queue drains it returns its answer
+// with no coroutine switch. When another thread's queue drains while its Body
+// still runs, the caller hands that thread to Run and yields; Run resumes it,
+// and it schedules in turn once it parks. Every hand-off is a direct
+// coroutine switch, with no channel and no trip through the Go scheduler.
+// When a run ends early (cancellation, an error, a deadlock, a panic
+// elsewhere), Run stops every coroutine still parked in an Env call: its
+// yield returns false, the call panics errAborted, and the Body unwinds
+// through its deferred calls before Run returns.
 //
 // An execution is a pure function of its Config: the Seed drives all
 // scheduling jitter, workloads communicate only through the simulated
@@ -178,37 +182,42 @@ const (
 	stDone
 )
 
-type reqKind int
+// reqKind names a request. The first six are one step each; reqLock, reqUnlock
+// and reqFlagWait are the blocking primitives, which the engine runs as
+// micro-programs at the head of the thread's queue, one step per pick.
+type reqKind uint8
 
 const (
-	reqNone reqKind = iota
-	reqRead
-	reqWrite
-	reqTAS
-	reqCompute
-	reqLockEnter
-	reqUnlockEnter
-	reqFlagWaitEnter
+	reqRead    reqKind = iota // accumulator = the word's value
+	reqLoadAdd                // accumulator += the word's value
+	reqWrite                  // the word = value
+	reqStore                  // the word = accumulator + value
+	reqTAS                    // accumulator = the word's value; set it to value if it was zero
+	reqCompute                // value cycles of local work
+	reqLock
+	reqUnlock
+	reqFlagWait // until the word holds at least value
+)
+
+// The steps of a blocking primitive. Every step is a pick of its own.
+const (
+	stepEnter uint8 = iota // count the sync instance (Lock, FlagWait) and commit the call's instruction
+	stepTest               // Lock's TAS, FlagWait's spin read, Unlock's release write
+	stepWake               // the no-op pick of a thread woken from a block
 )
 
 type request struct {
-	kind  reqKind
 	addr  memsys.Addr
 	value uint64
-	class trace.Class
-	n     uint64
-	micro bool // sub-instruction access: commits no instruction
+	kind  reqKind
+	class trace.Class // of reqRead and reqWrite
+	step  uint8       // of a blocking primitive
 }
 
-type response struct {
-	value uint64
-	skip  bool
-}
-
-// postCap bounds a thread's queue of posted requests. A Body that fills it
-// parks until the queue drains, so one that never reads still reaches the
+// maxPosted bounds a thread's queue of posted requests. A Body that fills the
+// queue parks until it drains, so one that never reads still reaches the
 // scheduler's Cancel and op-budget checks.
-const postCap = 64
+const maxPosted = 64
 
 // threadCtx is one simulated thread: its scheduler state, its queue of
 // posted requests, and the pull coroutine its Body runs in. next resumes the
@@ -228,15 +237,15 @@ type threadCtx struct {
 	block    memsys.Addr
 	head     int
 	tail     int
-	resp     response // the answer to the last executed request
-	returned bool     // the Body returned; the thread is done once its queue drains
-	hash     uint64   // FNV-1a over read values
-	env      Env      // the handle passed to Body; env.t points back here
+	acc      uint64 // the accumulator: reads load it, a parked call returns it
+	returned bool   // the Body returned; the thread is done once its queue drains
+	hash     uint64 // FNV-1a over read values
+	env      Env    // the handle passed to Body; env.t points back here
 	next     func() (struct{}, bool)
 	yield    func(struct{}) bool
 	stop     func()
 	err      error // a Body panic, recovered inside the coroutine
-	posted   [postCap]request
+	posted   [maxPosted]request
 }
 
 type lockKey struct {
@@ -259,6 +268,7 @@ type Engine struct {
 	injNth    uint64
 	skipped   map[lockKey]int // lock pairs removed by injection (count, to nest)
 	primIdx   int
+	postCap   int // queue length that parks a posting thread, at most maxPosted
 
 	// replay state
 	replay       bool
@@ -303,6 +313,7 @@ func New(cfg Config, prog Program) *Engine {
 		threads:    make([]*threadCtx, prog.Threads),
 		skipped:    make(map[lockKey]int),
 		primIdx:    -1,
+		postCap:    maxPosted,
 		injThread:  -1,
 		replay:     cfg.ReplayEpochs != nil || cfg.ReplayFeed != nil,
 		epochs:     cfg.ReplayEpochs,
@@ -431,22 +442,21 @@ func (e *Engine) next() *threadCtx {
 	}
 }
 
-// wait parks t's Body until the engine has executed every request t posted,
-// and returns the answer to the last one. Once start-up is over t runs the
-// scheduler itself: when its own queue is the one that drains, it returns
-// with no coroutine switch; otherwise it hands the thread to resume (nil when
-// the run is over) to Run and yields until Run resumes it with its answer.
-func (e *Engine) wait(t *threadCtx) response {
+// wait parks t's Body until the engine has executed every request t posted.
+// Once start-up is over t runs the scheduler itself: when its own queue is the
+// one that drains, it returns with no coroutine switch; otherwise it hands the
+// thread to resume (nil when the run is over) to Run and yields until Run
+// resumes it.
+func (e *Engine) wait(t *threadCtx) {
 	if e.inline {
 		if e.handoff = e.scheduleCaught(); e.handoff == t {
-			return t.resp
+			return
 		}
 	}
 	if !t.yield(struct{}{}) {
 		t.head, t.tail = 0, 0
 		panic(errAborted)
 	}
-	return t.resp
 }
 
 // scheduleCaught is schedule on a thread's coroutine. A panic raised there —
@@ -461,10 +471,10 @@ func (e *Engine) scheduleCaught() (t *threadCtx) {
 	return e.schedule()
 }
 
-// schedule runs the global order. At each pick it executes the picked
-// thread's oldest posted request. It returns the first thread whose queue
-// drains while its Body still runs, to be resumed with the answer, or nil
-// when the run is over. A thread whose Body returned is done once its queue
+// schedule runs the global order. At each pick it executes one step of the
+// picked thread's oldest posted request. It returns the first thread whose
+// queue drains while its Body still runs, to be resumed with the answer, or
+// nil when the run is over. A thread whose Body returned is done once its queue
 // drains.
 func (e *Engine) schedule() *threadCtx {
 	for {
@@ -487,17 +497,13 @@ func (e *Engine) schedule() *threadCtx {
 	}
 }
 
-// exec executes t's oldest posted request, keeps its answer in t.resp, and
-// surfaces a sticky replay divergence.
+// exec executes one step of t's oldest posted request, dequeues it once it is
+// done, and surfaces a sticky replay divergence.
 func (e *Engine) exec(t *threadCtx) error {
-	req := &t.posted[t.head]
-	t.head++
-	if req.kind == reqNone {
-		t.resp = response{} // woken from a block: resume with no payload
-		return nil
+	done, err := e.process(t, &t.posted[t.head])
+	if done {
+		t.head++
 	}
-	resp, err := e.process(t, req)
-	t.resp = resp
 	if err == nil {
 		err = e.replayErr
 	}
@@ -572,21 +578,21 @@ func (e *Engine) pick() *threadCtx {
 	return best
 }
 
-// reqWidth is how many instructions a request would commit: zero for the
-// sub-instruction micro-operations (test-and-set, wake-from-block
-// resumption), which the order log cannot see directly.
+// reqWidth is how many instructions a request's next step would commit: zero
+// for the sub-instruction micro-operations (test-and-set, a flag wait's spin
+// read, wake-from-block resumption), which the order log cannot see directly.
 func reqWidth(r *request) uint64 {
-	if r.micro {
-		return 0
-	}
 	switch r.kind {
-	case reqTAS, reqNone:
+	case reqTAS:
 		return 0
 	case reqCompute:
-		return r.n
-	default:
-		return 1
+		return r.value
+	case reqLock, reqFlagWait:
+		if r.step != stepEnter {
+			return 0
+		}
 	}
+	return 1
 }
 
 // pickReplay returns the next thread to run under the log's epoch schedule.
@@ -737,75 +743,120 @@ func (e *Engine) replayRecoverable() bool {
 	}
 }
 
-// process executes one request of thread t and returns its answer.
-func (e *Engine) process(t *threadCtx, req *request) (response, error) {
+// process executes one step of a request of thread t and reports whether the
+// request is done.
+func (e *Engine) process(t *threadCtx, req *request) (bool, error) {
 	switch req.kind {
-	case reqCompute:
-		cost := e.cfg.Cost.ComputeCost(t.proc, req.n)
-		e.advance(t, cost, req.n)
-		return response{}, nil
-
 	case reqRead:
-		v := e.mem.Load(req.addr)
-		width := uint64(1)
-		if req.micro {
-			width = 0
-		}
-		rep := e.deliver(t, req.addr, trace.Read, req.class, uint8(width))
-		e.advance(t, e.accessCost(t, rep), width)
-		if width > 0 {
-			// Only committed reads enter the behaviour fingerprint: the
-			// values seen by sub-instruction spin reads vary with the
-			// wakeup pattern without affecting program behaviour.
-			t.hash = (t.hash ^ (v + 0x9e37)) * fnvPrime
-		}
-		return response{value: v}, nil
-
+		t.acc = e.read(t, req.addr, req.class)
+	case reqLoadAdd:
+		t.acc += e.read(t, req.addr, trace.Data)
 	case reqWrite:
-		e.mem.Store(req.addr, req.value)
-		rep := e.deliver(t, req.addr, trace.Write, req.class, 1)
-		e.advance(t, e.accessCost(t, rep), 1)
-		e.wake(t, req.addr)
-		return response{}, nil
-
+		e.write(t, req.addr, req.value, req.class)
+	case reqStore:
+		e.write(t, req.addr, t.acc+req.value, trace.Data)
 	case reqTAS:
-		// Atomic test-and-set on a sync word: a sync read, plus a sync
-		// write when the word was clear. Sub-instruction micro-op: commits
-		// no instructions (Lock owns the accounting).
-		old := e.mem.Load(req.addr)
-		rep := e.deliver(t, req.addr, trace.Read, trace.Sync, 0)
-		cost := e.accessCost(t, rep)
-		if old == 0 {
-			e.mem.Store(req.addr, req.value)
-			rep = e.deliver(t, req.addr, trace.Write, trace.Sync, 0)
-			cost += e.accessCost(t, rep)
-			e.wake(t, req.addr)
+		t.acc = e.tas(t, req.addr, req.value)
+	case reqCompute:
+		e.advance(t, e.cfg.Cost.ComputeCost(t.proc, req.value), req.value)
+	case reqLock, reqFlagWait:
+		return e.waitStep(t, req), nil
+	case reqUnlock:
+		if req.step == stepEnter {
+			e.advance(t, 0, 1)
+			if e.unskip(t, req.addr) {
+				return true, nil
+			}
+			req.step = stepTest
+			return false, nil
 		}
-		e.advance(t, cost, 0)
-		return response{value: old}, nil
+		e.write(t, req.addr, 0, trace.Sync)
+	default:
+		return false, fmt.Errorf("sim: thread %d issued unknown request %d", t.id, req.kind)
+	}
+	return true, nil
+}
 
-	case reqLockEnter:
+// waitStep executes one step of a Lock or a FlagWaitAtLeast and reports
+// whether the primitive is done. The enter counts the sync instance; the
+// injected one ends there. Each test — Lock's TAS, FlagWait's spin read —
+// either ends the primitive or blocks the thread on the word, and the first
+// pick after the wake-up is a no-op that leads to the next test. Blocking
+// right after the test closes the check-then-block window: a write ordered
+// later always finds the thread already in stBlocked and wakes it.
+func (e *Engine) waitStep(t *threadCtx, req *request) bool {
+	switch req.step {
+	case stepEnter:
 		skip := e.countSyncInstance(t)
-		if skip {
+		if skip && req.kind == reqLock {
 			e.skipped[lockKey{t.id, req.addr}]++
 		}
 		e.maybeMigrate(t)
 		e.advance(t, 0, 1)
-		return response{skip: skip}, nil
-
-	case reqUnlockEnter:
-		// Whether the release is removed was decided when it was posted
-		// (unskip).
-		e.advance(t, 0, 1)
-		return response{}, nil
-
-	case reqFlagWaitEnter:
-		skip := e.countSyncInstance(t)
-		e.maybeMigrate(t)
-		e.advance(t, 0, 1)
-		return response{skip: skip}, nil
+		if skip {
+			return true
+		}
+	case stepTest:
+		var ok bool
+		if req.kind == reqLock {
+			ok = e.tas(t, req.addr, 1) == 0
+		} else {
+			ok = e.spinRead(t, req.addr) >= req.value
+		}
+		if ok {
+			return true
+		}
+		t.state, t.block = stBlocked, memsys.WordAlign(req.addr)
+		req.step = stepWake
+		return false
 	}
-	return response{}, fmt.Errorf("sim: thread %d issued unknown request %d", t.id, req.kind)
+	req.step = stepTest
+	return false
+}
+
+// read performs a committed read of the word at a and returns its value.
+func (e *Engine) read(t *threadCtx, a memsys.Addr, class trace.Class) uint64 {
+	v := e.mem.Load(a)
+	rep := e.deliver(t, a, trace.Read, class, 1)
+	e.advance(t, e.accessCost(t, rep), 1)
+	t.hash = (t.hash ^ (v + 0x9e37)) * fnvPrime
+	return v
+}
+
+// spinRead performs a flag wait's sync read: a sub-instruction micro-op whose
+// value stays out of the behaviour fingerprint, since the values spin reads
+// see vary with the wakeup pattern without affecting program behaviour.
+func (e *Engine) spinRead(t *threadCtx, a memsys.Addr) uint64 {
+	v := e.mem.Load(a)
+	rep := e.deliver(t, a, trace.Read, trace.Sync, 0)
+	e.advance(t, e.accessCost(t, rep), 0)
+	return v
+}
+
+// write performs a committed write of v to the word at a.
+func (e *Engine) write(t *threadCtx, a memsys.Addr, v uint64, class trace.Class) {
+	e.mem.Store(a, v)
+	rep := e.deliver(t, a, trace.Write, class, 1)
+	e.advance(t, e.accessCost(t, rep), 1)
+	e.wake(t, a)
+}
+
+// tas is an atomic test-and-set on a sync word: a sync read, plus a sync
+// write of v when the word was clear. It is a sub-instruction micro-op that
+// commits no instructions (Lock owns the accounting), and it returns the old
+// value.
+func (e *Engine) tas(t *threadCtx, a memsys.Addr, v uint64) uint64 {
+	old := e.mem.Load(a)
+	rep := e.deliver(t, a, trace.Read, trace.Sync, 0)
+	cost := e.accessCost(t, rep)
+	if old == 0 {
+		e.mem.Store(a, v)
+		rep = e.deliver(t, a, trace.Write, trace.Sync, 0)
+		cost += e.accessCost(t, rep)
+		e.wake(t, a)
+	}
+	e.advance(t, cost, 0)
+	return old
 }
 
 // countSyncInstance advances the sync-instance counters for one lock-acquire
@@ -879,26 +930,10 @@ func (e *Engine) deliver(t *threadCtx, addr memsys.Addr, kind trace.Kind, class 
 	return primary
 }
 
-// block marks t blocked on the word at a and posts its wake-up resumption.
-// The thread's sleep decision rests on a read that no other thread could
-// have invalidated (that read drained t's queue, and the engine ran nothing
-// since), so marking it blocked here closes the check-then-block window — a
-// write ordered later always finds the thread already in stBlocked and wakes
-// it.
-func (e *Engine) block(t *threadCtx, a memsys.Addr) {
-	if t.head != t.tail {
-		panic(fmt.Sprintf("sim: thread %d blocks with %d posted requests pending", t.id, t.tail-t.head))
-	}
-	t.state = stBlocked
-	t.block = memsys.WordAlign(a)
-	t.posted[0] = request{kind: reqNone}
-	t.tail = 1
-}
-
 // unskip reports whether thread t's release of the lock at l is removed
-// together with an injected acquire. It is decided when the release is
-// posted: the skipped counts for t are t's own state, and every acquire of
-// t's has been answered by then.
+// together with an injected acquire. It is decided when the release executes:
+// the skipped counts for t are t's own state, and every acquire t posted
+// before the release has executed by then.
 func (e *Engine) unskip(t *threadCtx, l memsys.Addr) bool {
 	k := lockKey{t.id, l}
 	if e.skipped[k] == 0 {

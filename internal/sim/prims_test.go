@@ -135,3 +135,58 @@ func TestUnlockWithoutInjectionReleases(t *testing.T) {
 		t.Fatalf("token = %d, want 60", v)
 	}
 }
+
+// TestAccumulator: the posted read-modify-writes and folds write what their
+// parked spellings write, across blocking primitives and contended locks.
+// Each thread adds into a shared counter under a lock, folds three private
+// words into a sum it stores once before and once after a lock round trip
+// (which must leave the accumulator alone), and copies a word with AddTo.
+func TestAccumulator(t *testing.T) {
+	al := memsys.NewAllocator()
+	m := NewMutex(al)
+	ctr := al.Alloc(1).Word(0)
+	priv := al.Alloc(4 * 8)
+	prog := Program{
+		Name:    "accumulator",
+		Threads: 4,
+		Init: func(mem *memsys.Memory) {
+			for th := 0; th < 4; th++ {
+				for k := 0; k < 3; k++ {
+					mem.Store(priv.Word(th*8+k), uint64(10*th+k+1))
+				}
+			}
+		},
+		Body: func(th int, env *Env) {
+			for i := 0; i < 10; i++ {
+				m.Lock(env)
+				env.Add(ctr, 2)
+				m.Unlock(env)
+			}
+			base := th * 8
+			env.Load(priv.Word(base))
+			env.LoadAdd(priv.Word(base + 1))
+			env.LoadAdd(priv.Word(base + 2))
+			env.Store(priv.Word(base+3), 0)
+			m.Lock(env)
+			m.Unlock(env)
+			env.Store(priv.Word(base+4), 100)
+			env.AddTo(priv.Word(base+5), priv.Word(base+1), 7)
+		},
+	}
+	res, err := New(Config{Seed: 5, Jitter: 9}, prog).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Mem.Load(ctr); got != 80 {
+		t.Fatalf("counter %d, want 80", got)
+	}
+	for th := 0; th < 4; th++ {
+		sum := uint64(30*th + 6)
+		want := []uint64{sum, sum + 100, uint64(10*th+2) + 7}
+		for k, w := range want {
+			if got := res.Mem.Load(priv.Word(th*8 + 3 + k)); got != w {
+				t.Errorf("thread %d word %d = %d, want %d", th, 3+k, got, w)
+			}
+		}
+	}
+}

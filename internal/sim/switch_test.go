@@ -12,14 +12,15 @@ import (
 
 // TestResumesPerAccess: in the /v1/detect configuration (SimpleCost, jitter
 // 7, one injection, the Ideal, L2-bounded vector-clock and CORD observers)
-// the engine resumes a thread's coroutine at most once per two delivered
-// accesses over the twelve apps. Calls that return nothing do not park, so
-// only reads, sync enters and blocks can cost a switch; when every call
-// parked, the same runs took 0.93 resumes per access.
+// the engine resumes a thread's coroutine at most once per twenty delivered
+// accesses over the twelve apps. A thread parks only for a value it branches
+// on, so only Read, SyncRead, TAS and a full queue can cost a switch; these
+// runs measure 0.021 resumes per access, and the log breaks that down by app.
 func TestResumesPerAccess(t *testing.T) {
 	const threads, seeds = 4, 10
 	var resumes, accesses uint64
 	for _, app := range workload.All() {
+		var appResumes, appAccesses uint64
 		for seed := uint64(1); seed <= seeds; seed++ {
 			det := core.New(core.Config{Threads: threads, Procs: threads, D: 16, Record: true})
 			ideal := baseline.NewIdeal(threads)
@@ -34,13 +35,17 @@ func TestResumesPerAccess(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", app.Name, seed, err)
 			}
-			resumes += eng.Resumes()
-			accesses += res.Accesses
+			appResumes += eng.Resumes()
+			appAccesses += res.Accesses
 		}
+		t.Logf("%-10s %8d resumes %9d accesses %.3f per access", app.Name, appResumes, appAccesses,
+			float64(appResumes)/float64(appAccesses))
+		resumes += appResumes
+		accesses += appAccesses
 	}
 	perAccess := float64(resumes) / float64(accesses)
-	t.Logf("%d resumes for %d accesses: %.3f per access", resumes, accesses, perAccess)
-	if perAccess > 0.5 {
-		t.Fatalf("%.3f resumes per access, want at most 0.5", perAccess)
+	t.Logf("%-10s %8d resumes %9d accesses %.3f per access", "all", resumes, accesses, perAccess)
+	if perAccess > 0.05 {
+		t.Fatalf("%.3f resumes per access, want at most 0.05", perAccess)
 	}
 }

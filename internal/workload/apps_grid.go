@@ -39,12 +39,11 @@ func FFT(scale, threads int) sim.Program {
 				// Transpose: read a strided column slice from every
 				// thread's rows, write into own dst rows.
 				for r := 0; r < rows; r++ {
-					var acc uint64
 					for q := 0; q < threads; q++ {
-						acc += env.Read(src.Word(rowBase(q, r) + t*threads%width))
-						acc += env.Read(src.Word(rowBase(q, r) + (t*threads+1)%width))
+						fold(env, 2*q, src.Word(rowBase(q, r)+t*threads%width))
+						fold(env, 2*q+1, src.Word(rowBase(q, r)+(t*threads+1)%width))
 					}
-					env.Write(dst.Word(rowBase(t, r)), acc)
+					env.Store(dst.Word(rowBase(t, r)), 0)
 					env.Compute(8)
 				}
 				bar.Wait(env)
@@ -59,11 +58,10 @@ func FFT(scale, threads int) sim.Program {
 			// barrier's internal primitives the checksum races against
 			// writes from the entire last phase.
 			if t == 0 {
-				var sum uint64
 				for w := 0; w < dst.Words; w += 3 {
-					sum += env.Read(dst.Word(w))
+					fold(env, w, dst.Word(w))
 				}
-				env.Write(src.Word(0), sum)
+				env.Store(src.Word(0), 0)
 			}
 		},
 	}
@@ -99,9 +97,9 @@ func LU(scale, threads int) sim.Program {
 				bar.Wait(env)
 				// Fold the pivot into own blocks.
 				for b := 0; b < blocksPer; b++ {
-					v := scan(env, pivots, k*blockWords, 6)
+					scan(env, pivots, k*blockWords, 6)
 					base := (t*blocksPer + b) * blockWords
-					env.Write(mine.Word(base+k%blockWords), v)
+					env.Store(mine.Word(base+k%blockWords), 0)
 					touch(env, mine, base, 8)
 					env.Compute(12)
 				}
@@ -160,8 +158,7 @@ func Ocean(scale, threads int) sim.Program {
 						down = env.Read(cur.Word(row(t+1, 0) + s%width))
 					}
 					for c := 0; c < width; c += 3 {
-						v := env.Read(cur.Word(row(t, r) + c))
-						env.Write(next.Word(row(t, r)+c), v+up+down+1)
+						env.AddTo(next.Word(row(t, r)+c), cur.Word(row(t, r)+c), up+down+1)
 					}
 					env.Compute(10)
 				}
@@ -199,8 +196,7 @@ func Radix(scale, threads int) sim.Program {
 				}
 				for i := 0; i < keysPer; i++ {
 					b := rng.n(buckets)
-					w := hists.Word(t*buckets + b)
-					env.Write(w, env.Read(w)+1)
+					env.Add(hists.Word(t*buckets+b), 1)
 				}
 				bar.Wait(env)
 				// Phase 2: thread 0 computes global offsets from every

@@ -42,12 +42,11 @@ func Raytrace(scale, threads int) sim.Program {
 					break
 				}
 				// Trace the tile: read scene, write the tile's pixels.
-				var acc uint64
 				for k := 0; k < 24; k++ {
-					acc += env.Read(scene.Word(rng.n(scene.Words)))
+					fold(env, k, scene.Word(rng.n(scene.Words)))
 				}
 				for w := 0; w < tileWords; w++ {
-					env.Write(frame.Word(int(j)*tileWords+w), acc+uint64(w))
+					env.Store(frame.Word(int(j)*tileWords+w), uint64(w))
 				}
 				env.Compute(20)
 			}
@@ -63,12 +62,11 @@ func Raytrace(scale, threads int) sim.Program {
 					env.FlagWaitAtLeast(done.Word(q), 1)
 				}
 			}
-			var sum uint64
 			for w := t; w < frame.Words; w += 2 * threads {
-				sum += env.Read(frame.Word(w))
+				fold(env, w-t, frame.Word(w))
 			}
 			if t == 0 {
-				env.Write(stats, sum)
+				env.Store(stats, 0)
 			}
 		},
 	}
@@ -131,12 +129,11 @@ func Volrend(scale, threads int) sim.Program {
 					env.FlagWaitAtLeast(done.Word(q), 1)
 				}
 			}
-			var sum uint64
 			for w := t; w < image.Words; w += threads {
-				sum += env.Read(image.Word(w))
+				fold(env, w-t, image.Word(w))
 			}
 			if t == 0 {
-				env.Write(stats, sum)
+				env.Store(stats, 0)
 			}
 		},
 	}

@@ -42,11 +42,10 @@ func Barnes(scale, threads int) sim.Program {
 				bar.Wait(env)
 				// Force: read-only tree walks, private accumulation.
 				for i := 0; i < perThread; i++ {
-					sum := uint64(0)
 					for w := 0; w < 8; w++ {
-						sum += env.Read(tree.Word(rng.n(nodes * 4)))
+						fold(env, w, tree.Word(rng.n(nodes*4)))
 					}
-					env.Write(accel.Word(t*16+i%16), sum)
+					env.Store(accel.Word(t*16+i%16), 0)
 					env.Compute(12)
 				}
 				bar.Wait(env)
@@ -101,8 +100,7 @@ func Cholesky(scale, threads int) sim.Program {
 			}
 			// Completion count, then everyone spins on the flag.
 			env.Lock(qlock)
-			d := env.Read(done) + 1
-			env.Write(done, d)
+			env.Add(done, 1)
 			env.Unlock(qlock)
 		},
 	}

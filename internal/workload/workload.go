@@ -122,17 +122,25 @@ func (r *lcg) n(m int) int {
 // region word i — the inner loop of most critical sections.
 func touch(env *sim.Env, reg memsys.Region, i, count int) {
 	for k := 0; k < count; k++ {
-		w := reg.Word((i + k) % reg.Words)
-		env.Write(w, env.Read(w)+1)
+		env.Add(reg.Word((i+k)%reg.Words), 1)
 	}
 }
 
-// scan reads count consecutive words and folds them, modeling read-mostly
-// traversals.
-func scan(env *sim.Env, reg memsys.Region, i, count int) uint64 {
-	var acc uint64
+// scan reads count consecutive words and folds them into the thread's
+// accumulator (see fold), modeling read-mostly traversals.
+func scan(env *sim.Env, reg memsys.Region, i, count int) {
 	for k := 0; k < count; k++ {
-		acc += env.Read(reg.Word((i + k) % reg.Words))
+		fold(env, k, reg.Word((i+k)%reg.Words))
 	}
-	return acc
+}
+
+// fold posts the k-th read of a sum into the thread's accumulator: the first
+// (k == 0) loads it, the later ones add to it. A sum that only feeds writes
+// is folded this way and written with env.Store, so its reads never park.
+func fold(env *sim.Env, k int, a memsys.Addr) {
+	if k == 0 {
+		env.Load(a)
+	} else {
+		env.LoadAdd(a)
+	}
 }
