@@ -22,14 +22,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrent subsystems — the campaign runner's goroutine fan-out, the
+# Every internal package plus the two concurrent commands must stay
+# race-clean: above all the campaign runner's goroutine fan-out, the
 # service's worker pool and stream sessions, the incremental decoder they
 # share, the engine whose observers and callbacks run on its threads'
 # coroutines, the fleet coordinator's registry and shared-queue scheduler, and
-# cordload's concurrent stage clients — must stay race-clean.
+# cordload's concurrent stage clients. CI runs this.
 # Requires cgo (CGO_ENABLED=1) on most platforms.
 race:
-	$(GO) test -race ./internal/experiment/... ./internal/server/... ./internal/record/... ./internal/sim/... ./internal/baseline/... ./cmd/cordbench/ ./cmd/cordload/
+	$(GO) test -race ./internal/... ./cmd/cordbench/ ./cmd/cordload/
 
 # Campaign scaling benchmark: compare procs=1 vs procs=4 lines.
 bench:

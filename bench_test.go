@@ -232,20 +232,6 @@ func BenchmarkAblationUpdateOnDataRaces(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationUnboundedStorage compares the L2-bounded default against
-// unbounded timestamp storage for the scalar scheme.
-func BenchmarkAblationUnboundedStorage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var bounded, unbounded int
-		for inj := uint64(3); inj < 40; inj += 6 {
-			bounded += ablationRun(b, core.Config{Threads: 4, D: 16}, inj)
-			unbounded += ablationRun(b, core.Config{Threads: 4, D: 16, Unbounded: true}, inj)
-		}
-		b.ReportMetric(float64(bounded), "racesL2")
-		b.ReportMetric(float64(unbounded), "racesInf")
-	}
-}
-
 // BenchmarkDetectorThroughput measures raw OnAccess cost — the simulator's
 // hot loop (not a paper figure; an engineering number).
 func BenchmarkDetectorThroughput(b *testing.B) {

@@ -13,9 +13,6 @@ type FastTrackConfig struct {
 	//
 	// Deprecated: kept only so existing callers that set it still compile.
 	Shards int
-	// MaxStoredRaces caps the retained race descriptors (default 1<<16, the
-	// same cap Ideal uses). The racy-access counter is complete regardless.
-	MaxStoredRaces int
 }
 
 // FastTrack is a FastTrack-style epoch detector (Flanagan & Freund, PLDI
@@ -47,7 +44,6 @@ type FastTrack struct {
 	vcs     []clock.Vector
 	shadow  *shadowMem
 
-	maxRaces  int
 	raceCount int  // racy accesses (the shared raw-race metric)
 	full      bool // the retained-race cap has been reached
 	races     []trace.Race
@@ -58,14 +54,10 @@ func NewFastTrack(cfg FastTrackConfig) *FastTrack {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 4
 	}
-	if cfg.MaxStoredRaces <= 0 {
-		cfg.MaxStoredRaces = 1 << 16
-	}
 	return &FastTrack{
-		threads:  cfg.Threads,
-		vcs:      makeVCs(cfg.Threads),
-		shadow:   &shadowMem{},
-		maxRaces: cfg.MaxStoredRaces,
+		threads: cfg.Threads,
+		vcs:     makeVCs(cfg.Threads),
+		shadow:  &shadowMem{},
 	}
 }
 
@@ -200,7 +192,7 @@ func raceOf(a trace.Access, thread int, kind trace.Kind) trace.Race {
 // store retains races up to the cap.
 func (d *FastTrack) store(rs []trace.Race) {
 	for _, r := range rs {
-		if len(d.races) >= d.maxRaces {
+		if len(d.races) >= maxStoredRaces {
 			d.full = true
 			break
 		}

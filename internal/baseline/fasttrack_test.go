@@ -184,18 +184,19 @@ func TestFastTrackMetadataWordsAccounting(t *testing.T) {
 }
 
 func TestFastTrackStoredRaceCap(t *testing.T) {
-	ft := NewFastTrack(FastTrackConfig{Threads: 2, MaxStoredRaces: 2})
+	ft := NewFastTrack(FastTrackConfig{Threads: 2})
 	d := drive(ft)
-	for i := 0; i < 4; i++ {
+	const n = maxStoredRaces + 2
+	for i := 0; i < n; i++ {
 		addr := memsys.Addr(0x1000 + 8*i)
 		d.acc(0, addr, trace.Write, trace.Data)
 		d.acc(1, addr, trace.Write, trace.Data)
 	}
-	if got := len(ft.Races()); got != 2 {
-		t.Fatalf("stored races = %d, want cap 2", got)
+	if got := len(ft.Races()); got != maxStoredRaces {
+		t.Fatalf("stored races = %d, want cap %d", got, maxStoredRaces)
 	}
-	if ft.RaceCount() != 4 {
-		t.Fatalf("race count = %d, want 4 (counter is uncapped)", ft.RaceCount())
+	if ft.RaceCount() != n {
+		t.Fatalf("race count = %d, want %d (counter is uncapped)", ft.RaceCount(), n)
 	}
 }
 

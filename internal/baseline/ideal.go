@@ -13,6 +13,11 @@ import (
 	"cord/internal/trace"
 )
 
+// maxStoredRaces caps the race descriptors each baseline detector (Ideal,
+// VecCache, FastTrack) retains for inspection. Their race counters are
+// complete regardless.
+const maxStoredRaces = 1 << 16
+
 // pairKey identifies one side of a race for the false-positive oracle: a
 // reported race matches ground truth when the reporting (second) access is
 // known by Ideal to race with a conflicting access of the same kind from the
@@ -191,7 +196,7 @@ func (d *Ideal) onData(a trace.Access, my clock.Vector, rep *trace.Report) {
 			Second: trace.Ref{Thread: a.Thread, Kind: a.Kind, Seq: a.Seq},
 		}
 		d.pairCount++
-		if len(d.races) < 1<<16 {
+		if len(d.races) < maxStoredRaces {
 			d.races = append(d.races, r)
 			rep.Races = append(rep.Races, r)
 		}

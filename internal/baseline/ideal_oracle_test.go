@@ -122,7 +122,7 @@ func (d *idealOracle) onData(a trace.Access, my clock.Vector, rep *trace.Report)
 		}
 		racy = true
 		d.pairCount++
-		if len(d.races) < 1<<16 {
+		if len(d.races) < maxStoredRaces {
 			d.races = append(d.races, r)
 			rep.Races = append(rep.Races, r)
 		}
@@ -330,7 +330,7 @@ func TestIdealMatchesOracle(t *testing.T) {
 			}
 			p.OnAccess(a)
 		}
-		if len(p.got.Races()) < 1<<16 || len(p.got.pairs) < 5000 {
+		if len(p.got.Races()) < maxStoredRaces || len(p.got.pairs) < 5000 {
 			t.Fatalf("stream too tame: %d races stored, %d pairs", len(p.got.Races()), len(p.got.pairs))
 		}
 		p.check(t)

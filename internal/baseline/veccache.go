@@ -186,7 +186,7 @@ func (d *VecCache) OnAccess(a trace.Access) trace.Report {
 			}
 			racy = true
 			d.reports++
-			if len(d.races) < 1<<16 {
+			if len(d.races) < maxStoredRaces {
 				d.races = append(d.races, r)
 				rep.Races = append(rep.Races, r)
 			}

@@ -1,7 +1,7 @@
 // Package cache models on-chip caches at line granularity: a generic
 // set-associative LRU cache with a per-line payload (the CORD detector
 // attaches timestamps and access bits as the payload), an unbounded variant
-// for the InfCache/Ideal configurations, and a two-level inclusive private
+// for the InfCache configuration, and a two-level inclusive private
 // hierarchy used by the timing model.
 //
 // Values are not stored here — the simulator keeps word values in
@@ -21,74 +21,34 @@ type entry[P any] struct {
 	payload P
 }
 
-// ubEntry is one line of the unbounded variant. Entries are allocated in
-// arena chunks so payload pointers stay valid for the lifetime of the line
-// (the unbounded half of the Lookup contract) without one heap allocation
-// per insert.
-type ubEntry[P any] struct {
-	line    memsys.Line
-	payload P
-	live    bool
-}
-
 // ubChunkLines is the arena chunk size of the unbounded cache.
 const ubChunkLines = 256
 
-// unboundedStore is an insertion-ordered line store: a paged lookup index
-// (memsys.Table keyed by line, nil = absent) over arena-allocated entries,
-// plus the insertion-order slice that ForEach and RemoveIf walk. Iteration
-// order is therefore a pure function of the access stream — reproducible
-// across runs and processes — and never the index's key order.
+// unboundedStore is a paged lookup index (memsys.Table keyed by line, nil =
+// absent) over payloads allocated in arena chunks, so a payload pointer stays
+// valid for the lifetime of its line (the unbounded half of the Lookup
+// contract) without one heap allocation per insert. ForEach walks the index,
+// so its order is ascending line order: a pure function of the lines
+// resident, reproducible across runs and processes.
 type unboundedStore[P any] struct {
-	index memsys.Table[*ubEntry[P]]
-	order []*ubEntry[P] // insertion order; removed entries stay as tombstones
-	arena []ubEntry[P]  // current allocation chunk
-	dead  int           // tombstones in order
+	index memsys.Table[*P]
+	arena []P // current allocation chunk
+	n     int // resident lines
 }
 
-// remove unlinks a live entry from the index and turns it into a tombstone,
-// returning its payload and releasing the entry's references for the GC.
-// The caller compacts.
-func (u *unboundedStore[P]) remove(e *ubEntry[P]) P {
-	*u.index.Ref(uint64(e.line)) = nil
-	e.live = false
-	u.dead++
-	p := e.payload
-	var zero P
-	e.payload = zero
+func (u *unboundedStore[P]) alloc() *P {
+	if len(u.arena) == 0 {
+		u.arena = make([]P, ubChunkLines)
+	}
+	p := &u.arena[0]
+	u.arena = u.arena[1:]
 	return p
 }
 
-func (u *unboundedStore[P]) alloc() *ubEntry[P] {
-	if len(u.arena) == 0 {
-		u.arena = make([]ubEntry[P], ubChunkLines)
-	}
-	e := &u.arena[0]
-	u.arena = u.arena[1:]
-	return e
-}
-
-// compact drops tombstones once they outnumber live entries, preserving the
-// relative order of the survivors. Entry pointers are unaffected (only the
-// pointer slice is rebuilt), so amortized cost per removal is O(1).
-func (u *unboundedStore[P]) compact() {
-	if u.dead <= len(u.order)/2 || u.dead < ubChunkLines {
-		return
-	}
-	out := u.order[:0]
-	for _, e := range u.order {
-		if e.live {
-			out = append(out, e)
-		}
-	}
-	u.order = out
-	u.dead = 0
-}
-
 // Cache is a set-associative cache with LRU replacement over lines, carrying
-// a payload P per resident line. A Cache with Ways == 0 is unbounded (fully
-// associative, infinite capacity) — used by the Ideal and InfCache detector
-// configurations.
+// a payload P per resident line. A Cache from NewUnbounded is fully
+// associative with infinite capacity — the vector-clock InfCache
+// configuration's storage.
 type Cache[P any] struct {
 	sets      [][]entry[P] // each set is MRU-first
 	ways      int
@@ -143,15 +103,10 @@ func New[P any](cfg Config) *Cache[P] {
 	}
 }
 
-// NewUnbounded returns a cache that never evicts. Its ForEach/RemoveIf
-// iteration order is insertion order (re-inserting a removed line moves it
-// to the end), which keeps every traversal deterministic.
+// NewUnbounded returns a cache that never evicts.
 func NewUnbounded[P any]() *Cache[P] {
 	return &Cache[P]{unbounded: &unboundedStore[P]{}}
 }
-
-// Unbounded reports whether the cache has infinite capacity.
-func (c *Cache[P]) Unbounded() bool { return c.unbounded != nil }
 
 func (c *Cache[P]) setOf(l memsys.Line) int { return int(uint64(l) & c.setMask) }
 
@@ -159,14 +114,14 @@ func (c *Cache[P]) setOf(l memsys.Line) int { return int(uint64(l) & c.setMask) 
 // to most-recently-used.
 //
 // In a bounded cache the pointer is valid only until the next Lookup,
-// Insert, Remove or RemoveIf on this cache: promotion and removal shift the
+// Insert or Remove on this cache: promotion and removal shift the
 // entries of a set, so a kept pointer may then address another line's
 // payload. In an unbounded cache it stays valid until the line is removed.
 func (c *Cache[P]) Lookup(l memsys.Line) (*P, bool) {
 	if c.unbounded != nil {
-		if e := c.unbounded.index.Get(uint64(l)); e != nil {
+		if p := c.unbounded.index.Get(uint64(l)); p != nil {
 			c.hits++
-			return &e.payload, true
+			return p, true
 		}
 		c.misses++
 		return nil, false
@@ -191,8 +146,8 @@ func (c *Cache[P]) Lookup(l memsys.Line) (*P, bool) {
 // state. The pointer follows Lookup's contract.
 func (c *Cache[P]) Peek(l memsys.Line) (*P, bool) {
 	if c.unbounded != nil {
-		if e := c.unbounded.index.Get(uint64(l)); e != nil {
-			return &e.payload, true
+		if p := c.unbounded.index.Get(uint64(l)); p != nil {
+			return p, true
 		}
 		return nil, false
 	}
@@ -231,14 +186,11 @@ func (c *Cache[P]) Insert(l memsys.Line, payload P) (Victim[P], bool) {
 	if c.unbounded != nil {
 		u := c.unbounded
 		slot := u.index.Ref(uint64(l))
-		if e := *slot; e != nil {
-			e.payload = payload
-			return Victim[P]{}, false
+		if *slot == nil {
+			*slot = u.alloc()
+			u.n++
 		}
-		e := u.alloc()
-		*e = ubEntry[P]{line: l, payload: payload, live: true}
-		u.order = append(u.order, e)
-		*slot = e
+		**slot = payload
 		return Victim[P]{}, false
 	}
 	si := c.setOf(l)
@@ -271,13 +223,15 @@ func (c *Cache[P]) Remove(l memsys.Line) (P, bool) {
 	var zero P
 	if c.unbounded != nil {
 		u := c.unbounded
-		e := u.index.Get(uint64(l))
-		if e == nil {
+		p := u.index.Get(uint64(l))
+		if p == nil {
 			return zero, false
 		}
-		p := u.remove(e)
-		u.compact()
-		return p, true
+		*u.index.Ref(uint64(l)) = nil
+		u.n--
+		v := *p
+		*p = zero // release the payload's references for the GC
+		return v, true
 	}
 	si := c.setOf(l)
 	set := c.sets[si]
@@ -294,7 +248,7 @@ func (c *Cache[P]) Remove(l memsys.Line) (P, bool) {
 // Len returns the number of resident lines.
 func (c *Cache[P]) Len() int {
 	if u := c.unbounded; u != nil {
-		return len(u.order) - u.dead
+		return u.n
 	}
 	n := 0
 	for _, s := range c.sets {
@@ -303,17 +257,17 @@ func (c *Cache[P]) Len() int {
 	return n
 }
 
-// ForEach visits every resident line in a deterministic order — insertion
-// order for the unbounded variant, set-then-recency order for bounded
+// ForEach visits every resident line in a deterministic order — ascending
+// line order for the unbounded variant, set-then-recency order for bounded
 // geometries. The visit function may mutate the payload through the pointer
 // but must not insert or remove lines.
 func (c *Cache[P]) ForEach(fn func(l memsys.Line, p *P)) {
 	if c.unbounded != nil {
-		for _, e := range c.unbounded.order {
-			if e.live {
-				fn(e.line, &e.payload)
+		c.unbounded.index.ForEach(func(i uint64, p **P) {
+			if *p != nil {
+				fn(memsys.Line(i), *p)
 			}
-		}
+		})
 		return
 	}
 	for _, set := range c.sets {
@@ -321,44 +275,6 @@ func (c *Cache[P]) ForEach(fn func(l memsys.Line, p *P)) {
 			fn(set[i].line, &set[i].payload)
 		}
 	}
-}
-
-// RemoveIf deletes every resident line for which pred returns true, invoking
-// onRemove for each removed line. Lines are visited in the same deterministic
-// order as ForEach, so retirement callbacks fire in a reproducible sequence.
-// The cache walker (§2.7.5) uses this to retire stale timestamps.
-func (c *Cache[P]) RemoveIf(pred func(l memsys.Line, p *P) bool, onRemove func(l memsys.Line, p P)) int {
-	removed := 0
-	if c.unbounded != nil {
-		u := c.unbounded
-		for _, e := range u.order {
-			if !e.live || !pred(e.line, &e.payload) {
-				continue
-			}
-			l, p := e.line, u.remove(e)
-			if onRemove != nil {
-				onRemove(l, p)
-			}
-			removed++
-		}
-		u.compact()
-		return removed
-	}
-	for si, set := range c.sets {
-		out := set[:0]
-		for i := range set {
-			if pred(set[i].line, &set[i].payload) {
-				if onRemove != nil {
-					onRemove(set[i].line, set[i].payload)
-				}
-				removed++
-				continue
-			}
-			out = append(out, set[i])
-		}
-		c.sets[si] = out
-	}
-	return removed
 }
 
 // Stats returns cumulative hit/miss/eviction counts.

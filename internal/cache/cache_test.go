@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -93,8 +94,10 @@ func TestUnboundedNeverEvicts(t *testing.T) {
 	}
 }
 
-func TestForEachAndRemoveIf(t *testing.T) {
-	c := New[int](Config{SizeBytes: 8 * 64, Ways: 2})
+// TestForEachAndRemove: ForEach visits every resident line of a bounded
+// cache once, in set-then-recency order, and stops visiting removed lines.
+func TestForEachAndRemove(t *testing.T) {
+	c := New[int](Config{SizeBytes: 8 * 64, Ways: 2}) // 4 sets x 2 ways
 	for i := 0; i < 8; i++ {
 		c.Insert(memsys.Line(i), i)
 	}
@@ -104,15 +107,20 @@ func TestForEachAndRemoveIf(t *testing.T) {
 		t.Fatalf("ForEach sum = %d", sum)
 	}
 	removedPayload := 0
-	n := c.RemoveIf(
-		func(l memsys.Line, p *int) bool { return *p%2 == 0 },
-		func(l memsys.Line, p int) { removedPayload += p },
-	)
-	if n != 4 || removedPayload != 12 {
-		t.Fatalf("RemoveIf removed %d (payload sum %d)", n, removedPayload)
+	for i := 0; i < 8; i += 2 {
+		p, ok := c.Remove(memsys.Line(i))
+		if !ok {
+			t.Fatalf("Remove(%d) missed a resident line", i)
+		}
+		removedPayload += p
 	}
-	if c.Len() != 4 {
-		t.Fatalf("Len after RemoveIf = %d", c.Len())
+	if removedPayload != 12 || c.Len() != 4 {
+		t.Fatalf("removed payload sum %d, Len %d", removedPayload, c.Len())
+	}
+	var got []memsys.Line
+	c.ForEach(func(l memsys.Line, _ *int) { got = append(got, l) })
+	if want := []memsys.Line{5, 1, 7, 3}; !slices.Equal(got, want) {
+		t.Fatalf("ForEach after Remove visited %v, want %v", got, want)
 	}
 }
 

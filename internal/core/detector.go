@@ -11,6 +11,19 @@ import (
 	"cord/internal/trace"
 )
 
+// The detector's fixed hardware, as the paper evaluates it. Timestamps live
+// in each processor's 32 KB 8-way L2 (§2.3–2.4). The cache walker (§2.7.5)
+// runs every walkInterval observed accesses, a power of two so the cadence
+// check is a mask, and retires timestamps more than staleAge behind the most
+// advanced clock. Races beyond maxStoredRaces are counted but not retained.
+const (
+	l2Bytes        = 32 << 10
+	l2Ways         = 8
+	walkInterval   = 4096
+	staleAge       = clock.Window / 4
+	maxStoredRaces = 16384
+)
+
 // Config parameterizes one CORD instance. The zero value is not valid; use
 // DefaultConfig and override.
 type Config struct {
@@ -23,25 +36,11 @@ type Config struct {
 	// HistDepth is the number of timestamp slots per cache line (2 in the
 	// paper; 1 is the Fig. 2 ablation).
 	HistDepth int
-	// Geometry bounds the per-processor timestamp storage; ignored when
-	// Unbounded is set. The paper's default is the 32 KB L2.
-	Geometry cache.Config
-	// Unbounded removes the storage bound (the InfCache-style variant).
-	Unbounded bool
 	// NoUpdateOnDataRaces disables clock updates on data races (ablation
 	// of the §2.4 "update on all races" decision).
 	NoUpdateOnDataRaces bool
 	// Record enables the order log.
 	Record bool
-	// WalkInterval is the number of observed accesses between cache-walker
-	// passes (§2.7.5). Zero selects the default (4096).
-	WalkInterval int
-	// StaleAge is the window distance beyond which the walker retires a
-	// timestamp. Zero selects the default (window/4).
-	StaleAge int
-	// MaxStoredRaces caps the races retained for inspection (counting is
-	// never capped). Zero selects the default (16384).
-	MaxStoredRaces int
 	// Directory, when non-nil, runs the detector over directory-based
 	// coherence instead of snooping (the §2.5 extension): race checks and
 	// coherence requests are forwarded point-to-point to the line's actual
@@ -59,7 +58,6 @@ func DefaultConfig() Config {
 		Procs:     4,
 		D:         16,
 		HistDepth: 2,
-		Geometry:  cache.Config{SizeBytes: 32 << 10, Ways: 8},
 		Record:    true,
 	}
 }
@@ -76,18 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HistDepth <= 0 || c.HistDepth > 2 {
 		c.HistDepth = 2
-	}
-	if c.Geometry == (cache.Config{}) {
-		c.Geometry = cache.Config{SizeBytes: 32 << 10, Ways: 8}
-	}
-	if c.WalkInterval <= 0 {
-		c.WalkInterval = 4096
-	}
-	if c.StaleAge <= 0 {
-		c.StaleAge = clock.Window / 4
-	}
-	if c.MaxStoredRaces <= 0 {
-		c.MaxStoredRaces = 16384
 	}
 	return c
 }
@@ -165,9 +151,6 @@ func New(cfg Config) *Detector {
 		threadOf: make([]int, cfg.Procs),
 		rec:      newRecorder(cfg.Threads, cfg.Record, initialClock),
 	}
-	if cfg.Unbounded {
-		d.label = fmt.Sprintf("CORD(D=%d,inf)", cfg.D)
-	}
 	for i := range d.clocks {
 		d.clocks[i] = initialClock
 	}
@@ -175,11 +158,7 @@ func New(cfg Config) *Detector {
 	d.walkFrontier = initialClock
 	d.lastBoundary = make([]uint64, cfg.Threads)
 	for p := 0; p < cfg.Procs; p++ {
-		if cfg.Unbounded {
-			d.caches = append(d.caches, cache.NewUnbounded[lineState]())
-		} else {
-			d.caches = append(d.caches, cache.New[lineState](cfg.Geometry))
-		}
+		d.caches = append(d.caches, cache.New[lineState](cache.Config{SizeBytes: l2Bytes, Ways: l2Ways}))
 		d.threadOf[p] = p % cfg.Threads
 	}
 	return d
@@ -187,9 +166,6 @@ func New(cfg Config) *Detector {
 
 // Name implements trace.Observer.
 func (d *Detector) Name() string { return d.label }
-
-// SetName overrides the configuration label used in experiment output.
-func (d *Detector) SetName(s string) { d.label = s }
 
 // OnAccess implements trace.Observer: it runs the full CORD pipeline for one
 // access — local lookup, fast path / filter check, race-check broadcast,
@@ -200,7 +176,7 @@ func (d *Detector) OnAccess(a trace.Access) trace.Report {
 	// The cache walker runs both periodically and whenever the clock
 	// frontier has advanced far enough that stale values approach the
 	// sliding-window limit.
-	if d.st.Accesses%uint64(d.cfg.WalkInterval) == 0 ||
+	if d.st.Accesses%walkInterval == 0 ||
 		clock.Dist(d.walkFrontier, d.frontier) > clock.Window/8 {
 		d.walk()
 	}
@@ -550,14 +526,14 @@ func (d *Detector) setClock(thread int, v clock.Scalar, instr uint64) {
 
 func (d *Detector) report(r trace.Race, rep *trace.Report) {
 	d.st.RaceReports++
-	if len(d.races) < d.cfg.MaxStoredRaces {
+	if len(d.races) < maxStoredRaces {
 		d.races = append(d.races, r)
 		rep.Races = append(rep.Races, r)
 	}
 }
 
 // walk is the cache walker of §2.7.5: it retires timestamps that have fallen
-// StaleAge behind the most advanced clock (spilling them into the memory
+// staleAge behind the most advanced clock (spilling them into the memory
 // timestamps), recomputes the minimum resident timestamp, and refreshes
 // memory timestamps that would otherwise exit the sliding window.
 func (d *Detector) walk() {
@@ -587,7 +563,7 @@ func (d *Detector) walk() {
 				if !e.valid {
 					continue
 				}
-				if clock.Dist(e.ts, maxClk) > d.cfg.StaleAge {
+				if clock.Dist(e.ts, maxClk) > staleAge {
 					d.mem.absorb(*e)
 					*e = histEntry{}
 					d.st.WalkerRetired++

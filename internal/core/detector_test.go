@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"cord/internal/cache"
 	"cord/internal/memsys"
 	"cord/internal/trace"
 )
@@ -38,6 +37,17 @@ func (f *feeder) syncRead(t int, a memsys.Addr) trace.Report {
 }
 func (f *feeder) syncWrite(t int, a memsys.Addr) trace.Report {
 	return f.access(t, a, trace.Write, trace.Sync)
+}
+
+// evict has thread t write one line to every way of a's set in its
+// processor's L2 (64 sets of 8 ways), far above the test variables, and
+// reports whether a's line was displaced.
+func (f *feeder) evict(t int, a memsys.Addr) bool {
+	const sets = l2Bytes / memsys.LineBytes / l2Ways
+	for w := 0; w < l2Ways; w++ {
+		f.write(t, a+memsys.Addr(1024+w)*sets*memsys.LineBytes)
+	}
+	return !f.d.CacheContains(t, memsys.LineOf(a))
 }
 
 // Distinct lines for the test variables.
@@ -179,33 +189,26 @@ func TestNoRaceOnSameThread(t *testing.T) {
 // variable displaced to memory must still order the acquirer, and the false
 // race on X must be suppressed.
 func TestMemoryTimestampOrdering(t *testing.T) {
-	// Tiny cache (1 set x 2 ways = 2 lines) forces displacement.
-	det := New(Config{
-		Threads: 2, Procs: 2, D: 1, Record: true,
-		Geometry: cacheGeom(2),
-	})
+	det := New(Config{Threads: 2, Procs: 2, D: 1, Record: true})
 	f := newFeeder(det)
 	f.write(0, varX)     // A: WR X
 	f.syncWrite(0, varL) // A: WR L (release)
-	// Displace L from A's cache by touching two more lines.
-	f.write(0, varY)
-	f.write(0, varZ)
+	// Displace L and X from A's cache by filling their sets.
+	if !f.evict(0, varL) || !f.evict(0, varX) {
+		t.Fatal("L or X still cached after filling its set")
+	}
 	// B reads L from memory: must order after the memory write timestamp.
 	before := det.Clock(1)
 	f.syncRead(1, varL)
 	if det.Clock(1) == before {
 		t.Fatal("acquire through memory did not update the clock")
 	}
-	// B reads X: A still caches X? X was also displaced (2-line cache), so
-	// this also goes through memory — either way no *reported* race.
+	// B reads X: X was displaced too, so this also goes through memory —
+	// no *reported* race.
 	rep := f.read(1, varX)
 	for _, r := range rep.Races {
 		t.Fatalf("race reported through memory path: %+v", r)
 	}
-}
-
-func cacheGeom(lines int) cache.Config {
-	return cache.Config{SizeBytes: lines * 64, Ways: lines}
 }
 
 // TestOrderLogGrows: clock changes append entries; threads flush final

@@ -25,14 +25,22 @@ func runCycles(body func(i int), i, n int) int {
 // TestFastTrackKernelZeroAllocSteadyState: past the stored-race cap the
 // FastTrack OnAccess path must be allocation-free — epochs live inline in
 // the shadow words, read vectors are recycled through the shadow free list,
-// and a full detector only bumps counters. A small cap makes the steady
-// state reachable in-test; the code path is the kernel's.
+// and a full detector only bumps counters. The warm-up runs the kernel's
+// stream until the baselines' 65536-race cap is full.
 func TestFastTrackKernelZeroAllocSteadyState(t *testing.T) {
-	det := baseline.NewFastTrack(baseline.FastTrackConfig{Threads: 4, MaxStoredRaces: 64})
+	const storedRaceCap = 1 << 16
+	det := baseline.NewFastTrack(baseline.FastTrackConfig{Threads: 4})
 	body := observerKernel(det)
-	i := runCycles(body, 0, 2) // ~190 racy accesses per cycle: the cap is long hit
-	if len(det.Races()) != 64 {
-		t.Fatalf("warmup did not reach the stored-race cap: %d", len(det.Races()))
+	i := 0
+	for cycles := 0; len(det.Races()) < storedRaceCap; cycles++ {
+		if cycles == 4096 {
+			t.Fatalf("warmup stored only %d races in %d cycles", len(det.Races()), cycles)
+		}
+		i = runCycles(body, i, 1)
+	}
+	i = runCycles(body, i, 1)
+	if len(det.Races()) != storedRaceCap {
+		t.Fatalf("stored %d races past the cap %d", len(det.Races()), storedRaceCap)
 	}
 	if allocs, _ := allocsPerOp(body, i, 1); allocs != 0 {
 		t.Fatalf("steady-state fasttrack kernel allocates %.4f allocs/op, want 0", allocs)

@@ -61,7 +61,6 @@ func Kernels() []Kernel {
 		{Name: "cache/bounded-churn", Setup: setupCacheBounded},
 		{Name: "cache/unbounded-churn", Setup: setupCacheUnbounded},
 		{Name: "detector/bounded", Setup: setupDetectorBounded},
-		{Name: "detector/unbounded", Setup: setupDetectorUnbounded},
 		{Name: "baseline/vec-infcache", Setup: setupVecInf},
 		{Name: "baseline/ideal", Setup: setupIdeal},
 		{Name: "baseline/fasttrack", Setup: setupFastTrack},
@@ -126,8 +125,8 @@ func setupCacheBounded() func(i int) {
 }
 
 // setupCacheUnbounded mirrors the InfCache detector pattern: lookups and
-// inserts over a growing line set, invalidations of a rotating victim, and a
-// periodic full walk (the §2.7.5 cache walker).
+// inserts over a growing line set and invalidations of a rotating victim,
+// plus a periodic full ForEach walk.
 func setupCacheUnbounded() func(i int) {
 	c := cache.NewUnbounded[uint64]()
 	const lines = 1 << 12
@@ -206,13 +205,6 @@ func observerKernel(obs trace.Observer) func(i int) {
 func setupDetectorBounded() func(i int) {
 	cfg := core.DefaultConfig()
 	cfg.Record = false
-	return observerKernel(core.New(cfg))
-}
-
-func setupDetectorUnbounded() func(i int) {
-	cfg := core.DefaultConfig()
-	cfg.Record = false
-	cfg.Unbounded = true
 	return observerKernel(core.New(cfg))
 }
 

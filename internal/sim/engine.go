@@ -9,7 +9,7 @@
 //
 // Each thread's Body runs in an iter.Pull coroutine, and only one of them
 // runs at a time. Every Env call posts a request to its thread's FIFO queue.
-// A thread parks only for a value it branches on: Read, SyncRead and TAS park
+// A thread parks only for a value it branches on: Read and SyncRead park
 // until the thread's queue drains, and so does a post that fills the queue.
 // Every other call returns at once, before the engine has placed its request
 // in the global order. That includes the blocking primitives: Lock, Unlock
@@ -182,7 +182,7 @@ const (
 	stDone
 )
 
-// reqKind names a request. The first six are one step each; reqLock, reqUnlock
+// reqKind names a request. The first five are one step each; reqLock, reqUnlock
 // and reqFlagWait are the blocking primitives, which the engine runs as
 // micro-programs at the head of the thread's queue, one step per pick.
 type reqKind uint8
@@ -192,7 +192,6 @@ const (
 	reqLoadAdd                // accumulator += the word's value
 	reqWrite                  // the word = value
 	reqStore                  // the word = accumulator + value
-	reqTAS                    // accumulator = the word's value; set it to value if it was zero
 	reqCompute                // value cycles of local work
 	reqLock
 	reqUnlock
@@ -583,8 +582,6 @@ func (e *Engine) pick() *threadCtx {
 // read, wake-from-block resumption), which the order log cannot see directly.
 func reqWidth(r *request) uint64 {
 	switch r.kind {
-	case reqTAS:
-		return 0
 	case reqCompute:
 		return r.value
 	case reqLock, reqFlagWait:
@@ -755,8 +752,6 @@ func (e *Engine) process(t *threadCtx, req *request) (bool, error) {
 		e.write(t, req.addr, req.value, req.class)
 	case reqStore:
 		e.write(t, req.addr, t.acc+req.value, trace.Data)
-	case reqTAS:
-		t.acc = e.tas(t, req.addr, req.value)
 	case reqCompute:
 		e.advance(t, e.cfg.Cost.ComputeCost(t.proc, req.value), req.value)
 	case reqLock, reqFlagWait:
@@ -799,7 +794,7 @@ func (e *Engine) waitStep(t *threadCtx, req *request) bool {
 	case stepTest:
 		var ok bool
 		if req.kind == reqLock {
-			ok = e.tas(t, req.addr, 1) == 0
+			ok = e.tas(t, req.addr)
 		} else {
 			ok = e.spinRead(t, req.addr) >= req.value
 		}
@@ -841,22 +836,22 @@ func (e *Engine) write(t *threadCtx, a memsys.Addr, v uint64, class trace.Class)
 	e.wake(t, a)
 }
 
-// tas is an atomic test-and-set on a sync word: a sync read, plus a sync
-// write of v when the word was clear. It is a sub-instruction micro-op that
-// commits no instructions (Lock owns the accounting), and it returns the old
-// value.
-func (e *Engine) tas(t *threadCtx, a memsys.Addr, v uint64) uint64 {
-	old := e.mem.Load(a)
+// tas is Lock's atomic test-and-set on a sync word: a sync read, plus a sync
+// write of 1 when the word was clear. It is a sub-instruction micro-op that
+// commits no instructions (Lock owns the accounting), and it reports whether
+// it acquired the word.
+func (e *Engine) tas(t *threadCtx, a memsys.Addr) bool {
+	free := e.mem.Load(a) == 0
 	rep := e.deliver(t, a, trace.Read, trace.Sync, 0)
 	cost := e.accessCost(t, rep)
-	if old == 0 {
-		e.mem.Store(a, v)
+	if free {
+		e.mem.Store(a, 1)
 		rep = e.deliver(t, a, trace.Write, trace.Sync, 0)
 		cost += e.accessCost(t, rep)
 		e.wake(t, a)
 	}
 	e.advance(t, cost, 0)
-	return old
+	return free
 }
 
 // countSyncInstance advances the sync-instance counters for one lock-acquire

@@ -18,7 +18,7 @@ var errAborted = errors.New("sim: run aborted")
 //
 // Every call posts a request to the thread's queue; the engine executes a
 // thread's requests in the order they were posted, each at its own place in
-// the global execution order. Only Read, SyncRead and TAS return a value, and
+// the global execution order. Only Read and SyncRead return a value, and
 // only these calls are the thread's scheduling points: the thread parks until
 // the engine has executed every request it posted, and the call returns the
 // value the last one read. Every other call returns at once, before its
@@ -38,9 +38,9 @@ var errAborted = errors.New("sim: run aborted")
 //
 // Instruction accounting (which drives the order log and replay): each read
 // and write, and each Lock/Unlock/FlagWait/FlagSet call, commits one
-// instruction; Compute(n) commits n; TAS and the internal spin reads commit
-// none (they are sub-instruction micro-operations of the blocking
-// primitives).
+// instruction; Compute(n) commits n; Lock's test-and-set and the internal
+// spin reads commit none (they are sub-instruction micro-operations of the
+// blocking primitives).
 type Env struct {
 	t   *threadCtx
 	eng *Engine
@@ -122,13 +122,6 @@ func (e *Env) SyncWrite(a memsys.Addr, v uint64) {
 	e.post(request{kind: reqWrite, addr: a, value: v, class: trace.Sync})
 }
 
-// TAS atomically reads the sync word at a and, if it was zero, writes v.
-// It returns the old value (zero means the TAS acquired the word). It is the
-// micro-operation the Lock primitive is built from.
-func (e *Env) TAS(a memsys.Addr, v uint64) uint64 {
-	return e.ask(request{kind: reqTAS, addr: a, value: v})
-}
-
 // Compute models n cycles of thread-local computation (n instructions). It
 // returns before the computation is ordered.
 func (e *Env) Compute(n int) {
@@ -139,8 +132,9 @@ func (e *Env) Compute(n int) {
 }
 
 // Lock acquires the mutex at word l (a test-and-set spinlock built from
-// labeled sync accesses): its enter, then a TAS, and on failure a block until
-// another thread writes l, a no-op wake-up and the TAS again. Each call is
+// labeled sync accesses): its enter, then a test-and-set, and on failure a
+// block until another thread writes l, a no-op wake-up and the test-and-set
+// again. Each call is
 // one countable dynamic synchronization instance for fault injection: when
 // this instance is the injected one, the acquire and its matching release are
 // silently removed (§3.4). It returns before the acquire is ordered.

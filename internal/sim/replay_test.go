@@ -232,31 +232,40 @@ func TestMaxOpsGuard(t *testing.T) {
 	}
 }
 
-// TestTASAtomicity: concurrent TAS on one word admits exactly one winner per
-// release cycle.
+// TestTASAtomicity: Lock's test-and-set runs inside the engine, and it is
+// atomic: threads contending for one lock word are admitted exactly one per
+// release. Each critical section is a parked read, some work, and a write
+// of the value read plus one, so a second winner before a release would lose
+// an update, and a release that admitted nobody would deadlock the run.
 func TestTASAtomicity(t *testing.T) {
+	const threads, rounds = 4, 10
 	al := memsys.NewAllocator()
 	word := al.AllocPadded(1).Word(0)
-	winners := al.Alloc(4)
+	count := al.AllocPadded(1).Word(0)
 	prog := Program{
 		Name:    "tas",
-		Threads: 4,
+		Threads: threads,
 		Body: func(th int, env *Env) {
-			if env.TAS(word, 1) == 0 {
-				env.Write(winners.Word(th), 1)
+			for i := 0; i < rounds; i++ {
+				env.Lock(word)
+				v := env.Read(count)
+				env.Compute(3)
+				env.Write(count, v+1)
+				env.Unlock(word)
 			}
 		},
 	}
-	res, err := New(Config{Seed: 3, Jitter: 9}, prog).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := uint64(0)
-	for i := 0; i < 4; i++ {
-		total += res.Mem.Load(winners.Word(i))
-	}
-	if total != 1 {
-		t.Fatalf("%d TAS winners, want exactly 1", total)
+	for seed := uint64(1); seed <= 5; seed++ {
+		res, err := New(Config{Seed: seed, Jitter: 9}, prog).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Mem.Load(count); got != threads*rounds {
+			t.Fatalf("seed %d: %d critical sections counted, want %d", seed, got, threads*rounds)
+		}
+		if got := res.Mem.Load(word); got != 0 {
+			t.Fatalf("seed %d: lock word %d after the last release, want 0", seed, got)
+		}
 	}
 }
 

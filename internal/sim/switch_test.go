@@ -14,7 +14,7 @@ import (
 // 7, one injection, the Ideal, L2-bounded vector-clock and CORD observers)
 // the engine resumes a thread's coroutine at most once per twenty delivered
 // accesses over the twelve apps. A thread parks only for a value it branches
-// on, so only Read, SyncRead, TAS and a full queue can cost a switch; these
+// on, so only Read, SyncRead and a full queue can cost a switch; these
 // runs measure 0.021 resumes per access, and the log breaks that down by app.
 func TestResumesPerAccess(t *testing.T) {
 	const threads, seeds = 4, 10
