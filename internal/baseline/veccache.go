@@ -35,9 +35,9 @@ func (b Bound) String() string {
 func (b Bound) geometry() (cache.Config, bool) {
 	switch b {
 	case BoundL2:
-		return cache.Config{SizeBytes: 32 << 10, Ways: 8}, true
+		return cache.L2, true
 	case BoundL1:
-		return cache.Config{SizeBytes: 8 << 10, Ways: 4}, true
+		return cache.L1, true
 	default:
 		return cache.Config{}, false
 	}

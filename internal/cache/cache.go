@@ -1,8 +1,8 @@
 // Package cache models on-chip caches at line granularity: a generic
 // set-associative LRU cache with a per-line payload (the CORD detector
 // attaches timestamps and access bits as the payload), an unbounded variant
-// for the InfCache configuration, and a two-level inclusive private
-// hierarchy used by the timing model.
+// for the InfCache configuration, and the paper's two per-processor
+// geometries.
 //
 // Values are not stored here — the simulator keeps word values in
 // memsys.Memory; caches track only presence, recency and payload, which is
@@ -64,6 +64,13 @@ type Config struct {
 	SizeBytes int // total capacity
 	Ways      int // associativity
 }
+
+// The paper's per-processor cache geometries (§3.1), with 64-byte lines.
+// Every bounded cache in the simulator has one of these two shapes.
+var (
+	L1 = Config{SizeBytes: 8 << 10, Ways: 4}  // 8 KB, 4-way
+	L2 = Config{SizeBytes: 32 << 10, Ways: 8} // 32 KB, 8-way
+)
 
 // Lines returns the number of lines the configured cache holds.
 func (c Config) Lines() int { return c.SizeBytes / memsys.LineBytes }

@@ -213,90 +213,6 @@ func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
-func TestHierarchyInclusion(t *testing.T) {
-	h := NewHierarchy(HierarchyConfig{
-		L1: Config{SizeBytes: 2 * 64, Ways: 2},
-		L2: Config{SizeBytes: 4 * 64, Ways: 4},
-	})
-	for i := 0; i < 16; i++ {
-		h.Access(memsys.Line(i), false)
-		// Inclusion: anything in L1 must be in L2.
-		for j := 0; j <= i; j++ {
-			if h.L1Contains(memsys.Line(j)) && !h.Contains(memsys.Line(j)) {
-				t.Fatalf("inclusion violated for line %d", j)
-			}
-		}
-	}
-}
-
-func TestHierarchyLevels(t *testing.T) {
-	h := NewHierarchy(HierarchyConfig{
-		L1: Config{SizeBytes: 2 * 64, Ways: 2},
-		L2: Config{SizeBytes: 8 * 64, Ways: 8},
-	})
-	if lvl, _, _ := h.Access(1, false); lvl != MissLevel {
-		t.Fatalf("first access level = %v", lvl)
-	}
-	if lvl, _, _ := h.Access(1, false); lvl != L1Hit {
-		t.Fatalf("second access level = %v", lvl)
-	}
-	// Push line 1 out of the tiny L1 but keep it in L2.
-	h.Access(2, false)
-	h.Access(3, false)
-	if lvl, _, _ := h.Access(1, false); lvl != L2Hit {
-		t.Fatalf("expected L2 hit, got %v", lvl)
-	}
-}
-
-func TestHierarchyInvalidate(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchy())
-	h.Access(5, false)
-	if dirty, ok := h.Invalidate(5); !ok || dirty {
-		t.Fatalf("invalidate of a clean resident line = (dirty %v, ok %v)", dirty, ok)
-	}
-	if h.Contains(5) || h.L1Contains(5) {
-		t.Fatal("line survived invalidation")
-	}
-	if _, ok := h.Invalidate(5); ok {
-		t.Fatal("invalidate hit absent line")
-	}
-	h.Access(6, true)
-	if dirty, ok := h.Invalidate(6); !ok || !dirty {
-		t.Fatalf("invalidate of a written line = (dirty %v, ok %v)", dirty, ok)
-	}
-}
-
-// TestHierarchyDirtyBit: a write marks the L2 line dirty on every path — miss,
-// L2 hit and L1 hit — later reads keep the bit, and the L2 victim carries it.
-func TestHierarchyDirtyBit(t *testing.T) {
-	h := NewHierarchy(HierarchyConfig{
-		L1: Config{SizeBytes: 1 * 64, Ways: 1},
-		L2: Config{SizeBytes: 2 * 64, Ways: 2},
-	})
-	h.Access(0, true)  // miss, written
-	h.Access(1, false) // miss, clean; evicts 0 from the one-line L1
-	h.Access(0, false) // L2 hit: must not clear 0's bit
-	h.Access(1, true)  // L2 hit, written
-	h.Access(1, false) // L1 hit
-	// Line 0 is now LRU in L2: inserting line 2 evicts it, dirty.
-	if _, v, evicted := h.Access(2, false); !evicted || v.Line != 0 || !v.Payload {
-		t.Fatalf("victim = %+v (evicted %v), want dirty line 0", v, evicted)
-	}
-	h.Access(2, true) // L1 hit, written
-	// Line 1 is LRU now; line 3 evicts it, dirty from its L2-hit write.
-	if _, v, evicted := h.Access(3, false); !evicted || v.Line != 1 || !v.Payload {
-		t.Fatalf("victim = %+v (evicted %v), want dirty line 1", v, evicted)
-	}
-	// Line 2 was dirtied by an L1-hit write; line 4 evicts it.
-	if _, v, evicted := h.Access(4, false); !evicted || v.Line != 2 || !v.Payload {
-		t.Fatalf("victim = %+v (evicted %v), want dirty line 2", v, evicted)
-	}
-	// Line 3 was only read.
-	if _, v, evicted := h.Access(5, false); !evicted || v.Line != 3 || v.Payload {
-		t.Fatalf("victim = %+v (evicted %v), want clean line 3", v, evicted)
-	}
-}
-
 func TestStatsCount(t *testing.T) {
 	c := New[int](Config{SizeBytes: 2 * 64, Ways: 2})
 	c.Lookup(1)

@@ -12,13 +12,11 @@ import (
 )
 
 // The detector's fixed hardware, as the paper evaluates it. Timestamps live
-// in each processor's 32 KB 8-way L2 (§2.3–2.4). The cache walker (§2.7.5)
+// in each processor's L2 (cache.L2, §2.3–2.4). The cache walker (§2.7.5)
 // runs every walkInterval observed accesses, a power of two so the cadence
 // check is a mask, and retires timestamps more than staleAge behind the most
 // advanced clock. Races beyond maxStoredRaces are counted but not retained.
 const (
-	l2Bytes        = 32 << 10
-	l2Ways         = 8
 	walkInterval   = 4096
 	staleAge       = clock.Window / 4
 	maxStoredRaces = 16384
@@ -158,7 +156,7 @@ func New(cfg Config) *Detector {
 	d.walkFrontier = initialClock
 	d.lastBoundary = make([]uint64, cfg.Threads)
 	for p := 0; p < cfg.Procs; p++ {
-		d.caches = append(d.caches, cache.New[lineState](cache.Config{SizeBytes: l2Bytes, Ways: l2Ways}))
+		d.caches = append(d.caches, cache.New[lineState](cache.L2))
 		d.threadOf[p] = p % cfg.Threads
 	}
 	return d

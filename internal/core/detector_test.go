@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"cord/internal/cache"
 	"cord/internal/memsys"
 	"cord/internal/trace"
 )
@@ -43,8 +44,8 @@ func (f *feeder) syncWrite(t int, a memsys.Addr) trace.Report {
 // processor's L2 (64 sets of 8 ways), far above the test variables, and
 // reports whether a's line was displaced.
 func (f *feeder) evict(t int, a memsys.Addr) bool {
-	const sets = l2Bytes / memsys.LineBytes / l2Ways
-	for w := 0; w < l2Ways; w++ {
+	sets := memsys.Addr(cache.L2.Sets())
+	for w := 0; w < cache.L2.Ways; w++ {
 		f.write(t, a+memsys.Addr(1024+w)*sets*memsys.LineBytes)
 	}
 	return !f.d.CacheContains(t, memsys.LineOf(a))

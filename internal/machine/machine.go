@@ -1,47 +1,80 @@
-// Package machine is the timing model of the simulated 4-processor CMP
-// (§3.1): private inclusive L1/L2 caches, a snooping data bus, the half-rate
+// Package machine is the timing model of the simulated CMP (§3.1): private
+// inclusive L1/L2 caches, a snooping data bus, the half-rate
 // address/timestamp bus, and a 600-cycle main memory. It implements the
 // engine's CostModel interface and is where CORD's performance overhead
 // materializes: race-check broadcasts and memory-timestamp updates reported
 // by the CORD detector occupy the address/timestamp bus and contend with
 // ordinary coherence traffic, occasionally delaying instruction retirement.
+//
+// The hardware is the paper's one chip, so its parameters are constants.
 package machine
 
 import (
-	"cord/internal/bus"
-	"cord/internal/cache"
 	"cord/internal/memsys"
 	"cord/internal/trace"
 )
 
-// Config sizes the machine.
-type Config struct {
-	Procs     int
-	Hierarchy cache.HierarchyConfig
-	Timing    bus.Timing
-	// RetireWindow is the number of cycles of address-bus queueing a
-	// pending CORD race check may hide behind out-of-order retirement
-	// before it stalls the issuing instruction (§3.1: the processor
-	// consumes data without waiting for the comparison; only checks still
-	// in flight at retirement delay it).
-	RetireWindow uint64
+// The machine's latencies and bus occupancies, in cycles of the 4 GHz cores.
+const (
+	// l1HitCycles is an L1 hit, which the core's pipeline hides; the
+	// paper gives no figure, so the model charges one cycle.
+	l1HitCycles = 1
+	// l2HitCycles is a local L2 hit; the model's choice, as for L1.
+	l2HitCycles = 10
+	// c2cCycles is the on-chip L2-to-L2 round trip (§3.1).
+	c2cCycles = 20
+	// memCycles is the main-memory round trip (§3.1).
+	memCycles = 600
+	// dataBusCycles is one 64-byte line on the 128-bit 1 GHz data bus
+	// (§3.1): 4 bus cycles, 16 core cycles at the 4:1 clock ratio.
+	dataBusCycles = 16
+	// addrBusCycles is one address/timestamp-bus slot: that bus runs at
+	// half the data bus's rate (§4.1), so 8 core cycles.
+	addrBusCycles = 8
+	// retireWindow is how many cycles of address-bus queueing a pending
+	// race check hides behind out-of-order retirement before it stalls
+	// its instruction (§3.1: the processor consumes data without waiting
+	// for the comparison; only checks still in flight at retirement
+	// delay it). The paper gives no figure; the model's choice.
+	retireWindow = 256
+)
+
+// resource is a serially occupied bus or channel: a transaction requested
+// at now occupies it from max(now, freeAt) for its duration.
+type resource struct {
+	freeAt uint64
+	busy   uint64 // total occupied cycles
+	trans  uint64 // transaction count
 }
 
-// DefaultConfig returns the paper's machine.
-func DefaultConfig() Config {
-	return Config{
-		Procs:        4,
-		Hierarchy:    cache.DefaultHierarchy(),
-		Timing:       bus.DefaultTiming(),
-		RetireWindow: 256,
-	}
+// acquire schedules a transaction of duration cycles requested at now. It
+// returns the cycle the transaction completes and how long it queued behind
+// earlier ones.
+func (r *resource) acquire(now, duration uint64) (end, queued uint64) {
+	start := max(now, r.freeAt)
+	r.freeAt = start + duration
+	r.busy += duration
+	r.trans++
+	return r.freeAt, start - now
 }
+
+// Config has no fields: the machine is the paper's fixed chip. It and
+// DefaultConfig remain because perfbench builds the machine with
+// New(DefaultConfig()).
+type Config struct{}
+
+// DefaultConfig returns the paper's machine.
+func DefaultConfig() Config { return Config{} }
 
 // Machine is one simulated chip. It implements sim.CostModel.
 type Machine struct {
-	cfg    Config
-	fabric *bus.Fabric
-	procs  []*cache.Hierarchy
+	data resource // on-chip data bus
+	addr resource // address/timestamp bus (half rate)
+	mem  resource // memory channel
+
+	// procs holds each processor's private hierarchy, grown on the first
+	// access from a processor beyond it.
+	procs []*hierarchy
 
 	// stats
 	misses, c2c, memFetch, upgrades uint64
@@ -51,73 +84,66 @@ type Machine struct {
 }
 
 // New builds an idle machine.
-func New(cfg Config) *Machine {
-	if cfg.Procs <= 0 {
-		cfg.Procs = 4
-	}
-	m := &Machine{cfg: cfg, fabric: bus.NewFabric(cfg.Timing)}
-	for i := 0; i < cfg.Procs; i++ {
-		m.procs = append(m.procs, cache.NewHierarchy(cfg.Hierarchy))
-	}
-	return m
-}
+func New(Config) *Machine { return &Machine{} }
 
 // AccessCost implements the CostModel contract: it simulates the access
 // against the cache hierarchy and interconnect and returns the cycles the
 // issuing thread is charged.
 func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Report) uint64 {
-	t := m.cfg.Timing
 	l := memsys.LineOf(a.Addr)
+	// A processor not seen before gets a hierarchy, as do those below it.
+	// They start empty, and an empty hierarchy answers no probe or
+	// invalidation, so creating them late changes no timing.
+	for len(m.procs) <= proc {
+		m.procs = append(m.procs, newHierarchy())
+	}
 	h := m.procs[proc]
 
-	// Access touches only the local hierarchy, so the remote probe can
+	// access touches only the local hierarchy, so the remote probe can
 	// follow it; only a miss or a write reads its answer.
-	level, victim, evicted := h.Access(l, a.Kind == trace.Write)
+	level, victim, evicted := h.access(l, a.Kind == trace.Write)
 	sharedRemotely := false
-	if level == cache.MissLevel || a.Kind == trace.Write {
+	if level == missLevel || a.Kind == trace.Write {
 		sharedRemotely = m.sharedRemotely(proc, l)
 	}
-	end := now
+	var end uint64
 	switch level {
-	case cache.L1Hit:
-		end = now + t.L1HitCycles
-	case cache.L2Hit:
-		end = now + t.L2HitCycles
+	case l1Hit:
+		end = now + l1HitCycles
+	case l2Hit:
+		end = now + l2HitCycles
 	default:
 		m.misses++
-		reqDone := m.fabric.Addr.Acquire(now, t.AddrBusCycles)
+		reqDone, _ := m.addr.acquire(now, addrBusCycles)
 		if sharedRemotely {
 			m.c2c++
-			dataDone := m.fabric.Data.Acquire(reqDone, t.DataBusCycles)
-			end = dataDone + t.CacheToCacheCycles
+			dataDone, _ := m.data.acquire(reqDone, dataBusCycles)
+			end = dataDone + c2cCycles
 		} else {
 			m.memFetch++
-			memDone := m.fabric.Mem.Acquire(reqDone, t.MemoryCycles)
-			end = m.fabric.Data.Acquire(memDone, t.DataBusCycles)
+			memDone, _ := m.mem.acquire(reqDone, memCycles)
+			end, _ = m.data.acquire(memDone, dataBusCycles)
 		}
 	}
 
-	if a.Kind == trace.Write {
-		if sharedRemotely {
-			if level == cache.L1Hit || level == cache.L2Hit {
-				// Upgrade: invalidation broadcast on the address bus.
-				m.upgrades++
-				m.fabric.Addr.Acquire(end, t.AddrBusCycles)
+	if a.Kind == trace.Write && sharedRemotely {
+		if level == l1Hit || level == l2Hit {
+			// Upgrade: invalidation broadcast on the address bus.
+			m.upgrades++
+			m.addr.acquire(end, addrBusCycles)
+		}
+		for p, rh := range m.procs {
+			if p == proc {
+				continue
 			}
-			for p, rh := range m.procs {
-				if p == proc {
-					continue
-				}
-				if dirty, _ := rh.Invalidate(l); dirty {
-					// Invalidating a remote *dirty* copy flushes its data:
-					// a cache-to-cache supply on the data bus plus the
-					// memory write-back, like an eviction. The transfer
-					// happens off the writer's critical path, so it
-					// occupies the buses without delaying retirement.
-					m.dirtyInvals++
-					wb := m.fabric.Data.Acquire(end, t.DataBusCycles)
-					m.fabric.Mem.Acquire(wb, t.MemoryCycles)
-				}
+			if dirty, _ := rh.invalidate(l); dirty {
+				// Invalidating a remote *dirty* copy flushes its data:
+				// a cache-to-cache supply on the data bus plus the
+				// memory write-back, like an eviction. The transfer
+				// happens off the writer's critical path, so it
+				// occupies the buses without delaying retirement.
+				m.dirtyInvals++
+				m.writeBack(end)
 			}
 		}
 	}
@@ -125,34 +151,37 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 	if evicted && victim.Payload {
 		// Dirty write-back occupies the data bus and the memory channel
 		// but does not delay the issuing instruction.
-		wb := m.fabric.Data.Acquire(end, t.DataBusCycles)
-		m.fabric.Mem.Acquire(wb, t.MemoryCycles)
+		m.writeBack(end)
 	}
 
 	// CORD traffic: race-check broadcasts and memory-timestamp update
 	// transactions occupy the address/timestamp bus. A check delays
-	// retirement only by the queueing it cannot hide in RetireWindow.
+	// retirement only by the queueing it cannot hide in retireWindow.
 	for i := 0; i < rep.CheckRequests; i++ {
-		delay := m.fabric.Addr.PeekDelay(end)
-		m.fabric.Addr.Acquire(end, t.AddrBusCycles)
-		if delay > m.cfg.RetireWindow {
-			stall := delay - m.cfg.RetireWindow
+		if _, queued := m.addr.acquire(end, addrBusCycles); queued > retireWindow {
+			stall := queued - retireWindow
 			end += stall
 			m.checkStalls++
 			m.stallCycles += stall
 		}
 	}
 	for i := 0; i < rep.MemTsUpdates; i++ {
-		m.fabric.Addr.Acquire(end, t.AddrBusCycles)
+		m.addr.acquire(end, addrBusCycles)
 	}
 
 	return end - now
 }
 
+// writeBack puts one dirty line on the data bus at now and then into memory.
+func (m *Machine) writeBack(now uint64) {
+	wb, _ := m.data.acquire(now, dataBusCycles)
+	m.mem.acquire(wb, memCycles)
+}
+
 // sharedRemotely reports whether any processor other than proc holds l.
 func (m *Machine) sharedRemotely(proc int, l memsys.Line) bool {
 	for p, rh := range m.procs {
-		if p != proc && rh.Contains(l) {
+		if p != proc && rh.contains(l) {
 			return true
 		}
 	}
@@ -162,33 +191,30 @@ func (m *Machine) sharedRemotely(proc int, l memsys.Line) bool {
 // ComputeCost implements the CostModel contract.
 func (m *Machine) ComputeCost(proc int, n uint64) uint64 { return n }
 
-// Stats describes the machine's interconnect activity after a run. The json
-// tags are the stable wire encoding used by exported benchmark artifacts.
+// Stats describes the machine's interconnect activity after a run.
 type Stats struct {
-	Misses       uint64 `json:"misses"`
-	CacheToCache uint64 `json:"cache_to_cache"`
-	MemFetches   uint64 `json:"mem_fetches"`
-	Upgrades     uint64 `json:"upgrades"`
+	Misses       uint64
+	CacheToCache uint64
+	MemFetches   uint64
+	Upgrades     uint64
 	// DirtyInvalidations counts writes that invalidated a remote dirty copy,
 	// each billed as a data-bus cache-to-cache supply plus memory write-back.
-	DirtyInvalidations uint64 `json:"dirty_invalidations"`
-	AddrBusBusy        uint64 `json:"addr_bus_busy"`
-	AddrBusTrans       uint64 `json:"addr_bus_trans"`
-	DataBusBusy        uint64 `json:"data_bus_busy"`
-	DataBusTrans       uint64 `json:"data_bus_trans"`
-	CheckStalls        uint64 `json:"check_stalls"`
-	StallCycles        uint64 `json:"stall_cycles"`
+	DirtyInvalidations uint64
+	AddrBusBusy        uint64
+	AddrBusTrans       uint64
+	DataBusBusy        uint64
+	DataBusTrans       uint64
+	CheckStalls        uint64
+	StallCycles        uint64
 }
 
 // Stats returns cumulative counters.
 func (m *Machine) Stats() Stats {
-	ab, at := m.fabric.Addr.Stats()
-	db, dt := m.fabric.Data.Stats()
 	return Stats{
 		Misses: m.misses, CacheToCache: m.c2c, MemFetches: m.memFetch, Upgrades: m.upgrades,
 		DirtyInvalidations: m.dirtyInvals,
-		AddrBusBusy:        ab, AddrBusTrans: at,
-		DataBusBusy: db, DataBusTrans: dt,
+		AddrBusBusy:        m.addr.busy, AddrBusTrans: m.addr.trans,
+		DataBusBusy: m.data.busy, DataBusTrans: m.data.trans,
 		CheckStalls: m.checkStalls, StallCycles: m.stallCycles,
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"cord/internal/memsys"
+	"cord/internal/sim"
 	"cord/internal/trace"
+	"cord/internal/workload"
 )
 
 func acc(proc int, addr memsys.Addr, kind trace.Kind) trace.Access {
@@ -28,7 +30,7 @@ func TestHitIsCheap(t *testing.T) {
 	m := New(DefaultConfig())
 	m.AccessCost(0, 0, acc(0, 0x1000, trace.Read), trace.Report{})
 	cost := m.AccessCost(100000, 0, acc(0, 0x1000, trace.Read), trace.Report{})
-	if cost != m.cfg.Timing.L1HitCycles {
+	if cost != l1HitCycles {
 		t.Fatalf("L1 hit cost = %d", cost)
 	}
 }
@@ -53,7 +55,7 @@ func TestWriteInvalidatesRemoteCopies(t *testing.T) {
 	// Proc 1 writes: proc 0's copy must be invalidated -> proc 0 misses.
 	m.AccessCost(20000, 1, acc(1, 0x1000, trace.Write), trace.Report{})
 	cost := m.AccessCost(300000, 0, acc(0, 0x1000, trace.Read), trace.Report{})
-	if cost < m.cfg.Timing.CacheToCacheCycles {
+	if cost < c2cCycles {
 		t.Fatalf("read after remote write cost = %d, expected a miss", cost)
 	}
 }
@@ -121,6 +123,24 @@ func TestCordTrafficOccupiesAddrBus(t *testing.T) {
 	}
 }
 
+// TestRetireWindowBoundary: a check that queues exactly retireWindow cycles
+// still retires on time; one slot more stalls the access by that slot.
+func TestRetireWindowBoundary(t *testing.T) {
+	m := New(DefaultConfig())
+	m.AccessCost(0, 0, acc(0, 0x1000, trace.Read), trace.Report{})
+	// On an idle bus the k-th check of a burst queues k slots.
+	fits := retireWindow/addrBusCycles + 1
+	cost := m.AccessCost(10000, 0, acc(0, 0x1000, trace.Read), trace.Report{CheckRequests: fits})
+	if st := m.Stats(); st.CheckStalls != 0 || cost != l1HitCycles {
+		t.Fatalf("%d checks within the window: cost %d, stats %+v", fits, cost, st)
+	}
+	cost = m.AccessCost(20000, 0, acc(0, 0x1000, trace.Read), trace.Report{CheckRequests: fits + 1})
+	st := m.Stats()
+	if st.CheckStalls != 1 || st.StallCycles != addrBusCycles || cost != l1HitCycles+addrBusCycles {
+		t.Fatalf("%d checks, one past the window: cost %d, stats %+v", fits+1, cost, st)
+	}
+}
+
 func TestCheckStallOnlyUnderContention(t *testing.T) {
 	m := New(DefaultConfig())
 	m.AccessCost(0, 0, acc(0, 0x1000, trace.Read), trace.Report{})
@@ -141,5 +161,32 @@ func TestComputeCost(t *testing.T) {
 	m := New(DefaultConfig())
 	if m.ComputeCost(0, 17) != 17 {
 		t.Fatal("compute cost not 1 cycle per unit")
+	}
+}
+
+// TestMoreProcessorsThanThePaper: the machine sizes itself from the
+// processors it prices, so an 8-processor run completes and uses every
+// processor's hierarchy.
+func TestMoreProcessorsThanThePaper(t *testing.T) {
+	const procs = 8
+	app, err := workload.ByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(DefaultConfig())
+	res, err := sim.New(sim.Config{Seed: 1, Procs: procs, Cost: m}, app.Build(1, procs)).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Hung {
+		t.Fatal("run hung")
+	}
+	if len(m.procs) != procs {
+		t.Fatalf("machine has %d hierarchies, want %d", len(m.procs), procs)
+	}
+	for p, h := range m.procs {
+		if h.l2.Len() == 0 {
+			t.Errorf("processor %d's hierarchy holds no line", p)
+		}
 	}
 }

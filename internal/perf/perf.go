@@ -108,12 +108,12 @@ func setupMemsysSparse() func(i int) {
 	}
 }
 
-// setupCacheBounded churns a paper-geometry L2 (32 KB, 8-way) with a working
+// setupCacheBounded churns the paper's L2 geometry (cache.L2) with a working
 // set twice its capacity: every access is a lookup plus, on miss, an insert
 // with eviction.
 func setupCacheBounded() func(i int) {
-	c := cache.New[uint64](cache.Config{SizeBytes: 32 << 10, Ways: 8})
-	lines := 2 * (32 << 10) / memsys.LineBytes
+	c := cache.New[uint64](cache.L2)
+	lines := 2 * cache.L2.Lines()
 	return func(i int) {
 		l := memsys.Line(i % lines)
 		if p, ok := c.Lookup(l); ok {

@@ -17,20 +17,15 @@ type CostModel interface {
 	ComputeCost(proc int, n uint64) uint64
 }
 
-// SimpleCost is the detection-mode model: every access costs AccessCycles
-// (default 10) and computation is one cycle per unit. The engine's seeded
-// jitter supplies interleaving diversity.
-type SimpleCost struct {
-	AccessCycles uint64
-}
+// SimpleCost is the detection-mode model: every access costs 10 cycles and
+// computation is one cycle per unit. The engine's seeded jitter supplies
+// interleaving diversity.
+type SimpleCost struct{}
 
 // AccessCost implements CostModel.
-func (s SimpleCost) AccessCost(now uint64, proc int, a trace.Access, rep trace.Report) uint64 {
-	if s.AccessCycles == 0 {
-		return 10
-	}
-	return s.AccessCycles
+func (SimpleCost) AccessCost(now uint64, proc int, a trace.Access, rep trace.Report) uint64 {
+	return 10
 }
 
 // ComputeCost implements CostModel.
-func (s SimpleCost) ComputeCost(proc int, n uint64) uint64 { return n }
+func (SimpleCost) ComputeCost(proc int, n uint64) uint64 { return n }

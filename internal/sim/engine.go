@@ -48,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"slices"
 
 	"cord/internal/memsys"
 	"cord/internal/record"
@@ -105,8 +104,9 @@ type Config struct {
 	MigrateEvery uint64
 	// ReplayEpochs, when non-nil, switches the scheduler to log-driven
 	// replay: epochs run in order, each granting its thread a quota of
-	// committed instructions. The engine never writes into the slice, so
-	// one schedule may be replayed any number of times.
+	// committed instructions. The engine replays them as a closed
+	// ReplayFeed and never writes into the slice, so one schedule may be
+	// replayed any number of times.
 	ReplayEpochs []record.Epoch
 	// ReplayFeed, when non-nil, also selects replay mode but sources the
 	// epoch schedule incrementally: the engine consumes epochs as a producer
@@ -270,16 +270,14 @@ type Engine struct {
 	postCap   int // queue length that parks a posting thread, at most maxPosted
 
 	// replay state
-	replay       bool
 	epochs       []record.Epoch // the schedule from epochBase on
-	epochsOwned  bool           // epochs is the engine's copy, not Config.ReplayEpochs
 	epochBase    int            // consumed epochs dropped from the front of epochs
 	epochIdx     int            // the current epoch's position in epochs
 	epochRun     uint32         // instructions committed in the current epoch
 	epochFresh   bool           // epoch just began: drain the thread's micro-ops first
 	replayErr    error          // sticky divergence detected while charging quota
-	feed         *ReplayFeed
-	feedCanceled bool // Cancel fired while waiting on the feed
+	feed         *ReplayFeed    // non-nil in replay mode; Config.ReplayEpochs arrive closed
+	feedCanceled bool           // Cancel fired while waiting on the feed
 
 	lastAccess trace.Access
 
@@ -305,6 +303,10 @@ func New(cfg Config, prog Program) *Engine {
 	if cfg.Cost == nil {
 		cfg.Cost = SimpleCost{}
 	}
+	feed := cfg.ReplayFeed
+	if cfg.ReplayEpochs != nil {
+		feed = closedFeed(cfg.ReplayEpochs)
+	}
 	e := &Engine{
 		cfg:        cfg,
 		prog:       prog,
@@ -314,9 +316,7 @@ func New(cfg Config, prog Program) *Engine {
 		primIdx:    -1,
 		postCap:    maxPosted,
 		injThread:  -1,
-		replay:     cfg.ReplayEpochs != nil || cfg.ReplayFeed != nil,
-		epochs:     cfg.ReplayEpochs,
-		feed:       cfg.ReplayFeed,
+		feed:       feed,
 		epochFresh: true,
 	}
 	e.pcg.Seed(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)
@@ -361,7 +361,7 @@ func (e *Engine) Run() (Result, error) {
 		}
 	}
 
-	if e.replay && e.cfg.OnEpoch != nil {
+	if e.feed != nil && e.cfg.OnEpoch != nil {
 		e.cfg.OnEpoch(0)
 	}
 	e.inline = true
@@ -424,7 +424,7 @@ func (e *Engine) next() *threadCtx {
 			if e.allDone() {
 				return nil
 			}
-			if e.replay && e.replayRecoverable() {
+			if e.feed != nil && e.replayRecoverable() {
 				continue
 			}
 			if e.feedCanceled {
@@ -562,7 +562,7 @@ func (e *Engine) abortAll() {
 // with the minimum virtual time (ties by id); in replay mode the thread named
 // by the current epoch.
 func (e *Engine) pick() *threadCtx {
-	if e.replay {
+	if e.feed != nil {
 		return e.pickReplay()
 	}
 	var best *threadCtx
@@ -633,10 +633,10 @@ func (e *Engine) pickReplay() *threadCtx {
 		}
 		return nil // blocked mid-epoch: replayRecoverable decides
 	}
-	// All epochs consumed (and, with a feed, the stream has ended): let any
-	// remaining runnable thread finish. A canceled feed wait also lands here
-	// with nothing runnable-by-schedule; returning nil then lets the run
-	// loop surface ErrCanceled instead of draining extra operations.
+	// All epochs consumed and the feed closed: let any remaining runnable
+	// thread finish. A canceled feed wait also lands here with nothing
+	// runnable-by-schedule; returning nil then lets the run loop surface
+	// ErrCanceled instead of draining extra operations.
 	if e.feedCanceled {
 		return nil
 	}
@@ -654,10 +654,9 @@ func (e *Engine) pickReplay() *threadCtx {
 // than a hang). When every epoch so far is consumed it first drops them, so
 // a feed-driven replay holds only the epochs it has not run yet.
 func (e *Engine) pullEpochs() bool {
-	if e.feed == nil || e.feedCanceled {
+	if e.feedCanceled {
 		return false
 	}
-	e.ownEpochs()
 	if e.epochIdx == len(e.epochs) {
 		e.epochBase += e.epochIdx
 		e.epochs, e.epochIdx = e.epochs[:0], 0
@@ -693,15 +692,6 @@ func (e *Engine) advanceEpoch() {
 	}
 }
 
-// ownEpochs makes e.epochs the engine's own copy before its first write:
-// Config.ReplayEpochs belongs to the caller, and replaying it must leave it
-// as it was.
-func (e *Engine) ownEpochs() {
-	if !e.epochsOwned {
-		e.epochs, e.epochsOwned = slices.Clone(e.epochs), true
-	}
-}
-
 // replayRecoverable handles a blocked designated thread by looking for a
 // concurrent (equal-time) epoch whose thread can run first; it reorders the
 // two epochs (requeueing the blocked epoch's remaining instruction quota)
@@ -729,7 +719,6 @@ func (e *Engine) replayRecoverable() bool {
 		}
 		t := e.threads[e.epochs[j].Thread]
 		if t.state == stReady {
-			e.ownEpochs()
 			e.epochs[e.epochIdx].Instr -= e.epochRun
 			e.epochs[e.epochIdx], e.epochs[j] = e.epochs[j], e.epochs[e.epochIdx]
 			e.epochRun = 0
@@ -887,7 +876,7 @@ func (e *Engine) advance(t *threadCtx, cost uint64, instrs uint64) {
 	t.vtime += cost
 	t.instr += instrs
 	e.ops += instrs
-	if e.replay && instrs > 0 && e.epochIdx < len(e.epochs) {
+	if e.feed != nil && instrs > 0 && e.epochIdx < len(e.epochs) {
 		e.epochRun += uint32(instrs)
 		if ep := e.epochs[e.epochIdx]; e.epochRun > ep.Instr && e.replayErr == nil {
 			e.replayErr = fmt.Errorf("%w: thread %d ran %d instructions in an epoch of %d (log ends mid-request)",

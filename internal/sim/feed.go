@@ -35,6 +35,13 @@ func NewReplayFeed() *ReplayFeed {
 	return &ReplayFeed{wake: make(chan struct{})}
 }
 
+// closedFeed returns a closed feed that holds the complete schedule eps, so
+// slice replay (Config.ReplayEpochs) runs the streaming path. The engine's
+// take copies eps out, so the caller's slice is never written.
+func closedFeed(eps []record.Epoch) *ReplayFeed {
+	return &ReplayFeed{epochs: eps, closed: true, wake: make(chan struct{})}
+}
+
 // Append publishes more epochs to the consuming engine.
 func (f *ReplayFeed) Append(eps ...record.Epoch) {
 	if len(eps) == 0 {

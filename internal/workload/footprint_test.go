@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"cord/internal/cache"
 	"cord/internal/memsys"
 	"cord/internal/sim"
 	"cord/internal/trace"
@@ -28,7 +29,7 @@ func TestFootprintRegimes(t *testing.T) {
 		}
 		return len(lines) * memsys.LineBytes
 	}
-	const l1, l2 = 8 << 10, 32 << 10
+	l1, l2 := cache.L1.SizeBytes, cache.L2.SizeBytes
 	// Above-L1 apps: their racy histories must outlive the phase but not
 	// (always) the L1.
 	for _, name := range []string{"raytrace", "volrend", "fft", "barnes"} {

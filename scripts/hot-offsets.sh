@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Prints where the engine's and the detectors' hot functions sit in a Go
-# binary: one "offset size name" line per function, sorted by name, where
-# offset is the entry address modulo 64 (the function's place in a 64-byte
-# instruction-fetch block) and size is its length in bytes.
+# Prints where the hot functions of the engine, the detectors, the timing
+# machine and the workload thread bodies sit in a Go binary: one "offset
+# size name" line per function, sorted by name, where offset is the entry
+# address modulo 64 (the function's place in a 64-byte instruction-fetch
+# block) and size is its length in bytes.
 #
 # A change that grows or shrinks code linked before these packages (for
 # instance internal/record) moves every hot function by 32 bytes modulo 64,
@@ -29,7 +30,7 @@ if [ $# -lt 1 ] || [ $# -gt 2 ]; then
 	exit 2
 fi
 bin=$1
-pattern=${2:-'^cord/internal/(sim\.\(\*(Engine|Env)\)\.|core\.\(\*Detector\)\.|baseline\.\(\*(Ideal|VecCache|FastTrack)\)\.(OnAccess|on|probe|stamp|new|flush)|machine\.\(\*Machine\)\.AccessCost|cache\.\(\*(Cache\[.*\]|Hierarchy)\)\.(Lookup|Peek|Contains|Insert|Access))'}
+pattern=${2:-'^cord/internal/(sim\.\(\*(Engine|Env)\)\.|core\.\(\*Detector\)\.|baseline\.\(\*(Ideal|VecCache|FastTrack)\)\.(OnAccess|on|probe|stamp|new|flush)|machine\.\(\*(Machine\)\.(AccessCost|sharedRemotely)|hierarchy\)\.|resource\)\.acquire)|cache\.\(\*Cache\[.*\]\)\.(Lookup|Peek|Contains|Insert|Remove)|workload\.[A-Za-z0-9]+\.func[0-9]+$)'}
 
 # go tool nm -size prints "address size type name" with a hex address; a
 # generic symbol's name may contain spaces, so the name is everything after
