@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-json bench-smoke figures json-figures diff-figures table1-determinism serve loadtest smoke-service stream-smoke resume-smoke fleet fleet-smoke fleet-chaos-smoke fuzz-smoke clean
+.PHONY: check fmt vet build test race examples bench bench-json bench-smoke figures json-figures diff-figures table1-determinism serve loadtest smoke-service stream-smoke resume-smoke fleet fleet-smoke fleet-chaos-smoke fuzz-smoke clean
 
 check: fmt vet build test
 
@@ -31,6 +31,13 @@ test:
 # Requires cgo (CGO_ENABLED=1) on most platforms.
 race:
 	$(GO) test -race ./internal/... ./cmd/cordbench/ ./cmd/cordload/
+
+# Run every program under examples/; any non-zero exit fails the target.
+# `make check` only compiles them. CI runs this.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d > /dev/null; \
+	done
 
 # Campaign scaling benchmark: compare procs=1 vs procs=4 lines.
 bench:

@@ -112,9 +112,11 @@ type (
 	App = workload.App
 	// AreaModel prices per-line timestamp state (§2.3–2.4).
 	AreaModel = experiment.AreaModel
-	// Directory is the home-node sharer tracker of the directory-coherence
-	// extension (§2.5); pass one via DetectorConfig.Directory to run CORD
-	// over point-to-point coherence instead of snooping.
+	// Directory is the message counter of the directory-coherence extension
+	// (§2.5). Pass one via DetectorConfig.Directory: it counts the
+	// point-to-point messages a directory would send for the detector's
+	// transactions, forwarding each only to the remote caches that hold the
+	// line. Detection is the same as under snooping.
 	Directory = directory.Directory
 	// DirectoryStats counts the extension's point-to-point messages.
 	DirectoryStats = directory.Stats
@@ -182,7 +184,8 @@ func AppByName(name string) App {
 	return a
 }
 
-// NewDirectory builds a home-node directory for the §2.5 extension.
+// NewDirectory builds a message counter for the §2.5 extension. It keeps no
+// per-processor state, so any processor count works.
 func NewDirectory(procs int) *Directory { return directory.New(procs) }
 
 // DefaultAreaModel returns the paper's chip-area configuration, whose

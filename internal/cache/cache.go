@@ -54,9 +54,6 @@ type Cache[P any] struct {
 	ways      int
 	setMask   uint64 // sets-1: Validate guarantees a power-of-two set count
 	unbounded *unboundedStore[P]
-
-	// stats
-	hits, misses, evictions uint64
 }
 
 // Config describes a bounded cache geometry.
@@ -127,10 +124,8 @@ func (c *Cache[P]) setOf(l memsys.Line) int { return int(uint64(l) & c.setMask) 
 func (c *Cache[P]) Lookup(l memsys.Line) (*P, bool) {
 	if c.unbounded != nil {
 		if p := c.unbounded.index.Get(uint64(l)); p != nil {
-			c.hits++
 			return p, true
 		}
-		c.misses++
 		return nil, false
 	}
 	set := c.sets[c.setOf(l)]
@@ -140,15 +135,13 @@ func (c *Cache[P]) Lookup(l memsys.Line) (*P, bool) {
 			e := set[i]
 			copy(set[1:i+1], set[:i])
 			set[0] = e
-			c.hits++
 			return &set[0].payload, true
 		}
 	}
-	c.misses++
 	return nil, false
 }
 
-// Peek returns the payload of line l without touching recency or stats;
+// Peek returns the payload of line l without touching recency;
 // remote snoops use it so that coherence traffic does not perturb local LRU
 // state. The pointer follows Lookup's contract.
 func (c *Cache[P]) Peek(l memsys.Line) (*P, bool) {
@@ -167,7 +160,7 @@ func (c *Cache[P]) Peek(l memsys.Line) (*P, bool) {
 	return nil, false
 }
 
-// Contains reports residency without touching recency or stats.
+// Contains reports residency without touching recency.
 func (c *Cache[P]) Contains(l memsys.Line) bool {
 	if c.unbounded != nil {
 		return c.unbounded.index.Get(uint64(l)) != nil
@@ -221,7 +214,6 @@ func (c *Cache[P]) Insert(l memsys.Line, payload P) (Victim[P], bool) {
 	v := Victim[P]{Line: set[len(set)-1].line, Payload: set[len(set)-1].payload}
 	copy(set[1:], set[:len(set)-1])
 	set[0] = entry[P]{line: l, payload: payload}
-	c.evictions++
 	return v, true
 }
 
@@ -282,9 +274,4 @@ func (c *Cache[P]) ForEach(fn func(l memsys.Line, p *P)) {
 			fn(set[i].line, &set[i].payload)
 		}
 	}
-}
-
-// Stats returns cumulative hit/miss/eviction counts.
-func (c *Cache[P]) Stats() (hits, misses, evictions uint64) {
-	return c.hits, c.misses, c.evictions
 }

@@ -212,14 +212,3 @@ func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestStatsCount(t *testing.T) {
-	c := New[int](Config{SizeBytes: 2 * 64, Ways: 2})
-	c.Lookup(1)
-	c.Insert(1, 1)
-	c.Lookup(1)
-	h, m, _ := c.Stats()
-	if h != 1 || m != 1 {
-		t.Fatalf("hits=%d misses=%d", h, m)
-	}
-}

@@ -39,12 +39,14 @@ type Config struct {
 	NoUpdateOnDataRaces bool
 	// Record enables the order log.
 	Record bool
-	// Directory, when non-nil, runs the detector over directory-based
-	// coherence instead of snooping (the §2.5 extension): race checks and
-	// coherence requests are forwarded point-to-point to the line's actual
-	// sharers, and memory-timestamp updates go to the home node. Detection
-	// results are identical; traffic accounting moves to the Directory's
-	// message counters.
+	// Directory, when non-nil, counts the messages the §2.5
+	// directory-coherence extension would send for this detector's
+	// transactions: each probe is one request to the home node plus one
+	// forward and one response per remote holder the probe finds, and each
+	// memory-timestamp update is one message to the home. Detection is
+	// unchanged, since the probe itself is the same. The counters live in a
+	// separate object, not in Stats, because /v1/detect responses serialize
+	// Stats and perfbench attaches a directory.New(procs) here.
 	Directory *directory.Directory
 }
 
@@ -104,12 +106,11 @@ type Detector struct {
 	mem      memTimestamps
 	rec      *recorder
 
-	races         []trace.Race
-	scratch       []conflict
-	targetScratch []int
-	pendingMemTs  int
-	minTs         clock.Scalar
-	hasMinTs      bool
+	races        []trace.Race
+	scratch      []conflict
+	pendingMemTs int
+	minTs        clock.Scalar
+	hasMinTs     bool
 
 	// Sliding-window maintenance (§2.7.5): the frontier is the most
 	// advanced clock; walks trigger on frontier advance so that every
@@ -291,12 +292,6 @@ func (d *Detector) OnAccess(a trace.Access) trace.Report {
 		d.setFilters(&nl, a.Kind, probe)
 		if v, evicted := d.caches[proc].Insert(line, nl); evicted {
 			d.flushLine(&v.Payload)
-			if d.cfg.Directory != nil {
-				d.cfg.Directory.RemoveSharer(v.Line, proc)
-			}
-		}
-		if d.cfg.Directory != nil {
-			d.cfg.Directory.AddSharer(line, proc)
 		}
 	} else {
 		// ls from the Lookup above is still valid (Cache.Lookup's
@@ -397,16 +392,22 @@ func (d *Detector) setFilters(ls *lineState, kind trace.Kind, probe probeResult)
 // collects conflicting per-word timestamps into d.scratch, the response
 // (newest) timestamp, and the bit summaries used for filter decisions; it
 // clears the remote filter bits, applies invalidations for writes, and
-// downgrades owners on read fetches.
+// downgrades owners on read fetches. The remote holders it finds are the
+// caches a directory would forward the request to, so an attached
+// Directory counts them.
 func (d *Detector) probeRemotes(proc int, line memsys.Line, word int, wk wordKind, invalidate, downgrade bool) probeResult {
 	var res probeResult
 	d.scratch = d.scratch[:0]
-	targets := d.probeTargets(proc, line)
-	for _, q := range targets {
+	holders := 0
+	for q := range d.caches {
+		if q == proc {
+			continue
+		}
 		ls, ok := d.caches[q].Peek(line)
 		if !ok {
 			continue
 		}
+		holders++
 		res.found = true
 		ls.filterR, ls.filterW = false, false
 		for i := range ls.hist {
@@ -437,33 +438,14 @@ func (d *Detector) probeRemotes(proc int, line memsys.Line, word int, wk wordKin
 			// timestamp by the response rule, so the discarded history
 			// needs no memory-timestamp update.
 			d.caches[q].Remove(line)
-			if d.cfg.Directory != nil {
-				d.cfg.Directory.RemoveSharer(line, q)
-			}
 		} else if downgrade && ls.state == owned {
 			ls.state = shared
 		}
 	}
+	if d.cfg.Directory != nil {
+		d.cfg.Directory.Request(holders)
+	}
 	return res
-}
-
-// probeTargets returns the processors a transaction on the line must reach.
-// Snooping broadcasts to everyone; a directory forwards only to the home
-// node's sharer list (identical contents by the directory's invariant) and
-// accounts the point-to-point messages.
-func (d *Detector) probeTargets(proc int, line memsys.Line) []int {
-	d.targetScratch = d.targetScratch[:0]
-	if dir := d.cfg.Directory; dir != nil {
-		d.targetScratch = dir.Sharers(line, proc, d.targetScratch)
-		dir.Request(len(d.targetScratch))
-		return d.targetScratch
-	}
-	for q := 0; q < d.cfg.Procs; q++ {
-		if q != proc {
-			d.targetScratch = append(d.targetScratch, q)
-		}
-	}
-	return d.targetScratch
 }
 
 // stamp records the access in the local line's history at timestamp ts,
@@ -628,10 +610,3 @@ func (d *Detector) Stats() Stats { return d.st }
 
 // Clock returns a thread's current logical clock (for tests).
 func (d *Detector) Clock(thread int) clock.Scalar { return d.clocks[thread] }
-
-// CacheContains reports whether processor proc's detector cache holds the
-// line — the ground truth the directory extension's invariant tests compare
-// sharer sets against.
-func (d *Detector) CacheContains(proc int, l memsys.Line) bool {
-	return d.caches[proc].Contains(l)
-}

@@ -48,7 +48,7 @@ func (f *feeder) evict(t int, a memsys.Addr) bool {
 	for w := 0; w < cache.L2.Ways; w++ {
 		f.write(t, a+memsys.Addr(1024+w)*sets*memsys.LineBytes)
 	}
-	return !f.d.CacheContains(t, memsys.LineOf(a))
+	return !f.d.caches[t].Contains(memsys.LineOf(a))
 }
 
 // Distinct lines for the test variables.

@@ -11,22 +11,28 @@ import (
 )
 
 // DirectoryRow compares, for one application, the snooping broadcast traffic
-// with the directory extension's point-to-point messages on the same
-// executions (§2.5's proposed extension).
+// with the directory extension's point-to-point messages for the same CORD
+// transactions (§2.5's proposed extension).
 // The json tags are the stable wire encoding used by exported benchmark
 // artifacts.
 type DirectoryRow struct {
 	App string `json:"app"`
 	// Requests is the number of bus-visible CORD transactions.
 	Requests uint64 `json:"requests"`
-	// Forwards is the directory's sharer-forward count for them.
+	// Forwards is the directory's count of forwards to remote holders for
+	// them.
 	Forwards uint64 `json:"forwards"`
 	// SnoopMessages is what a broadcast protocol costs: every transaction
 	// observed by every other processor.
 	SnoopMessages uint64 `json:"snoop_messages"`
 	// MemTsMessages is the directory-homed memory-timestamp update count.
 	MemTsMessages uint64 `json:"mem_ts_messages"`
-	// RacesMatch confirms the two protocols detected identical race counts.
+	// RacesMatch reports that detection under the directory equals
+	// detection under snooping. It is true by construction: the directory
+	// counts the messages of the snooping probe, which runs unchanged, so
+	// one detector serves both protocols (core's TestDirectoryEquivalence
+	// checks that attaching the counter changes neither races nor log). The
+	// field stays because BENCH_directory.json carries it.
 	RacesMatch bool `json:"races_match"`
 }
 
@@ -66,11 +72,10 @@ func RunDirectory(o Options, procs int) ([]DirectoryRow, error) {
 		return o.journaledRun(campaign, i, 0, &rows[i], func() error {
 			app := o.Apps[i]
 			dir := directory.New(procs)
-			dird := core.New(core.Config{Threads: procs, Procs: procs, D: 16, Directory: dir})
-			snoop := core.New(core.Config{Threads: procs, Procs: procs, D: 16})
+			det := core.New(core.Config{Threads: procs, Procs: procs, D: 16, Directory: dir})
 			if _, err := o.runSim("directory run", app, procs, sim.Config{
 				Seed: o.BaseSeed, Procs: procs,
-				Observers: []trace.Observer{snoop, dird},
+				Observers: []trace.Observer{det},
 			}); err != nil {
 				return err
 			}
@@ -81,7 +86,7 @@ func RunDirectory(o Options, procs int) ([]DirectoryRow, error) {
 				Forwards:      st.Forwards,
 				SnoopMessages: st.Requests * uint64(procs-1),
 				MemTsMessages: st.MemTsMessages,
-				RacesMatch:    snoop.RaceCount() == dird.RaceCount(),
+				RacesMatch:    true,
 			}
 			return nil
 		})

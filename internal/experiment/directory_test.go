@@ -38,6 +38,20 @@ func TestRunDirectory(t *testing.T) {
 	}
 }
 
+// TestRunDirectory65Procs: the directory keeps no per-processor state, so
+// the extension runs past 64 processors.
+func TestRunDirectory65Procs(t *testing.T) {
+	o := smallOpts()
+	o.Apps = o.Apps[:1]
+	rows, err := RunDirectory(o, 65)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rows[0]; r.Forwards == 0 || r.SnoopMessages != r.Requests*64 {
+		t.Fatalf("%s at 65 procs: %+v", r.App, r)
+	}
+}
+
 // TestCampaignDeterminism: the same options produce the same figures.
 func TestCampaignDeterminism(t *testing.T) {
 	a, err := RunDetection(smallOpts())
