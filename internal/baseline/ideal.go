@@ -91,13 +91,11 @@ type Ideal struct {
 
 	races     []trace.Race
 	raceCount int // racy accesses (>=1 conflicting unordered predecessor)
-	pairCount int // individual unordered conflicting pairs
 	pairs     map[pairKey]bool
 	maxPairs  int
 
 	accesses      uint64
 	pruneInterval uint64
-	peakEntries   int
 }
 
 // NewIdeal builds the oracle for the given thread count.
@@ -195,7 +193,6 @@ func (d *Ideal) onData(a trace.Access, my clock.Vector, rep *trace.Report) {
 			First:  trace.Ref{Thread: int(e.thread), Kind: e.kind, Seq: e.seq},
 			Second: trace.Ref{Thread: a.Thread, Kind: a.Kind, Seq: a.Seq},
 		}
-		d.pairCount++
 		if len(d.races) < maxStoredRaces {
 			d.races = append(d.races, r)
 			rep.Races = append(rep.Races, r)
@@ -264,9 +261,6 @@ func (d *Ideal) prune() {
 		out = append(out, e)
 	}
 	d.hist = out
-	if len(out) > d.peakEntries {
-		d.peakEntries = len(out)
-	}
 }
 
 // Migrate implements trace.Observer; vector clocks are per-thread, so
@@ -288,10 +282,6 @@ func (d *Ideal) Races() []trace.Race { return d.races }
 // schemes are counted on the same basis.
 func (d *Ideal) RaceCount() int { return d.raceCount }
 
-// PairCount returns the total number of unordered conflicting pairs (grows
-// quadratically with repeated racy accesses; diagnostic only).
-func (d *Ideal) PairCount() int { return d.pairCount }
-
 // ProblemDetected reports whether the run exposed at least one data race.
 func (d *Ideal) ProblemDetected() bool { return d.raceCount > 0 }
 
@@ -302,7 +292,3 @@ func (d *Ideal) ProblemDetected() bool { return d.raceCount > 0 }
 func (d *Ideal) Confirms(r trace.Race) bool {
 	return d.pairs[pairKey{r.Addr, r.Second.Seq, r.First.Thread, r.First.Kind}]
 }
-
-// PeakEntries returns the high-water mark of retained history entries (a
-// proxy for the paper's observation that Ideal needs enormous buffering).
-func (d *Ideal) PeakEntries() int { return d.peakEntries }

@@ -82,23 +82,22 @@ type VecConfig struct {
 }
 
 // VecCache is the vector-clock, cache-bounded detector of Figs. 12–15. Like
-// CORD it keeps two timestamps with per-word access bits per resident line
-// and a pair of whole-memory timestamps, but timestamps are full vector
-// clocks, so ordering is exact wherever history survives. It reports no
-// races discovered through the memory timestamps (same §2.5 reasoning).
+// CORD it keeps two timestamps with per-word access bits per resident line,
+// but timestamps are full vector clocks, so ordering is exact wherever
+// history survives. It reports no races discovered through memory (same
+// §2.5 reasoning), so of CORD's two whole-memory timestamps it keeps only
+// the write one, which sync reads through memory join.
 type VecCache struct {
 	cfg      VecConfig
 	vcs      []clock.Vector
 	threadOf []int
 	caches   []*cache.Cache[vecLine]
 
-	memRead, memWrite clock.Vector
-	memHasR, memHasW  bool
+	memWrite clock.Vector
+	memHasW  bool
 
 	races     []trace.Race
 	raceCount int // racy accesses
-	reports   int // individual reported conflicts
-	viaMemory int
 	scratch   []vecConflict
 
 	// freeVCs recycles the vectors of displaced history entries (slot
@@ -133,7 +132,6 @@ func NewVecCache(cfg VecConfig) *VecCache {
 		cfg:      cfg,
 		vcs:      makeVCs(cfg.Threads),
 		threadOf: make([]int, cfg.Procs),
-		memRead:  clock.NewVector(cfg.Threads),
 		memWrite: clock.NewVector(cfg.Threads),
 	}
 	geo, bounded := cfg.Bound.geometry()
@@ -185,7 +183,6 @@ func (d *VecCache) OnAccess(a trace.Access) trace.Report {
 				Second: trace.Ref{Thread: a.Thread, Kind: a.Kind, Seq: a.Seq},
 			}
 			racy = true
-			d.reports++
 			if len(d.races) < maxStoredRaces {
 				d.races = append(d.races, r)
 				rep.Races = append(rep.Races, r)
@@ -206,16 +203,8 @@ func (d *VecCache) OnAccess(a trace.Access) trace.Report {
 	// whole-memory timestamps is suppressed (§2.5); a sync read through
 	// memory joins the memory write timestamp so synchronization through
 	// displaced variables is never lost (the Fig. 6 scenario).
-	if !present && !probe.found {
-		if d.memHasW && !my.DominatesOrEqual(d.memWrite) && a.Class == trace.Data {
-			d.viaMemory++
-		}
-		if a.Kind == trace.Write && d.memHasR && !my.DominatesOrEqual(d.memRead) && a.Class == trace.Data {
-			d.viaMemory++
-		}
-		if a.Class == trace.Sync && a.Kind == trace.Read && d.memHasW {
-			my.Join(d.memWrite)
-		}
+	if !present && !probe.found && a.Class == trace.Sync && a.Kind == trace.Read && d.memHasW {
+		my.Join(d.memWrite)
 	}
 
 	if racy {
@@ -356,14 +345,7 @@ func (d *VecCache) probeRemotes(proc int, line memsys.Line, word int, kind trace
 }
 
 func (d *VecCache) absorbMem(e vecEntry) {
-	if !e.valid {
-		return
-	}
-	if e.readMask != 0 {
-		d.memRead.Join(e.vc)
-		d.memHasR = true
-	}
-	if e.writeMask != 0 {
+	if e.valid && e.writeMask != 0 {
 		d.memWrite.Join(e.vc)
 		d.memHasW = true
 	}
@@ -399,7 +381,3 @@ func (d *VecCache) RaceCount() int { return d.raceCount }
 
 // ProblemDetected reports whether at least one race was reported.
 func (d *VecCache) ProblemDetected() bool { return d.raceCount > 0 }
-
-// ViaMemorySuppressed returns how many detections were suppressed because
-// they came from the whole-memory timestamps.
-func (d *VecCache) ViaMemorySuppressed() int { return d.viaMemory }

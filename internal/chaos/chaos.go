@@ -29,13 +29,8 @@
 //	                written — the coordinator sees a dropped connection, not a
 //	                clean error. The decision stream is deterministic in
 //	                (seed, shard-completion index), so a pinned seed replays
-//	                the same kill schedule.
-//	worker-restart-delay=D
-//	                how long a killed worker's supervisor should wait before
-//	                restarting it (a duration; default 1s). Chaos itself never
-//	                restarts anything — the knob travels in CORD_CHAOS so one
-//	                spec pins the whole kill/restart schedule, and harnesses
-//	                (scripts/fleet-chaos-smoke.sh) read it via RestartDelay.
+//	                the same kill schedule. Chaos never restarts a worker;
+//	                that is the supervisor's job (scripts/fleet-chaos-smoke.sh).
 //	seed=N          vary which runs are chosen (default 1).
 package chaos
 
@@ -47,7 +42,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // EnvVar is the environment variable FromEnv reads.
@@ -81,12 +75,11 @@ func (e *runError) Is(target error) bool { return target == ErrInjected }
 // injects nothing; methods on a nil *Chaos are safe and inject nothing, so
 // callers thread it through unconditionally.
 type Chaos struct {
-	runFail      float64
-	journalFail  float64
-	crashAfter   int
-	workerKill   float64
-	restartDelay time.Duration
-	seed         uint64
+	runFail     float64
+	journalFail float64
+	crashAfter  int
+	workerKill  float64
+	seed        uint64
 
 	mu        sync.Mutex
 	attempts  map[string]int // run key -> failed attempts so far
@@ -105,7 +98,7 @@ func Parse(spec string) (*Chaos, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	c := &Chaos{seed: 1, crashAfter: -1, restartDelay: time.Second, attempts: make(map[string]int), exit: os.Exit}
+	c := &Chaos{seed: 1, crashAfter: -1, attempts: make(map[string]int), exit: os.Exit}
 	for _, part := range strings.Split(spec, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
@@ -125,12 +118,6 @@ func Parse(spec string) (*Chaos, error) {
 			case "worker-kill":
 				c.workerKill = p
 			}
-		case "worker-restart-delay":
-			d, err := time.ParseDuration(val)
-			if err != nil || d <= 0 {
-				return nil, fmt.Errorf("chaos: worker-restart-delay must be a positive duration, got %q", val)
-			}
-			c.restartDelay = d
 		case "crash-after":
 			k, err := strconv.Atoi(val)
 			if err != nil || k < 1 {
@@ -144,7 +131,7 @@ func Parse(spec string) (*Chaos, error) {
 			}
 			c.seed = s
 		default:
-			return nil, fmt.Errorf("chaos: unknown knob %q (want run-fail, journal-fail, crash-after, worker-kill, worker-restart-delay, seed)", key)
+			return nil, fmt.Errorf("chaos: unknown knob %q (want run-fail, journal-fail, crash-after, worker-kill, seed)", key)
 		}
 	}
 	return c, nil
@@ -264,17 +251,6 @@ func (c *Chaos) ShardCompleted() {
 	}
 }
 
-// RestartDelay is how long a supervisor should wait before restarting a
-// worker the worker-kill knob took down (1s unless worker-restart-delay says
-// otherwise). Meaningful only alongside worker-kill; harnesses read it so the
-// whole kill/restart schedule is pinned by the one CORD_CHAOS spec.
-func (c *Chaos) RestartDelay() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.restartDelay
-}
-
 // Active reports whether any fault is armed (false for nil).
 func (c *Chaos) Active() bool {
 	return c != nil && (c.runFail > 0 || c.journalFail > 0 || c.crashAfter > 0 || c.workerKill > 0)
@@ -296,7 +272,7 @@ func (c *Chaos) String() string {
 		parts = append(parts, fmt.Sprintf("crash-after=%d", c.crashAfter))
 	}
 	if c.workerKill > 0 {
-		parts = append(parts, fmt.Sprintf("worker-kill=%g worker-restart-delay=%v", c.workerKill, c.restartDelay))
+		parts = append(parts, fmt.Sprintf("worker-kill=%g", c.workerKill))
 	}
 	if len(parts) == 0 {
 		return "chaos: off"

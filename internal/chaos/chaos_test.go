@@ -28,7 +28,7 @@ func TestParse(t *testing.T) {
 	for _, bad := range []string{
 		"run-fail", "run-fail=2", "run-fail=-0.1", "run-fail=x",
 		"journal-fail=1.5", "crash-after=0", "crash-after=-3", "crash-after=x",
-		"seed=-1", "seed=x", "frobnicate=1",
+		"seed=-1", "seed=x", "frobnicate=1", "worker-restart-delay=1s",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted an invalid spec", bad)
@@ -146,38 +146,27 @@ func TestString(t *testing.T) {
 	}
 }
 
-// TestParseWorkerKill: the fleet knobs parse, report active, and land in
+// TestParseWorkerKill: the fleet knob parses, reports active, and lands in
 // String; bad values are rejected like every other knob.
 func TestParseWorkerKill(t *testing.T) {
-	c, err := Parse("worker-kill=0.25,worker-restart-delay=750ms,seed=9")
+	c, err := Parse("worker-kill=0.25,seed=9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.workerKill != 0.25 || c.restartDelay.String() != "750ms" || c.seed != 9 {
+	if c.workerKill != 0.25 || c.seed != 9 {
 		t.Fatalf("parsed %+v", c)
 	}
 	if !c.Active() {
 		t.Fatal("armed worker-kill reports inactive")
 	}
-	if want := "chaos: worker-kill=0.25 worker-restart-delay=750ms seed=9"; c.String() != want {
+	if want := "chaos: worker-kill=0.25 seed=9"; c.String() != want {
 		t.Fatalf("String = %q, want %q", c.String(), want)
-	}
-	if c.RestartDelay().String() != "750ms" {
-		t.Fatalf("RestartDelay = %v", c.RestartDelay())
-	}
-
-	if c, _ := Parse("worker-kill=0.5"); c.RestartDelay().String() != "1s" {
-		t.Fatalf("default RestartDelay = %v, want 1s", c.RestartDelay())
 	}
 	var nilC *Chaos
 	nilC.ShardCompleted() // must be a safe no-op
-	if nilC.RestartDelay() != 0 {
-		t.Fatal("nil RestartDelay != 0")
-	}
 
 	for _, bad := range []string{
 		"worker-kill=1.5", "worker-kill=-0.1", "worker-kill=x", "worker-kill",
-		"worker-restart-delay=0", "worker-restart-delay=-1s", "worker-restart-delay=x",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted an invalid spec", bad)

@@ -74,7 +74,6 @@ type Journal struct {
 	f       *os.File
 	path    string
 	entries map[string]json.RawMessage
-	loaded  int // records recovered by Open (before any Append)
 	hits    int // Lookup calls that found an entry
 	// writeFault, when non-nil, is consulted before any bytes are written;
 	// a non-nil return aborts the append with that error, file untouched.
@@ -142,7 +141,6 @@ func (j *Journal) load() error {
 			break // checksummed but unparsable: treat as a tear, stop here
 		}
 		j.entries[rec.Key] = rec.Data
-		j.loaded++
 		off += n
 		good = off
 	}
@@ -256,14 +254,6 @@ func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.entries)
-}
-
-// Loaded is the number of records recovered from disk by Open — the resume
-// head start, before any new Append.
-func (j *Journal) Loaded() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.loaded
 }
 
 // Hits is the number of Lookup calls that found an entry — the runs a

@@ -26,15 +26,6 @@ func TestScalarBasicOrder(t *testing.T) {
 	}
 }
 
-func TestScalarAtOrBefore(t *testing.T) {
-	if !Scalar(5).AtOrBefore(5) {
-		t.Error("5 should be at-or-before 5")
-	}
-	if !Scalar(5).AtOrBefore(6) || Scalar(6).AtOrBefore(5) {
-		t.Error("AtOrBefore misordered")
-	}
-}
-
 func TestDistSigns(t *testing.T) {
 	if Dist(10, 15) != 5 || Dist(15, 10) != -5 {
 		t.Fatal("simple distances wrong")
@@ -172,7 +163,7 @@ func TestVectorHappensBeforeAfterJoinTick(t *testing.T) {
 	acq := Vector{0, 1, 0}
 	acq.Join(rel)
 	acq.Tick(1)
-	if !rel.HappensBefore(acq) {
+	if rel.Compare(acq) != Before {
 		t.Fatalf("release %v should happen before acquire %v", rel, acq)
 	}
 }

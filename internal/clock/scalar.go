@@ -20,9 +20,6 @@ const Window = 1<<15 - 1
 // (strictly less within the window).
 func (s Scalar) Before(t Scalar) bool { return int16(s-t) < 0 }
 
-// AtOrBefore reports s <= t in sliding-window order.
-func (s Scalar) AtOrBefore(t Scalar) bool { return int16(s-t) <= 0 }
-
 // Dist returns the signed window distance t - s. Positive means t is ahead
 // of s.
 func Dist(s, t Scalar) int { return int(int16(t - s)) }

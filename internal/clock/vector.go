@@ -86,9 +86,6 @@ func (v Vector) Compare(o Vector) Order {
 	}
 }
 
-// HappensBefore reports v → o (strictly).
-func (v Vector) HappensBefore(o Vector) bool { return v.Compare(o) == Before }
-
 // DominatesOrEqual reports o <= v componentwise, i.e. everything o has seen,
 // v has seen too.
 func (v Vector) DominatesOrEqual(o Vector) bool {

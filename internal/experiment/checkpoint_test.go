@@ -18,7 +18,7 @@ import (
 
 // fastRetry keeps chaotic tests quick: real backoff schedules are for
 // production, not for the unit-test loop.
-var fastRetry = Retry{Attempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond}
+var fastRetry = retryPolicy{Attempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond}
 
 // encodeDetection renders the fixture detection campaign's artifacts into one
 // byte stream, the currency every byte-identity assertion here trades in.
@@ -67,7 +67,7 @@ func TestCheckpointHelper(t *testing.T) {
 	o := twoAppOpts(2)
 	o.Checkpoint = jl
 	o.Chaos = cha
-	o.Retry = fastRetry
+	o.retry = fastRetry
 	res, err := RunDetection(o)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestTransientChaosCompletesIdentically(t *testing.T) {
 	}
 	o := twoAppOpts(2)
 	o.Chaos = cha
-	o.Retry = fastRetry
+	o.retry = fastRetry
 	chaotic, err := RunDetection(o)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestTransientChaosCompletesIdentically(t *testing.T) {
 // TestTransientFailurePersisting: when a transient failure outlives the
 // retry budget the campaign fails with a classified error instead of looping.
 func TestTransientFailurePersisting(t *testing.T) {
-	o := Options{Procs: 1, Retry: fastRetry.withDefaults()}
+	o := Options{Procs: 1, retry: fastRetry.withDefaults()}
 	calls := 0
 	var sink struct{}
 	err := o.journaledRun("stubborn", 0, 0, &sink, func() error {
@@ -250,7 +250,7 @@ func (*stubTransient) Transient() bool { return true }
 // attempt; the retry ladder is only for failures that declare themselves
 // recoverable.
 func TestFatalFailureDoesNotRetry(t *testing.T) {
-	o := Options{Procs: 1, Retry: fastRetry.withDefaults()}
+	o := Options{Procs: 1, retry: fastRetry.withDefaults()}
 	boom := errors.New("fatal")
 	calls := 0
 	var sink struct{}
@@ -393,7 +393,7 @@ func TestForEachJoinsDistinctErrors(t *testing.T) {
 // TestRetryDelayDeterministicAndBounded: the backoff schedule is a pure
 // function of (key, attempt) and, jitter included, never exceeds MaxDelay.
 func TestRetryDelayDeterministicAndBounded(t *testing.T) {
-	r := Retry{}.withDefaults()
+	r := retryPolicy{}.withDefaults()
 	for attempt := 1; attempt <= 6; attempt++ {
 		a := r.delay("k", attempt)
 		if b := r.delay("k", attempt); a != b {

@@ -43,9 +43,10 @@ type Options struct {
 	// loaded instead of re-simulated. Resumed campaigns produce artifacts
 	// byte-identical to uninterrupted ones. It has no effect on results.
 	Checkpoint *checkpoint.Journal
-	// Retry bounds per-run retry of transient failures (zero: 3 attempts,
-	// 100ms base delay doubling to a 2s cap, deterministic jitter).
-	Retry Retry
+	// retry bounds per-run retry of transient failures (zero: 3 attempts,
+	// 100ms base delay doubling to a 2s cap, deterministic jitter). Only
+	// this package's tests set it, to retry faster.
+	retry retryPolicy
 	// Interrupt, when non-nil and closed, drains the campaign gracefully:
 	// no new runs dispatch, in-flight runs finish (and journal), and the
 	// entry point returns ErrInterrupted. cordbench wires SIGINT/SIGTERM
@@ -84,7 +85,7 @@ func (o Options) withDefaults() Options {
 	if o.Procs <= 0 {
 		o.Procs = defaultProcs()
 	}
-	o.Retry = o.Retry.withDefaults()
+	o.retry = o.retry.withDefaults()
 	o.Progress = newSyncWriter(o.Progress)
 	return o
 }

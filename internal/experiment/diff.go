@@ -26,18 +26,9 @@ func (t Tolerance) within(got, want float64) bool {
 	return d <= t.Abs || d <= t.Rel*math.Abs(want)
 }
 
-// DiffOptions configures a comparison. PerColumn tolerances (keyed by column
-// name) override Default for that column in every row.
+// DiffOptions configures a comparison: Default bounds every cell.
 type DiffOptions struct {
-	Default   Tolerance
-	PerColumn map[string]Tolerance
-}
-
-func (o DiffOptions) tolerance(col string) Tolerance {
-	if t, ok := o.PerColumn[col]; ok {
-		return t
-	}
-	return o.Default
+	Default Tolerance
 }
 
 // Diff is one disagreement between a fresh figure and its baseline: either a
@@ -101,11 +92,11 @@ func DiffFigures(got, want Figure, o DiffOptions) []Diff {
 			continue
 		}
 		for j, wv := range wr.Values {
-			col := fmt.Sprintf("col%d", j)
-			if j < len(want.Columns) {
-				col = want.Columns[j]
-			}
-			if !o.tolerance(col).within(gr.Values[j], wv) {
+			if !o.Default.within(gr.Values[j], wv) {
+				col := fmt.Sprintf("col%d", j)
+				if j < len(want.Columns) {
+					col = want.Columns[j]
+				}
 				diffs = append(diffs, Diff{ID: want.ID, Row: wr.Label, Column: col,
 					Got: gr.Values[j], Want: wv})
 			}

@@ -47,21 +47,6 @@ func TestDiffFiguresTolerance(t *testing.T) {
 	}
 }
 
-// TestDiffFiguresPerColumn: a per-column tolerance overrides the default for
-// that column only.
-func TestDiffFiguresPerColumn(t *testing.T) {
-	want := baseFigure()
-	got := baseFigure()
-	got.Rows[0].Values[0] = 0.8125 // "detected" drifts
-	got.Rows[0].Values[1] = 0.3125 // "missed" drifts
-
-	o := DiffOptions{PerColumn: map[string]Tolerance{"detected": {Abs: 0.1}}}
-	diffs := DiffFigures(got, want, o)
-	if len(diffs) != 1 || diffs[0].Column != "missed" {
-		t.Fatalf("diffs = %v, want only the missed column", diffs)
-	}
-}
-
 // TestDiffFiguresNaN: NaN cells (empty denominators) equal NaN baselines,
 // but a NaN appearing where the baseline has a number is a regression.
 func TestDiffFiguresNaN(t *testing.T) {

@@ -34,7 +34,7 @@
 //
 // Per-run failures are classified: transient failures (anything carrying a
 // Transient() bool method, e.g. faults injected by internal/chaos) are
-// retried under Options.Retry with exponential backoff and deterministic
+// retried with exponential backoff and deterministic
 // jitter, while everything else aborts the campaign. Closing
 // Options.Interrupt stops new runs from dispatching, lets in-flight runs
 // finish (and journal), and surfaces ErrInterrupted — the graceful-drain
@@ -69,19 +69,19 @@ const campaignJitter = 7
 // so a checkpointed campaign can be resumed from where it stopped.
 var ErrInterrupted = errors.New("experiment: campaign interrupted")
 
-// Retry bounds how a campaign retries one run's transient failures. The
-// attempt budget covers the first try: Attempts 3 means one try plus at most
-// two retries. Backoff doubles from BaseDelay up to MaxDelay, less a
+// retryPolicy bounds how a campaign retries one run's transient failures.
+// The attempt budget covers the first try: Attempts 3 means one try plus at
+// most two retries. Backoff doubles from BaseDelay up to MaxDelay, less a
 // deterministic jitter derived from the run's identity — retry *timing*
 // varies, retry *outcomes* cannot, because runs are pure functions of their
 // seeds.
-type Retry struct {
+type retryPolicy struct {
 	Attempts  int
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
 }
 
-func (r Retry) withDefaults() Retry {
+func (r retryPolicy) withDefaults() retryPolicy {
 	if r.Attempts <= 0 {
 		r.Attempts = 3
 	}
@@ -98,7 +98,7 @@ func (r Retry) withDefaults() Retry {
 // BaseDelay to MaxDelay, shrunk by up to 50% of deterministic jitter keyed on
 // the run identity (so parallel retries do not thundering-herd in lockstep,
 // and tests reproduce the same schedule).
-func (r Retry) delay(key string, attempt int) time.Duration {
+func (r retryPolicy) delay(key string, attempt int) time.Duration {
 	return httpretry.Policy{Fallback: r.BaseDelay, Cap: r.MaxDelay, Jitter: 0.5}.BackoffKeyed(key, attempt)
 }
 
@@ -180,20 +180,20 @@ func (o Options) journaledRun(campaign string, app, run int, out any, fn func() 
 		if err == nil {
 			err = fn()
 		}
-		if err == nil || !isTransient(err) || attempt >= o.Retry.Attempts {
+		if err == nil || !isTransient(err) || attempt >= o.retry.Attempts {
 			break
 		}
-		d := o.Retry.delay(key, attempt)
+		d := o.retry.delay(key, attempt)
 		if o.Progress != nil {
 			fmt.Fprintf(o.Progress, "retry %s: attempt %d/%d failed transiently (%v); backing off %v\n",
-				key, attempt, o.Retry.Attempts, err, d)
+				key, attempt, o.retry.Attempts, err, d)
 		}
 		sleepInterruptible(d, o.Interrupt)
 	}
 	if err != nil {
 		if isTransient(err) {
 			return fmt.Errorf("experiment: %s: transient failure persisted through %d attempts: %w",
-				key, o.Retry.Attempts, err)
+				key, o.retry.Attempts, err)
 		}
 		return err
 	}

@@ -112,7 +112,7 @@ func OptionsFromMeta(m CampaignMeta) (Options, error) {
 // same bytes).
 //
 // Execution honors the campaign's full Options surface: runs fan out across
-// o.Procs workers, transient failures retry under o.Retry, chaos faults
+// o.Procs workers, transient failures retry under o.retry, chaos faults
 // inject, closing o.Interrupt drains and returns ErrInterrupted, and
 // closing o.Cancel aborts in-flight simulations. With o.Checkpoint set the
 // shard's runs journal locally too, exactly like a local campaign.

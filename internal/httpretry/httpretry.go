@@ -40,23 +40,18 @@ type Policy struct {
 	Jitter float64
 }
 
-// RetryAfter converts one response's Retry-After header into the sleep
-// before the next try. Both wire forms are honored — delta-seconds and
-// HTTP-date — and a missing or malformed header falls back to doubling
-// backoff by attempt (1-based). Every result is clamped to [0, p.Cap].
+// RetryAfterKeyed converts one response's Retry-After header into the
+// sleep before the next try. Both wire forms are honored — delta-seconds
+// and HTTP-date — and a missing or malformed header falls back to
+// BackoffKeyed(key, attempt) (attempt is 1-based). Every result is clamped
+// to [0, p.Cap].
 //
 // A parsed HTTP-date that is already in the past — which happens routinely
 // when the server's clock runs behind the client's — means "retry now" and
 // clamps to zero. Only an absent or unparseable header earns the doubling
 // fallback; conflating the two made a skewed but well-behaved server look
-// like one asking for ever-longer backoff.
-func (p Policy) RetryAfter(header string, attempt int) time.Duration {
-	return p.RetryAfterKeyed(header, "", attempt)
-}
-
-// RetryAfterKeyed is RetryAfter with a jitter key: when the header is absent
-// or unparseable, the doubling fallback is jittered per BackoffKeyed. A
-// parsed header is honored verbatim (clamped to Cap) — jitter exists to
+// like one asking for ever-longer backoff. A parsed header is honored
+// verbatim (clamped to Cap), never jittered: jitter exists to
 // de-synchronize clients that got no server guidance, not to second-guess
 // clients that did.
 func (p Policy) RetryAfterKeyed(header, key string, attempt int) time.Duration {
@@ -76,21 +71,19 @@ func (p Policy) RetryAfterKeyed(header, key string, attempt int) time.Duration {
 	return d
 }
 
-// Backoff is the fallback schedule alone — the sleep before try attempt+1
-// when there is no server hint at all (transport errors, responses without
-// a Retry-After header): Fallback doubled per completed attempt, clamped to
-// [0, Cap]. It equals RetryAfter with an empty header and exists so call
-// sites retrying non-429 failures don't fabricate a fake header to say so.
-func (p Policy) Backoff(attempt int) time.Duration {
-	return p.BackoffKeyed("", attempt)
-}
-
-// BackoffKeyed is Backoff with deterministic de-synchronizing jitter: the
-// capped-doubling delay, shrunk by up to Jitter (a fraction of the delay)
-// drawn from an FNV-1a hash of (key, attempt). Callers key on something that
-// differs between clients racing the same event — the request URL is the
-// natural choice — so that a re-shard storm after a worker death does not
-// march every survivor's retries into the fleet in lockstep.
+// BackoffKeyed is the fallback schedule alone — the sleep before try
+// attempt+1 when there is no server hint at all (transport errors,
+// responses without a Retry-After header): Fallback doubled per completed
+// attempt, clamped to [0, Cap]. It equals RetryAfterKeyed with an empty
+// header and exists so call sites retrying non-429 failures don't fabricate
+// a fake header to say so.
+//
+// The delay carries deterministic de-synchronizing jitter: it is shrunk by
+// up to Jitter (a fraction of the delay) drawn from an FNV-1a hash of
+// (key, attempt). Callers key on something that differs between clients
+// racing the same event — the request URL is the natural choice — so that a
+// re-shard storm after a worker death does not march every survivor's
+// retries into the fleet in lockstep.
 //
 // Jitter is subtractive, never additive: the result always stays within
 // [d·(1−Jitter), d] for the unjittered delay d, so the documented [0, Cap]

@@ -35,14 +35,14 @@ func TestRetryAfter(t *testing.T) {
 		{"missing header attempt 10 caps", "", 10, p.Cap},
 	}
 	for _, tc := range cases {
-		if d := p.RetryAfter(tc.header, tc.attempt); d != tc.want {
-			t.Errorf("%s: RetryAfter(%q, %d) = %v, want %v", tc.name, tc.header, tc.attempt, d, tc.want)
+		if d := p.RetryAfterKeyed(tc.header, "", tc.attempt); d != tc.want {
+			t.Errorf("%s: RetryAfterKeyed(%q, \"\", %d) = %v, want %v", tc.name, tc.header, tc.attempt, d, tc.want)
 		}
 	}
 }
 
 // TestBackoff: the hint-free schedule doubles per attempt from Fallback and
-// never exceeds Cap — and agrees exactly with RetryAfter's no-header branch,
+// never exceeds Cap — and agrees exactly with RetryAfterKeyed's no-header branch,
 // since a transport error and a header-less 500 deserve the same patience.
 func TestBackoff(t *testing.T) {
 	p := Policy{Attempts: 5, Fallback: 50 * time.Millisecond, Cap: time.Second}
@@ -57,11 +57,11 @@ func TestBackoff(t *testing.T) {
 	}
 	for i, w := range want {
 		attempt := i + 1
-		if d := p.Backoff(attempt); d != w {
-			t.Errorf("Backoff(%d) = %v, want %v", attempt, d, w)
+		if d := p.BackoffKeyed("", attempt); d != w {
+			t.Errorf("BackoffKeyed(\"\", %d) = %v, want %v", attempt, d, w)
 		}
-		if d, r := p.Backoff(attempt), p.RetryAfter("", attempt); d != r {
-			t.Errorf("Backoff(%d) = %v but RetryAfter(\"\", %d) = %v; they must agree", attempt, d, attempt, r)
+		if d, r := p.BackoffKeyed("", attempt), p.RetryAfterKeyed("", "", attempt); d != r {
+			t.Errorf("BackoffKeyed(\"\", %d) = %v but RetryAfterKeyed(\"\", \"\", %d) = %v; they must agree", attempt, d, attempt, r)
 		}
 	}
 }
@@ -85,7 +85,7 @@ func TestBackoffKeyedJitterBounds(t *testing.T) {
 		{"deep capped attempt", 20},
 	}
 	for _, tc := range cases {
-		d := base.Backoff(tc.attempt)
+		d := base.BackoffKeyed("", tc.attempt)
 		lo := time.Duration(float64(d) * (1 - p.Jitter))
 		for _, key := range keys {
 			got := p.BackoffKeyed(key, tc.attempt)
@@ -124,7 +124,7 @@ func TestBackoffKeyedSpreadsKeys(t *testing.T) {
 func TestZeroJitterIsExact(t *testing.T) {
 	p := Policy{Attempts: 5, Fallback: 50 * time.Millisecond, Cap: time.Second}
 	for attempt := 1; attempt <= 8; attempt++ {
-		if got, want := p.BackoffKeyed("http://a", attempt), p.Backoff(attempt); got != want {
+		if got, want := p.BackoffKeyed("http://a", attempt), p.BackoffKeyed("", attempt); got != want {
 			t.Errorf("BackoffKeyed(%d) = %v with zero jitter, want %v", attempt, got, want)
 		}
 	}

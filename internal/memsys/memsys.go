@@ -54,7 +54,7 @@ func (l Line) String() string { return fmt.Sprintf("line:0x%x", uint64(LineBase(
 // all-zero memory ready for use. Memory is not safe for concurrent use; the
 // simulator serializes all accesses.
 //
-// Unlike a map-backed store, every traversal (Snapshot, ForEachWord, Equal)
+// Unlike a map-backed store, every traversal (ForEachWord, Words, Equal)
 // visits words in ascending address order, so memory-image dumps and
 // comparisons are reproducible byte for byte across runs and processes.
 type Memory struct {
@@ -120,14 +120,6 @@ func (m *Memory) Words() []WordValue {
 	m.ForEachWord(func(a Addr, v uint64) {
 		out = append(out, WordValue{Addr: a, Value: v})
 	})
-	return out
-}
-
-// Snapshot returns a copy of all non-zero words, for end-of-run comparison
-// between recorded and replayed executions.
-func (m *Memory) Snapshot() map[Addr]uint64 {
-	out := make(map[Addr]uint64, m.nonzero)
-	m.ForEachWord(func(a Addr, v uint64) { out[a] = v })
 	return out
 }
 

@@ -35,7 +35,6 @@ type Options struct {
 	InjectSkip uint64 // replayed with the same injection plan
 	D          int    // CORD window parameter (default 16)
 	Procs      int    // processors (default 4); threads pin round-robin
-	Extra      []trace.Observer
 }
 
 // RecordAndReplay executes prog under a recording CORD detector, replays it
@@ -53,12 +52,11 @@ func RecordAndReplay(prog sim.Program, opts Options) (Outcome, error) {
 		D:       opts.D,
 		Record:  true,
 	})
-	obs := append([]trace.Observer{det}, opts.Extra...)
 	rec, err := sim.New(sim.Config{
 		Seed:       opts.Seed,
 		Jitter:     opts.Jitter,
 		Procs:      opts.Procs,
-		Observers:  obs,
+		Observers:  []trace.Observer{det},
 		InjectSkip: opts.InjectSkip,
 	}, prog).Run()
 	if err != nil {

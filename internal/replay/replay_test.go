@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cord/internal/baseline"
+	"cord/internal/sim"
 	"cord/internal/trace"
 	"cord/internal/workload"
 )
@@ -65,11 +66,11 @@ func TestWorkloadsAreRaceFree(t *testing.T) {
 		t.Run(app.Name, func(t *testing.T) {
 			ideal := baseline.NewIdeal(4)
 			prog := app.Build(1, 4)
-			out, err := RecordAndReplay(prog, Options{Seed: 11, Jitter: 7, Extra: []trace.Observer{ideal}})
+			res, err := sim.New(sim.Config{Seed: 11, Jitter: 7, Observers: []trace.Observer{ideal}}, prog).Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out.Recorded.Hung {
+			if res.Hung {
 				t.Fatal("hung")
 			}
 			if n := ideal.RaceCount(); n != 0 {

@@ -46,9 +46,6 @@ type Env struct {
 	eng *Engine
 }
 
-// ThreadID returns the identity of the calling thread.
-func (e *Env) ThreadID() int { return e.t.id }
-
 // post queues r, which needs no answer, and returns before the engine
 // executes it — unless the queue is now full, which parks the thread until
 // it drains.
@@ -116,12 +113,6 @@ func (e *Env) SyncRead(a memsys.Addr) uint64 {
 	return e.ask(request{kind: reqRead, addr: a, class: trace.Sync})
 }
 
-// SyncWrite performs a labeled synchronization write. It returns before the
-// write is ordered.
-func (e *Env) SyncWrite(a memsys.Addr, v uint64) {
-	e.post(request{kind: reqWrite, addr: a, value: v, class: trace.Sync})
-}
-
 // Compute models n cycles of thread-local computation (n instructions). It
 // returns before the computation is ordered.
 func (e *Env) Compute(n int) {
@@ -150,10 +141,10 @@ func (e *Env) Unlock(l memsys.Addr) {
 }
 
 // FlagSet publishes value v to the flag (condition) word at f. Only waits
-// are injectable, so FlagSet is an ordinary labeled sync write, and it too
+// are injectable, so FlagSet is an ordinary labeled sync write, and it
 // returns before the write is ordered.
 func (e *Env) FlagSet(f memsys.Addr, v uint64) {
-	e.SyncWrite(f, v)
+	e.post(request{kind: reqWrite, addr: f, value: v, class: trace.Sync})
 }
 
 // FlagWaitAtLeast waits until the flag word at f holds a value >= v: its

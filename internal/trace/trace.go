@@ -74,12 +74,6 @@ type Access struct {
 	Instrs uint8
 }
 
-// Conflicts reports whether two accesses conflict: different threads, same
-// word, at least one write (Shasha/Snir, §2.1).
-func Conflicts(a, b Access) bool {
-	return a.Thread != b.Thread && a.Addr == b.Addr && (a.Kind == Write || b.Kind == Write)
-}
-
 // String renders the access for diagnostics.
 func (a Access) String() string {
 	return fmt.Sprintf("T%d %s %s %s #%d", a.Thread, a.Kind, a.Class, a.Addr, a.Seq)

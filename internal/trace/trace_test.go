@@ -7,28 +7,6 @@ import (
 	"cord/internal/memsys"
 )
 
-func TestConflicts(t *testing.T) {
-	w0 := Access{Thread: 0, Addr: 0x40, Kind: Write}
-	r1 := Access{Thread: 1, Addr: 0x40, Kind: Read}
-	r1b := Access{Thread: 1, Addr: 0x44, Kind: Read}
-	w0b := Access{Thread: 0, Addr: 0x40, Kind: Write}
-	cases := []struct {
-		a, b Access
-		want bool
-	}{
-		{w0, r1, true},   // write-read, same word
-		{r1, w0, true},   // symmetric
-		{w0, w0b, false}, // same thread
-		{w0, r1b, false}, // different word
-		{Access{Thread: 0, Addr: 8, Kind: Read}, Access{Thread: 1, Addr: 8, Kind: Read}, false}, // read-read
-	}
-	for i, c := range cases {
-		if got := Conflicts(c.a, c.b); got != c.want {
-			t.Errorf("case %d: Conflicts = %v, want %v", i, got, c.want)
-		}
-	}
-}
-
 func TestStringers(t *testing.T) {
 	a := Access{Seq: 5, Thread: 2, Addr: memsys.Addr(0x80), Kind: Write, Class: Sync}
 	s := a.String()

@@ -2,8 +2,8 @@
 # Self-healing-fleet chaos smoke test (PROTOCOL.md §7): start a cordd
 # registry plus three supervised workers whose CORD_CHAOS spec kills each
 # of them on a pinned, seed-deterministic schedule (exit 42, connection
-# dropped mid-response, no cleanup); supervisors restart them after the
-# spec's restart delay and they re-register. The coordinator discovers
+# dropped mid-response, no cleanup); supervisors restart them after
+# CHAOS_DELAY and they re-register. The coordinator discovers
 # workers through the registry alone, and must ride out every kill through
 # retries, requeues, and re-registration — exiting 0 with artifacts
 # byte-identical to a single-process run AND to the committed golden
@@ -26,8 +26,7 @@ REGISTRY="http://127.0.0.1:$BASE"
 # at least once early in the campaign, then keeps dying on the same
 # deterministic schedule after each restart.
 CHAOS_P="0.15"
-CHAOS_DELAY="300ms" # keep RESTART_SLEEP in sync: it is CHAOS_DELAY in sleep(1) syntax
-RESTART_SLEEP="0.3"
+CHAOS_DELAY="0.3" # seconds a supervisor waits before restarting a killed worker
 SEEDS="101 202 303"
 
 # A smoke test is done with its workers when it exits: no graceful drain.
@@ -67,14 +66,14 @@ supervise() (
 	seed="$2"
 	while :; do
 		code=0
-		CORD_CHAOS="worker-kill=$CHAOS_P,worker-restart-delay=$CHAOS_DELAY,seed=$seed" \
+		CORD_CHAOS="worker-kill=$CHAOS_P,seed=$seed" \
 			"$DIR/cordd" -addr "127.0.0.1:$port" -workers 2 \
 			-register "$REGISTRY" -register-ttl 2s \
 			>>"$DIR/cordd-$port.log" 2>&1 || code=$?
 		if [ "$code" -ne 42 ]; then
 			return 0
 		fi
-		sleep "$RESTART_SLEEP"
+		sleep "$CHAOS_DELAY"
 	done
 )
 
