@@ -149,14 +149,17 @@ fleet-chaos-smoke:
 # (generated logs at random chunkings, differential against a one-shot
 # decode-and-schedule oracle), online detection at duty=100 (differential
 # against replay-time detection over the same log), the fleet merge (random shard partitions,
-# differential against a single-process campaign), and the engine's posted
+# differential against a single-process campaign), the engine's posted
 # requests (generated programs with injection and migration, differential
-# against a run where every call parks). CI runs this; crashes land in
-# testdata/fuzz/ for triage.
+# against a run where every call parks), and the vector-clock baseline's
+# exclusive-line probe skip (the twelve apps and generated programs with
+# injection and migration, differential against a baseline that always
+# probes). CI runs this; crashes land in testdata/fuzz/ for triage.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecodeFrom' -fuzztime 10s -run '^$$' ./internal/record/
 	$(GO) test -fuzz 'FuzzEpochStream' -fuzztime 10s -run '^$$' ./internal/record/
 	$(GO) test -fuzz 'FuzzIdeal' -fuzztime 10s -run '^$$' ./internal/baseline/
+	$(GO) test -fuzz 'FuzzVecCacheExclusive' -fuzztime 10s -run '^$$' ./internal/baseline/
 	$(GO) test -fuzz 'FuzzTable' -fuzztime 10s -run '^$$' ./internal/memsys/
 	$(GO) test -fuzz 'FuzzDetectRequest' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzReplayParams' -fuzztime 10s -run '^$$' ./internal/server/

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -132,19 +131,14 @@ func (p *fleetPool) candidate(url string) bool {
 }
 
 // enqueue appends the campaign's shard cut to the queue, heaviest app first
-// by its Table 1 access count (Graham's LPT rule: the longest jobs start
-// while every worker is busy, so none is left running alone at the end).
-// The sort is stable, so each app's shards stay contiguous and in run order,
-// which is what lets take coalesce them.
+// by its Table 1 access count (workload.HeaviestFirst). The order is
+// stable, so each app's shards stay contiguous and in run order, which is
+// what lets take coalesce them.
 func (p *fleetPool) enqueue(shards []shardWork) {
-	cost := make(map[string]uint64)
-	for _, a := range workload.All() {
-		cost[a.Name] = a.Accesses
+	sorted := make([]shardWork, 0, len(shards))
+	for _, i := range workload.HeaviestFirst(len(shards), func(i int) string { return shards[i].rng.App }) {
+		sorted = append(sorted, shards[i])
 	}
-	sorted := append([]shardWork(nil), shards...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return cost[sorted[i].rng.App] > cost[sorted[j].rng.App]
-	})
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, s := range sorted {

@@ -68,9 +68,11 @@ func (e *vecEntry) set(word int, kind trace.Kind) {
 }
 
 // vecLine is the per-line payload: up to two vector-timestamped history
-// slots (slot 0 newest), as in the InfCache/L2Cache/L1Cache configurations.
+// slots (slot 0 newest), as in the InfCache/L2Cache/L1Cache configurations,
+// and the line's exclusive (E/M) bit: set, no other cache holds the line.
 type vecLine struct {
 	hist [2]vecEntry
+	excl bool
 }
 
 // VecConfig parameterizes a vector-clock baseline detector.
@@ -109,6 +111,10 @@ type VecCache struct {
 	// join freeVCs only at the end of OnAccess, after the local stamp (the
 	// only consumer of freeVCs) has run.
 	pendingFree []clock.Vector
+
+	// probeExclusive makes a hit on an exclusive line probe anyway; only
+	// the differential test of the skip sets it.
+	probeExclusive bool
 }
 
 type vecConflict struct {
@@ -151,7 +157,12 @@ func (d *VecCache) Name() string { return fmt.Sprintf("Vector/%s", d.cfg.Bound) 
 
 // OnAccess implements trace.Observer.
 func (d *VecCache) OnAccess(a trace.Access) trace.Report {
-	proc := a.Proc % d.cfg.Procs
+	proc := a.Proc
+	if proc >= d.cfg.Procs {
+		// A migration can put a thread on an engine processor beyond
+		// this detector's count.
+		proc %= d.cfg.Procs
+	}
 	d.threadOf[proc] = a.Thread
 	my := d.vcs[a.Thread]
 	line := memsys.LineOf(a.Addr)
@@ -169,8 +180,20 @@ func (d *VecCache) OnAccess(a trace.Access) trace.Report {
 		}
 	}
 
-	// Probe remote caches for conflicts.
-	probe := d.probeRemotes(proc, line, word, a.Kind)
+	// Probe remote caches for conflicts. A hit on an exclusive line skips
+	// the probe, as a hit on an E or M line makes no bus transaction: no
+	// other cache holds the line, since any other cache must miss, and so
+	// probe and clear the bit, before it can hold it. The skipped probe
+	// would have found nothing.
+	var probe vecProbe
+	if !present || !ls.excl || d.probeExclusive {
+		probe = d.probeRemotes(proc, line, word, a.Kind)
+	} else {
+		d.scratch = d.scratch[:0]
+	}
+	// After a probe that found no remote holder, or a write whose probe
+	// invalidated every remote copy, the line is exclusive here.
+	excl := !probe.found || a.Kind == trace.Write
 
 	racy := false
 	for _, cf := range d.scratch {
@@ -213,7 +236,7 @@ func (d *VecCache) OnAccess(a trace.Access) trace.Report {
 
 	// Stamp locally.
 	if !present {
-		var nl vecLine
+		nl := vecLine{excl: excl}
 		nl.hist[0] = vecEntry{vc: d.cloneVC(my), valid: true}
 		nl.hist[0].set(word, a.Kind)
 		if v, evicted := d.caches[proc].Insert(line, nl); evicted {
@@ -222,6 +245,7 @@ func (d *VecCache) OnAccess(a trace.Access) trace.Report {
 	} else {
 		// ls is still valid (Cache.Lookup's contract): probeRemotes
 		// touched only the other processors' caches.
+		ls.excl = excl
 		d.stamp(ls, word, a.Kind, my)
 	}
 
@@ -312,6 +336,7 @@ func (d *VecCache) probeRemotes(proc int, line memsys.Line, word int, kind trace
 			continue
 		}
 		res.found = true
+		ls.excl = false
 		for i := range ls.hist {
 			e := &ls.hist[i]
 			if !e.valid {

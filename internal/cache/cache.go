@@ -100,8 +100,15 @@ func New[P any](cfg Config) *Cache[P] {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	// Every set is carved from one backing array with its capacity capped
+	// at the associativity, so neither Insert nor Remove ever reallocates.
+	backing := make([]entry[P], cfg.Lines())
+	sets := make([][]entry[P], cfg.Sets())
+	for i := range sets {
+		sets[i] = backing[i*cfg.Ways : i*cfg.Ways : (i+1)*cfg.Ways]
+	}
 	return &Cache[P]{
-		sets:    make([][]entry[P], cfg.Sets()),
+		sets:    sets,
 		ways:    cfg.Ways,
 		setMask: uint64(cfg.Sets() - 1),
 	}

@@ -212,3 +212,24 @@ func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBoundedNeverReallocates: the sets of a bounded cache are carved from
+// one backing array, so filling a new cache, evicting, removing and
+// reinserting lines allocates nothing beyond New's own allocations.
+func TestBoundedNeverReallocates(t *testing.T) {
+	var c *Cache[[4]uint64]
+	build := func() { c = New[[4]uint64](L2) }
+	churn := func() {
+		build()
+		for i := 0; i < 3*L2.Lines(); i++ {
+			l := memsys.Line(i * 7)
+			c.Insert(l, [4]uint64{uint64(i)})
+			if i%5 == 0 {
+				c.Remove(l)
+			}
+		}
+	}
+	if n, base := testing.AllocsPerRun(5, churn), testing.AllocsPerRun(5, build); n != base {
+		t.Fatalf("filling and churning a new cache: %v allocations, New alone %v", n, base)
+	}
+}

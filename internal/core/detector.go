@@ -133,7 +133,6 @@ type probeResult struct {
 	hasLineTs bool
 	lineTs    clock.Scalar // max newest-entry timestamp among remote holders
 	anyWrite  bool         // any remote write bit anywhere on the line
-	anyBits   bool
 }
 
 // initialClock is the clock value every thread starts from. Starting above
@@ -180,7 +179,12 @@ func (d *Detector) OnAccess(a trace.Access) trace.Report {
 		d.walk()
 	}
 
-	proc := a.Proc % d.cfg.Procs
+	proc := a.Proc
+	if proc >= d.cfg.Procs {
+		// A migration can put a thread on an engine processor beyond
+		// this detector's count.
+		proc %= d.cfg.Procs
+	}
 	d.threadOf[proc] = a.Thread
 	c := d.clocks[a.Thread]
 	line := memsys.LineOf(a.Addr)
@@ -415,11 +419,8 @@ func (d *Detector) probeRemotes(proc int, line memsys.Line, word int, wk wordKin
 			if !e.valid {
 				continue
 			}
-			if e.any() {
-				res.anyBits = true
-				if e.writeMask != 0 {
-					res.anyWrite = true
-				}
+			if e.writeMask != 0 {
+				res.anyWrite = true
 			}
 			if i == 0 {
 				if !res.hasLineTs || res.lineTs.Before(e.ts) {

@@ -50,8 +50,6 @@ func (h *histEntry) has(word int, kind wordKind) bool {
 	return h.writeMask&(1<<word) != 0
 }
 
-func (h *histEntry) any() bool { return h.readMask|h.writeMask != 0 }
-
 type wordKind uint8
 
 const (

@@ -361,7 +361,7 @@ func TestForEachJoinsDistinctErrors(t *testing.T) {
 	o := Options{Procs: procs}
 	var gate sync.WaitGroup
 	gate.Add(procs)
-	err := o.forEach(procs, func(i int) error {
+	err := o.forEach(procs, unknownApp, func(i int) error {
 		// Hold every worker at the barrier so all of them fail, not just
 		// whichever errored first.
 		gate.Done()
@@ -380,7 +380,7 @@ func TestForEachJoinsDistinctErrors(t *testing.T) {
 	// Identical failure text from every worker collapses to one line.
 	gate = sync.WaitGroup{}
 	gate.Add(procs)
-	err = o.forEach(procs, func(i int) error {
+	err = o.forEach(procs, unknownApp, func(i int) error {
 		gate.Done()
 		gate.Wait()
 		return errors.New("same failure")

@@ -220,7 +220,7 @@ type runID struct{ app, run int }
 func (o Options) detectRuns(ids []runID) (counts []countOutcome, outcomes []injectionOutcome, err error) {
 	apps := appsOf(ids)
 	counts = make([]countOutcome, len(o.Apps))
-	if err := o.forEach(len(apps), func(k int) error {
+	if err := o.forEach(len(apps), func(k int) string { return o.Apps[apps[k]].Name }, func(k int) error {
 		appIdx := apps[k]
 		return o.journaledRun("detect-count", appIdx, 0, &counts[appIdx], func() (err error) {
 			counts[appIdx], err = o.countRun(appIdx)
@@ -231,7 +231,7 @@ func (o Options) detectRuns(ids []runID) (counts []countOutcome, outcomes []inje
 	}
 
 	outcomes = make([]injectionOutcome, len(ids))
-	if err := o.forEach(len(ids), func(k int) error {
+	if err := o.forEach(len(ids), func(k int) string { return o.Apps[ids[k].app].Name }, func(k int) error {
 		id := ids[k]
 		return o.journaledRun("detect-inject", id.app, id.run, &outcomes[k], func() (err error) {
 			outcomes[k], err = o.runInjection(id.app, id.run, counts[id.app].Targets[id.run])

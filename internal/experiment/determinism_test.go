@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -187,7 +188,7 @@ func TestForEach(t *testing.T) {
 	for _, procs := range []int{1, 4, 100} {
 		var sum atomic.Int64
 		got := make([]int, 50)
-		if err := (Options{Procs: procs}).forEach(len(got), func(i int) error {
+		if err := (Options{Procs: procs}).forEach(len(got), unknownApp, func(i int) error {
 			got[i] = i * i
 			sum.Add(1)
 			return nil
@@ -204,8 +205,37 @@ func TestForEach(t *testing.T) {
 		}
 	}
 	// n = 0 is a no-op.
-	if err := (Options{Procs: 4}).forEach(0, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := (Options{Procs: 4}).forEach(0, unknownApp, func(int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// unknownApp names no application, so every run costs the same and forEach
+// keeps index order.
+func unknownApp(int) string { return "" }
+
+// TestForEachHeaviestFirst: forEach hands indices out heaviest application
+// first, by the fleet's cost rule (one worker makes the dispatch order
+// visible), and equal costs in index order.
+func TestForEachHeaviestFirst(t *testing.T) {
+	apps := []string{"lu", "water-n2", "fft", "water-sp", "water-n2"}
+	for _, tc := range []struct {
+		app  func(int) string
+		want []int
+	}{
+		{func(i int) string { return apps[i] }, []int{1, 4, 2, 0, 3}},
+		{unknownApp, []int{0, 1, 2, 3, 4}},
+	} {
+		var order []int
+		if err := (Options{Procs: 1}).forEach(len(apps), tc.app, func(i int) error {
+			order = append(order, i)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(order, tc.want) {
+			t.Fatalf("dispatch order %v, want %v", order, tc.want)
+		}
 	}
 }
 
@@ -218,7 +248,7 @@ func TestForEachErrorCancels(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		var ran atomic.Int64
 		failed := make(chan struct{})
-		err := (Options{Procs: procs}).forEach(1000, func(i int) error {
+		err := (Options{Procs: procs}).forEach(1000, unknownApp, func(i int) error {
 			ran.Add(1)
 			if i == 3 {
 				close(failed)

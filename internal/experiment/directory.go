@@ -68,7 +68,7 @@ func RunDirectory(o Options, procs int) ([]DirectoryRow, error) {
 	// The simulated processor count is part of the run identity (it is not in
 	// CampaignMeta), so journals from different -dirprocs values never alias.
 	campaign := fmt.Sprintf("directory@%d", procs)
-	if err := o.forEach(len(o.Apps), func(i int) error {
+	if err := o.forEach(len(o.Apps), o.appName, func(i int) error {
 		return o.journaledRun(campaign, i, 0, &rows[i], func() error {
 			app := o.Apps[i]
 			dir := directory.New(procs)

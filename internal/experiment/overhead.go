@@ -56,7 +56,7 @@ func RunOverhead(o Options) ([]OverheadRow, Figure, error) {
 		LogBytes   int    `json:"log_bytes"`
 	}
 	ms := make([]measurement, len(o.Apps)*seeds)
-	if err := o.forEach(len(ms), func(k int) error {
+	if err := o.forEach(len(ms), func(k int) string { return o.Apps[k/seeds].Name }, func(k int) error {
 		return o.journaledRun("overhead", k/seeds, k%seeds, &ms[k], func() error {
 			app, sd := o.Apps[k/seeds], uint64(k%seeds)
 			seed := o.BaseSeed + 31*sd

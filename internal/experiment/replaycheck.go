@@ -45,7 +45,7 @@ func ReplayFigure(rows []ReplayRow) Figure {
 func RunReplayCheck(o Options) ([]ReplayRow, error) {
 	o = o.withDefaults()
 	rows := make([]ReplayRow, len(o.Apps))
-	if err := o.forEach(len(o.Apps), func(i int) error {
+	if err := o.forEach(len(o.Apps), o.appName, func(i int) error {
 		return o.journaledRun("replay", i, 0, &rows[i], func() error {
 			app := o.Apps[i]
 			out, err := replay.RecordAndReplay(app.Build(o.Scale, o.Threads), replay.Options{

@@ -242,6 +242,11 @@ func (o Options) interrupted() bool {
 // it alone owns), so that collected output is independent of scheduling;
 // aggregation then happens in index order on the caller's side.
 //
+// Indices are handed out heaviest first: in descending Table 1 access count
+// of app(i), the application of run i (workload.HeaviestFirst, the fleet
+// coordinator's rule), so that the longest runs start while every worker is
+// busy.
+//
 // The first error cancels the shared context, which stops new work from
 // being dispatched; runs already in flight finish. Workers that fail after
 // the cancellation still record their own first error, and forEach returns
@@ -252,13 +257,14 @@ func (o Options) interrupted() bool {
 // Closing o.Interrupt likewise stops dispatch and drains in-flight runs
 // (journaling them, when checkpointing is on), then forEach returns
 // ErrInterrupted.
-func (o Options) forEach(n int, fn func(i int) error) error {
+func (o Options) forEach(n int, app func(i int) string, fn func(i int) error) error {
+	order := workload.HeaviestFirst(n, app)
 	procs := o.Procs
 	if procs > n {
 		procs = n
 	}
 	if procs <= 1 {
-		for i := 0; i < n; i++ {
+		for _, i := range order {
 			if o.interrupted() {
 				return ErrInterrupted
 			}
@@ -292,7 +298,7 @@ func (o Options) forEach(n int, fn func(i int) error) error {
 	}
 	interrupted := false
 feed:
-	for i := 0; i < n; i++ {
+	for _, i := range order {
 		select {
 		case idx <- i:
 		case <-ctx.Done():
@@ -325,6 +331,9 @@ feed:
 	}
 	return nil
 }
+
+// appName is forEach's app function for a list indexed like o.Apps.
+func (o Options) appName(i int) string { return o.Apps[i].Name }
 
 // syncWriter serializes concurrent Write calls so progress lines from
 // parallel workers never interleave mid-line.

@@ -51,7 +51,7 @@ func Table1Figure(rows []Table1Row) Figure {
 func RunTable1(o Options) ([]Table1Row, error) {
 	o = o.withDefaults()
 	rows := make([]Table1Row, len(o.Apps))
-	if err := o.forEach(len(o.Apps), func(i int) error {
+	if err := o.forEach(len(o.Apps), o.appName, func(i int) error {
 		return o.journaledRun("table1", i, 0, &rows[i], func() error {
 			app := o.Apps[i]
 			ft := baseline.NewFastTrack(baseline.FastTrackConfig{Threads: o.Threads})

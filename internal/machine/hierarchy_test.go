@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"cord/internal/cache"
 	"cord/internal/memsys"
+	"cord/internal/trace"
 )
 
 // sameSet returns n distinct lines that share one L2 set, and so one L1 set.
@@ -39,12 +41,12 @@ func TestHierarchyInclusion(t *testing.T) {
 			case 0:
 				h.invalidate(l)
 			default:
-				if _, v, evicted := h.access(l, op&3 == 1); evicted && h.l1.Contains(v.Line) {
+				if _, _, v, evicted := h.access(l, op&3 == 1); evicted && h.l1.Contains(v.Line) {
 					return false
 				}
 			}
 			for _, x := range lines {
-				if h.l1.Contains(x) && !h.contains(x) {
+				if h.l1.Contains(x) && !h.l2.Contains(x) {
 					return false
 				}
 			}
@@ -59,10 +61,10 @@ func TestHierarchyInclusion(t *testing.T) {
 func TestHierarchyLevels(t *testing.T) {
 	h := newHierarchy()
 	ls := sameSet(cache.L1.Ways + 1)
-	if lvl, _, _ := h.access(ls[0], false); lvl != missLevel {
+	if lvl, _, _, _ := h.access(ls[0], false); lvl != missLevel {
 		t.Fatalf("first access level = %v", lvl)
 	}
-	if lvl, _, _ := h.access(ls[0], false); lvl != l1Hit {
+	if lvl, _, _, _ := h.access(ls[0], false); lvl != l1Hit {
 		t.Fatalf("second access level = %v", lvl)
 	}
 	// Push ls[0] out of its L1 set but keep it in the wider L2 set.
@@ -72,7 +74,7 @@ func TestHierarchyLevels(t *testing.T) {
 	if h.l1.Contains(ls[0]) {
 		t.Fatal("line survived a full L1 set of newer lines")
 	}
-	if lvl, _, _ := h.access(ls[0], false); lvl != l2Hit {
+	if lvl, _, _, _ := h.access(ls[0], false); lvl != l2Hit {
 		t.Fatalf("expected L2 hit, got %v", lvl)
 	}
 }
@@ -83,7 +85,7 @@ func TestHierarchyInvalidate(t *testing.T) {
 	if dirty, ok := h.invalidate(5); !ok || dirty {
 		t.Fatalf("invalidate of a clean resident line = (dirty %v, ok %v)", dirty, ok)
 	}
-	if h.contains(5) || h.l1.Contains(5) {
+	if h.l2.Contains(5) || h.l1.Contains(5) {
 		t.Fatal("line survived invalidation")
 	}
 	if _, ok := h.invalidate(5); ok {
@@ -115,14 +117,14 @@ func TestHierarchyDirtyBit(t *testing.T) {
 		{4, true, l1Hit},      // written on an L1 hit
 	}
 	for i, s := range steps {
-		if lvl, _, evicted := h.access(x[s.line], s.write); lvl != s.want || evicted {
+		if lvl, _, _, evicted := h.access(x[s.line], s.write); lvl != s.want || evicted {
 			t.Fatalf("step %d: level %v (evicted %v), want %v", i, lvl, evicted, s.want)
 		}
 	}
 	// Fill the L2 set with clean lines; LRU first, it now holds x2, x3
 	// (clean), x0, x1, x4 (dirty), then x5..x7 (clean).
 	for _, l := range x[5:cache.L2.Ways] {
-		if _, _, evicted := h.access(l, false); evicted {
+		if _, _, _, evicted := h.access(l, false); evicted {
 			t.Fatalf("line %d evicted from a set with a free way", l)
 		}
 	}
@@ -131,10 +133,81 @@ func TestHierarchyDirtyBit(t *testing.T) {
 		line  int
 		dirty bool
 	}{{2, false}, {3, false}, {0, true}, {1, true}, {4, true}, {5, false}} {
-		_, v, evicted := h.access(x[next], false)
+		_, _, v, evicted := h.access(x[next], false)
 		next++
-		if !evicted || v.Line != x[want.line] || v.Payload != want.dirty {
+		if !evicted || v.Line != x[want.line] || v.Payload.dirty != want.dirty {
 			t.Fatalf("victim = %+v (evicted %v), want line %d dirty %v", v, evicted, x[want.line], want.dirty)
 		}
+	}
+}
+
+// exclusiveViolation describes a line some hierarchy of m marks exclusive
+// while another hierarchy holds it, or returns "".
+func exclusiveViolation(m *Machine) string {
+	for p, h := range m.procs {
+		msg := ""
+		h.l2.ForEach(func(l memsys.Line, ln *l2Line) {
+			for q, o := range m.procs {
+				if ln.excl && q != p && o.l2.Contains(l) && msg == "" {
+					msg = fmt.Sprintf("line %#x is exclusive at proc %d but also resident at proc %d", l, p, q)
+				}
+			}
+		})
+		if msg != "" {
+			return msg
+		}
+	}
+	return ""
+}
+
+// TestMachineExclusiveInvariant: after every access of any sequence of
+// reads and writes from four processors to lines that collide in one L1 set
+// (and so overflow both levels), a line marked exclusive is resident in no
+// other hierarchy.
+func TestMachineExclusiveInvariant(t *testing.T) {
+	lines := make([]memsys.Line, 24)
+	for i := range lines {
+		lines[i] = memsys.Line(3 + i*cache.L1.Sets())
+	}
+	f := func(ops [300]uint8) bool {
+		m := New(DefaultConfig())
+		var now uint64
+		for i, op := range ops {
+			kind := trace.Read
+			if op&1 != 0 {
+				kind = trace.Write
+			}
+			proc := int(op>>1) & 3
+			a := trace.Access{Proc: proc, Thread: proc, Addr: memsys.LineBase(lines[int(op>>3)%len(lines)]), Kind: kind}
+			now += m.AccessCost(now, proc, a, trace.Report{})
+			if msg := exclusiveViolation(m); msg != "" {
+				t.Logf("after access %d: %s", i, msg)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReadHitDoesNotClaimExclusive: a read hit makes no probe, so it must
+// not mark a shared line exclusive; otherwise the write that follows would
+// skip the probe, leave proc 1's copy resident and bill no upgrade.
+func TestReadHitDoesNotClaimExclusive(t *testing.T) {
+	m := New(DefaultConfig())
+	m.AccessCost(0, 0, acc(0, 0x1000, trace.Read), trace.Report{})     // miss, no holder
+	m.AccessCost(10000, 1, acc(1, 0x1000, trace.Read), trace.Report{}) // miss, shared
+	m.AccessCost(20000, 0, acc(0, 0x1000, trace.Read), trace.Report{}) // L1 hit
+	if msg := exclusiveViolation(m); msg != "" {
+		t.Fatal(msg)
+	}
+	m.AccessCost(30000, 0, acc(0, 0x1000, trace.Write), trace.Report{})
+	if m.procs[1].l2.Contains(memsys.LineOf(0x1000)) {
+		t.Fatal("proc 0's write left proc 1's copy resident")
+	}
+	if st := m.Stats(); st.Upgrades != 1 {
+		t.Fatalf("upgrades = %d, want 1", st.Upgrades)
 	}
 }

@@ -100,11 +100,22 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 	h := m.procs[proc]
 
 	// access touches only the local hierarchy, so the remote probe can
-	// follow it; only a miss or a write reads its answer.
-	level, victim, evicted := h.access(l, a.Kind == trace.Write)
+	// follow it; only a miss or a write reads its answer. A write hit on an
+	// exclusive line skips the probe, as a hit on an E or M line makes no
+	// bus transaction: every other hierarchy must miss, and so probe and
+	// clear the bit, before it can hold the line, so the skipped probe
+	// would have found nothing.
+	write := a.Kind == trace.Write
+	level, ln, victim, evicted := h.access(l, write)
 	sharedRemotely := false
-	if level == missLevel || a.Kind == trace.Write {
+	if level == missLevel || (write && !ln.excl) {
 		sharedRemotely = m.sharedRemotely(proc, l)
+	}
+	if level == missLevel || write {
+		// The probe found no remote holder, or the write invalidates
+		// every remote copy below. ln is still valid: the probe and the
+		// invalidations touch only the other hierarchies.
+		ln.excl = !sharedRemotely || write
 	}
 	var end uint64
 	switch level {
@@ -126,7 +137,7 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 		}
 	}
 
-	if a.Kind == trace.Write && sharedRemotely {
+	if write && sharedRemotely {
 		if level == l1Hit || level == l2Hit {
 			// Upgrade: invalidation broadcast on the address bus.
 			m.upgrades++
@@ -148,7 +159,7 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 		}
 	}
 
-	if evicted && victim.Payload {
+	if evicted && victim.Payload.dirty {
 		// Dirty write-back occupies the data bus and the memory channel
 		// but does not delay the issuing instruction.
 		m.writeBack(end)
@@ -178,10 +189,17 @@ func (m *Machine) writeBack(now uint64) {
 	m.mem.acquire(wb, memCycles)
 }
 
-// sharedRemotely reports whether any processor other than proc holds l.
+// sharedRemotely is the snoop: it reports whether any processor other than
+// proc holds l, and clears the exclusive bit of the copy it finds. It can
+// stop at the first holder: an exclusive copy is the only one, so no other
+// holder has the bit set.
 func (m *Machine) sharedRemotely(proc int, l memsys.Line) bool {
 	for p, rh := range m.procs {
-		if p != proc && rh.contains(l) {
+		if p == proc {
+			continue
+		}
+		if ln, ok := rh.l2.Peek(l); ok {
+			ln.excl = false
 			return true
 		}
 	}

@@ -29,6 +29,7 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -78,6 +79,26 @@ func ByName(name string) (App, error) {
 		}
 	}
 	return App{}, fmt.Errorf("workload: unknown application %q", name)
+}
+
+// HeaviestFirst returns the indices 0..n-1 in descending order of the Table
+// 1 access count of the application name(i) names: Graham's LPT rule, under
+// which the longest jobs start while every worker is busy, so none is left
+// running alone at the end. The sort is stable, so equal costs keep index
+// order; an unknown name costs nothing. The fleet coordinator orders its
+// shard queue, and a campaign its runs, by this one rule.
+func HeaviestFirst(n int, name func(i int) string) []int {
+	cost := make(map[string]uint64)
+	for _, a := range All() {
+		cost[a.Name] = a.Accesses
+	}
+	order := make([]int, n)
+	w := make([]uint64, n)
+	for i := range order {
+		order[i], w[i] = i, cost[name(i)]
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(w[y], w[x]) })
+	return order
 }
 
 // ByNames resolves a campaign's application list in order. It refuses an

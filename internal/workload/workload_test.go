@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"cord/internal/sim"
@@ -122,5 +123,19 @@ func TestLCGBasics(t *testing.T) {
 	}
 	if r.n(0) != 0 {
 		t.Fatal("n(0) should be 0")
+	}
+}
+
+// TestHeaviestFirst: indices come out in descending Table 1 access count of
+// their application, with ties and unknown names (cost 0) in index order.
+func TestHeaviestFirst(t *testing.T) {
+	names := []string{"lu", "water-n2", "unknown", "fft", "lu", "water-sp", "water-n2"}
+	got := HeaviestFirst(len(names), func(i int) string { return names[i] })
+	want := []int{1, 6, 3, 0, 4, 5, 2}
+	if !slices.Equal(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+	if got := HeaviestFirst(0, nil); len(got) != 0 {
+		t.Fatalf("empty order %v", got)
 	}
 }
