@@ -106,11 +106,10 @@ type Detector struct {
 	mem      memTimestamps
 	rec      *recorder
 
-	races        []trace.Race
-	scratch      []conflict
-	pendingMemTs int
-	minTs        clock.Scalar
-	hasMinTs     bool
+	races    []trace.Race
+	scratch  []conflict
+	minTs    clock.Scalar
+	hasMinTs bool
 
 	// Sliding-window maintenance (§2.7.5): the frontier is the most
 	// advanced clock; walks trigger on frontier advance so that every
@@ -173,10 +172,12 @@ func (d *Detector) OnAccess(a trace.Access) trace.Report {
 	d.lastBoundary[a.Thread] = a.Instr + uint64(a.Instrs)
 	// The cache walker runs both periodically and whenever the clock
 	// frontier has advanced far enough that stale values approach the
-	// sliding-window limit.
+	// sliding-window limit. Its memory-timestamp updates go into this
+	// access's report.
+	var memTs int32
 	if d.st.Accesses%walkInterval == 0 ||
 		clock.Dist(d.walkFrontier, d.frontier) > clock.Window/8 {
-		d.walk()
+		memTs = d.walk()
 	}
 
 	proc := a.Proc
@@ -194,8 +195,11 @@ func (d *Detector) OnAccess(a trace.Access) trace.Report {
 		wk = wordWrite
 	}
 
-	rep := trace.Report{MemTsUpdates: d.pendingMemTs}
-	d.pendingMemTs = 0
+	// The report is built once, at each return, from memTs and these
+	// locals, so it never lives in memory (DESIGN.md, implementation
+	// note 13).
+	var checks int32
+	var races []trace.Race
 	memSnap := d.mem
 
 	ls, present := d.caches[proc].Lookup(line)
@@ -211,17 +215,16 @@ func (d *Detector) OnAccess(a trace.Access) trace.Report {
 		// timestamp changes" of §4.1).
 		if n := ls.newest(); n != nil && n.ts == c && n.has(word, wk) {
 			d.st.FastPathHits++
-			d.postSyncWrite(a, &rep)
-			return rep
+			d.postSyncWrite(a)
+			return trace.Report{MemTsUpdates: memTs}
 		}
 		if (a.Kind == trace.Read && ls.filterR) || (a.Kind == trace.Write && ls.filterW) {
 			d.st.FilterHits++
 			d.stamp(proc, ls, word, wk, c)
-			d.postSyncWrite(a, &rep)
-			rep.MemTsUpdates += d.memChanges(memSnap)
-			return rep
+			d.postSyncWrite(a)
+			return trace.Report{MemTsUpdates: memTs + d.memChanges(memSnap)}
 		}
-		rep.CheckRequests++
+		checks = 1
 		d.st.CheckRequests++
 	}
 
@@ -252,11 +255,11 @@ func (d *Detector) OnAccess(a trace.Access) trace.Report {
 		}
 		if a.Class == trace.Data && !clock.SyncedBy(c, cf.ts, d.cfg.D) {
 			racyAccess = true
-			d.report(trace.Race{
+			races = d.report(trace.Race{
 				Addr:   a.Addr,
 				First:  trace.Ref{Thread: d.threadOf[cf.proc], Kind: cf.kind, Seq: trace.SeqUnknown},
 				Second: trace.Ref{Thread: a.Thread, Kind: a.Kind, Seq: a.Seq},
-			}, &rep)
+			}, races)
 		}
 		if a.Class == trace.Sync && a.Kind == trace.Read && cf.kind == trace.Write {
 			// Sync-read rule (§2.6): lead the variable's write timestamp
@@ -281,7 +284,6 @@ func (d *Detector) OnAccess(a trace.Access) trace.Report {
 
 	if newClock != c {
 		d.setClock(a.Thread, newClock, a.Instr)
-		rep.ClockChanged = true
 	}
 
 	// Stamp the access into the local line (installing it on a miss).
@@ -308,21 +310,20 @@ func (d *Detector) OnAccess(a trace.Access) trace.Report {
 		d.stamp(proc, ls, word, wk, newClock)
 	}
 
-	d.postSyncWrite(a, &rep)
+	d.postSyncWrite(a)
 
 	if racyAccess {
 		d.st.RaceCount++
 	}
-	rep.MemTsUpdates += d.memChanges(memSnap)
-	return rep
+	return trace.Report{Races: races, CheckRequests: checks, MemTsUpdates: memTs + d.memChanges(memSnap)}
 }
 
 // memChanges counts how many of the two main-memory timestamp registers
 // changed since the snapshot — each change is one broadcast transaction
 // (§2.5); multiple absorptions within one access coalesce into the final
 // register value.
-func (d *Detector) memChanges(snap memTimestamps) int {
-	n := 0
+func (d *Detector) memChanges(snap memTimestamps) int32 {
+	n := int32(0)
 	if d.mem.hasRead != snap.hasRead || d.mem.read != snap.read {
 		n++
 	}
@@ -333,7 +334,7 @@ func (d *Detector) memChanges(snap memTimestamps) int {
 	if d.cfg.Directory != nil {
 		// Under a directory the updates are single messages to the home
 		// node rather than bus broadcasts.
-		d.cfg.Directory.MemTsUpdate(n)
+		d.cfg.Directory.MemTsUpdate(int(n))
 	}
 	return n
 }
@@ -343,12 +344,11 @@ func (d *Detector) memChanges(snap memTimestamps) int {
 // increment happens *after* the write, so the epoch boundary in the log
 // falls after the in-flight instruction (a.Instrs = 1 for a committed
 // store, 0 for the sub-instruction store of a test-and-set).
-func (d *Detector) postSyncWrite(a trace.Access, rep *trace.Report) {
+func (d *Detector) postSyncWrite(a trace.Access) {
 	if a.Class != trace.Sync || a.Kind != trace.Write {
 		return
 	}
 	d.setClock(a.Thread, d.clocks[a.Thread].Add(1), a.Instr+uint64(a.Instrs))
-	rep.ClockChanged = true
 }
 
 // memoryFetch applies the main-memory timestamp rules for a miss served by
@@ -505,19 +505,23 @@ func (d *Detector) setClock(thread int, v clock.Scalar, instr uint64) {
 	d.rec.clockChanged(thread, v, instr)
 }
 
-func (d *Detector) report(r trace.Race, rep *trace.Report) {
+// report counts and retains r, and returns races with r appended while the
+// retained list has room.
+func (d *Detector) report(r trace.Race, races []trace.Race) []trace.Race {
 	d.st.RaceReports++
 	if len(d.races) < maxStoredRaces {
 		d.races = append(d.races, r)
-		rep.Races = append(rep.Races, r)
+		races = append(races, r)
 	}
+	return races
 }
 
 // walk is the cache walker of §2.7.5: it retires timestamps that have fallen
 // staleAge behind the most advanced clock (spilling them into the memory
 // timestamps), recomputes the minimum resident timestamp, and refreshes
-// memory timestamps that would otherwise exit the sliding window.
-func (d *Detector) walk() {
+// memory timestamps that would otherwise exit the sliding window. It returns
+// the number of memory-timestamp updates it made.
+func (d *Detector) walk() int32 {
 	maxClk := d.clocks[0]
 	for _, c := range d.clocks[1:] {
 		maxClk = clock.MaxScalar(maxClk, c)
@@ -559,7 +563,7 @@ func (d *Detector) walk() {
 			}
 		})
 	}
-	d.pendingMemTs += d.memChanges(memSnap)
+	memTs := d.memChanges(memSnap)
 	d.minTs, d.hasMinTs = minTs, hasMin
 	// Keep the memory timestamps inside the window relative to the most
 	// advanced clock; advancing them is always safe (it only adds
@@ -567,12 +571,13 @@ func (d *Detector) walk() {
 	refresh := func(ts *clock.Scalar, has bool) {
 		if has && clock.Dist(*ts, maxClk) > clock.Window/2 {
 			*ts = maxClk.Add(-clock.Window / 2)
-			d.pendingMemTs++
+			memTs++
 			d.st.MemTsBroadcasts++
 		}
 	}
 	refresh(&d.mem.read, d.mem.hasRead)
 	refresh(&d.mem.write, d.mem.hasWrite)
+	return memTs
 }
 
 // Migrate implements trace.Observer: beginning to run on a (different)

@@ -168,7 +168,7 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 	// CORD traffic: race-check broadcasts and memory-timestamp update
 	// transactions occupy the address/timestamp bus. A check delays
 	// retirement only by the queueing it cannot hide in retireWindow.
-	for i := 0; i < rep.CheckRequests; i++ {
+	for range rep.CheckRequests {
 		if _, queued := m.addr.acquire(end, addrBusCycles); queued > retireWindow {
 			stall := queued - retireWindow
 			end += stall
@@ -176,7 +176,7 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 			m.stallCycles += stall
 		}
 	}
-	for i := 0; i < rep.MemTsUpdates; i++ {
+	for range rep.MemTsUpdates {
 		m.addr.acquire(end, addrBusCycles)
 	}
 

@@ -129,7 +129,7 @@ func TestRetireWindowBoundary(t *testing.T) {
 	m := New(DefaultConfig())
 	m.AccessCost(0, 0, acc(0, 0x1000, trace.Read), trace.Report{})
 	// On an idle bus the k-th check of a burst queues k slots.
-	fits := retireWindow/addrBusCycles + 1
+	fits := int32(retireWindow/addrBusCycles + 1)
 	cost := m.AccessCost(10000, 0, acc(0, 0x1000, trace.Read), trace.Report{CheckRequests: fits})
 	if st := m.Stats(); st.CheckStalls != 0 || cost != l1HitCycles {
 		t.Fatalf("%d checks within the window: cost %d, stats %+v", fits, cost, st)

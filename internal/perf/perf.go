@@ -25,6 +25,7 @@ import (
 	"cord/internal/cache"
 	"cord/internal/clock"
 	"cord/internal/core"
+	"cord/internal/machine"
 	"cord/internal/memsys"
 	"cord/internal/record"
 	"cord/internal/server"
@@ -72,6 +73,7 @@ func Kernels() []Kernel {
 		{Name: "engine/lock-ping", Setup: setupEngine},
 		{Name: "engine/replay", Setup: setupEngineReplay},
 		{Name: "engine/detect-run", Setup: setupEngineDetect},
+		{Name: "engine/overhead-run", Setup: setupEngineOverhead},
 	}
 }
 
@@ -441,6 +443,37 @@ func setupEngineDetect() func(i int) {
 		req := server.DetectRequest{App: "water-n2", Seed: uint64(i%8 + 1), Inject: 5}
 		if _, err := server.RunDetect(context.Background(), req); err != nil {
 			panic(err)
+		}
+	}
+}
+
+// setupEngineOverhead runs one fft execution per iteration as the Figure 11
+// campaign's CORD run is set up: the timing machine prices every access, and
+// a recording CORD detector at D = 16, the primary observer, feeds its
+// per-access reports into the machine's bus at jitter 2. The other engine
+// kernels price accesses with SimpleCost, so this one alone covers the
+// engine's hand-off from the primary's report to Machine.AccessCost. fft
+// makes the most race-check requests of the Figure 11 apps
+// (bench/BENCH_fig11.json), so the reports carry traffic for the bus.
+func setupEngineOverhead() func(i int) {
+	const threads = 4
+	app, err := workload.ByName("fft")
+	if err != nil {
+		panic(err)
+	}
+	return func(i int) {
+		det := core.New(core.Config{Threads: threads, Procs: threads, D: 16, Record: true})
+		res, err := sim.New(sim.Config{
+			Seed: uint64(i%8 + 1), Jitter: 2,
+			Cost:      machine.New(machine.DefaultConfig()),
+			Observers: []trace.Observer{det},
+			Primary:   det,
+		}, app.Build(1, threads)).Run()
+		if err != nil {
+			panic(err)
+		}
+		if res.Hung || det.Stats().Accesses != res.Accesses {
+			panic("perf: overhead run hung or lost accesses")
 		}
 	}
 }

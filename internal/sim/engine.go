@@ -47,6 +47,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 
 	"cord/internal/memsys"
@@ -213,6 +214,12 @@ type request struct {
 	step  uint8       // of a blocking primitive
 }
 
+// set fills q field by field from scalars: a request value built whole is
+// spilled with narrow stores and reloaded wide, stalling store forwarding.
+func (q *request) set(kind reqKind, addr memsys.Addr, value uint64, class trace.Class) {
+	q.addr, q.value, q.kind, q.class, q.step = addr, value, kind, class, stepEnter
+}
+
 // maxPosted bounds a thread's queue of posted requests. A Body that fills the
 // queue parks until it drains, so one that never reads still reaches the
 // scheduler's Cancel and op-budget checks.
@@ -258,8 +265,7 @@ type Engine struct {
 	prog      Program
 	mem       *memsys.Memory
 	threads   []*threadCtx
-	pcg       rand.PCG // rng's state, held inline
-	rng       *rand.Rand
+	pcg       rand.PCG // the jitter source, drawn from by drawN
 	seq       uint64
 	ops       uint64
 	syncN     uint64
@@ -278,8 +284,6 @@ type Engine struct {
 	replayErr    error          // sticky divergence detected while charging quota
 	feed         *ReplayFeed    // non-nil in replay mode; Config.ReplayEpochs arrive closed
 	feedCanceled bool           // Cancel fired while waiting on the feed
-
-	lastAccess trace.Access
 
 	// run state, shared by Run and the coroutines that run the scheduler
 	inline   bool       // start-up is over and no abort began: parked threads schedule in place
@@ -320,7 +324,6 @@ func New(cfg Config, prog Program) *Engine {
 		epochFresh: true,
 	}
 	e.pcg.Seed(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)
-	e.rng = rand.New(&e.pcg)
 	for i, o := range cfg.Observers {
 		if o == cfg.Primary {
 			e.primIdx = i
@@ -801,8 +804,7 @@ func (e *Engine) waitStep(t *threadCtx, req *request) bool {
 // read performs a committed read of the word at a and returns its value.
 func (e *Engine) read(t *threadCtx, a memsys.Addr, class trace.Class) uint64 {
 	v := e.mem.Load(a)
-	rep := e.deliver(t, a, trace.Read, class, 1)
-	e.advance(t, e.accessCost(t, rep), 1)
+	e.advance(t, e.deliver(t, a, trace.Read, class, 1), 1)
 	t.hash = (t.hash ^ (v + 0x9e37)) * fnvPrime
 	return v
 }
@@ -812,16 +814,14 @@ func (e *Engine) read(t *threadCtx, a memsys.Addr, class trace.Class) uint64 {
 // see vary with the wakeup pattern without affecting program behaviour.
 func (e *Engine) spinRead(t *threadCtx, a memsys.Addr) uint64 {
 	v := e.mem.Load(a)
-	rep := e.deliver(t, a, trace.Read, trace.Sync, 0)
-	e.advance(t, e.accessCost(t, rep), 0)
+	e.advance(t, e.deliver(t, a, trace.Read, trace.Sync, 0), 0)
 	return v
 }
 
 // write performs a committed write of v to the word at a.
 func (e *Engine) write(t *threadCtx, a memsys.Addr, v uint64, class trace.Class) {
 	e.mem.Store(a, v)
-	rep := e.deliver(t, a, trace.Write, class, 1)
-	e.advance(t, e.accessCost(t, rep), 1)
+	e.advance(t, e.deliver(t, a, trace.Write, class, 1), 1)
 	e.wake(t, a)
 }
 
@@ -831,12 +831,10 @@ func (e *Engine) write(t *threadCtx, a memsys.Addr, v uint64, class trace.Class)
 // it acquired the word.
 func (e *Engine) tas(t *threadCtx, a memsys.Addr) bool {
 	free := e.mem.Load(a) == 0
-	rep := e.deliver(t, a, trace.Read, trace.Sync, 0)
-	cost := e.accessCost(t, rep)
+	cost := e.deliver(t, a, trace.Read, trace.Sync, 0)
 	if free {
 		e.mem.Store(a, 1)
-		rep = e.deliver(t, a, trace.Write, trace.Sync, 0)
-		cost += e.accessCost(t, rep)
+		cost += e.deliver(t, a, trace.Write, trace.Sync, 0)
 		e.wake(t, a)
 	}
 	e.advance(t, cost, 0)
@@ -871,7 +869,7 @@ func (e *Engine) countSyncInstance(t *threadCtx) bool {
 // surfaces.
 func (e *Engine) advance(t *threadCtx, cost uint64, instrs uint64) {
 	if e.cfg.Jitter > 0 {
-		cost += e.rng.Uint64N(e.cfg.Jitter + 1)
+		cost += drawN(&e.pcg, e.cfg.Jitter+1)
 	}
 	t.vtime += cost
 	t.instr += instrs
@@ -885,13 +883,13 @@ func (e *Engine) advance(t *threadCtx, cost uint64, instrs uint64) {
 	}
 }
 
-func (e *Engine) accessCost(t *threadCtx, rep trace.Report) uint64 {
-	return e.cfg.Cost.AccessCost(t.vtime, t.proc, e.lastAccess, rep)
-}
-
-// deliver builds the Access event and feeds it to every observer, returning
-// the primary observer's report (a zero Report when no primary is set).
-func (e *Engine) deliver(t *threadCtx, addr memsys.Addr, kind trace.Kind, class trace.Class, instrs uint8) trace.Report {
+// deliver builds the Access event, feeds it to every observer in order, and
+// returns what the cost model charges for it at the thread's current virtual
+// time. The cost model takes the primary observer's report (a zero Report
+// when no primary is set) as soon as the primary returns it, so the report
+// goes from one call's result registers to the other's arguments and never
+// through memory (DESIGN.md, implementation note 13).
+func (e *Engine) deliver(t *threadCtx, addr memsys.Addr, kind trace.Kind, class trace.Class, instrs uint8) uint64 {
 	a := trace.Access{
 		Seq:    e.seq,
 		Thread: t.id,
@@ -903,15 +901,41 @@ func (e *Engine) deliver(t *threadCtx, addr memsys.Addr, kind trace.Kind, class 
 		Instrs: instrs,
 	}
 	e.seq++
-	e.lastAccess = a
-	var primary trace.Report
-	for i, o := range e.cfg.Observers {
-		rep := o.OnAccess(a)
-		if i == e.primIdx {
-			primary = rep
+	obs := e.cfg.Observers
+	if e.primIdx < 0 {
+		for _, o := range obs {
+			o.OnAccess(a)
+		}
+		return e.cfg.Cost.AccessCost(t.vtime, t.proc, a, trace.Report{})
+	}
+	for _, o := range obs[:e.primIdx] {
+		o.OnAccess(a)
+	}
+	cost := e.cfg.Cost.AccessCost(t.vtime, t.proc, a, obs[e.primIdx].OnAccess(a))
+	for _, o := range obs[e.primIdx+1:] {
+		o.OnAccess(a)
+	}
+	return cost
+}
+
+// drawN returns a uniform draw from [0, n) that equals rand.New(p).Uint64N(n)
+// and consumes the same outputs of p: Uint64N's own reduction (a mask for a
+// power of two, else Lemire's multiply with its -n%n rejection), called on
+// the PCG directly rather than through rand.Rand's Source interface. Uint64N
+// takes a 32-bit branch on 32-bit platforms only to give these same draws
+// there, so this path needs none. n must be positive.
+func drawN(p *rand.PCG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return p.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(p.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(p.Uint64(), n)
 		}
 	}
-	return primary
+	return hi
 }
 
 // unskip reports whether thread t's release of the lock at l is removed

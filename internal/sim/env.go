@@ -46,22 +46,22 @@ type Env struct {
 	eng *Engine
 }
 
-// post queues r, which needs no answer, and returns before the engine
-// executes it — unless the queue is now full, which parks the thread until
-// it drains.
-func (e *Env) post(r request) {
+// post queues a request, which needs no answer, and returns before the
+// engine executes it — unless the queue is now full, which parks the thread
+// until it drains.
+func (e *Env) post(kind reqKind, addr memsys.Addr, value uint64, class trace.Class) {
 	t := e.t
-	t.posted[t.tail] = r
+	t.posted[t.tail].set(kind, addr, value, class)
 	if t.tail++; t.tail == e.eng.postCap {
 		e.eng.wait(t)
 	}
 }
 
-// ask queues r and parks the thread until the engine has executed it,
-// returning the value it left in the accumulator.
-func (e *Env) ask(r request) uint64 {
+// ask queues a request and parks the thread until the engine has executed
+// it, returning the value it left in the accumulator.
+func (e *Env) ask(kind reqKind, addr memsys.Addr, class trace.Class) uint64 {
 	t := e.t
-	t.posted[t.tail] = r
+	t.posted[t.tail].set(kind, addr, 0, class)
 	t.tail++
 	e.eng.wait(t)
 	return t.acc
@@ -69,32 +69,32 @@ func (e *Env) ask(r request) uint64 {
 
 // Read performs a data read of the word at a and returns its value.
 func (e *Env) Read(a memsys.Addr) uint64 {
-	return e.ask(request{kind: reqRead, addr: a, class: trace.Data})
+	return e.ask(reqRead, a, trace.Data)
 }
 
 // Write performs a data write of v to the word at a. It returns before the
 // write is ordered.
 func (e *Env) Write(a memsys.Addr, v uint64) {
-	e.post(request{kind: reqWrite, addr: a, value: v, class: trace.Data})
+	e.post(reqWrite, a, v, trace.Data)
 }
 
 // Load performs a data read of the word at a into the thread's accumulator.
 // It returns before the read is ordered.
 func (e *Env) Load(a memsys.Addr) {
-	e.post(request{kind: reqRead, addr: a, class: trace.Data})
+	e.post(reqRead, a, 0, trace.Data)
 }
 
 // LoadAdd performs a data read of the word at a and adds its value to the
 // thread's accumulator. It returns before the read is ordered.
 func (e *Env) LoadAdd(a memsys.Addr) {
-	e.post(request{kind: reqLoadAdd, addr: a})
+	e.post(reqLoadAdd, a, 0, trace.Data)
 }
 
 // Store performs a data write of the thread's accumulator plus d to the word
 // at a, leaving the accumulator as it is. It returns before the write is
 // ordered.
 func (e *Env) Store(a memsys.Addr, d uint64) {
-	e.post(request{kind: reqStore, addr: a, value: d})
+	e.post(reqStore, a, d, trace.Data)
 }
 
 // AddTo reads the word at src and writes its value plus d to the word at dst:
@@ -110,7 +110,7 @@ func (e *Env) Add(a memsys.Addr, d uint64) { e.AddTo(a, a, d) }
 
 // SyncRead performs a labeled synchronization read (§2.7.3).
 func (e *Env) SyncRead(a memsys.Addr) uint64 {
-	return e.ask(request{kind: reqRead, addr: a, class: trace.Sync})
+	return e.ask(reqRead, a, trace.Sync)
 }
 
 // Compute models n cycles of thread-local computation (n instructions). It
@@ -119,7 +119,7 @@ func (e *Env) Compute(n int) {
 	if n <= 0 {
 		return
 	}
-	e.post(request{kind: reqCompute, value: uint64(n)})
+	e.post(reqCompute, 0, uint64(n), trace.Data)
 }
 
 // Lock acquires the mutex at word l (a test-and-set spinlock built from
@@ -130,21 +130,21 @@ func (e *Env) Compute(n int) {
 // this instance is the injected one, the acquire and its matching release are
 // silently removed (§3.4). It returns before the acquire is ordered.
 func (e *Env) Lock(l memsys.Addr) {
-	e.post(request{kind: reqLock, addr: l})
+	e.post(reqLock, l, 0, trace.Data)
 }
 
 // Unlock releases the mutex at word l: its enter, then a sync write of zero.
 // If the matching Lock was removed by injection, the write is removed too. It
 // returns before the release is ordered.
 func (e *Env) Unlock(l memsys.Addr) {
-	e.post(request{kind: reqUnlock, addr: l})
+	e.post(reqUnlock, l, 0, trace.Data)
 }
 
 // FlagSet publishes value v to the flag (condition) word at f. Only waits
 // are injectable, so FlagSet is an ordinary labeled sync write, and it
 // returns before the write is ordered.
 func (e *Env) FlagSet(f memsys.Addr, v uint64) {
-	e.post(request{kind: reqWrite, addr: f, value: v, class: trace.Sync})
+	e.post(reqWrite, f, v, trace.Sync)
 }
 
 // FlagWaitAtLeast waits until the flag word at f holds a value >= v: its
@@ -157,5 +157,5 @@ func (e *Env) FlagSet(f memsys.Addr, v uint64) {
 // returns before the wait is ordered; the thread's next Read parks until the
 // wait is over.
 func (e *Env) FlagWaitAtLeast(f memsys.Addr, v uint64) {
-	e.post(request{kind: reqFlagWait, addr: f, value: v})
+	e.post(reqFlagWait, f, v, trace.Data)
 }

@@ -116,13 +116,10 @@ type Report struct {
 	// CheckRequests counts race-check broadcasts on the address/timestamp
 	// bus caused by this access (cache-miss checks are part of the normal
 	// miss traffic and not counted here).
-	CheckRequests int
+	CheckRequests int32
 	// MemTsUpdates counts main-memory-timestamp broadcast transactions
 	// triggered by displacements this access caused.
-	MemTsUpdates int
-	// ClockChanged reports that the issuing thread's logical clock changed
-	// (an order-log entry was appended).
-	ClockChanged bool
+	MemTsUpdates int32
 }
 
 // Observer is a detector attached to an execution. OnAccess is called once
