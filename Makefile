@@ -161,6 +161,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzIdeal' -fuzztime 10s -run '^$$' ./internal/baseline/
 	$(GO) test -fuzz 'FuzzVecCacheExclusive' -fuzztime 10s -run '^$$' ./internal/baseline/
 	$(GO) test -fuzz 'FuzzTable' -fuzztime 10s -run '^$$' ./internal/memsys/
+	$(GO) test -fuzz 'FuzzCacheModel' -fuzztime 10s -run '^$$' ./internal/cache/
 	$(GO) test -fuzz 'FuzzDetectRequest' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzReplayParams' -fuzztime 10s -run '^$$' ./internal/server/
 	$(GO) test -fuzz 'FuzzStreamIngest' -fuzztime 10s -run '^$$' ./internal/server/

@@ -93,7 +93,7 @@ type VecCache struct {
 	cfg      VecConfig
 	vcs      []clock.Vector
 	threadOf []int
-	caches   []*cache.Cache[vecLine]
+	caches   []cache.Cache[vecLine]
 
 	memWrite clock.Vector
 	memHasW  bool
@@ -239,9 +239,11 @@ func (d *VecCache) OnAccess(a trace.Access) trace.Report {
 		nl := vecLine{excl: excl}
 		nl.hist[0] = vecEntry{vc: d.cloneVC(my), valid: true}
 		nl.hist[0].set(word, a.Kind)
-		if v, evicted := d.caches[proc].Insert(line, nl); evicted {
-			d.flushLine(&v.Payload)
+		slot, victim := d.caches[proc].Insert(line)
+		if victim != nil {
+			d.flushLine(victim)
 		}
+		*slot = nl
 	} else {
 		// ls is still valid (Cache.Lookup's contract): probeRemotes
 		// touched only the other processors' caches.

@@ -19,11 +19,11 @@ var bounds = []Bound{BoundInf, BoundL2, BoundL1}
 // exclusiveViolation describes a line some cache of v marks exclusive while
 // another cache holds it, or returns "".
 func exclusiveViolation(v *VecCache) string {
-	for p, c := range v.caches {
+	for p := range v.caches {
 		msg := ""
-		c.ForEach(func(l memsys.Line, ls *vecLine) {
-			for q, o := range v.caches {
-				if ls.excl && q != p && o.Contains(l) && msg == "" {
+		v.caches[p].ForEach(func(l memsys.Line, ls *vecLine) {
+			for q := range v.caches {
+				if _, held := v.caches[q].Peek(l); ls.excl && q != p && held && msg == "" {
 					msg = fmt.Sprintf("%s: line %#x is exclusive at proc %d but also resident at proc %d",
 						v.Name(), l, p, q)
 				}
@@ -92,7 +92,7 @@ func TestVecCacheReadHitStaysShared(t *testing.T) {
 		if len(rep.Races) != 0 {
 			t.Fatalf("%s: write to another word raced: %+v", b, rep.Races)
 		}
-		if v.caches[1].Contains(memsys.LineOf(x)) {
+		if _, held := v.caches[1].Peek(memsys.LineOf(x)); held {
 			t.Fatalf("%s: proc 0's write left proc 1's copy resident", b)
 		}
 		if msg := exclusiveViolation(v); msg != "" {

@@ -8,6 +8,13 @@
 // memsys.Memory; caches track only presence, recency and payload, which is
 // what drives every CORD-relevant event (displacement, invalidation,
 // history loss).
+//
+// A bounded cache keeps all its lines in one flat, set-major array with a
+// resident-line count per set, each set in MRU-first order. Every walk is a
+// scan of one short run of that array: a Lookup that finds its line already
+// MRU moves nothing, and Insert hands back the new line's zeroed payload to
+// be filled in place, with a pointer to a cache-owned copy of the payload it
+// displaced (DESIGN.md, implementation note 14).
 package cache
 
 import (
@@ -33,7 +40,6 @@ const ubChunkLines = 256
 type unboundedStore[P any] struct {
 	index memsys.Table[*P]
 	arena []P // current allocation chunk
-	n     int // resident lines
 }
 
 func (u *unboundedStore[P]) alloc() *P {
@@ -49,10 +55,19 @@ func (u *unboundedStore[P]) alloc() *P {
 // a payload P per resident line. A Cache from NewUnbounded is fully
 // associative with infinite capacity — the vector-clock InfCache
 // configuration's storage.
+//
+// A Cache is a small header over storage it shares with its copies, so it
+// can be held by value; the methods take a pointer to the header, whose
+// only field that changes is the victim copy.
 type Cache[P any] struct {
-	sets      [][]entry[P] // each set is MRU-first
+	// lines holds the sets one after another, each in ways consecutive
+	// entries: set s is lines[s*ways : s*ways+count[s]], MRU first, and
+	// the ways past its count are zero.
+	lines     []entry[P]
+	count     []int32 // resident lines per set
 	ways      int
 	setMask   uint64 // sets-1: Validate guarantees a power-of-two set count
+	victim    P      // the payload Insert displaced or Remove removed last
 	unbounded *unboundedStore[P]
 }
 
@@ -96,33 +111,33 @@ func (c Config) Validate() error {
 // New returns a bounded cache with the given geometry. It panics on an
 // invalid geometry: configurations are static experiment parameters, and an
 // invalid one is a programming error.
-func New[P any](cfg Config) *Cache[P] {
+func New[P any](cfg Config) Cache[P] {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	// Every set is carved from one backing array with its capacity capped
-	// at the associativity, so neither Insert nor Remove ever reallocates.
-	backing := make([]entry[P], cfg.Lines())
-	sets := make([][]entry[P], cfg.Sets())
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : i*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	return &Cache[P]{
-		sets:    sets,
+	return Cache[P]{
+		lines:   make([]entry[P], cfg.Lines()),
+		count:   make([]int32, cfg.Sets()),
 		ways:    cfg.Ways,
 		setMask: uint64(cfg.Sets() - 1),
 	}
 }
 
 // NewUnbounded returns a cache that never evicts.
-func NewUnbounded[P any]() *Cache[P] {
-	return &Cache[P]{unbounded: &unboundedStore[P]{}}
+func NewUnbounded[P any]() Cache[P] {
+	return Cache[P]{unbounded: &unboundedStore[P]{}}
 }
 
-func (c *Cache[P]) setOf(l memsys.Line) int { return int(uint64(l) & c.setMask) }
+// set returns the resident entries of line l's set, MRU first, and the
+// set's index.
+func (c *Cache[P]) set(l memsys.Line) ([]entry[P], int) {
+	si := int(uint64(l) & c.setMask)
+	base := si * c.ways
+	return c.lines[base : base+int(c.count[si])], si
+}
 
 // Lookup returns a pointer to the payload of line l if resident, promoting it
-// to most-recently-used.
+// to most-recently-used. A line that is already MRU stays where it is.
 //
 // In a bounded cache the pointer is valid only until the next Lookup,
 // Insert or Remove on this cache: promotion and removal shift the
@@ -135,8 +150,14 @@ func (c *Cache[P]) Lookup(l memsys.Line) (*P, bool) {
 		}
 		return nil, false
 	}
-	set := c.sets[c.setOf(l)]
-	for i := range set {
+	set, _ := c.set(l)
+	if len(set) == 0 {
+		return nil, false
+	}
+	if set[0].line == l {
+		return &set[0].payload, true
+	}
+	for i := 1; i < len(set); i++ {
 		if set[i].line == l {
 			// Promote to MRU.
 			e := set[i]
@@ -158,7 +179,7 @@ func (c *Cache[P]) Peek(l memsys.Line) (*P, bool) {
 		}
 		return nil, false
 	}
-	set := c.sets[c.setOf(l)]
+	set, _ := c.set(l)
 	for i := range set {
 		if set[i].line == l {
 			return &set[i].payload, true
@@ -167,100 +188,75 @@ func (c *Cache[P]) Peek(l memsys.Line) (*P, bool) {
 	return nil, false
 }
 
-// Contains reports residency without touching recency.
-func (c *Cache[P]) Contains(l memsys.Line) bool {
-	if c.unbounded != nil {
-		return c.unbounded.index.Get(uint64(l)) != nil
-	}
-	for _, e := range c.sets[c.setOf(l)] {
-		if e.line == l {
-			return true
-		}
-	}
-	return false
-}
-
-// Victim describes a line displaced by Insert.
-type Victim[P any] struct {
-	Line    memsys.Line
-	Payload P
-}
-
-// Insert installs line l with the given payload as MRU and returns the
-// displaced victim, if any. Inserting a line that is already resident
-// replaces its payload and promotes it (no victim).
-func (c *Cache[P]) Insert(l memsys.Line, payload P) (Victim[P], bool) {
+// Insert installs line l as MRU with a zero payload and returns a pointer
+// to that payload for the caller to fill; slot follows Lookup's contract.
+// If a line was displaced, victim points to a copy of its payload that the
+// cache owns, valid until the next Insert or Remove on this cache; it is
+// nil otherwise. Inserting a line that is already resident zeroes its
+// payload and promotes it (no victim).
+func (c *Cache[P]) Insert(l memsys.Line) (slot, victim *P) {
 	if c.unbounded != nil {
 		u := c.unbounded
-		slot := u.index.Ref(uint64(l))
-		if *slot == nil {
-			*slot = u.alloc()
-			u.n++
+		ref := u.index.Ref(uint64(l))
+		if *ref == nil {
+			*ref = u.alloc()
+		} else {
+			var zero P
+			**ref = zero
 		}
-		**slot = payload
-		return Victim[P]{}, false
+		return *ref, nil
 	}
-	si := c.setOf(l)
-	set := c.sets[si]
+	set, si := c.set(l)
+	n := len(set)
 	for i := range set {
 		if set[i].line == l {
-			e := entry[P]{line: l, payload: payload}
 			copy(set[1:i+1], set[:i])
-			set[0] = e
-			return Victim[P]{}, false
+			set[0] = entry[P]{line: l}
+			return &set[0].payload, nil
 		}
 	}
-	if len(set) < c.ways {
-		set = append(set, entry[P]{})
-		copy(set[1:], set[:len(set)-1])
-		set[0] = entry[P]{line: l, payload: payload}
-		c.sets[si] = set
-		return Victim[P]{}, false
+	if n < c.ways {
+		set = set[:n+1]
+		c.count[si]++
+	} else {
+		// Evict LRU (last element).
+		c.victim = set[n-1].payload
+		victim = &c.victim
+		n--
 	}
-	// Evict LRU (last element).
-	v := Victim[P]{Line: set[len(set)-1].line, Payload: set[len(set)-1].payload}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = entry[P]{line: l, payload: payload}
-	return v, true
+	copy(set[1:], set[:n])
+	set[0] = entry[P]{line: l}
+	return &set[0].payload, victim
 }
 
-// Remove deletes line l (invalidation), returning its payload if resident.
-func (c *Cache[P]) Remove(l memsys.Line) (P, bool) {
+// Remove deletes line l (invalidation). If l was resident, it returns a
+// pointer to a copy of its payload that the cache owns, valid until the
+// next Insert or Remove on this cache; otherwise nil.
+func (c *Cache[P]) Remove(l memsys.Line) *P {
 	var zero P
 	if c.unbounded != nil {
 		u := c.unbounded
 		p := u.index.Get(uint64(l))
 		if p == nil {
-			return zero, false
+			return nil
 		}
 		*u.index.Ref(uint64(l)) = nil
-		u.n--
-		v := *p
+		c.victim = *p
 		*p = zero // release the payload's references for the GC
-		return v, true
+		return &c.victim
 	}
-	si := c.setOf(l)
-	set := c.sets[si]
+	set, si := c.set(l)
 	for i := range set {
 		if set[i].line == l {
-			p := set[i].payload
-			c.sets[si] = append(set[:i], set[i+1:]...)
-			return p, true
+			c.victim = set[i].payload
+			copy(set[i:], set[i+1:])
+			// Zero the vacated way, so no stale payload outlives its line.
+			set[len(set)-1] = entry[P]{}
+			c.count[si]--
+			return &c.victim
 		}
 	}
-	return zero, false
-}
-
-// Len returns the number of resident lines.
-func (c *Cache[P]) Len() int {
-	if u := c.unbounded; u != nil {
-		return u.n
-	}
-	n := 0
-	for _, s := range c.sets {
-		n += len(s)
-	}
-	return n
+	return nil
 }
 
 // ForEach visits every resident line in a deterministic order — ascending
@@ -276,7 +272,8 @@ func (c *Cache[P]) ForEach(fn func(l memsys.Line, p *P)) {
 		})
 		return
 	}
-	for _, set := range c.sets {
+	for si, n := range c.count {
+		set := c.lines[si*c.ways : si*c.ways+int(n)]
 		for i := range set {
 			fn(set[i].line, &set[i].payload)
 		}

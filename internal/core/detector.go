@@ -102,7 +102,7 @@ type Detector struct {
 
 	clocks   []clock.Scalar
 	threadOf []int // last thread observed per processor
-	caches   []*cache.Cache[lineState]
+	caches   []cache.Cache[lineState]
 	mem      memTimestamps
 	rec      *recorder
 
@@ -296,9 +296,14 @@ func (d *Detector) OnAccess(a trace.Access) trace.Report {
 		nl.hist[0] = histEntry{ts: newClock, valid: true}
 		nl.hist[0].set(word, wk)
 		d.setFilters(&nl, a.Kind, probe)
-		if v, evicted := d.caches[proc].Insert(line, nl); evicted {
-			d.flushLine(&v.Payload)
+		// nl is stored whole, once: filled field by field through the
+		// slot, this path measured slower (DESIGN.md, implementation
+		// note 14).
+		slot, victim := d.caches[proc].Insert(line)
+		if victim != nil {
+			d.flushLine(victim)
 		}
+		*slot = nl
 	} else {
 		// ls from the Lookup above is still valid (Cache.Lookup's
 		// contract): since then only other processors' caches were probed
@@ -541,8 +546,8 @@ func (d *Detector) walk() int32 {
 	memSnap := d.mem
 	var minTs clock.Scalar
 	hasMin := false
-	for _, cc := range d.caches {
-		cc.ForEach(func(l memsys.Line, ls *lineState) {
+	for q := range d.caches {
+		d.caches[q].ForEach(func(l memsys.Line, ls *lineState) {
 			for i := range ls.hist {
 				e := &ls.hist[i]
 				if !e.valid {

@@ -48,7 +48,8 @@ func (f *feeder) evict(t int, a memsys.Addr) bool {
 	for w := 0; w < cache.L2.Ways; w++ {
 		f.write(t, a+memsys.Addr(1024+w)*sets*memsys.LineBytes)
 	}
-	return !f.d.caches[t].Contains(memsys.LineOf(a))
+	_, held := f.d.caches[t].Peek(memsys.LineOf(a))
+	return !held
 }
 
 // Distinct lines for the test variables.

@@ -152,7 +152,7 @@ func TestDirectoryMessageCounts(t *testing.T) {
 	}
 	step("write miss invalidating two holders", 2, func() { f.write(2, varX) })
 	for _, p := range []int{0, 1} {
-		if det.caches[p].Contains(memsys.LineOf(varX)) {
+		if _, held := det.caches[p].Peek(memsys.LineOf(varX)); held {
 			t.Fatalf("proc %d still holds X after the invalidating write", p)
 		}
 	}
@@ -163,7 +163,7 @@ func TestDirectoryMessageCounts(t *testing.T) {
 		t.Fatal("Y is not shared at proc 1")
 	}
 	step("upgrade", 1, func() { f.write(1, varY) })
-	if state(1, varY) != owned || det.caches[0].Contains(memsys.LineOf(varY)) {
+	if _, held := det.caches[0].Peek(memsys.LineOf(varY)); state(1, varY) != owned || held {
 		t.Fatal("the upgrade did not take Y exclusively")
 	}
 }

@@ -29,12 +29,12 @@ type l2Line struct {
 // bits of each L2 line; the detectors keep their own payload-bearing caches,
 // and the machine uses hierarchy to price each access.
 type hierarchy struct {
-	l1 *cache.Cache[struct{}]
-	l2 *cache.Cache[l2Line]
+	l1 cache.Cache[struct{}]
+	l2 cache.Cache[l2Line]
 }
 
-func newHierarchy() *hierarchy {
-	return &hierarchy{
+func newHierarchy() hierarchy {
+	return hierarchy{
 		l1: cache.New[struct{}](cache.L1),
 		l2: cache.New[l2Line](cache.L2),
 	}
@@ -42,15 +42,15 @@ func newHierarchy() *hierarchy {
 
 // access touches line l, returning where it hit and its L2 payload, and
 // installs it in both levels (inclusive); a write marks the line dirty. The
-// payload pointer follows cache.Lookup's contract. The returned victim,
-// when evicted is true, is the line the L2 displaced, with its bits.
+// payload pointer follows cache.Lookup's contract. dirtyVictim reports that
+// the L2 displaced a dirty line to make room.
 //
 // Inclusion needs no back-invalidation of the L1: every access refreshes the
 // line's L2 recency, so an L2 victim has cache.L2.Ways-1 lines of its set
 // used since. They all map to its L1 set, because the L1's set count divides
 // the L2's, and they outnumber the L1's ways, so the L1 has already dropped
 // the victim.
-func (h *hierarchy) access(l memsys.Line, write bool) (level hitLevel, ln *l2Line, victim cache.Victim[l2Line], evicted bool) {
+func (h *hierarchy) access(l memsys.Line, write bool) (level hitLevel, ln *l2Line, dirtyVictim bool) {
 	level = l1Hit
 	if _, ok := h.l1.Lookup(l); !ok {
 		level = l2Hit
@@ -62,19 +62,21 @@ func (h *hierarchy) access(l memsys.Line, write bool) (level hitLevel, ln *l2Lin
 		ln.dirty = ln.dirty || write
 	} else {
 		level = missLevel
-		victim, evicted = h.l2.Insert(l, l2Line{dirty: write})
-		ln, _ = h.l2.Peek(l)
+		var victim *l2Line
+		ln, victim = h.l2.Insert(l)
+		ln.dirty = write
+		dirtyVictim = victim != nil && victim.dirty
 	}
 	if level != l1Hit {
-		h.l1.Insert(l, struct{}{}) // L1 victims stay in L2
+		h.l1.Insert(l) // L1 victims stay in L2
 	}
-	return level, ln, victim, evicted
+	return level, ln, dirtyVictim
 }
 
 // invalidate removes l from both levels (snooped remote write), reporting
 // whether the dropped copy was dirty and whether l was resident at all.
 func (h *hierarchy) invalidate(l memsys.Line) (dirty, ok bool) {
 	h.l1.Remove(l)
-	ln, ok := h.l2.Remove(l)
-	return ln.dirty, ok
+	ln := h.l2.Remove(l)
+	return ln != nil && ln.dirty, ln != nil
 }

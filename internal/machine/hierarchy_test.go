@@ -19,9 +19,15 @@ func sameSet(n int) []memsys.Line {
 	return ls
 }
 
+// resident reports whether c holds l, without touching its recency.
+func resident[P any](c *cache.Cache[P], l memsys.Line) bool {
+	_, ok := c.Peek(l)
+	return ok
+}
+
 // TestHierarchyInclusion: after any sequence of reads, writes and snooped
 // invalidations over lines that collide in one L1 set, every L1-resident
-// line is L2-resident, and every L2 victim has left the L1, without any
+// line is L2-resident, so every L2 victim has left the L1, without any
 // back-invalidation.
 func TestHierarchyInclusion(t *testing.T) {
 	// The geometry hierarchy.access relies on.
@@ -41,12 +47,10 @@ func TestHierarchyInclusion(t *testing.T) {
 			case 0:
 				h.invalidate(l)
 			default:
-				if _, _, v, evicted := h.access(l, op&3 == 1); evicted && h.l1.Contains(v.Line) {
-					return false
-				}
+				h.access(l, op&3 == 1)
 			}
 			for _, x := range lines {
-				if h.l1.Contains(x) && !h.l2.Contains(x) {
+				if resident(&h.l1, x) && !resident(&h.l2, x) {
 					return false
 				}
 			}
@@ -61,20 +65,20 @@ func TestHierarchyInclusion(t *testing.T) {
 func TestHierarchyLevels(t *testing.T) {
 	h := newHierarchy()
 	ls := sameSet(cache.L1.Ways + 1)
-	if lvl, _, _, _ := h.access(ls[0], false); lvl != missLevel {
+	if lvl, _, _ := h.access(ls[0], false); lvl != missLevel {
 		t.Fatalf("first access level = %v", lvl)
 	}
-	if lvl, _, _, _ := h.access(ls[0], false); lvl != l1Hit {
+	if lvl, _, _ := h.access(ls[0], false); lvl != l1Hit {
 		t.Fatalf("second access level = %v", lvl)
 	}
 	// Push ls[0] out of its L1 set but keep it in the wider L2 set.
 	for _, l := range ls[1:] {
 		h.access(l, false)
 	}
-	if h.l1.Contains(ls[0]) {
+	if resident(&h.l1, ls[0]) {
 		t.Fatal("line survived a full L1 set of newer lines")
 	}
-	if lvl, _, _, _ := h.access(ls[0], false); lvl != l2Hit {
+	if lvl, _, _ := h.access(ls[0], false); lvl != l2Hit {
 		t.Fatalf("expected L2 hit, got %v", lvl)
 	}
 }
@@ -85,7 +89,7 @@ func TestHierarchyInvalidate(t *testing.T) {
 	if dirty, ok := h.invalidate(5); !ok || dirty {
 		t.Fatalf("invalidate of a clean resident line = (dirty %v, ok %v)", dirty, ok)
 	}
-	if h.l2.Contains(5) || h.l1.Contains(5) {
+	if resident(&h.l2, 5) || resident(&h.l1, 5) {
 		t.Fatal("line survived invalidation")
 	}
 	if _, ok := h.invalidate(5); ok {
@@ -117,14 +121,17 @@ func TestHierarchyDirtyBit(t *testing.T) {
 		{4, true, l1Hit},      // written on an L1 hit
 	}
 	for i, s := range steps {
-		if lvl, _, _, evicted := h.access(x[s.line], s.write); lvl != s.want || evicted {
-			t.Fatalf("step %d: level %v (evicted %v), want %v", i, lvl, evicted, s.want)
+		if lvl, _, dirtyVictim := h.access(x[s.line], s.write); lvl != s.want || dirtyVictim {
+			t.Fatalf("step %d: level %v (dirty victim %v), want %v", i, lvl, dirtyVictim, s.want)
 		}
 	}
 	// Fill the L2 set with clean lines; LRU first, it now holds x2, x3
 	// (clean), x0, x1, x4 (dirty), then x5..x7 (clean).
 	for _, l := range x[5:cache.L2.Ways] {
-		if _, _, _, evicted := h.access(l, false); evicted {
+		h.access(l, false)
+	}
+	for _, l := range x[:cache.L2.Ways] {
+		if !resident(&h.l2, l) {
 			t.Fatalf("line %d evicted from a set with a free way", l)
 		}
 	}
@@ -133,10 +140,11 @@ func TestHierarchyDirtyBit(t *testing.T) {
 		line  int
 		dirty bool
 	}{{2, false}, {3, false}, {0, true}, {1, true}, {4, true}, {5, false}} {
-		_, _, v, evicted := h.access(x[next], false)
+		_, _, dirtyVictim := h.access(x[next], false)
 		next++
-		if !evicted || v.Line != x[want.line] || v.Payload.dirty != want.dirty {
-			t.Fatalf("victim = %+v (evicted %v), want line %d dirty %v", v, evicted, x[want.line], want.dirty)
+		if resident(&h.l2, x[want.line]) || dirtyVictim != want.dirty {
+			t.Fatalf("victim line %d: resident %v, dirty %v, want evicted, dirty %v",
+				x[want.line], resident(&h.l2, x[want.line]), dirtyVictim, want.dirty)
 		}
 	}
 }
@@ -144,11 +152,11 @@ func TestHierarchyDirtyBit(t *testing.T) {
 // exclusiveViolation describes a line some hierarchy of m marks exclusive
 // while another hierarchy holds it, or returns "".
 func exclusiveViolation(m *Machine) string {
-	for p, h := range m.procs {
+	for p := range m.procs {
 		msg := ""
-		h.l2.ForEach(func(l memsys.Line, ln *l2Line) {
-			for q, o := range m.procs {
-				if ln.excl && q != p && o.l2.Contains(l) && msg == "" {
+		m.procs[p].l2.ForEach(func(l memsys.Line, ln *l2Line) {
+			for q := range m.procs {
+				if ln.excl && q != p && resident(&m.procs[q].l2, l) && msg == "" {
 					msg = fmt.Sprintf("line %#x is exclusive at proc %d but also resident at proc %d", l, p, q)
 				}
 			}
@@ -204,7 +212,7 @@ func TestReadHitDoesNotClaimExclusive(t *testing.T) {
 		t.Fatal(msg)
 	}
 	m.AccessCost(30000, 0, acc(0, 0x1000, trace.Write), trace.Report{})
-	if m.procs[1].l2.Contains(memsys.LineOf(0x1000)) {
+	if resident(&m.procs[1].l2, memsys.LineOf(0x1000)) {
 		t.Fatal("proc 0's write left proc 1's copy resident")
 	}
 	if st := m.Stats(); st.Upgrades != 1 {

@@ -74,7 +74,7 @@ type Machine struct {
 
 	// procs holds each processor's private hierarchy, grown on the first
 	// access from a processor beyond it.
-	procs []*hierarchy
+	procs []hierarchy
 
 	// stats
 	misses, c2c, memFetch, upgrades uint64
@@ -97,7 +97,7 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 	for len(m.procs) <= proc {
 		m.procs = append(m.procs, newHierarchy())
 	}
-	h := m.procs[proc]
+	h := &m.procs[proc]
 
 	// access touches only the local hierarchy, so the remote probe can
 	// follow it; only a miss or a write reads its answer. A write hit on an
@@ -106,7 +106,7 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 	// clear the bit, before it can hold the line, so the skipped probe
 	// would have found nothing.
 	write := a.Kind == trace.Write
-	level, ln, victim, evicted := h.access(l, write)
+	level, ln, dirtyVictim := h.access(l, write)
 	sharedRemotely := false
 	if level == missLevel || (write && !ln.excl) {
 		sharedRemotely = m.sharedRemotely(proc, l)
@@ -143,11 +143,11 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 			m.upgrades++
 			m.addr.acquire(end, addrBusCycles)
 		}
-		for p, rh := range m.procs {
+		for p := range m.procs {
 			if p == proc {
 				continue
 			}
-			if dirty, _ := rh.invalidate(l); dirty {
+			if dirty, _ := m.procs[p].invalidate(l); dirty {
 				// Invalidating a remote *dirty* copy flushes its data:
 				// a cache-to-cache supply on the data bus plus the
 				// memory write-back, like an eviction. The transfer
@@ -159,7 +159,7 @@ func (m *Machine) AccessCost(now uint64, proc int, a trace.Access, rep trace.Rep
 		}
 	}
 
-	if evicted && victim.Payload.dirty {
+	if dirtyVictim {
 		// Dirty write-back occupies the data bus and the memory channel
 		// but does not delay the issuing instruction.
 		m.writeBack(end)
@@ -194,11 +194,11 @@ func (m *Machine) writeBack(now uint64) {
 // stop at the first holder: an exclusive copy is the only one, so no other
 // holder has the bit set.
 func (m *Machine) sharedRemotely(proc int, l memsys.Line) bool {
-	for p, rh := range m.procs {
+	for p := range m.procs {
 		if p == proc {
 			continue
 		}
-		if ln, ok := rh.l2.Peek(l); ok {
+		if ln, ok := m.procs[p].l2.Peek(l); ok {
 			ln.excl = false
 			return true
 		}

@@ -184,8 +184,10 @@ func TestMoreProcessorsThanThePaper(t *testing.T) {
 	if len(m.procs) != procs {
 		t.Fatalf("machine has %d hierarchies, want %d", len(m.procs), procs)
 	}
-	for p, h := range m.procs {
-		if h.l2.Len() == 0 {
+	for p := range m.procs {
+		n := 0
+		m.procs[p].l2.ForEach(func(memsys.Line, *l2Line) { n++ })
+		if n == 0 {
 			t.Errorf("processor %d's hierarchy holds no line", p)
 		}
 	}

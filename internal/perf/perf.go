@@ -61,6 +61,7 @@ func Kernels() []Kernel {
 		{Name: "memsys/sparse-load", Setup: setupMemsysSparse},
 		{Name: "cache/bounded-churn", Setup: setupCacheBounded},
 		{Name: "cache/unbounded-churn", Setup: setupCacheUnbounded},
+		{Name: "cache/mru-hit", Setup: setupCacheMRUHit},
 		{Name: "detector/bounded", Setup: setupDetectorBounded},
 		{Name: "baseline/vec-infcache", Setup: setupVecInf},
 		{Name: "baseline/ideal", Setup: setupIdeal},
@@ -122,7 +123,28 @@ func setupCacheBounded() func(i int) {
 			*p++
 			return
 		}
-		c.Insert(l, uint64(i))
+		p, _ := c.Insert(l)
+		*p = uint64(i)
+	}
+}
+
+// setupCacheMRUHit times the lookups of a resident working set, the
+// detectors' common case: the paper's L2 geometry, filled, is read in
+// runs of four accesses to one line, so three lookups in four find it
+// already MRU and the fourth promotes it from the LRU way.
+func setupCacheMRUHit() func(i int) {
+	c := cache.New[uint64](cache.L2)
+	lines := cache.L2.Lines()
+	for l := 0; l < lines; l++ {
+		p, _ := c.Insert(memsys.Line(l))
+		*p = uint64(l)
+	}
+	return func(i int) {
+		p, ok := c.Lookup(memsys.Line(i / 4 % lines))
+		if !ok {
+			panic("perf: resident line missed")
+		}
+		*p++
 	}
 }
 
@@ -138,7 +160,8 @@ func setupCacheUnbounded() func(i int) {
 		if p, ok := c.Lookup(l); ok {
 			*p++
 		} else {
-			c.Insert(l, uint64(i))
+			p, _ := c.Insert(l)
+			*p = uint64(i)
 		}
 		if i%8 == 7 {
 			c.Remove(memsys.Line((i * 2654435761) % lines))

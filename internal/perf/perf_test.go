@@ -23,6 +23,22 @@ func TestKernelsSmoke(t *testing.T) {
 	}
 }
 
+// TestBoundedCacheKernelsDoNotAllocate: a bounded cache allocates only in
+// New, and Insert fills its slot in place, so the bounded cache kernels run
+// without one allocation once set up.
+func TestBoundedCacheKernelsDoNotAllocate(t *testing.T) {
+	for name, setup := range map[string]func() func(int){
+		"cache/bounded-churn": setupCacheBounded,
+		"cache/mru-hit":       setupCacheMRUHit,
+	} {
+		body := setup()
+		i := runCycles(body, 0, 1)
+		if allocs, _ := allocsPerOp(body, i, 1); allocs != 0 {
+			t.Errorf("%s allocates %.4f allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
 // BenchmarkKernel exposes the suite to `go test -bench`. CI runs it with
 // -benchtime=1x as a smoke pass; use larger benchtimes for real measurement.
 func BenchmarkKernel(b *testing.B) {

@@ -30,7 +30,7 @@ if [ $# -lt 1 ] || [ $# -gt 2 ]; then
 	exit 2
 fi
 bin=$1
-pattern=${2:-'^cord/internal/(sim\.\(\*(Engine|Env)\)\.|core\.\(\*Detector\)\.|baseline\.\(\*(Ideal|VecCache|FastTrack)\)\.(OnAccess|on|probe|stamp|new|flush)|machine\.\(\*(Machine\)\.(AccessCost|sharedRemotely)|hierarchy\)\.|resource\)\.acquire)|cache\.\(\*Cache\[.*\]\)\.(Lookup|Peek|Contains|Insert|Remove)|workload\.[A-Za-z0-9]+\.func[0-9]+$)'}
+pattern=${2:-'^cord/internal/(sim\.\(\*(Engine|Env)\)\.|core\.\(\*Detector\)\.|baseline\.\(\*(Ideal|VecCache|FastTrack)\)\.(OnAccess|on|probe|stamp|new|flush)|machine\.\(\*(Machine\)\.(AccessCost|sharedRemotely)|hierarchy\)\.|resource\)\.acquire)|cache\.\(\*Cache\[.*\]\)\.(Lookup|Peek|Insert|Remove)|workload\.[A-Za-z0-9]+\.func[0-9]+$)'}
 
 # go tool nm -size prints "address size type name" with a hex address; a
 # generic symbol's name may contain spaces, so the name is everything after
