@@ -113,9 +113,9 @@ stream-smoke:
 	sh scripts/service-smoke.sh stream
 
 # End-to-end crash-recovery smoke: kill -9 a live checkpointed campaign,
-# resume it, assert byte-identical artifacts; SIGTERM drain; 20% transient
-# chaos completing through retries. CI runs this (see EXPERIMENTS.md,
-# "Interrupting and resuming a campaign").
+# resume it, assert byte-identical artifacts; SIGTERM drain; a CORD_CHAOS
+# crash-after=5 run (exit 42) whose resume must match too. CI runs this
+# (see EXPERIMENTS.md, "Interrupting and resuming a campaign").
 resume-smoke:
 	sh scripts/resume-smoke.sh
 

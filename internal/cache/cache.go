@@ -34,15 +34,23 @@ const ubChunkLines = 256
 // unboundedStore is a paged lookup index (memsys.Table keyed by line, nil =
 // absent) over payloads allocated in arena chunks, so a payload pointer stays
 // valid for the lifetime of its line (the unbounded half of the Lookup
-// contract) without one heap allocation per insert. ForEach walks the index,
-// so its order is ascending line order: a pure function of the lines
-// resident, reproducible across runs and processes.
+// contract) without one heap allocation per insert. The slots Remove vacates
+// wait, zeroed, on a free list that alloc takes from first, so an
+// invalidate-then-refetch reuses its slot instead of growing the arena.
+// ForEach walks the index, so its order is ascending line order: a pure
+// function of the lines resident, reproducible across runs and processes.
 type unboundedStore[P any] struct {
 	index memsys.Table[*P]
-	arena []P // current allocation chunk
+	arena []P  // current allocation chunk
+	free  []*P // zeroed slots vacated by Remove
 }
 
 func (u *unboundedStore[P]) alloc() *P {
+	if n := len(u.free); n > 0 {
+		p := u.free[n-1]
+		u.free = u.free[:n-1]
+		return p
+	}
 	if len(u.arena) == 0 {
 		u.arena = make([]P, ubChunkLines)
 	}
@@ -243,6 +251,7 @@ func (c *Cache[P]) Remove(l memsys.Line) *P {
 		*u.index.Ref(uint64(l)) = nil
 		c.victim = *p
 		*p = zero // release the payload's references for the GC
+		u.free = append(u.free, p)
 		return &c.victim
 	}
 	set, si := c.set(l)

@@ -1,25 +1,17 @@
 // Package chaos is the fault injector behind the campaign robustness tests:
-// a deliberately hostile environment that fails runs transiently, fails
-// checkpoint-journal writes, and crashes the whole process mid-campaign —
-// everything a production fleet does to a long evaluation, on demand and
-// reproducibly. The experiment runner consults an optional *Chaos; nil means
-// no injected faults, which is the production default.
+// it kills a campaign process, or a cordd worker of a fleet, without any
+// cleanup — what a production fleet does to a long evaluation, on demand and
+// reproducibly. The experiment runner and the cordd campaign handler consult
+// an optional *Chaos; nil means no injected faults, which is the production
+// default.
 //
 // Chaos is configured from one specification string, usually the CORD_CHAOS
 // environment variable:
 //
-//	CORD_CHAOS="run-fail=0.2,journal-fail=0.5,crash-after=25,seed=7"
+//	CORD_CHAOS="crash-after=25,seed=7"
 //
 // Knobs (all optional, comma-separated key=value):
 //
-//	run-fail=P      fail a fraction P of runs with a transient error. The
-//	                decision is a deterministic hash of (seed, run key), so
-//	                the same spec chooses the same victims; a victim fails at
-//	                most MaxRunFailures consecutive attempts and then
-//	                succeeds, so any retry policy allowing MaxRunFailures+1
-//	                attempts is guaranteed to complete.
-//	journal-fail=P  fail a fraction P of journal appends (before any byte is
-//	                written, so the journal file stays intact).
 //	crash-after=K   after K successful run completions in this process, print
 //	                a marker to stderr and os.Exit(CrashExitCode) without any
 //	                cleanup — the in-process stand-in for kill -9.
@@ -31,11 +23,10 @@
 //	                (seed, shard-completion index), so a pinned seed replays
 //	                the same kill schedule. Chaos never restarts a worker;
 //	                that is the supervisor's job (scripts/fleet-chaos-smoke.sh).
-//	seed=N          vary which runs are chosen (default 1).
+//	seed=N          vary which shard completions worker-kill picks (default 1).
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -52,39 +43,16 @@ const EnvVar = "CORD_CHAOS"
 // can tell an injected crash from a real failure.
 const CrashExitCode = 42
 
-// MaxRunFailures bounds how many consecutive attempts of one run a run-fail
-// injection may fail. Keeping it below the runner's retry budget (default 3
-// attempts) makes chaotic campaigns terminate by construction: transient
-// means transient.
-const MaxRunFailures = 2
-
-// ErrInjected is the root of every chaos-injected failure, so tests and
-// logs can tell injected faults from real ones.
-var ErrInjected = errors.New("chaos: injected fault")
-
-// runError is a chaos-injected transient run failure. It implements the
-// Transient() contract the experiment runner's retry classifier looks for.
-type runError struct{ msg string }
-
-func (e *runError) Error() string        { return e.msg }
-func (e *runError) Transient() bool      { return true }
-func (e *runError) Unwrap() error        { return ErrInjected }
-func (e *runError) Is(target error) bool { return target == ErrInjected }
-
 // Chaos injects faults according to one parsed specification. The zero value
 // injects nothing; methods on a nil *Chaos are safe and inject nothing, so
 // callers thread it through unconditionally.
 type Chaos struct {
-	runFail     float64
-	journalFail float64
-	crashAfter  int
-	workerKill  float64
-	seed        uint64
+	crashAfter int
+	workerKill float64
+	seed       uint64
 
 	mu        sync.Mutex
-	attempts  map[string]int // run key -> failed attempts so far
 	completed int
-	journalN  uint64 // journal-append decision counter
 	shardN    uint64 // worker-kill decision counter (completed shards)
 
 	// exit is os.Exit, a field so tests can observe crashes without dying.
@@ -98,26 +66,19 @@ func Parse(spec string) (*Chaos, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	c := &Chaos{seed: 1, crashAfter: -1, attempts: make(map[string]int), exit: os.Exit}
+	c := &Chaos{seed: 1, crashAfter: -1, exit: os.Exit}
 	for _, part := range strings.Split(spec, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
 			return nil, fmt.Errorf("chaos: %q is not key=value", part)
 		}
 		switch key {
-		case "run-fail", "journal-fail", "worker-kill":
+		case "worker-kill":
 			p, err := strconv.ParseFloat(val, 64)
 			if err != nil || p < 0 || p > 1 {
-				return nil, fmt.Errorf("chaos: %s must be a probability in [0,1], got %q", key, val)
+				return nil, fmt.Errorf("chaos: worker-kill must be a probability in [0,1], got %q", val)
 			}
-			switch key {
-			case "run-fail":
-				c.runFail = p
-			case "journal-fail":
-				c.journalFail = p
-			case "worker-kill":
-				c.workerKill = p
-			}
+			c.workerKill = p
 		case "crash-after":
 			k, err := strconv.Atoi(val)
 			if err != nil || k < 1 {
@@ -131,7 +92,7 @@ func Parse(spec string) (*Chaos, error) {
 			}
 			c.seed = s
 		default:
-			return nil, fmt.Errorf("chaos: unknown knob %q (want run-fail, journal-fail, crash-after, worker-kill, seed)", key)
+			return nil, fmt.Errorf("chaos: unknown knob %q (want crash-after, worker-kill, seed)", key)
 		}
 	}
 	return c, nil
@@ -147,11 +108,11 @@ func FromEnv() (*Chaos, error) {
 //
 // The FNV state is passed through a 64-bit avalanche finalizer before use:
 // FNV-1a's final byte only reaches the high bits through one multiply, so for
-// sequential counters (journal appends, shard completions) the last decimal
-// digit of n barely moves the draw — ten consecutive n values land within
-// 1e-7 of each other and a probability knob degrades to deciding in blocks of
-// ten. The finalizer restores per-increment independence while keeping the
-// draw a pure function of (seed, label, n).
+// a sequential counter (shard completions) the last decimal digit of n barely
+// moves the draw — ten consecutive n values land within 1e-7 of each other
+// and a probability knob degrades to deciding in blocks of ten. The finalizer
+// restores per-increment independence while keeping the draw a pure function
+// of (seed, label, n).
 func (c *Chaos) draw(label string, n uint64) float64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s|%d", c.seed, label, n)
@@ -162,51 +123,6 @@ func (c *Chaos) draw(label string, n uint64) float64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return float64(x>>11) / float64(1<<53)
-}
-
-// RunFault decides whether the attempt-th try (1-based) of the run named by
-// key fails, and returns the transient error to fail it with (nil: run
-// normally). Victim selection hashes (seed, key); how many attempts a victim
-// loses also derives from the hash, capped at MaxRunFailures, so chaotic
-// campaigns always complete under a retry budget of MaxRunFailures+1.
-func (c *Chaos) RunFault(key string, attempt int) error {
-	if c == nil || c.runFail <= 0 {
-		return nil
-	}
-	if c.draw("run", hashKey(key)) >= c.runFail {
-		return nil // not a victim
-	}
-	failures := 1
-	if c.draw("run-depth", hashKey(key)) < c.runFail {
-		failures = MaxRunFailures
-	}
-	c.mu.Lock()
-	failed := c.attempts[key]
-	inject := failed < failures && attempt <= failures
-	if inject {
-		c.attempts[key] = failed + 1
-	}
-	c.mu.Unlock()
-	if !inject {
-		return nil
-	}
-	return &runError{msg: fmt.Sprintf("chaos: injected transient failure (run %s, attempt %d)", key, attempt)}
-}
-
-// JournalFault decides whether one journal append fails; the decision stream
-// is deterministic in append order. The returned error wraps ErrInjected.
-func (c *Chaos) JournalFault() error {
-	if c == nil || c.journalFail <= 0 {
-		return nil
-	}
-	c.mu.Lock()
-	n := c.journalN
-	c.journalN++
-	c.mu.Unlock()
-	if c.draw("journal", n) >= c.journalFail {
-		return nil
-	}
-	return fmt.Errorf("%w: journal write refused (append %d)", ErrInjected, n)
 }
 
 // RunCompleted records one successful run completion and, when crash-after is
@@ -253,7 +169,7 @@ func (c *Chaos) ShardCompleted() {
 
 // Active reports whether any fault is armed (false for nil).
 func (c *Chaos) Active() bool {
-	return c != nil && (c.runFail > 0 || c.journalFail > 0 || c.crashAfter > 0 || c.workerKill > 0)
+	return c != nil && (c.crashAfter > 0 || c.workerKill > 0)
 }
 
 // String summarizes the armed faults for startup logging.
@@ -262,12 +178,6 @@ func (c *Chaos) String() string {
 		return "chaos: off"
 	}
 	parts := []string{}
-	if c.runFail > 0 {
-		parts = append(parts, fmt.Sprintf("run-fail=%g", c.runFail))
-	}
-	if c.journalFail > 0 {
-		parts = append(parts, fmt.Sprintf("journal-fail=%g", c.journalFail))
-	}
 	if c.crashAfter > 0 {
 		parts = append(parts, fmt.Sprintf("crash-after=%d", c.crashAfter))
 	}
@@ -278,10 +188,4 @@ func (c *Chaos) String() string {
 		return "chaos: off"
 	}
 	return "chaos: " + strings.Join(parts, " ") + fmt.Sprintf(" seed=%d", c.seed)
-}
-
-func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
 }

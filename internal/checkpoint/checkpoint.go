@@ -269,23 +269,14 @@ func (j *Journal) Path() string { return j.path }
 
 // SetWriteFault installs (or, with nil, removes) a fault hook consulted
 // before every append's first byte: a non-nil return aborts that append with
-// the file untouched. Chaos testing uses this to prove a campaign survives
-// journal-write failures.
+// the file untouched. Tests use it: this package's to check that a refused
+// append leaves the journal intact, internal/experiment's to check that a
+// campaign survives unjournaled runs and to interrupt a campaign as a run
+// is journaled.
 func (j *Journal) SetWriteFault(f func() error) {
 	j.mu.Lock()
 	j.writeFault = f
 	j.mu.Unlock()
-}
-
-// Sync flushes the journal file to stable storage. Appends already sync
-// individually; Sync exists for belt-and-braces shutdown paths.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	return j.f.Sync()
 }
 
 // Close syncs and closes the journal. The Journal remains readable (Lookup

@@ -10,15 +10,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"cord/internal/chaos"
 	"cord/internal/checkpoint"
 )
-
-// fastRetry keeps chaotic tests quick: real backoff schedules are for
-// production, not for the unit-test loop.
-var fastRetry = retryPolicy{Attempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond}
 
 // encodeDetection renders the fixture detection campaign's artifacts into one
 // byte stream, the currency every byte-identity assertion here trades in.
@@ -67,7 +62,6 @@ func TestCheckpointHelper(t *testing.T) {
 	o := twoAppOpts(2)
 	o.Checkpoint = jl
 	o.Chaos = cha
-	o.retry = fastRetry
 	res, err := RunDetection(o)
 	if err != nil {
 		t.Fatal(err)
@@ -195,62 +189,10 @@ func TestJournalMissesAcrossConfigs(t *testing.T) {
 	}
 }
 
-// TestTransientChaosCompletesIdentically is the other acceptance property:
-// a campaign where a fifth of the runs fail transiently must complete via
-// retries with a clean, byte-identical artifact — chaos may change timing,
-// never results.
-func TestTransientChaosCompletesIdentically(t *testing.T) {
-	ref := twoAppOpts(2)
-	res, err := RunDetection(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := encodeDetection(t, ref, res)
-
-	cha, err := chaos.Parse("run-fail=0.2,seed=11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := twoAppOpts(2)
-	o.Chaos = cha
-	o.retry = fastRetry
-	chaotic, err := RunDetection(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := encodeDetection(t, o, chaotic); !bytes.Equal(got, want) {
-		t.Fatalf("chaotic campaign artifacts differ from the calm run:\nchaotic:\n%s\ncalm:\n%s", got, want)
-	}
-}
-
-// TestTransientFailurePersisting: when a transient failure outlives the
-// retry budget the campaign fails with a classified error instead of looping.
-func TestTransientFailurePersisting(t *testing.T) {
-	o := Options{Procs: 1, retry: fastRetry.withDefaults()}
-	calls := 0
-	var sink struct{}
-	err := o.journaledRun("stubborn", 0, 0, &sink, func() error {
-		calls++
-		return &stubTransient{}
-	})
-	if err == nil || !strings.Contains(err.Error(), "transient failure persisted") {
-		t.Fatalf("err = %v, want a persisted-transient classification", err)
-	}
-	if calls != fastRetry.Attempts {
-		t.Fatalf("ran %d attempts, want %d", calls, fastRetry.Attempts)
-	}
-}
-
-type stubTransient struct{}
-
-func (*stubTransient) Error() string   { return "stub transient" }
-func (*stubTransient) Transient() bool { return true }
-
-// TestFatalFailureDoesNotRetry: non-transient errors abort on the first
-// attempt; the retry ladder is only for failures that declare themselves
-// recoverable.
+// TestFatalFailureDoesNotRetry: a failing run aborts on its one call. A run
+// is a pure function of its seed, so a second call would fail the same way.
 func TestFatalFailureDoesNotRetry(t *testing.T) {
-	o := Options{Procs: 1, retry: fastRetry.withDefaults()}
+	o := Options{Procs: 1}
 	boom := errors.New("fatal")
 	calls := 0
 	var sink struct{}
@@ -274,20 +216,16 @@ func TestJournalFaultIsNonFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jl.Close()
-	cha, err := chaos.Parse("journal-fail=1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	jl.SetWriteFault(func() error { return errors.New("disk full") })
 	var progress bytes.Buffer
 	o := twoAppOpts(1)
 	o.Checkpoint = jl
-	o.Chaos = cha
 	o.Progress = &progress
 	if _, err := RunTable1(o); err != nil {
 		t.Fatal(err)
 	}
 	if jl.Len() != 0 {
-		t.Fatalf("journal holds %d entries despite journal-fail=1", jl.Len())
+		t.Fatalf("journal holds %d entries despite every append failing", jl.Len())
 	}
 	if !strings.Contains(progress.String(), "not journaled") {
 		t.Fatalf("progress does not report the dropped appends:\n%s", progress.String())
@@ -387,23 +325,5 @@ func TestForEachJoinsDistinctErrors(t *testing.T) {
 	})
 	if err == nil || strings.Count(err.Error(), "same failure") != 1 {
 		t.Fatalf("duplicate errors did not collapse:\n%v", err)
-	}
-}
-
-// TestRetryDelayDeterministicAndBounded: the backoff schedule is a pure
-// function of (key, attempt) and, jitter included, never exceeds MaxDelay.
-func TestRetryDelayDeterministicAndBounded(t *testing.T) {
-	r := retryPolicy{}.withDefaults()
-	for attempt := 1; attempt <= 6; attempt++ {
-		a := r.delay("k", attempt)
-		if b := r.delay("k", attempt); a != b {
-			t.Fatalf("attempt %d: delay is not deterministic (%v vs %v)", attempt, a, b)
-		}
-		if a <= 0 || a > r.MaxDelay {
-			t.Fatalf("attempt %d: delay %v outside (0, MaxDelay]", attempt, a)
-		}
-	}
-	if r.delay("k", 1) == r.delay("other", 1) {
-		t.Fatal("jitter ignores the run key; parallel retries would thundering-herd")
 	}
 }

@@ -43,10 +43,6 @@ type Options struct {
 	// loaded instead of re-simulated. Resumed campaigns produce artifacts
 	// byte-identical to uninterrupted ones. It has no effect on results.
 	Checkpoint *checkpoint.Journal
-	// retry bounds per-run retry of transient failures (zero: 3 attempts,
-	// 100ms base delay doubling to a 2s cap, deterministic jitter). Only
-	// this package's tests set it, to retry faster.
-	retry retryPolicy
 	// Interrupt, when non-nil and closed, drains the campaign gracefully:
 	// no new runs dispatch, in-flight runs finish (and journal), and the
 	// entry point returns ErrInterrupted. cordbench wires SIGINT/SIGTERM
@@ -58,11 +54,11 @@ type Options struct {
 	// work; use Cancel when the caller is gone — the cordd campaign
 	// endpoint wires the request context's Done channel here.
 	Cancel <-chan struct{}
-	// Chaos, when non-nil, injects faults into the campaign — transient run
-	// failures, journal-write failures, a mid-campaign process crash — for
-	// robustness testing (see internal/chaos and the CORD_CHAOS variable).
-	// Injected faults never change outcomes: failed attempts are retried
-	// and runs are pure functions of their seeds.
+	// Chaos, when non-nil, crashes the process after a set number of
+	// completed runs, for crash-resume testing (see internal/chaos and the
+	// CORD_CHAOS variable). A crash never changes outcomes: the runs it
+	// interrupts re-execute on resume, and runs are pure functions of their
+	// seeds.
 	Chaos *chaos.Chaos
 }
 
@@ -85,7 +81,6 @@ func (o Options) withDefaults() Options {
 	if o.Procs <= 0 {
 		o.Procs = defaultProcs()
 	}
-	o.retry = o.retry.withDefaults()
 	o.Progress = newSyncWriter(o.Progress)
 	return o
 }

@@ -32,13 +32,11 @@
 // is unchanged and order-deterministic, so a campaign resumed after a crash
 // produces artifacts byte-identical to an uninterrupted one.
 //
-// Per-run failures are classified: transient failures (anything carrying a
-// Transient() bool method, e.g. faults injected by internal/chaos) are
-// retried with exponential backoff and deterministic
-// jitter, while everything else aborts the campaign. Closing
-// Options.Interrupt stops new runs from dispatching, lets in-flight runs
-// finish (and journal), and surfaces ErrInterrupted — the graceful-drain
-// path cordbench wires to SIGINT/SIGTERM.
+// A run that fails aborts the campaign: it is a pure function of its seed,
+// so running it again would fail the same way. Closing Options.Interrupt
+// stops new runs from dispatching, lets in-flight runs finish (and
+// journal), and surfaces ErrInterrupted — the graceful-drain path cordbench
+// wires to SIGINT/SIGTERM.
 package experiment
 
 import (
@@ -50,10 +48,8 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"time"
 
 	"cord/internal/checkpoint"
-	"cord/internal/httpretry"
 	"cord/internal/sim"
 	"cord/internal/workload"
 )
@@ -68,51 +64,6 @@ const campaignJitter = 7
 // Options.Interrupt closed. In-flight runs were drained and journaled first,
 // so a checkpointed campaign can be resumed from where it stopped.
 var ErrInterrupted = errors.New("experiment: campaign interrupted")
-
-// retryPolicy bounds how a campaign retries one run's transient failures.
-// The attempt budget covers the first try: Attempts 3 means one try plus at
-// most two retries. Backoff doubles from BaseDelay up to MaxDelay, less a
-// deterministic jitter derived from the run's identity — retry *timing*
-// varies, retry *outcomes* cannot, because runs are pure functions of their
-// seeds.
-type retryPolicy struct {
-	Attempts  int
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-}
-
-func (r retryPolicy) withDefaults() retryPolicy {
-	if r.Attempts <= 0 {
-		r.Attempts = 3
-	}
-	if r.BaseDelay <= 0 {
-		r.BaseDelay = 100 * time.Millisecond
-	}
-	if r.MaxDelay <= 0 {
-		r.MaxDelay = 2 * time.Second
-	}
-	return r
-}
-
-// delay is the backoff before attempt+1: httpretry's capped doubling from
-// BaseDelay to MaxDelay, shrunk by up to 50% of deterministic jitter keyed on
-// the run identity (so parallel retries do not thundering-herd in lockstep,
-// and tests reproduce the same schedule).
-func (r retryPolicy) delay(key string, attempt int) time.Duration {
-	return httpretry.Policy{Fallback: r.BaseDelay, Cap: r.MaxDelay, Jitter: 0.5}.BackoffKeyed(key, attempt)
-}
-
-// transienter is the failure-classification contract: errors that declare
-// themselves transient (chaos-injected faults, and any future genuinely
-// retryable condition) are retried; everything else is fatal to the
-// campaign.
-type transienter interface{ Transient() bool }
-
-// isTransient classifies one run failure.
-func isTransient(err error) bool {
-	var t transienter
-	return errors.As(err, &t) && t.Transient()
-}
 
 // runSim executes one simulation of app under the campaign's shared
 // conventions: the workload is built at the campaign's Scale, cfg.Jitter
@@ -157,74 +108,36 @@ func (o Options) runKey(campaign string, app, run int) string {
 		checkpoint.SchemaVersion, campaign, o.fingerprint(), app, run)
 }
 
-// journaledRun executes one campaign run with the full robustness ladder:
-// checkpoint skip, chaos fault injection, transient retry with backoff, and
-// completion journaling. out must point at the run's JSON-encodable outcome
-// cell; fn computes it. On a checkpoint hit the journaled outcome is decoded
-// into out and fn never runs — which is what makes resumed campaigns
-// byte-identical: the aggregation sees exactly the bytes the original run
-// produced.
+// journaledRun executes one campaign run under the checkpoint journal: a
+// run already journaled is skipped, a fresh one is computed and appended.
+// out must point at the run's JSON-encodable outcome cell; fn computes it.
+// On a checkpoint hit the journaled outcome is decoded into out and fn never
+// runs — which is what makes resumed campaigns byte-identical: the
+// aggregation sees exactly the bytes the original run produced. fn runs at
+// most once; its error is the run's, and aborts the campaign.
 func (o Options) journaledRun(campaign string, app, run int, out any, fn func() error) error {
-	key := o.runKey(campaign, app, run)
+	var key string
 	if o.Checkpoint != nil {
+		key = o.runKey(campaign, app, run)
 		if ok, err := o.Checkpoint.Lookup(key, out); err != nil {
 			return fmt.Errorf("experiment: resuming %s: %w", key, err)
 		} else if ok {
 			return nil
 		}
 	}
-
-	var err error
-	for attempt := 1; ; attempt++ {
-		err = o.Chaos.RunFault(key, attempt)
-		if err == nil {
-			err = fn()
-		}
-		if err == nil || !isTransient(err) || attempt >= o.retry.Attempts {
-			break
-		}
-		d := o.retry.delay(key, attempt)
-		if o.Progress != nil {
-			fmt.Fprintf(o.Progress, "retry %s: attempt %d/%d failed transiently (%v); backing off %v\n",
-				key, attempt, o.retry.Attempts, err, d)
-		}
-		sleepInterruptible(d, o.Interrupt)
-	}
-	if err != nil {
-		if isTransient(err) {
-			return fmt.Errorf("experiment: %s: transient failure persisted through %d attempts: %w",
-				key, o.retry.Attempts, err)
-		}
+	if err := fn(); err != nil {
 		return err
 	}
-
 	if o.Checkpoint != nil {
-		aerr := o.Chaos.JournalFault()
-		if aerr == nil {
-			aerr = o.Checkpoint.Append(key, out)
-		}
-		if aerr != nil && o.Progress != nil {
+		if err := o.Checkpoint.Append(key, out); err != nil && o.Progress != nil {
 			// A journal failure costs durability, not correctness: the run's
 			// outcome is already in memory, it just re-executes on resume.
 			fmt.Fprintf(o.Progress, "checkpoint: %s not journaled (%v); the run would re-execute on resume\n",
-				key, aerr)
+				key, err)
 		}
 	}
 	o.Chaos.RunCompleted()
 	return nil
-}
-
-// sleepInterruptible waits d, returning early if stop closes.
-func sleepInterruptible(d time.Duration, stop <-chan struct{}) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-stop:
-	}
 }
 
 // interrupted reports whether o.Interrupt has closed.

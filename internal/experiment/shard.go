@@ -112,8 +112,8 @@ func OptionsFromMeta(m CampaignMeta) (Options, error) {
 // same bytes).
 //
 // Execution honors the campaign's full Options surface: runs fan out across
-// o.Procs workers, transient failures retry under o.retry, chaos faults
-// inject, closing o.Interrupt drains and returns ErrInterrupted, and
+// o.Procs workers, a failed run aborts the shard, a chaos crash-after
+// fires, closing o.Interrupt drains and returns ErrInterrupted, and
 // closing o.Cancel aborts in-flight simulations. With o.Checkpoint set the
 // shard's runs journal locally too, exactly like a local campaign.
 func ExecuteDetectShard(o Options, r ShardRange) ([]Cell, error) {

@@ -4,9 +4,7 @@
 // service's 429/`Retry-After` contract (PROTOCOL.md §4.2) identically:
 // delta-seconds and HTTP-date wire forms, a past HTTP-date meaning "retry
 // now" rather than "back off", and a doubling fallback only when the header
-// is absent or unparseable. The third client is the experiment campaign
-// runner, whose per-run retry of transient failures sleeps BackoffKeyed,
-// keyed on the run's identity. The logic used to be duplicated per caller;
+// is absent or unparseable. The logic used to be duplicated per caller;
 // a past-date clamp bug fixed in one copy and not the other is exactly the
 // kind of drift this package exists to prevent.
 package httpretry

@@ -9,6 +9,35 @@ import (
 	"cord/internal/workload"
 )
 
+// Stats is the machine's interconnect activity after a run, as the tests
+// read it.
+type Stats struct {
+	Misses       uint64
+	CacheToCache uint64
+	MemFetches   uint64
+	Upgrades     uint64
+	// DirtyInvalidations counts writes that invalidated a remote dirty copy,
+	// each billed as a data-bus cache-to-cache supply plus memory write-back.
+	DirtyInvalidations uint64
+	AddrBusBusy        uint64
+	AddrBusTrans       uint64
+	DataBusBusy        uint64
+	DataBusTrans       uint64
+	CheckStalls        uint64
+	StallCycles        uint64
+}
+
+// Stats returns the cumulative counters.
+func (m *Machine) Stats() Stats {
+	return Stats{
+		Misses: m.misses, CacheToCache: m.c2c, MemFetches: m.memFetch, Upgrades: m.upgrades,
+		DirtyInvalidations: m.dirtyInvals,
+		AddrBusBusy:        m.addr.busy, AddrBusTrans: m.addr.trans,
+		DataBusBusy: m.data.busy, DataBusTrans: m.data.trans,
+		CheckStalls: m.checkStalls, StallCycles: m.stallCycles,
+	}
+}
+
 func acc(proc int, addr memsys.Addr, kind trace.Kind) trace.Access {
 	return trace.Access{Proc: proc, Thread: proc, Addr: addr, Kind: kind, Class: trace.Data}
 }

@@ -54,8 +54,8 @@ func (l Line) String() string { return fmt.Sprintf("line:0x%x", uint64(LineBase(
 // all-zero memory ready for use. Memory is not safe for concurrent use; the
 // simulator serializes all accesses.
 //
-// Unlike a map-backed store, every traversal (ForEachWord, Words, Equal)
-// visits words in ascending address order, so memory-image dumps and
+// Unlike a map-backed store, every traversal (ForEachWord, Equal) visits
+// words in ascending address order, so memory-image dumps and
 // comparisons are reproducible byte for byte across runs and processes.
 type Memory struct {
 	words   Table[uint64]
@@ -85,14 +85,6 @@ func (m *Memory) Store(a Addr, v uint64) {
 	*w = v
 }
 
-// Add atomically (from the simulation's point of view) adds delta to the word
-// at a and returns the new value.
-func (m *Memory) Add(a Addr, delta uint64) uint64 {
-	v := m.Load(a) + delta
-	m.Store(a, v)
-	return v
-}
-
 // Footprint returns the number of distinct words currently holding a
 // non-zero value.
 func (m *Memory) Footprint() int { return m.nonzero }
@@ -106,21 +98,6 @@ func (m *Memory) ForEachWord(fn func(a Addr, v uint64)) {
 			fn(Addr(i*WordBytes), *v)
 		}
 	})
-}
-
-// WordValue is one non-zero word of a memory image.
-type WordValue struct {
-	Addr  Addr
-	Value uint64
-}
-
-// Words returns every non-zero word in ascending address order.
-func (m *Memory) Words() []WordValue {
-	out := make([]WordValue, 0, m.nonzero)
-	m.ForEachWord(func(a Addr, v uint64) {
-		out = append(out, WordValue{Addr: a, Value: v})
-	})
-	return out
 }
 
 // Equal reports whether two memories hold identical contents (the all-zero
@@ -155,19 +132,6 @@ func (r Region) Word(i int) Addr {
 		panic(fmt.Sprintf("memsys: region word %d out of range [0,%d)", i, r.Words))
 	}
 	return r.Base + Addr(i*WordBytes)
-}
-
-// End returns the first byte address past the region.
-func (r Region) End() Addr { return r.Base + Addr(r.Words*WordBytes) }
-
-// Lines returns the number of cache lines the region spans.
-func (r Region) Lines() int {
-	if r.Words == 0 {
-		return 0
-	}
-	first := LineOf(r.Base)
-	last := LineOf(r.End() - 1)
-	return int(last-first) + 1
 }
 
 // Allocator hands out line-aligned regions of the simulated address space.
@@ -213,6 +177,3 @@ type PaddedRegion struct {
 
 // Word returns the address of the i-th logical (line-padded) word.
 func (p PaddedRegion) Word(i int) Addr { return p.raw.Word(i * WordsPerLine) }
-
-// Count returns how many logical words the padded region holds.
-func (p PaddedRegion) Count() int { return p.raw.Words / WordsPerLine }

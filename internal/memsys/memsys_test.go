@@ -56,13 +56,6 @@ func TestMemoryLoadStore(t *testing.T) {
 	}
 }
 
-func TestMemoryAdd(t *testing.T) {
-	m := NewMemory()
-	if m.Add(0x40, 3) != 3 || m.Add(0x40, 4) != 7 {
-		t.Fatal("Add wrong")
-	}
-}
-
 func TestMemoryEqual(t *testing.T) {
 	a, b := NewMemory(), NewMemory()
 	a.Store(8, 1)
@@ -86,6 +79,9 @@ func TestZeroValueMemoryUsable(t *testing.T) {
 	}
 }
 
+// end returns the first byte address past r.
+func end(r Region) Addr { return r.Base + Addr(r.Words*WordBytes) }
+
 func TestAllocatorLineAlignment(t *testing.T) {
 	al := NewAllocator()
 	r1 := al.Alloc(5)
@@ -93,7 +89,7 @@ func TestAllocatorLineAlignment(t *testing.T) {
 	if r1.Base%LineBytes != 0 || r2.Base%LineBytes != 0 {
 		t.Fatal("regions not line aligned")
 	}
-	if r2.Base < r1.End() {
+	if r2.Base < end(r1) {
 		t.Fatal("regions overlap")
 	}
 	if r1.Base == 0 {
@@ -104,8 +100,8 @@ func TestAllocatorLineAlignment(t *testing.T) {
 func TestRegionWordAndLines(t *testing.T) {
 	al := NewAllocator()
 	r := al.Alloc(20) // 80 bytes -> 2 lines
-	if r.Lines() != 2 {
-		t.Fatalf("Lines() = %d, want 2", r.Lines())
+	if lines := LineOf(end(r)-1) - LineOf(r.Base) + 1; lines != 2 {
+		t.Fatalf("region spans %d lines, want 2", lines)
 	}
 	if r.Word(0) != r.Base || r.Word(19) != r.Base+76 {
 		t.Fatal("Word addressing wrong")
@@ -121,9 +117,6 @@ func TestRegionWordAndLines(t *testing.T) {
 func TestPaddedRegionNoSharedLines(t *testing.T) {
 	al := NewAllocator()
 	p := al.AllocPadded(4)
-	if p.Count() != 4 {
-		t.Fatalf("Count = %d", p.Count())
-	}
 	seen := map[Line]bool{}
 	for i := 0; i < 4; i++ {
 		l := LineOf(p.Word(i))
@@ -141,7 +134,7 @@ func TestAllocationsDisjoint(t *testing.T) {
 		used := map[Line]bool{}
 		for _, sz := range sizes {
 			r := al.Alloc(int(sz)%50 + 1)
-			first, last := LineOf(r.Base), LineOf(r.End()-1)
+			first, last := LineOf(r.Base), LineOf(end(r)-1)
 			for l := first; l <= last; l++ {
 				if used[l] {
 					return false

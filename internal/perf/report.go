@@ -9,7 +9,7 @@ import (
 )
 
 // SchemaVersion is the BENCH_perf.json wire-format version. Bump it on any
-// shape change; readers reject versions they do not understand.
+// shape change, so a reader can tell the shapes apart.
 const SchemaVersion = 1
 
 // BenchResult is one kernel's measurement.
@@ -76,18 +76,6 @@ func (r Report) Encode() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Decode parses a report, rejecting unknown schema versions.
-func Decode(b []byte) (Report, error) {
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return Report{}, fmt.Errorf("perf: decoding report: %w", err)
-	}
-	if r.Schema != SchemaVersion {
-		return Report{}, fmt.Errorf("perf: report has schema %d, this build reads %d", r.Schema, SchemaVersion)
-	}
-	return r, nil
-}
-
 // Write stores the report at path ("-" for stdout).
 func Write(path string, r Report) error {
 	b, err := r.Encode()
@@ -102,17 +90,4 @@ func Write(path string, r Report) error {
 		return fmt.Errorf("perf: writing report: %w", err)
 	}
 	return nil
-}
-
-// Read loads and decodes one report file.
-func Read(path string) (Report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return Report{}, fmt.Errorf("perf: reading report: %w", err)
-	}
-	r, err := Decode(b)
-	if err != nil {
-		return Report{}, fmt.Errorf("%w (%s)", err, path)
-	}
-	return r, nil
 }

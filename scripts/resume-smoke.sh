@@ -3,8 +3,10 @@
 # golden campaign to completion for reference, kill -9 a live checkpointed
 # run mid-campaign, resume it, and assert the resumed artifacts are
 # byte-identical to the uninterrupted ones. Also exercises the SIGTERM
-# drain (exit 3 + resumable hint) and a 20% transient-fault chaos campaign
-# that must complete cleanly through retries.
+# drain (exit 3 + resumable hint) and a deterministic crash: CORD_CHAOS
+# crash-after=5 kills a checkpointed campaign after its fifth run (exit 42),
+# and its resume must match the uninterrupted artifacts too. Unlike the
+# kill -9 leg, that one does not depend on timing.
 #
 # Pure POSIX sh: no test framework, no jq. CI runs this; `make resume-smoke`
 # runs it locally.
@@ -25,7 +27,7 @@ trap cleanup EXIT
 
 fail() {
 	echo "resume-smoke: FAIL: $*" >&2
-	for log in run.log resume.log term.log chaos.log; do
+	for log in run.log resume.log term.log crash.log crash-resume.log; do
 		if [ -s "$DIR/$log" ]; then
 			echo "--- $log ---" >&2
 			cat "$DIR/$log" >&2
@@ -99,11 +101,18 @@ PID=""
 [ "$status" -eq 3 ] || fail "SIGTERM run exited $status, want 3 (resumable)"
 grep -q '\-resume' "$DIR/term.log" || fail "SIGTERM run did not print the resume hint"
 
-echo "resume-smoke: 20% transient chaos must complete cleanly through retries"
-CORD_CHAOS="run-fail=0.2,seed=7" "$DIR/cordbench" $FLAGS -json "$DIR/chaos" \
-	>/dev/null 2>"$DIR/chaos.log" || fail "chaotic campaign failed"
+echo "resume-smoke: CORD_CHAOS crash-after=5 must kill a checkpointed run (exit 42)"
+status=0
+CORD_CHAOS="crash-after=5,seed=7" "$DIR/cordbench" $FLAGS -checkpoint "$DIR/ck-crash" \
+	>/dev/null 2>"$DIR/crash.log" || status=$?
+[ "$status" -eq 42 ] || fail "crash-after=5 run exited $status, want 42 (chaos.CrashExitCode)"
+
+echo "resume-smoke: resuming the crashed run"
+"$DIR/cordbench" $FLAGS -checkpoint "$DIR/ck-crash" -resume -json "$DIR/out-crash" \
+	>/dev/null 2>"$DIR/crash-resume.log" || fail "resuming the crashed campaign failed"
 for ref in "$DIR"/ref/BENCH_*.json; do
-	cmp -s "$ref" "$DIR/chaos/$(basename "$ref")" \
-		|| fail "$(basename "$ref") differs under transient chaos"
+	out="$DIR/out-crash/$(basename "$ref")"
+	[ -f "$out" ] || fail "crash resume did not write $(basename "$ref")"
+	cmp -s "$ref" "$out" || fail "$(basename "$ref") differs between crash-resumed and uninterrupted runs"
 done
-echo "resume-smoke: PASS (kill -9 recovery byte-identical; SIGTERM resumable; chaos retried to completion)"
+echo "resume-smoke: PASS (kill -9 and crash-after recovery byte-identical; SIGTERM resumable)"
